@@ -11,12 +11,17 @@
  * swap: an instrumented RenameStage drop-in must leave the timing
  * bit-identical.
  */
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 
-#include "bench_common.hh"
 #include "pipeline/core.hh"
 #include "pipeline/stages/rename.hh"
+#include "sim/configs.hh"
+#include "sim/experiment.hh"
+#include "sim/plans.hh"
+#include "sim/sweep.hh"
+#include "workloads/workload.hh"
 
 using namespace eole;
 
@@ -100,6 +105,13 @@ main()
 
     stageSwapDemo(full, "444.namd");
 
-    // The grid itself is the "fig13" plan (see `eole run fig13`).
-    return runFigure("fig13");
+    // The grid itself is the "fig13" plan (also `eole run fig13`).
+    const ExperimentPlan plan = plans::get("fig13");
+    std::printf("\n%s: %s\n", plan.name.c_str(), plan.description.c_str());
+    std::printf("warmup=%llu uops, measure=%llu uops, threads=%d "
+                "(override: EOLE_WARMUP / EOLE_INSTS / EOLE_THREADS)\n",
+                (unsigned long long)warmupUops(),
+                (unsigned long long)measureUops(), runnerThreads());
+    printPlanTables(plan, runPlan(plan));
+    return 0;
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Warm-once checkpointed sampling — the C++ twin of `eole ckpt save`
- * and the checkpoint-centric sibling of examples/sampled_sweep.cpp.
+ * Warm-once checkpointed sampling, by hand — what saveCheckpoints
+ * (`eole ckpt save`) does per cell — and the checkpoint-centric
+ * sibling of examples/sampled_sweep.cpp.
  *
  *   ./build/ckpt_sweep [jobs]
  *
@@ -54,9 +55,10 @@ main(int argc, char **argv)
     opt.jobs = argc > 1 ? std::atoi(argv[1]) : 0;
 
     // 2. The warming pass itself, by hand: place the intervals, warm
-    //    once, capture a checkpoint per interval. This is what the
-    //    sampled engine does per cell — and what `eole ckpt save`
-    //    writes to disk as one .ckpt file per interval.
+    //    once, capture a checkpoint per interval at the start of its
+    //    detailed warmup. This is what the sampled engine does per
+    //    cell — and what saveCheckpoints writes to disk as one .ckpt
+    //    file per interval.
     const SimConfig &cfg = plan.configs[0];
     const std::uint64_t cell_seed =
         jobSeed(plan.seed, cfg.seed, cfg.name, plan.workloads[0]);
@@ -69,9 +71,7 @@ main(int argc, char **argv)
 
     SimConfig seeded = cfg;
     seeded.seed = cell_seed;
-    std::vector<std::uint64_t> idxs;
-    for (const std::uint64_t s : starts)
-        idxs.push_back(s - spec.detailUops);
+    const auto idxs = warmCheckpointIndices(starts, trace->uops.size(), spec);
     const auto ckpts = warmOnceCheckpoints(seeded, w, trace, idxs);
 
     std::printf("%zu intervals -> %zu checkpoints from ONE warming "

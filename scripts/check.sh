@@ -8,7 +8,7 @@
 # are unaffected.
 #
 # Usage: scripts/check.sh [--with-bench] [--bench] [--tsan] [--sample]
-#                         [--shard] [--obs] [--trace]
+#                         [--obs] [--trace]
 #   --with-bench   also run the fig13 modularity bench (stage-swap
 #                  self-check + the EOLE/OLE/EOE grid) on the short
 #                  run lengths.
@@ -24,13 +24,6 @@
 #                  to a warning (set EOLE_BENCH_BASELINE to a
 #                  locally-recorded artifact for a hard gate
 #                  anywhere).
-#   --shard        sharded-sweep lane: run the smoke plan as 3
-#                  `eole shard` slices, `eole merge` them and require
-#                  the merged artifact byte-identical to the
-#                  single-host run; then run it twice against a fresh
-#                  `--store` and require the warm re-run to report
-#                  every cell cached (0 computed) with an artifact
-#                  byte-identical to the cold one.
 #   --obs          observability lane: pipetrace smoke (Kanata header
 #                  + retire records on a real cell), proof that
 #                  attaching --telemetry leaves the artifact
@@ -65,13 +58,15 @@
 #                  (2) a warm-once v2 lane: a sampled smoke run whose
 #                  artifact must carry nonzero
 #                  sample_restored_intervals (proof the restore path,
-#                  not silent re-warming, produced the numbers), plus
-#                  an `eole ckpt save`/`info` round trip;
+#                  not silent re-warming, produced the numbers);
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
 #                  fuzzer) under AddressSanitizer (-DEOLE_ASAN=ON,
 #                  build-asan/). The suites also run in the default
 #                  ctest pass with the standard per-suite timeout.
+#
+# The sharded-sweep, store and `ckpt save` CLI contracts run in every
+# ctest pass (tests/cli_contracts.sh).
 #
 # Every ctest invocation runs with --timeout (EOLE_TEST_TIMEOUT,
 # default 600 s per suite) so a hung worker thread fails CI instead of
@@ -91,7 +86,6 @@ WITH_BENCH=0
 WITH_SPEED_GATE=0
 WITH_TSAN=0
 WITH_SAMPLE=0
-WITH_SHARD=0
 WITH_OBS=0
 WITH_TRACE=0
 for arg in "$@"; do
@@ -100,7 +94,6 @@ for arg in "$@"; do
       --bench) WITH_SPEED_GATE=1 ;;
       --tsan) WITH_TSAN=1 ;;
       --sample) WITH_SAMPLE=1 ;;
-      --shard) WITH_SHARD=1 ;;
       --obs) WITH_OBS=1 ;;
       --trace) WITH_TRACE=1 ;;
       *)
@@ -230,7 +223,7 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
         exit 1
     fi
 
-    echo "check.sh: warm-once v2 lane (restored-interval stat + ckpt CLI)"
+    echo "check.sh: warm-once v2 lane (restored-interval stat)"
     # The sampled artifact must prove the warm-once path ran: every
     # cell carries sample_restored_intervals, and none may be zero
     # (zero would mean the intervals silently fell back to
@@ -247,19 +240,6 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
              "path (sample_restored_intervals missing or zero)" >&2
         exit 1
     fi
-    # ckpt save -> info round trip: every written v2 file must parse
-    # with its sections intact.
-    rm -rf build/ckpts
-    if ! ./build/eole ckpt save smoke --sample 2:2000:1000 \
-         --out build/ckpts --quiet; then
-        echo "check.sh: eole ckpt save FAILED" >&2
-        exit 1
-    fi
-    if ! ./build/eole ckpt info build/ckpts/*.ckpt \
-         | grep -q 'eole-ckpt-v2.*sections.*branch'; then
-        echo "check.sh: eole ckpt info round trip FAILED" >&2
-        exit 1
-    fi
 
     echo "check.sh: AddressSanitizer pass (checkpoint/state/slab suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
@@ -271,80 +251,6 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
           --target test_sample test_ckpt_state test_torture test_slab
     run_ctest build-asan \
         -R '^(test_sample|test_ckpt_state|test_torture|test_slab)$'
-fi
-
-if [[ "$WITH_SHARD" == 1 ]]; then
-    echo "check.sh: sharded-sweep lane (3 shards + merge + store)"
-    rm -rf build/shardlane
-    mkdir -p build/shardlane
-    if ! ./build/eole run smoke --quiet --no-tables \
-         --out build/shardlane/single.json; then
-        echo "check.sh: single-host smoke run FAILED" >&2
-        exit 1
-    fi
-    for i in 0 1 2; do
-        if ! ./build/eole shard smoke --hosts 3 --host "$i" --quiet \
-             --out build/shardlane; then
-            echo "check.sh: eole shard --host $i FAILED" >&2
-            exit 1
-        fi
-    done
-    if ! ./build/eole merge build/shardlane/smoke.shard*.eoleshard \
-         --out build/shardlane/merged.json --quiet; then
-        echo "check.sh: eole merge FAILED" >&2
-        exit 1
-    fi
-    if ! cmp build/shardlane/single.json build/shardlane/merged.json;
-    then
-        echo "check.sh: merged shard artifact differs from the" \
-             "single-host artifact" >&2
-        exit 1
-    fi
-    echo "check.sh: merge of 3 shards byte-identical to single host"
-
-    # Content-addressed store: a cold run computes every cell, a warm
-    # re-run must compute none and still produce the same bytes.
-    rm -rf build/shardlane/store
-    if ! ./build/eole run smoke --quiet --no-tables \
-         --store build/shardlane/store \
-         --out build/shardlane/cold.json \
-         2> build/shardlane/cold.err; then
-        cat build/shardlane/cold.err >&2
-        echo "check.sh: cold --store run FAILED" >&2
-        exit 1
-    fi
-    if ! grep -q 'store .*: 0 cached, 4 computed' \
-         build/shardlane/cold.err; then
-        cat build/shardlane/cold.err >&2
-        echo "check.sh: cold --store run did not compute all 4 cells" >&2
-        exit 1
-    fi
-    if ! ./build/eole run smoke --quiet --no-tables \
-         --store build/shardlane/store \
-         --out build/shardlane/warm.json \
-         2> build/shardlane/warm.err; then
-        cat build/shardlane/warm.err >&2
-        echo "check.sh: warm --store run FAILED" >&2
-        exit 1
-    fi
-    if ! grep -q 'store .*: 4 cached, 0 computed' \
-         build/shardlane/warm.err; then
-        cat build/shardlane/warm.err >&2
-        echo "check.sh: warm --store re-run recomputed cells (want" \
-             "all 4 cached, 0 computed)" >&2
-        exit 1
-    fi
-    if ! cmp build/shardlane/cold.json build/shardlane/warm.json; then
-        echo "check.sh: warm-store artifact differs from cold" >&2
-        exit 1
-    fi
-    if ! ./build/eole store ls build/shardlane/store \
-         | grep -q '^4 object(s)'; then
-        echo "check.sh: eole store ls does not show 4 objects" >&2
-        exit 1
-    fi
-    echo "check.sh: warm store re-run served all 4 cells from cache," \
-         "byte-identical"
 fi
 
 if [[ "$WITH_OBS" == 1 ]]; then

@@ -349,4 +349,15 @@ diffArtifacts(const PlanResult &a, const PlanResult &b,
     return diffs;
 }
 
+std::string
+sanitizeForPath(const std::string &s)
+{
+    std::string out = s;
+    for (char &c : out) {
+        if (c == '/' || c == '\\' || c == ' ' || c == ':')
+            c = '_';
+    }
+    return out;
+}
+
 } // namespace eole

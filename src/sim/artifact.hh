@@ -72,6 +72,10 @@ struct DiffOptions
 std::size_t diffArtifacts(const PlanResult &a, const PlanResult &b,
                           const DiffOptions &options, std::ostream &os);
 
+/** File-system-safe spelling of a cell identity component, as the
+ *  shard partial and checkpoint file names use it. */
+std::string sanitizeForPath(const std::string &s);
+
 } // namespace eole
 
 #endif // EOLE_SIM_ARTIFACT_HH

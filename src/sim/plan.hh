@@ -3,10 +3,10 @@
  * ExperimentPlan: a declarative (configuration x workload) sweep grid.
  *
  * A plan is pure data — configs, workload names, run lengths, a base
- * seed and the paper-style tables to print — expanded by the sweep
- * engine (sim/sweep.hh) into independent jobs. Every figure of the
- * paper is a named plan in sim/plans.hh; the per-figure bench binaries
- * and the `eole` CLI both drive plans through the same engine. Plans
+ * seed and the paper-style tables to print — expanded by the cell
+ * executor (sim/executor.hh) into independent jobs. Every figure of
+ * the paper is a named plan in sim/plans.hh that `eole run` drives
+ * through the same engine as any C++ caller. Plans
  * can also be authored as text (sim/planfile.hh, `eole run --plan`):
  * a base config plus axes of registry keys (sim/params.hh) expands to
  * the same structure without recompiling.

@@ -2,9 +2,8 @@
  * @file
  * Named experiment plans: every figure and table of the paper's
  * evaluation (plus the ablations that grew around it) as a declarative
- * ExperimentPlan the sweep engine can execute. The per-figure bench
- * binaries are thin wrappers over this registry, and the `eole` CLI
- * can list, run, filter and diff any entry.
+ * ExperimentPlan the sweep engine can execute. The `eole` CLI can
+ * list, run, filter and diff any entry (`eole run fig12`).
  */
 
 #ifndef EOLE_SIM_PLANS_HH

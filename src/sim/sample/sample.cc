@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <mutex>
-#include <thread>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "pipeline/core.hh"
-#include "sim/params.hh"
-#include "sim/store.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace_cache.hh"
+#include "sim/artifact.hh"
+#include "sim/executor.hh"
 #include "workloads/workload.hh"
 
 namespace eole {
@@ -138,6 +135,38 @@ warmCheckpointIndices(const std::vector<std::uint64_t> &starts,
     return idxs;
 }
 
+namespace {
+
+/** Every cell's interval starts — the one placement runSampledPlan and
+ *  saveCheckpoints share: a pure function of run lengths and the cell
+ *  seed, never of the recorded trace. */
+std::vector<std::vector<std::uint64_t>>
+placeCellIntervals(const SweepExecutor &ex)
+{
+    std::vector<std::vector<std::uint64_t>> starts;
+    for (const SweepCell &cell : ex.cells) {
+        starts.push_back(placeIntervals(ex.expansion.warmup, cell.measure,
+                                        ex.spec, cell.seed));
+    }
+    return starts;
+}
+
+/** sampleTraceUopsNeeded for the intervals @p starts places. */
+std::uint64_t
+placedTraceUops(const SweepExecutor &ex,
+                const std::vector<std::vector<std::uint64_t>> &starts)
+{
+    std::uint64_t maxStart = 0;
+    for (const std::vector<std::uint64_t> &s : starts) {
+        if (!s.empty())
+            maxStart = std::max(maxStart, s.back());  // starts ascend
+    }
+    return sampleTraceUopsNeeded(ex.plan, ex.spec, ex.expansion.warmup,
+                                 ex.expansion.longestMeasure, maxStart);
+}
+
+} // namespace
+
 std::uint64_t
 sampleTraceUopsNeeded(const ExperimentPlan &plan,
                       const SampleSpec &spec, std::uint64_t warmup,
@@ -183,7 +212,6 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
                const SweepOptions &options)
 {
     fatal_if(!spec.enabled(), "runSampledPlan: spec is disabled");
-    validatePlanConfigs(plan);
 
     // Bounded warming is per-interval by construction (each interval
     // warms at most B µ-ops of its own prefix), so the warm-once
@@ -192,367 +220,130 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
     // differential validation.
     const bool warmOnce = spec.warmBound == 0 && !options.sampleRewarm;
 
-    PlanResult out;
-    out.plan = plan.name;
-    out.seed = plan.seed;
-    out.warmup = resolveRunLength(options.warmup, plan.warmup,
-                                  "EOLE_WARMUP", defaultWarmupUops);
-    out.measure = resolveRunLength(options.measure, plan.measure,
-                                   "EOLE_INSTS", defaultMeasureUops);
-    out.filter = options.filter;
-    out.sample = spec;
-
-    // Expand matched cells (config-major artifact order) and place
-    // each cell's intervals up front — the placement depends only on
-    // run lengths and the cell seed, never on the recorded trace.
+    SweepExecutor ex(plan, options, spec);
+    const std::vector<std::vector<std::uint64_t>> starts =
+        placeCellIntervals(ex);
     struct Cell
     {
-        std::size_t cfg;
-        std::size_t wl;
-        std::vector<std::uint64_t> starts;
         std::vector<IntervalResult> intervals;  //!< pre-assigned slots
         /** Warm-once per-interval checkpoints (phase-1 slots; each
          *  consumed and released by its interval job). */
         std::vector<std::shared_ptr<const Checkpoint>> ckpts;
     };
-    std::vector<Cell> cells;
-    for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(options.filter, plan.configs[c].name,
-                             plan.workloads[w])
-                || !options.shard.owns(plan.seed, plan.configs[c].seed,
-                                       plan.configs[c].name,
-                                       plan.workloads[w]))
-                continue;
-            Cell cell;
-            cell.cfg = c;
-            cell.wl = w;
-            cells.push_back(std::move(cell));
-        }
-    }
-    out.cells.resize(cells.size());
+    std::vector<Cell> cells(starts.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        RunResult &rr = out.cells[i];
-        rr.config = plan.configs[cells[i].cfg].name;
-        rr.workload = plan.workloads[cells[i].wl];
-        rr.seed = jobSeed(plan.seed, plan.configs[cells[i].cfg].seed,
-                          rr.config, rr.workload);
-        rr.params = configKeyValues(plan.configs[cells[i].cfg]);
-        // Per-config `runlen` overrides move that config's sampled
-        // region; placement stays a pure function of (lengths, seed).
-        cells[i].starts = placeIntervals(
-            out.warmup, resolveMeasureFor(options.measure, plan, rr.config),
-            spec, rr.seed);
-        cells[i].intervals.resize(cells[i].starts.size());
-        cells[i].ckpts.resize(cells[i].starts.size());
-    }
-    if (options.telemetry) {
-        for (const RunResult &rr : out.cells)
-            options.telemetry->cellQueued(rr.config, rr.workload);
+        cells[i].intervals.resize(starts[i].size());
+        cells[i].ckpts.resize(starts[i].size());
     }
 
-    // Content-addressed store, serial pre-pass (mirrors runPlan): a
-    // cached cell loads its reduced stats here and expands into no
-    // warming or interval jobs at all — the sample spec is part of
-    // the key, so sampled and full results never alias.
-    const auto cellStoreKey = [&](std::size_t i) {
-        StoreKey key;
-        key.kind = "cell";
-        key.config = out.cells[i].config;
-        key.params = out.cells[i].params;
-        key.workload = out.cells[i].workload;
-        key.seed = out.cells[i].seed;
-        key.warmup = out.warmup;
-        key.measure = resolveMeasureFor(options.measure, plan,
-                                        out.cells[i].config);
-        key.sample = spec;
-        return key;
-    };
-    std::vector<char> cellCached(cells.size(), 0);
-    if (options.store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const std::string hash = storeKeyHash(cellStoreKey(i));
-            std::string payload;
-            if (!options.store->get(hash, &payload))
-                continue;
-            std::string err;
-            fatal_if(!tryParseCellPayload(payload,
-                                          &out.cells[i].stats, &err),
-                     "store %s: object %s: %s (delete the store "
-                     "directory to rebuild it)",
-                     options.store->directory().c_str(), hash.c_str(),
-                     err.c_str());
-            cellCached[i] = 1;
-            ++out.storeHits;
-        }
-    }
-    const auto storeFinish = [&] {
-        if (!options.store)
-            return;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cellCached[i])
-                continue;
-            options.store->put(cellStoreKey(i),
-                               cellPayloadText(out.cells[i].stats));
-            ++out.storeComputed;
-        }
-        options.store->flush();
-        if (options.telemetry)
-            options.telemetry->storeCounts(out.storeHits, out.storeComputed);
-    };
+    // A cached cell loads its reduced stats and expands into no warming
+    // or interval jobs at all — the sample spec is part of the key, so
+    // sampled and full results never alias.
+    ex.loadCellStats();
 
-    // Flatten (cell, interval) into the job list, workload-major like
-    // the full-run engine so trace sharing clusters per workload; the
-    // warm-once warming pass adds one phase-1 job per cell in the
-    // same order.
-    struct Job
-    {
-        std::size_t cell;
-        std::size_t interval;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::size_t> warmJobs;  //!< phase-1 cell indices
-    std::vector<std::size_t> jobsPerWorkload(plan.workloads.size(), 0);
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cells[i].wl != w || cellCached[i])
-                continue;
-            if (warmOnce && !cells[i].starts.empty()) {
-                warmJobs.push_back(i);
-                ++jobsPerWorkload[w];
-            }
-            for (std::size_t k = 0; k < cells[i].starts.size(); ++k) {
-                jobs.push_back(Job{i, k});
-                ++jobsPerWorkload[w];
-            }
-        }
-    }
-    if (jobs.empty()) {
-        storeFinish();
-        return out;
-    }
+    const std::uint64_t inflight = maxInflightUops(plan);
+    ex.run(placedTraceUops(ex, starts),
+           {// Phase 1 (warm-once mode): one continuous warming pass per
+            // cell, dropping a µarch-bearing v2 checkpoint at each
+            // interval's detailed-warmup start.
+            {"warm", false,
+             [&](std::size_t i) {
+                 return std::size_t{warmOnce && !starts[i].empty()};
+             },
+             [&](SweepJob &job) {
+                 Cell &cell = cells[job.cell];
+                 const std::vector<std::uint64_t> &placed = starts[job.cell];
+                 // A private recording reaches the furthest interval
+                 // start (consistent with the cached clamps because
+                 // every start <= the request).
+                 const auto trace = ex.trace(job.workload, placed.back());
+                 const std::uint64_t len = trace->uops.size();
+                 const std::vector<std::uint64_t> idxs =
+                     warmCheckpointIndices(placed, len, spec);
+                 std::uint64_t prev = 0;
+                 for (std::size_t k = 0; k < placed.size(); ++k) {
+                     IntervalResult &iv = cell.intervals[k];
+                     iv.start = std::min<std::uint64_t>(placed[k], len);
+                     iv.warmedUops = idxs[k] - std::min(prev, idxs[k]);
+                     prev = idxs[k];
+                 }
+                 cell.ckpts = warmOnceCheckpoints(ex.config(job.cell),
+                                                  job.workload, trace, idxs);
+                 job.stats.add("sample_ckpts",
+                               static_cast<double>(cell.ckpts.size()));
+             }},
+            // Phase 2: the measurement intervals. Warm-once jobs restore
+            // the phase-1 checkpoint; the legacy path functionally
+            // re-warms its own prefix (bounded by B when set).
+            {"interval", true,
+             [&](std::size_t i) { return starts[i].size(); },
+             [&](SweepJob &job) {
+                 Cell &cell = cells[job.cell];
+                 IntervalResult &iv = cell.intervals[job.index];
+                 const std::uint64_t start = starts[job.cell][job.index];
+                 // A private recording (checkpointed starts need a
+                 // frozen trace) reaches this interval's own fetch
+                 // horizon only.
+                 const auto trace = ex.trace(
+                     job.workload, start + spec.intervalUops + inflight);
 
-    // The degenerate single interval of a too-short region may run
-    // past warmup+measure; size recordings for the furthest fetch any
-    // interval can reach.
-    std::uint64_t maxStart = 0;
-    for (const Cell &cell : cells) {
-        for (const std::uint64_t s : cell.starts)
-            maxStart = std::max(maxStart, s);
-    }
-    std::uint64_t longestMeasure = out.measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(
-            longestMeasure, resolveMeasureFor(options.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded = sampleTraceUopsNeeded(
-        plan, spec, out.warmup, longestMeasure, maxStart);
+                 std::shared_ptr<const Checkpoint> ckpt;
+                 if (warmOnce) {
+                     // The phase-1 checkpoint is the start point; its
+                     // µ-op index already reflects the trace-length
+                     // clamps.
+                     ckpt = std::move(cell.ckpts[job.index]);
+                 } else {
+                     iv.start = std::min<std::uint64_t>(
+                         start, trace->uops.size());
+                     ckpt = std::make_shared<Checkpoint>(captureAt(
+                         *trace, ex.result.cells[job.cell].workload,
+                         iv.start >= spec.detailUops
+                             ? iv.start - spec.detailUops
+                             : 0));
+                 }
+                 const std::uint64_t ckptIdx = ckpt->uopIndex;
+                 const std::uint64_t detail = iv.start - ckptIdx;
+                 job.workload.frozen = trace;
+                 job.workload.start = ckpt;
 
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w)
-        remaining[w].store(jobsPerWorkload[w], std::memory_order_relaxed);
+                 iv.restored = warmOnce;
+                 Core core(ex.config(job.cell), job.workload);
+                 if (warmOnce) {
+                     core.restoreWarmState(*ckpt);
+                 } else {
+                     // Bounded warming (spec.warmBound != 0) caps the
+                     // functionally-warmed window before each interval;
+                     // 0 keeps classic SMARTS continuous warming over
+                     // the whole prefix.
+                     const std::uint64_t warmBegin =
+                         spec.warmBound && ckptIdx > spec.warmBound
+                             ? ckptIdx - spec.warmBound
+                             : 0;
+                     iv.warmedUops = ckptIdx - warmBegin;
+                     core.functionalWarm(*trace, warmBegin, ckptIdx);
+                 }
+                 if (detail)
+                     core.run(detail, detail * 60 + 1000000);
+                 core.resetTiming();
+                 iv.committed = core.run(spec.intervalUops,
+                                         spec.intervalUops * 60 + 1000000);
+                 iv.cycles = core.pipelineState().cycles;
 
-    const std::size_t totalJobs = warmJobs.size() + jobs.size();
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMu;
-
-    const auto jobFinished = [&](const Cell &cell, const RunResult &rr,
-                                 const StatRecord &stats) {
-        if (remaining[cell.wl].fetch_sub(1) == 1)
-            cache.drop(rr.workload);
-        const std::size_t finished = done.fetch_add(1) + 1;
-        if (options.progress) {
-            RunResult partial;
-            partial.config = rr.config;
-            partial.workload = rr.workload;
-            partial.seed = rr.seed;
-            partial.stats = stats;
-            std::lock_guard<std::mutex> lock(progressMu);
-            options.progress(finished, totalJobs, partial);
-        }
-    };
-
-    // ---- Phase 1 (warm-once mode): one continuous warming pass per
-    // cell, dropping a µarch-bearing v2 checkpoint at each interval's
-    // detailed-warmup start. Cells are independent pool jobs; slots
-    // (cell.ckpts, interval start/warmedUops accounting) are
-    // pre-assigned, so the phase is deterministic regardless of
-    // worker count.
-    if (warmOnce) {
-        runOnWorkerPool(warmJobs.size(), options.jobs,
-                        [&](std::size_t j, int worker) {
-            Cell &cell = cells[warmJobs[j]];
-            const RunResult &rr = out.cells[warmJobs[j]];
-
-            if (options.telemetry)
-                options.telemetry->jobStart("warm", rr.config, rr.workload,
-                                            worker);
-            const auto t0 = std::chrono::steady_clock::now();
-
-            SimConfig cfg = plan.configs[cell.cfg];
-            cfg.seed = rr.seed;
-
-            Workload w = workloads::build(rr.workload);
-            std::shared_ptr<const FrozenTrace> trace;
-            if (options.useTraceCache)
-                trace = cache.get(w, traceUopsNeeded);
-            if (!trace) {
-                // Budget pressure / cache disabled: a private
-                // recording bounded to the warming pass's own horizon
-                // (the furthest interval start; consistent with the
-                // cached clamps because every start <= the request).
-                trace = w.freeze(std::min(traceUopsNeeded,
-                                          cell.starts.back()));
-            }
-            const std::uint64_t len = trace->uops.size();
-
-            const std::vector<std::uint64_t> idxs =
-                warmCheckpointIndices(cell.starts, len, spec);
-            std::uint64_t prev = 0;
-            for (std::size_t k = 0; k < cell.starts.size(); ++k) {
-                IntervalResult &iv = cell.intervals[k];
-                iv.start =
-                    std::min<std::uint64_t>(cell.starts[k], len);
-                iv.warmedUops = idxs[k] - std::min(prev, idxs[k]);
-                prev = idxs[k];
-            }
-            cell.ckpts = warmOnceCheckpoints(cfg, w, trace, idxs);
-
-            StatRecord stats;
-            stats.add("sample_ckpts",
-                      static_cast<double>(cell.ckpts.size()));
-            if (options.telemetry) {
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0).count();
-                options.telemetry->jobFinish("warm", rr.config, rr.workload,
-                                             worker, wall_ms, true);
-            }
-            jobFinished(cell, rr, stats);
-        });
-    }
-
-    // ---- Phase 2: the measurement intervals. Warm-once jobs restore
-    // the phase-1 checkpoint; the legacy path functionally re-warms
-    // its own prefix (bounded by B when set).
-    runOnWorkerPool(jobs.size(), options.jobs, [&](std::size_t j,
-                                                   int worker) {
-        const Job &job = jobs[j];
-        Cell &cell = cells[job.cell];
-        const RunResult &rr = out.cells[job.cell];
-        IntervalResult &iv = cell.intervals[job.interval];
-
-        if (options.telemetry)
-            options.telemetry->jobStart("interval", rr.config, rr.workload,
-                                        worker,
-                                        static_cast<long>(job.interval));
-        const auto t0 = std::chrono::steady_clock::now();
-
-        SimConfig cfg = plan.configs[cell.cfg];
-        cfg.seed = rr.seed;
-
-        Workload w = workloads::build(rr.workload);
-        std::shared_ptr<const FrozenTrace> trace;
-        if (options.useTraceCache)
-            trace = cache.get(w, traceUopsNeeded);
-        if (!trace) {
-            // Budget pressure / cache disabled: a private
-            // recording (checkpointed starts need a frozen
-            // trace), bounded to this interval's own fetch
-            // horizon so residency stays proportional to the job
-            // instead of the whole run.
-            const std::uint64_t jobNeeded =
-                std::min(traceUopsNeeded,
-                         cell.starts[job.interval]
-                             + spec.intervalUops
-                             + maxInflightUops(plan));
-            trace = w.freeze(jobNeeded);
-        }
-        const std::uint64_t len = trace->uops.size();
-
-        std::shared_ptr<const Checkpoint> ckpt;
-        std::uint64_t start, ckptIdx;
-        if (warmOnce) {
-            // The phase-1 checkpoint is the start point; its µ-op
-            // index already reflects the trace-length clamps.
-            ckpt = std::move(cell.ckpts[job.interval]);
-            cell.ckpts[job.interval].reset();
-            start = iv.start;
-            ckptIdx = ckpt->uopIndex;
-        } else {
-            start = std::min<std::uint64_t>(cell.starts[job.interval],
-                                            len);
-            ckptIdx =
-                start >= spec.detailUops ? start - spec.detailUops : 0;
-            ckpt = std::make_shared<Checkpoint>(
-                captureAt(*trace, rr.workload, ckptIdx));
-            iv.start = start;
-        }
-        const std::uint64_t detail = start - ckptIdx;
-
-        Workload wc = w;
-        wc.frozen = trace;
-        wc.start = ckpt;
-
-        iv.restored = warmOnce;
-        {
-            Core core(cfg, wc);
-            if (warmOnce) {
-                core.restoreWarmState(*ckpt);
-            } else {
-                // Bounded warming (spec.warmBound != 0) caps the
-                // functionally-warmed window before each interval; 0
-                // keeps classic SMARTS continuous warming over the
-                // whole prefix.
-                const std::uint64_t warmBegin =
-                    spec.warmBound && ckptIdx > spec.warmBound
-                        ? ckptIdx - spec.warmBound
-                        : 0;
-                iv.warmedUops = ckptIdx - warmBegin;
-                core.functionalWarm(*trace, warmBegin, ckptIdx);
-            }
-            if (detail) {
-                core.run(detail, detail * 60 + 1000000);
-            }
-            core.resetTiming();
-            iv.committed = core.run(spec.intervalUops,
-                                    spec.intervalUops * 60 + 1000000);
-            iv.cycles = core.pipelineState().cycles;
-        }
-        wc.frozen.reset();
-        wc.start.reset();
-        ckpt.reset();
-        trace.reset();
-
-        StatRecord stats;
-        stats.add("interval_start", static_cast<double>(iv.start));
-        stats.add("ipc", ratio(static_cast<double>(iv.committed),
-                               static_cast<double>(iv.cycles)));
-        if (options.telemetry) {
-            const double wall_ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
-            options.telemetry->jobFinish("interval", rr.config, rr.workload,
-                                         worker, wall_ms, true,
-                                         static_cast<long>(job.interval));
-        }
-        jobFinished(cell, rr, stats);
-    });
-
-    if (options.telemetry && options.useTraceCache)
-        options.telemetry->traceCacheCounts(cache.hitCount(),
-                                            cache.missCount(),
-                                            cache.fileHitCount(),
-                                            cache.fileMissCount(),
-                                            cache.evictCount());
+                 job.stats.add("interval_start",
+                               static_cast<double>(iv.start));
+                 job.stats.add("ipc",
+                               ratio(static_cast<double>(iv.committed),
+                                     static_cast<double>(iv.cycles)));
+             }}});
 
     // Reduce each cell in slot order (deterministic float order).
     // Cached cells carry their reduced stats already (store pre-pass)
     // and must not be re-reduced from their empty interval slots.
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cellCached[i])
+        if (ex.cached(i))
             continue;
-        RunResult &rr = out.cells[i];
+        RunResult &rr = ex.result.cells[i];
         std::vector<double> ipcs;
         std::uint64_t cycles = 0, committed = 0, warmed = 0;
         std::uint64_t restored = 0;
@@ -583,7 +374,127 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
         rr.stats.add("sample_restored_intervals",
                      static_cast<double>(restored));
     }
-    storeFinish();
+    ex.saveCellStats();
+    return std::move(ex.result);
+}
+
+CheckpointFiles
+saveCheckpoints(const ExperimentPlan &plan, const SampleSpec &spec,
+                const SweepOptions &options, const std::string &out_dir)
+{
+    fatal_if(!spec.enabled(), "saveCheckpoints: spec is disabled");
+    CheckpointFiles out;
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+    if (ec) {
+        out.error = csprintf("cannot create %s: %s", out_dir.c_str(),
+                             ec.message().c_str());
+        return out;
+    }
+
+    // runSampledPlan's placement, so the files are exactly the
+    // checkpoints a sampled run of this plan restores from.
+    SweepExecutor ex(plan, options, spec);
+    const std::vector<std::vector<std::uint64_t>> starts =
+        placeCellIntervals(ex);
+    /** One interval's checkpoint: its clamped µ-op index (the file
+     *  name), the file written, and the text the store keeps. */
+    struct Slot
+    {
+        std::uint64_t uop = 0;
+        std::string file;
+        std::string text;
+    };
+    std::vector<std::vector<Slot>> slots;
+    for (const std::vector<std::uint64_t> &s : starts)
+        slots.emplace_back(s.size());
+
+    // The one file writer, for computed and store-served cells alike.
+    // Intervals clamped to the end of a short workload repeat the final
+    // µ-op index with identical state; one file covers them all.
+    std::atomic<bool> failed{false};
+    const auto write = [&](std::size_t i, std::size_t k,
+                           const std::string &text) {
+        Slot &slot = slots[i][k];
+        if (k > 0 && slot.uop == slots[i][k - 1].uop)
+            return true;
+        const RunResult &cell = ex.result.cells[i];
+        const std::string file = out_dir + "/" + sanitizeForPath(cell.config)
+            + "__" + sanitizeForPath(cell.workload) + "__u"
+            + std::to_string(slot.uop) + ".ckpt";
+        std::ofstream os(file, std::ios::binary);
+        os << text;
+        // Close before judging success: buffered bytes only hit disk
+        // here, and ENOSPC at close must not report the file written.
+        os.close();
+        if (os.fail()) {
+            failed = true;
+            return false;
+        }
+        slot.file = file;
+        return true;
+    };
+
+    // Store keys carry the UNCLAMPED checkpoint index: a pure function
+    // of the placement (the trace length is unknown before recording),
+    // strictly increasing, so every interval gets its own key even when
+    // clamping collapses the tails onto identical state.
+    ex.loadFromStore(
+        [&](std::size_t i) {
+            std::vector<StoreKey> keys;
+            for (const std::uint64_t idx :
+                 warmCheckpointIndices(starts[i], ~0ULL, spec)) {
+                keys.push_back(ex.storeKey(i, "ckpt"));
+                keys.back().index = idx;
+            }
+            return keys;
+        },
+        [&](std::size_t i, std::size_t k, std::string &payload) {
+            // The payload IS the file; parse it only for the clamped
+            // µ-op index the file is named by.
+            Checkpoint ckpt;
+            std::string err;
+            std::istringstream is(payload);
+            if (tryDeserializeCheckpoint(is, &ckpt, &err)) {
+                slots[i][k].uop = ckpt.uopIndex;
+                write(i, k, payload);
+            }
+            return err;
+        });
+
+    ex.run(placedTraceUops(ex, starts),
+           {{"warm", false,
+             [&](std::size_t i) { return std::size_t{!starts[i].empty()}; },
+             [&](SweepJob &job) {
+                 const std::size_t i = job.cell;
+                 const auto trace = ex.trace(job.workload, starts[i].back());
+                 const auto ckpts = warmOnceCheckpoints(
+                     ex.config(i), job.workload, trace,
+                     warmCheckpointIndices(starts[i], trace->uops.size(),
+                                           spec));
+                 for (std::size_t k = 0; k < ckpts.size(); ++k) {
+                     slots[i][k].uop = ckpts[k]->uopIndex;
+                     std::string text = checkpointString(*ckpts[k]);
+                     job.ok = write(i, k, text) && job.ok;
+                     if (options.store)
+                         slots[i][k].text = std::move(text);
+                 }
+             }}});
+    ex.saveToStore([&](std::size_t i, std::size_t k) {
+        return std::move(slots[i][k].text);
+    });
+
+    out.cells = slots.size();
+    for (const std::vector<Slot> &cell : slots) {
+        for (const Slot &slot : cell) {
+            if (!slot.file.empty())
+                out.files.push_back(slot.file);
+        }
+    }
+    out.storeHits = ex.result.storeHits;
+    out.storeComputed = ex.result.storeComputed;
+    if (failed)
+        out.error = "write failure under " + out_dir;
     return out;
 }
 

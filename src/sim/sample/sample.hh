@@ -23,16 +23,16 @@
  * (same warmed state ⇒ same measurements; pinned by the differential
  * test in tests/test_sample.cc). Bounded warming (B>0) and
  * SweepOptions::sampleRewarm keep the legacy per-interval warming
- * path. `eole ckpt save` writes the same per-interval checkpoints to
- * disk so later sharding PRs can ship them across hosts.
+ * path. saveCheckpoints (`eole ckpt save`) writes the same
+ * per-interval checkpoints to disk as shippable files.
  *
- * Scheduling: warm-once cells, then all intervals of all cells, run
- * as independent jobs on the PR 2 worker pool, sharing each workload's
- * frozen trace through the sweep engine's trace cache. Per-cell seeds
- * follow the jobSeed discipline, results land in pre-assigned slots,
- * and the reduction walks them in slot order — so sampled artifacts
- * are byte-identical regardless of --jobs and cache settings, exactly
- * like full runs.
+ * Scheduling: both entry points are job bodies on the cell executor
+ * (sim/executor.hh) — warm-once cells, then all intervals of all
+ * cells, sharing each workload's frozen trace through its trace cache.
+ * Per-cell seeds follow the jobSeed discipline, results land in
+ * pre-assigned slots, and the reduction walks them in slot order — so
+ * sampled artifacts (and checkpoint directories) are byte-identical
+ * regardless of --jobs and cache settings, exactly like full runs.
  *
  * The reduction records, per cell:
  *   ipc                 mean of the per-interval IPCs
@@ -58,6 +58,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "isa/checkpoint.hh"
@@ -79,7 +80,7 @@ namespace eole {
  * interval MAY extend past the region when measure < W or the
  * detail-clamp pushes it late: size trace recordings from the placed
  * starts (max(start) + W + inflight), not from warmup + measure
- * alone (runSampledPlan's `furthest` computation).
+ * alone (sampleTraceUopsNeeded).
  */
 std::vector<std::uint64_t> placeIntervals(std::uint64_t warmup,
                                           std::uint64_t measure,
@@ -98,7 +99,7 @@ std::uint64_t intervalSeed(std::uint64_t cell_seed,
  * interval's checkpoint index — the first µ-op of its detailed-warmup
  * prefix (start - D, floored at 0). The ONE spelling of the warm-once
  * placement arithmetic, shared by runSampledPlan's warming phase and
- * `eole ckpt save` so the written checkpoints are exactly the ones a
+ * saveCheckpoints so the written checkpoints are exactly the ones a
  * sampled run restores from. Indices come back non-decreasing;
  * clamped short-workload intervals may repeat the final index
  * (identical checkpoints — consumers can skip duplicates).
@@ -112,7 +113,7 @@ std::vector<std::uint64_t> warmCheckpointIndices(
  * nominal region or the furthest placed interval (@p max_start is the
  * maximum start across every cell; a degenerate short region can push
  * one interval past warmup+measure), plus W and the in-flight
- * allowance. Shared by runSampledPlan and `eole ckpt save` so both
+ * allowance. Shared by runSampledPlan and saveCheckpoints so both
  * record traces with identical clamping behaviour.
  */
 std::uint64_t sampleTraceUopsNeeded(const ExperimentPlan &plan,
@@ -131,7 +132,7 @@ std::uint64_t sampleTraceUopsNeeded(const ExperimentPlan &plan,
  * Piecewise warming is state-identical to one uninterrupted pass, so
  * checkpoint k holds exactly the state continuous warming of its
  * whole prefix would produce. Shared by runSampledPlan's warm-once
- * phase and `eole ckpt save`.
+ * phase and saveCheckpoints.
  */
 std::vector<std::shared_ptr<const Checkpoint>> warmOnceCheckpoints(
     const SimConfig &cfg, const Workload &workload,
@@ -158,6 +159,33 @@ MeanCi meanCi95(const std::vector<double> &xs);
 PlanResult runSampledPlan(const ExperimentPlan &plan,
                           const SampleSpec &spec,
                           const SweepOptions &options = {});
+
+/** What saveCheckpoints wrote. */
+struct CheckpointFiles
+{
+    /** One file per distinct checkpoint, cell-major (config-major
+     *  cells), interval order: <config>__<workload>__u<index>.ckpt. */
+    std::vector<std::string> files;
+    std::size_t cells = 0;          //!< matched cells
+    std::size_t storeHits = 0;      //!< checkpoints served by the store
+    std::size_t storeComputed = 0;  //!< checkpoints inserted into it
+    std::string error;              //!< non-empty when a write failed
+};
+
+/**
+ * `eole ckpt save`: for every matched cell, the warm-once pass of
+ * runSampledPlan, writing each interval's eole-ckpt-v2 checkpoint into
+ * @p out_dir (created when missing) — exactly the checkpoints a
+ * sampled run of the same plan, spec and options restores from. With
+ * options.store the checkpoints are keyed into the store (one object
+ * per interval); a cell whose checkpoints all resolve skips its
+ * warming pass and writes its files from the stored payloads.
+ * Directories are byte-identical across options.jobs and store hits.
+ */
+CheckpointFiles saveCheckpoints(const ExperimentPlan &plan,
+                                const SampleSpec &spec,
+                                const SweepOptions &options,
+                                const std::string &out_dir);
 
 } // namespace eole
 

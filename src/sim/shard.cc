@@ -5,12 +5,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
+#include "sim/executor.hh"
 #include "sim/json.hh"
 #include "sim/params.hh"
 #include "sim/sample/sample.hh"
-
-#include "common/env.hh"
 
 namespace eole {
 
@@ -41,39 +41,14 @@ runShard(const ExperimentPlan &plan, const SampleSpec &spec,
     out.storeHits = result.storeHits;
     out.storeComputed = result.storeComputed;
 
-    // Global slots: the config-major enumeration of filter-matched
-    // cells (shard ignored) is exactly the single-host artifact's cell
-    // order, and this shard's result cells are its owned subsequence
-    // of that enumeration — both engines emit config-major order.
-    std::size_t owned = 0;
-    for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(options.filter, plan.configs[c].name,
-                             plan.workloads[w]))
-                continue;
-            const std::uint64_t slot = out.cellsTotal++;
-            if (!options.shard.owns(plan.seed, plan.configs[c].seed,
-                                    plan.configs[c].name,
-                                    plan.workloads[w]))
-                continue;
-            fatal_if(owned >= result.cells.size()
-                         || result.cells[owned].config
-                                != plan.configs[c].name
-                         || result.cells[owned].workload
-                                != plan.workloads[w],
-                     "runShard: engine cell order diverged from the "
-                     "shard enumeration at slot %llu",
-                     (unsigned long long)slot);
-            ShardCell sc;
-            sc.slot = slot;
-            sc.cell = result.cells[owned++];
-            out.cells.push_back(std::move(sc));
-        }
-    }
-    fatal_if(owned != result.cells.size(),
-             "runShard: engine produced %zu cells but the shard "
-             "enumeration owns %zu",
-             result.cells.size(), owned);
+    // Global slots come from the expansion the engine ran (its cells
+    // are the result cells, in order): every host numbers the
+    // filter-matched grid identically, with no coordinator.
+    const SweepExpansion expansion = expandPlan(plan, options);
+    out.cellsTotal = expansion.filterMatched;
+    for (std::size_t i = 0; i < result.cells.size(); ++i)
+        out.cells.push_back(ShardCell{expansion.cells[i].slot,
+                                      result.cells[i]});
     return out;
 }
 
@@ -179,7 +154,7 @@ bool
 tryReadShardArtifact(std::istream &is, ShardArtifact *out,
                      std::string *err)
 {
-    ShardReader r{is, err};
+    ShardReader r{is, err, {}, 0};
     ShardArtifact shard;
 
     if (!r.next("schema line"))

@@ -69,9 +69,9 @@ struct ShardArtifact
  * enabled). Dispatches to runSampledPlan when @p spec is enabled,
  * runPlan otherwise; every determinism guarantee of the underlying
  * engine carries over, and a --store attached through @p options
- * works per shard. Global slots are derived by re-enumerating the
- * filter-matched grid, so disjoint shards agree on the numbering
- * without talking to each other.
+ * works per shard. Global slots come from the engines' own expansion
+ * (expandPlan, sim/executor.hh), so disjoint shards agree on the
+ * numbering without talking to each other.
  */
 ShardArtifact runShard(const ExperimentPlan &plan,
                        const SampleSpec &spec,

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "pipeline/core.hh"
-#include "sim/params.hh"
-#include "sim/store.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace_cache.hh"
-#include "workloads/workload.hh"
+#include "sim/executor.hh"
 
 namespace eole {
 
@@ -78,223 +71,34 @@ runOnWorkerPool(std::size_t num_jobs, int jobs_option,
 PlanResult
 runPlan(const ExperimentPlan &plan, const SweepOptions &options)
 {
-    validatePlanConfigs(plan);
-
-    PlanResult out;
-    out.plan = plan.name;
-    out.seed = plan.seed;
-    // Precedence documented in common/env.hh: option > plan > env >
-    // default.
-    out.warmup = resolveRunLength(options.warmup, plan.warmup,
-                                  "EOLE_WARMUP", defaultWarmupUops);
-    out.measure = resolveRunLength(options.measure, plan.measure,
-                                   "EOLE_INSTS", defaultMeasureUops);
-    out.filter = options.filter;
-
-    // Expand matched cells. Result slots are config-major (the artifact
-    // order); jobs run workload-major so configurations sharing one
-    // workload's frozen trace cluster together and the trace can be
-    // dropped once its last job completes.
-    struct Job
-    {
-        std::size_t cfg;
-        std::size_t wl;
-        std::size_t slot;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::size_t> jobsPerWorkload(plan.workloads.size(), 0);
-    // A shard slice behaves exactly like a filter: unowned cells never
-    // expand into jobs, slots or artifact cells (sim/shard.hh carries
-    // the global slot numbering partial artifacts merge by).
-    const auto matched = [&](std::size_t c, std::size_t w) {
-        return cellMatches(options.filter, plan.configs[c].name,
-                           plan.workloads[w])
-            && options.shard.owns(plan.seed, plan.configs[c].seed,
-                                  plan.configs[c].name,
-                                  plan.workloads[w]);
-    };
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-        for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-            if (matched(c, w)) {
-                jobs.push_back(Job{c, w, 0});
-                ++jobsPerWorkload[w];
-            }
-        }
-    }
-    // Assign config-major output slots.
-    out.cells.resize(jobs.size());
-    {
-        std::vector<Job *> byCell;
-        byCell.reserve(jobs.size());
-        for (Job &j : jobs)
-            byCell.push_back(&j);
-        std::size_t slot = 0;
-        for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-            for (Job *j : byCell) {
-                if (j->cfg == c)
-                    j->slot = slot++;
-            }
-        }
-    }
-    for (const Job &j : jobs) {
-        RunResult &cell = out.cells[j.slot];
-        cell.config = plan.configs[j.cfg].name;
-        cell.workload = plan.workloads[j.wl];
-        cell.seed = jobSeed(plan.seed, plan.configs[j.cfg].seed,
-                            cell.config, cell.workload);
-        // The canonical config map of the cell as declared by the plan
-        // (the per-job seed the cell actually ran with is the "seed"
-        // field above; the map records the config's own seed knob).
-        cell.params = configKeyValues(plan.configs[j.cfg]);
-    }
-    if (options.telemetry) {
-        for (const RunResult &cell : out.cells)
-            options.telemetry->cellQueued(cell.config, cell.workload);
-    }
-
-    // Content-addressed store, serial pre-pass: a cell whose key (the
-    // complete canonical inputs — config map, workload, seed, resolved
-    // lengths; sim/store.hh) already resolves loads its stats and
-    // sheds its job. The payload round-trips %.17g-exactly, so hit
-    // cells and computed cells serialize byte-identically.
-    std::vector<std::string> cellKey(out.cells.size());
-    std::vector<char> cellCached(out.cells.size(), 0);
-    if (options.store) {
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            RunResult &cell = out.cells[i];
-            StoreKey key;
-            key.kind = "cell";
-            key.config = cell.config;
-            key.params = cell.params;
-            key.workload = cell.workload;
-            key.seed = cell.seed;
-            key.warmup = out.warmup;
-            key.measure =
-                resolveMeasureFor(options.measure, plan, cell.config);
-            cellKey[i] = storeKeyHash(key);
-            std::string payload;
-            if (!options.store->get(cellKey[i], &payload))
-                continue;
-            std::string err;
-            fatal_if(!tryParseCellPayload(payload, &cell.stats, &err),
-                     "store %s: object %s: %s (delete the store "
-                     "directory to rebuild it)",
-                     options.store->directory().c_str(),
-                     cellKey[i].c_str(), err.c_str());
-            cellCached[i] = 1;
-            ++out.storeHits;
-        }
-        std::erase_if(jobs, [&](const Job &j) {
-            if (!cellCached[j.slot])
-                return false;
-            --jobsPerWorkload[j.wl];
-            return true;
-        });
-    }
-    // Serial post-pass, shared by both exits below: freshly computed
-    // cells enter the store under the keys derived above.
-    const auto storeFinish = [&] {
-        if (!options.store)
-            return;
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            if (cellCached[i])
-                continue;
-            StoreKey key;
-            key.kind = "cell";
-            key.config = out.cells[i].config;
-            key.params = out.cells[i].params;
-            key.workload = out.cells[i].workload;
-            key.seed = out.cells[i].seed;
-            key.warmup = out.warmup;
-            key.measure = resolveMeasureFor(options.measure, plan,
-                                            out.cells[i].config);
-            options.store->put(key,
-                               cellPayloadText(out.cells[i].stats));
-            ++out.storeComputed;
-        }
-        options.store->flush();
-        if (options.telemetry)
-            options.telemetry->storeCounts(out.storeHits, out.storeComputed);
-    };
-
-    if (jobs.empty()) {
-        storeFinish();
-        return out;
-    }
+    SweepExecutor ex(plan, options);
+    // A cell whose key already resolves loads its stats and sheds its
+    // job.
+    ex.loadCellStats();
 
     // Trace-cache sizing: the stream a job consumes is bounded by the
-    // committed target of both run() calls plus the in-flight window.
-    // Per-config `runlen` overrides can lengthen individual jobs, so
-    // recordings are sized for the longest config in the plan.
-    std::uint64_t longestMeasure = out.measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(
-            longestMeasure, resolveMeasureFor(options.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded =
-        out.warmup + longestMeasure + maxInflightUops(plan);
-
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w)
-        remaining[w].store(jobsPerWorkload[w], std::memory_order_relaxed);
-
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMu;
-
-    runOnWorkerPool(jobs.size(), options.jobs, [&](std::size_t j,
-                                                   int worker) {
-        const Job &job = jobs[j];
-        SimConfig cfg = plan.configs[job.cfg];
-        RunResult &cell = out.cells[job.slot];
-        cfg.seed = cell.seed;
-
-        if (options.telemetry)
-            options.telemetry->jobStart("cell", cell.config, cell.workload,
-                                        worker);
-        const auto t0 = std::chrono::steady_clock::now();
-
-        Workload w = workloads::build(cell.workload);
-        if (options.useTraceCache)
-            w.frozen = cache.get(w, traceUopsNeeded);
-
-        {
-            const std::uint64_t measure =
-                resolveMeasureFor(options.measure, plan, cfg.name);
-            const std::uint64_t maxCycles =
-                (out.warmup + measure) * 60 + 1000000;
-            Core core(cfg, w);
-            if (options.tracer)
-                core.setPipeTracer(options.tracer);
-            core.run(out.warmup, maxCycles);
-            core.resetStats();
-            core.run(measure, maxCycles);
-            cell.stats = core.record();
-        }
-        w.frozen.reset();
-        if (remaining[job.wl].fetch_sub(1) == 1)
-            cache.drop(cell.workload);
-
-        if (options.telemetry) {
-            const double wall_ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
-            options.telemetry->jobFinish("cell", cell.config, cell.workload,
-                                         worker, wall_ms, true);
-        }
-        const std::size_t finished = done.fetch_add(1) + 1;
-        if (options.progress) {
-            std::lock_guard<std::mutex> lock(progressMu);
-            options.progress(finished, jobs.size(), cell);
-        }
-    });
-    if (options.telemetry && options.useTraceCache)
-        options.telemetry->traceCacheCounts(cache.hitCount(),
-                                            cache.missCount(),
-                                            cache.fileHitCount(),
-                                            cache.fileMissCount(),
-                                            cache.evictCount());
-    storeFinish();
-    return out;
+    // committed target of both run() calls plus the in-flight window,
+    // for the longest config in the plan (per-config `runlen`).
+    const std::uint64_t warmup = ex.expansion.warmup;
+    ex.run(warmup + ex.expansion.longestMeasure + maxInflightUops(plan),
+           {{"cell", false, [](std::size_t) { return std::size_t{1}; },
+             [&](SweepJob &job) {
+                 RunResult &cell = ex.result.cells[job.cell];
+                 const std::uint64_t measure = ex.cells[job.cell].measure;
+                 const std::uint64_t maxCycles =
+                     (warmup + measure) * 60 + 1000000;
+                 job.workload.frozen = ex.sharedTrace(job.workload);
+                 Core core(ex.config(job.cell), job.workload);
+                 if (options.tracer)
+                     core.setPipeTracer(options.tracer);
+                 core.run(warmup, maxCycles);
+                 core.resetStats();
+                 core.run(measure, maxCycles);
+                 cell.stats = core.record();
+                 job.stats = cell.stats;
+             }}});
+    ex.saveCellStats();
+    return std::move(ex.result);
 }
 
 void

@@ -1,7 +1,9 @@
 /**
  * @file
- * The parallel sweep engine: expand an ExperimentPlan into independent
- * (config x workload) jobs and execute them on a worker pool.
+ * The parallel sweep engine's public face: SweepOptions, PlanResult,
+ * the worker pool, and runPlan — the full-run engine, one job per
+ * (config x workload) cell on the cell executor (sim/executor.hh) that
+ * also runs the sampling engines (sim/sample/).
  *
  * Guarantees (pinned by tests/test_experiment.cc):
  *  - Bit-identical results regardless of worker count: per-job seeds
@@ -12,9 +14,9 @@
  *    cache miss and a disabled cache all replay the same functional
  *    stream (live-VM and frozen-replay backings are bit-identical).
  *
- * Scheduling is workload-major so that the configurations sharing a
- * workload's frozen trace run back-to-back and the trace can be
- * dropped as soon as its last job finishes (bounded memory).
+ * The executor schedules workload-major so that the configurations
+ * sharing a workload's frozen trace run back-to-back and the trace can
+ * be dropped as soon as its last job finishes (bounded memory).
  */
 
 #ifndef EOLE_SIM_SWEEP_HH
@@ -54,8 +56,8 @@ struct SweepOptions
      * sim/store.hh): cells whose key already resolves load their
      * reduced stats instead of running (byte-identical artifacts —
      * the payload round-trips exactly), and freshly computed cells
-     * are inserted afterwards. The engines touch the store only from
-     * their serial pre/post phases, never from worker threads.
+     * are inserted afterwards. The executor touches the store only
+     * from its serial pre/post passes, never from worker threads.
      */
     Store *store = nullptr;
 
@@ -112,8 +114,8 @@ PlanResult runPlan(const ExperimentPlan &plan,
                    const SweepOptions &options = {});
 
 /** Fatal when two of @p plan's configs share a name (cells would be
- *  indistinguishable in artifacts). Both the full-run and sampling
- *  engines validate through this. */
+ *  indistinguishable in artifacts). The cell executor validates every
+ *  plan it runs through this. */
 void validatePlanConfigs(const ExperimentPlan &plan);
 
 /**
@@ -121,7 +123,7 @@ void validatePlanConfigs(const ExperimentPlan &plan);
  * index in [0, num_jobs), dispatched dynamically over
  * min(jobs_option ? jobs_option : runnerThreads(), num_jobs) threads
  * (inline when that is one). Bodies must write only to pre-assigned
- * slots — the determinism contract both engines build on.
+ * slots — the determinism contract every engine builds on.
  */
 void runOnWorkerPool(std::size_t num_jobs, int jobs_option,
                      const std::function<void(std::size_t)> &body);

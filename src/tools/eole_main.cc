@@ -17,8 +17,8 @@
  *   eole ckpt save|info               write / inspect eole-ckpt-v2
  *                                     warm-state checkpoint files
  *
- * Each figure of the paper is a named plan (sim/plans.hh); `eole run`
- * subsumes the per-figure bench binaries, adding parallel execution
+ * Each figure of the paper is a named plan (sim/plans.hh) that `eole
+ * run` reproduces, with parallel execution
  * (--jobs), cell filtering (--filter), structured artifacts (--out /
  * --csv), reproducible seeding (--seed) and checkpointed statistical
  * sampling (--sample N:W:D, sim/sample/). Artifacts are byte-stable:
@@ -30,18 +30,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <atomic>
 
 #include "common/build_info.hh"
 #include "common/env.hh"
@@ -51,8 +52,8 @@
 #include "common/pipetrace.hh"
 #include "sim/artifact.hh"
 #include "sim/bench.hh"
-#include "sim/trace_cache.hh"
 #include "sim/configs.hh"
+#include "sim/executor.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 #include "sim/plan.hh"
@@ -305,10 +306,23 @@ takeValue(int argc, char **argv, int &i, const char *flag, std::string &out)
 }
 
 std::uint64_t
-parseU64(const std::string &s, const char *what)
+parseU64(const std::string &s, const char *what, std::uint64_t max = ~0ULL)
 {
     std::uint64_t v = 0;
-    if (!parseU64Strict(s, &v)) {
+    if (!parseU64Strict(s, &v) || v > max) {
+        std::fprintf(stderr, "eole: bad %s \"%s\"\n", what, s.c_str());
+        std::exit(2);
+    }
+    return v;
+}
+
+/** A tolerance flag: a finite decimal >= 0, else exit 2. */
+double
+parseTolerance(const std::string &s, const char *what)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end || !std::isfinite(v) || v < 0.0) {
         std::fprintf(stderr, "eole: bad %s \"%s\"\n", what, s.c_str());
         std::exit(2);
     }
@@ -495,18 +509,6 @@ cmdDescribe(int argc, char **argv)
     return 0;
 }
 
-/** File-system-safe spelling of a cell identity component. */
-std::string
-sanitizeForPath(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out) {
-        if (c == '/' || c == '\\' || c == ' ' || c == ':')
-            c = '_';
-    }
-    return out;
-}
-
 /** "a,b,c" -> {"a", "b", "c"}; empty segments rejected upstream by the
  *  registries' own unknown-name diagnostics. */
 std::vector<std::string>
@@ -570,92 +572,85 @@ resolveWorkloadSpec(const std::string &spec, std::string *resolved,
     return false;
 }
 
-/** `eole run` and `eole shard` share one parser and execution path;
- *  @p shard_mode adds --hosts/--host, forces tables off and writes an
- *  "eole-shard-v1" partial instead of a JSON artifact. */
-int
-cmdRun(int argc, char **argv, bool shard_mode)
+/**
+ * The front door `run`, `shard` and `ckpt save` share: the plan (a
+ * registered name or --plan FILE), --set, --seed, --filter with its
+ * "matches no cell" diagnostic, --jobs, --warmup, --insts, --sample,
+ * --store, --telemetry, --no-cache and --quiet, plus the exit-2 bail
+ * that ends the telemetry stream with run_aborted. A command's own
+ * flags go through the callback it hands to parse().
+ */
+struct RunRequest
 {
-    if (argc < 1)
-        return usage(stderr, 2);
+    RunRequest(const char *verb, const char *command)
+        : verb(verb), command(command)
+    {}
 
+    const char *verb;     //!< in diagnostics: "run", "ckpt save", ...
+    const char *command;  //!< in the telemetry manifest
     ExperimentPlan plan;
-    bool have_plan = false;
-    int first_opt = 0;
-    std::string named_plan;
-    if (argv[0][0] != '-') {
-        // Resolved after the telemetry sink opens, so an unknown name
-        // still terminates the stream with run_aborted.
-        named_plan = argv[0];
-        first_opt = 1;
-    }
-
     SweepOptions opt;
-    SampleSpec sample;
-    std::string out_path, csv_path, store_dir, value;
-    std::string plan_file, telemetry_path, pipetrace_path;
-    std::string pipetrace_format = "kanata", pipetrace_range;
-    std::string workloads_override;
+    SampleSpec sample;    //!< the effective spec once expand() ran
+    SweepExpansion cells; //!< expand(): this host's matched cells
+    std::string workloads;  //!< --workloads override (run, shard)
+    bool quiet = false;
+    std::unique_ptr<TelemetrySink> telem;
+    std::unique_ptr<Store> store;
+
+    /** Exit code of a usage error, else 0. */
+    int parse(int argc, char **argv, const std::function<bool(int &)> &own);
+    /** Open the telemetry sink, then load the plan and apply --seed,
+     *  --workloads and --set. */
+    int open();
+    /** Expand the plan (after the shard slice is set) and resolve the
+     *  sampling spec. */
+    int expand();
+    /** Emit the run manifest and attach the sink and the store. */
+    void start();
+    void storeSummary(std::size_t hits, std::size_t computed) const;
+    int bail(const std::string &reason) const;
+    int finish(std::size_t done) const;
+
+  private:
+    std::string namedPlan, planFile, telemetryPath, storeDir;
     std::vector<std::string> sets;
     std::uint64_t seed = 0;
-    std::uint64_t shard_hosts = 0, shard_host = 0;
-    bool have_seed = false, have_host = false;
-    bool tables = true, quiet = false, progress_flag = false;
-    for (int i = first_opt; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--plan", value)) {
-            // Loaded after the telemetry sink opens, so a bad plan
-            // file still terminates the stream with run_aborted.
-            plan_file = value;
-        } else if (takeValue(argc, argv, i, "--set", value)) {
+    bool haveSeed = false;
+};
+
+int
+RunRequest::parse(int argc, char **argv,
+                  const std::function<bool(int &)> &own)
+{
+    int i = 0;
+    if (argc >= 1 && argv[0][0] != '-') {
+        // Resolved after the telemetry sink opens, so an unknown name
+        // still terminates the stream with run_aborted.
+        namedPlan = argv[0];
+        i = 1;
+    }
+    std::string value;
+    for (; i < argc; ++i) {
+        if (own(i) || takeValue(argc, argv, i, "--plan", planFile)
+            || takeValue(argc, argv, i, "--filter", opt.filter)
+            || takeValue(argc, argv, i, "--store", storeDir)
+            || takeValue(argc, argv, i, "--telemetry", telemetryPath))
+            continue;
+        if (takeValue(argc, argv, i, "--set", value)) {
             sets.push_back(value);
+        } else if (takeValue(argc, argv, i, "--seed", value)) {
+            seed = parseU64(value, "--seed");
+            haveSeed = true;
         } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
-        } else if (takeValue(argc, argv, i, "--filter", value)) {
-            opt.filter = value;
-        } else if (takeValue(argc, argv, i, "--workloads", value)) {
-            workloads_override = value;
-        } else if (takeValue(argc, argv, i, "--out", value)) {
-            out_path = value;
-        } else if (takeValue(argc, argv, i, "--csv", value)) {
-            csv_path = value;
+            opt.jobs = static_cast<int>(parseU64(value, "--jobs", INT_MAX));
         } else if (takeValue(argc, argv, i, "--warmup", value)) {
             opt.warmup = parseU64(value, "--warmup");
         } else if (takeValue(argc, argv, i, "--insts", value)) {
             opt.measure = parseU64(value, "--insts");
-        } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = parseU64(value, "--seed");
-            have_seed = true;
         } else if (takeValue(argc, argv, i, "--sample", value)) {
             sample = parseSampleSpec(value);
-        } else if (takeValue(argc, argv, i, "--store", value)) {
-            store_dir = value;
-        } else if (takeValue(argc, argv, i, "--telemetry", value)) {
-            telemetry_path = value;
-        } else if (!shard_mode
-                   && takeValue(argc, argv, i, "--pipetrace", value)) {
-            pipetrace_path = value;
-        } else if (!shard_mode
-                   && takeValue(argc, argv, i, "--pipetrace-format",
-                                value)) {
-            pipetrace_format = value;
-        } else if (!shard_mode
-                   && takeValue(argc, argv, i, "--pipetrace-range",
-                                value)) {
-            pipetrace_range = value;
-        } else if (std::strcmp(argv[i], "--progress") == 0) {
-            progress_flag = true;
-        } else if (shard_mode
-                   && takeValue(argc, argv, i, "--hosts", value)) {
-            shard_hosts = parseU64(value, "--hosts");
-        } else if (shard_mode
-                   && takeValue(argc, argv, i, "--host", value)) {
-            shard_host = parseU64(value, "--host");
-            have_host = true;
         } else if (std::strcmp(argv[i], "--no-cache") == 0) {
             opt.useTraceCache = false;
-        } else if (!shard_mode
-                   && std::strcmp(argv[i], "--no-tables") == 0) {
-            tables = false;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -663,77 +658,59 @@ cmdRun(int argc, char **argv, bool shard_mode)
             return usage(stderr, 2);
         }
     }
+    return 0;
+}
+
+int
+RunRequest::bail(const std::string &reason) const
+{
+    std::fprintf(stderr, "eole: %s\n", reason.c_str());
+    if (telem)
+        telem->runAborted(reason);
+    return 2;
+}
+
+int
+RunRequest::open()
+{
     if (quiet)
         setLogLevel(LogLevel::Quiet);
-
     // The telemetry stream opens before any validation below, and
     // every exit-2 path from here on terminates it with run_aborted —
     // a consumer never sees a silently truncated stream.
-    std::unique_ptr<TelemetrySink> telem;
-    if (!telemetry_path.empty())
-        telem = std::make_unique<TelemetrySink>(telemetry_path);
-    const auto bail = [&](const std::string &reason) {
-        std::fprintf(stderr, "eole: %s\n", reason.c_str());
-        if (telem)
-            telem->runAborted(reason);
-        return 2;
-    };
-    if (!named_plan.empty()) {
-        if (!plans::exists(named_plan)) {
-            return bail(csprintf(
-                "unknown plan \"%s\"%s (try `eole list`)",
-                named_plan.c_str(),
-                didYouMean(closestMatches(
-                    named_plan, plans::allNames())).c_str()));
-        }
-        plan = plans::get(named_plan);
-        have_plan = true;
+    if (!telemetryPath.empty())
+        telem = std::make_unique<TelemetrySink>(telemetryPath);
+    if (!namedPlan.empty() && !plans::exists(namedPlan)) {
+        return bail(csprintf("unknown plan \"%s\"%s (try `eole list`)",
+                             namedPlan.c_str(),
+                             didYouMean(closestMatches(
+                                 namedPlan, plans::allNames())).c_str()));
     }
-    if (!plan_file.empty()) {
-        if (have_plan) {
-            return bail("give either a registered plan name or --plan, "
-                        "not both");
-        }
+    if (!namedPlan.empty() && !planFile.empty())
+        return bail("give either a registered plan name or --plan, not both");
+    if (!namedPlan.empty()) {
+        plan = plans::get(namedPlan);
+    } else if (!planFile.empty()) {
         std::string err;
-        if (!loadPlanFile(plan_file, &plan, &err))
+        if (!loadPlanFile(planFile, &plan, &err))
             return bail(err);
-        have_plan = true;
-    }
-    if (!have_plan) {
+    } else {
         std::fprintf(stderr, "eole: %s needs a plan name or --plan "
-                     "<file>\n", shard_mode ? "shard" : "run");
+                     "<file>\n", verb);
         if (telem)
             telem->runAborted("no plan given");
         return usage(stderr, 2);
     }
-    if (shard_mode) {
-        if (shard_hosts == 0 || !have_host)
-            return bail("shard needs --hosts N and --host I");
-        if (shard_host >= shard_hosts) {
-            return bail(csprintf(
-                "--host %llu out of range for --hosts %llu (hosts are "
-                "numbered from 0)",
-                (unsigned long long)shard_host,
-                (unsigned long long)shard_hosts));
-        }
-        if (!csv_path.empty()) {
-            return bail("--csv does not apply to shard partials; run "
-                        "it on the merged artifact");
-        }
-        opt.shard.hosts = shard_hosts;
-        opt.shard.host = shard_host;
-        tables = false;
-    }
-    if (have_seed)
+    if (haveSeed)
         plan.seed = seed;
 
     // Workload override: replace the plan's workload axis. Plain
     // registry/torture names pass through; file:<path> specs bind
     // their trace file and resolve to the embedded canonical name, so
     // cell identity (and thus artifacts) cannot depend on the path.
-    if (!workloads_override.empty()) {
+    if (!workloads.empty()) {
         std::vector<std::string> resolved_names;
-        for (const std::string &spec : splitCommaList(workloads_override)) {
+        for (const std::string &spec : splitCommaList(workloads)) {
             std::string resolved, werr;
             if (!resolveWorkloadSpec(spec, &resolved, &werr))
                 return bail(werr);
@@ -754,69 +731,157 @@ cmdRun(int argc, char **argv, bool shard_mode)
             return bail(csprintf("--set wants key=value, got \"%s\"",
                                  kv.c_str()));
         }
-        const std::string key = kv.substr(0, eq);
-        const std::string val = kv.substr(eq + 1);
         for (SimConfig &c : plan.configs) {
-            const std::string err = reg.trySet(c, key, val);
+            const std::string err =
+                reg.trySet(c, kv.substr(0, eq), kv.substr(eq + 1));
             if (!err.empty())
                 return bail("--set: " + err);
         }
     }
-    const std::string plan_name = plan.name;
+    return 0;
+}
 
+int
+RunRequest::expand()
+{
+    cells = expandPlan(plan, opt);
     // A filter that matches nothing is an operator mistake (typo'd
     // config or workload); fail loudly with the valid names.
-    if (!opt.filter.empty()) {
-        bool any = false;
-        for (const SimConfig &c : plan.configs) {
-            for (const std::string &w : plan.workloads)
-                any = any || cellMatches(opt.filter, c.name, w);
-        }
-        if (!any) {
-            std::fprintf(stderr,
-                         "eole: --filter \"%s\" matches no cell of plan "
-                         "%s\n  valid configs:",
-                         opt.filter.c_str(), plan_name.c_str());
-            for (const SimConfig &c : plan.configs)
-                std::fprintf(stderr, " %s", c.name.c_str());
-            std::fprintf(stderr, "\n  valid workloads:");
-            for (const std::string &w : plan.workloads)
-                std::fprintf(stderr, " %s", w.c_str());
-            std::fprintf(stderr, "\n");
-            if (telem) {
-                telem->runAborted(csprintf(
-                    "--filter \"%s\" matches no cell of plan %s",
-                    opt.filter.c_str(), plan_name.c_str()));
-            }
-            return 2;
-        }
+    if (!opt.filter.empty() && cells.filterMatched == 0) {
+        const int rc = bail(csprintf("--filter \"%s\" matches no cell of "
+                                     "plan %s", opt.filter.c_str(),
+                                     plan.name.c_str()));
+        std::fprintf(stderr, "  valid configs:");
+        for (const SimConfig &c : plan.configs)
+            std::fprintf(stderr, " %s", c.name.c_str());
+        std::fprintf(stderr, "\n  valid workloads:");
+        for (const std::string &w : plan.workloads)
+            std::fprintf(stderr, " %s", w.c_str());
+        std::fprintf(stderr, "\n");
+        return rc;
     }
-
     // Effective sampling spec: the CLI flag wins over the plan file's
     // own `sample =` directive (resolveRunLength-style precedence).
     sample = resolveSampleSpec(sample, plan.sample);
+    return 0;
+}
 
-    // Matched-cell census: the telemetry manifest and the single-cell
-    // --pipetrace restriction both need it before the engines expand
-    // the plan themselves.
-    std::size_t matched_cells = 0;
-    for (const SimConfig &c : plan.configs) {
-        for (const std::string &w : plan.workloads) {
-            if (cellMatches(opt.filter, c.name, w)
-                && opt.shard.owns(plan.seed, c.seed, c.name, w))
-                ++matched_cells;
-        }
+void
+RunRequest::start()
+{
+    if (telem) {
+        const bool sharded = opt.shard.enabled();
+        telem->runStart(
+            command, plan.name, plan.seed, cells.warmup, cells.measure,
+            opt.filter, sample.enabled() ? sampleSpecString(sample) : "",
+            opt.jobs > 0 ? opt.jobs : runnerThreads(), cells.cells.size(),
+            sharded ? static_cast<int>(opt.shard.host) : -1,
+            sharded ? static_cast<int>(opt.shard.hosts) : -1);
+        opt.telemetry = telem.get();
     }
+    if (!storeDir.empty()) {
+        store = std::make_unique<Store>(storeDir);
+        opt.store = store.get();
+    }
+}
+
+void
+RunRequest::storeSummary(std::size_t hits, std::size_t computed) const
+{
+    // The one store summary line (notice level: always on stderr, even
+    // --quiet): "0 computed" on a warm re-run is the observable
+    // contract tests/cli_contracts.sh and tests/test_shard.cc pin.
+    if (store) {
+        notice("store %s: %zu cached, %zu computed", storeDir.c_str(),
+               hits, computed);
+    }
+}
+
+int
+RunRequest::finish(std::size_t done) const
+{
+    if (telem)
+        telem->runFinish(done);
+    return 0;
+}
+
+/** `eole run` and `eole shard` share one execution path; @p shard_mode
+ *  adds --hosts/--host, drops the tables and --pipetrace, and writes an
+ *  "eole-shard-v1" partial instead of a JSON artifact. */
+int
+cmdRun(int argc, char **argv, bool shard_mode)
+{
+    RunRequest req(shard_mode ? "shard" : "run",
+                   shard_mode ? "shard" : "run");
+    std::string out_path, csv_path, value, pipetrace_path;
+    std::string pipetrace_format = "kanata", pipetrace_range;
+    std::uint64_t shard_hosts = 0, shard_host = 0;
+    bool have_host = false, tables = true, progress_flag = false;
+    int rc = req.parse(argc, argv, [&](int &i) {
+        if (takeValue(argc, argv, i, "--workloads", req.workloads)
+            || takeValue(argc, argv, i, "--out", out_path)
+            || takeValue(argc, argv, i, "--csv", csv_path))
+            return true;
+        if (std::strcmp(argv[i], "--progress") == 0) {
+            progress_flag = true;
+            return true;
+        }
+        if (shard_mode) {
+            if (takeValue(argc, argv, i, "--hosts", value)) {
+                shard_hosts = parseU64(value, "--hosts");
+                return true;
+            }
+            if (takeValue(argc, argv, i, "--host", value)) {
+                shard_host = parseU64(value, "--host");
+                have_host = true;
+                return true;
+            }
+            return false;
+        }
+        if (std::strcmp(argv[i], "--no-tables") == 0) {
+            tables = false;
+            return true;
+        }
+        return takeValue(argc, argv, i, "--pipetrace", pipetrace_path)
+            || takeValue(argc, argv, i, "--pipetrace-format",
+                         pipetrace_format)
+            || takeValue(argc, argv, i, "--pipetrace-range",
+                         pipetrace_range);
+    });
+    if (rc || (rc = req.open()))
+        return rc;
+    if (shard_mode) {
+        if (shard_hosts == 0 || !have_host)
+            return req.bail("shard needs --hosts N and --host I");
+        if (shard_host >= shard_hosts) {
+            return req.bail(csprintf(
+                "--host %llu out of range for --hosts %llu (hosts are "
+                "numbered from 0)",
+                (unsigned long long)shard_host,
+                (unsigned long long)shard_hosts));
+        }
+        if (!csv_path.empty()) {
+            return req.bail("--csv does not apply to shard partials; run "
+                            "it on the merged artifact");
+        }
+        req.opt.shard.hosts = shard_hosts;
+        req.opt.shard.host = shard_host;
+    }
+    if ((rc = req.expand()))
+        return rc;
+    const ExperimentPlan &plan = req.plan;
+    const SampleSpec &sample = req.sample;
+    SweepOptions &opt = req.opt;
 
     std::ofstream trace_os;
     std::unique_ptr<PipeTracer> tracer;
     if (!pipetrace_path.empty()) {
         if (sample.enabled())
-            return bail("--pipetrace needs an unsampled run");
-        if (matched_cells != 1) {
-            return bail(csprintf(
+            return req.bail("--pipetrace needs an unsampled run");
+        if (req.cells.cells.size() != 1) {
+            return req.bail(csprintf(
                 "--pipetrace needs exactly one cell, but %zu match; "
-                "narrow with --filter", matched_cells));
+                "narrow with --filter", req.cells.cells.size()));
         }
         PipeTracer::Format fmt;
         if (pipetrace_format == "kanata") {
@@ -824,7 +889,7 @@ cmdRun(int argc, char **argv, bool shard_mode)
         } else if (pipetrace_format == "canonical") {
             fmt = PipeTracer::Format::Canonical;
         } else {
-            return bail(csprintf(
+            return req.bail(csprintf(
                 "bad --pipetrace-format \"%s\" (kanata or canonical)",
                 pipetrace_format.c_str()));
         }
@@ -839,7 +904,7 @@ cmdRun(int argc, char **argv, bool shard_mode)
                                       &hi);
             }
             if (!ok || lo >= hi) {
-                return bail(csprintf(
+                return req.bail(csprintf(
                     "bad --pipetrace-range \"%s\" (want A:B with "
                     "A < B, µ-op sequence numbers)",
                     pipetrace_range.c_str()));
@@ -847,28 +912,14 @@ cmdRun(int argc, char **argv, bool shard_mode)
         }
         trace_os.open(pipetrace_path);
         if (!trace_os) {
-            return bail(csprintf("cannot write %s",
-                                 pipetrace_path.c_str()));
+            return req.bail(csprintf("cannot write %s",
+                                     pipetrace_path.c_str()));
         }
         tracer = std::make_unique<PipeTracer>(trace_os, fmt, lo, hi);
         opt.tracer = tracer.get();
     }
 
-    if (telem) {
-        telem->runStart(
-            shard_mode ? "shard" : "run", plan_name, plan.seed,
-            resolveRunLength(opt.warmup, plan.warmup, "EOLE_WARMUP",
-                             defaultWarmupUops),
-            resolveRunLength(opt.measure, plan.measure, "EOLE_INSTS",
-                             defaultMeasureUops),
-            opt.filter,
-            sample.enabled() ? sampleSpecString(sample) : "",
-            opt.jobs > 0 ? opt.jobs : runnerThreads(), matched_cells,
-            shard_mode ? static_cast<int>(shard_host) : -1,
-            shard_mode ? static_cast<int>(shard_hosts) : -1);
-        opt.telemetry = telem.get();
-    }
-
+    req.start();
     const auto run_t0 = std::chrono::steady_clock::now();
     if (progress_flag) {
         // Heartbeat for long sweeps: rate-based ETA over finished
@@ -891,44 +942,23 @@ cmdRun(int argc, char **argv, bool shard_mode)
                    cell.ipc());
         };
     }
-    {
-        const char *verb = shard_mode ? "shard" : "run";
-        if (sample.enabled()) {
-            inform("eole %s %s: %zu cells x %llu intervals (sample "
-                   "%s), %d jobs",
-                   verb, plan_name.c_str(), plan.gridSize(),
-                   (unsigned long long)sample.intervals,
-                   sampleSpecString(sample).c_str(),
-                   opt.jobs > 0 ? opt.jobs : runnerThreads());
-        } else {
-            inform("eole %s %s: %zu cells, %d jobs", verb,
-                   plan_name.c_str(), plan.gridSize(),
-                   opt.jobs > 0 ? opt.jobs : runnerThreads());
-        }
+    const int jobs = opt.jobs > 0 ? opt.jobs : runnerThreads();
+    if (sample.enabled()) {
+        inform("eole %s %s: %zu cells x %llu intervals (sample %s), %d "
+               "jobs", req.verb, plan.name.c_str(), plan.gridSize(),
+               (unsigned long long)sample.intervals,
+               sampleSpecString(sample).c_str(), jobs);
+    } else {
+        inform("eole %s %s: %zu cells, %d jobs", req.verb,
+               plan.name.c_str(), plan.gridSize(), jobs);
     }
-
-    std::unique_ptr<Store> store;
-    if (!store_dir.empty()) {
-        store = std::make_unique<Store>(store_dir);
-        opt.store = store.get();
-    }
-    // The one store summary line (notice level: always on stderr, even
-    // --quiet): "0 computed" on a warm re-run is the observable
-    // contract the CI shard lane and tests/test_shard.cc pin.
-    const auto storeSummary = [&](std::size_t hits,
-                                  std::size_t computed) {
-        if (store) {
-            notice("store %s: %zu cached, %zu computed",
-                   store_dir.c_str(), hits, computed);
-        }
-    };
 
     if (shard_mode) {
         const ShardArtifact shard = runShard(plan, sample, opt);
-        storeSummary(shard.storeHits, shard.storeComputed);
+        req.storeSummary(shard.storeHits, shard.storeComputed);
 
         std::string path = out_path;
-        const std::string default_name = sanitizeForPath(plan_name)
+        const std::string default_name = sanitizeForPath(plan.name)
             + ".shard" + std::to_string(shard_host) + "of"
             + std::to_string(shard_hosts) + ".eoleshard";
         if (path.empty())
@@ -944,15 +974,13 @@ cmdRun(int argc, char **argv, bool shard_mode)
                path.c_str(), (unsigned long long)shard_host,
                (unsigned long long)shard_hosts, shard.cells.size(),
                (unsigned long long)shard.cellsTotal);
-        if (telem)
-            telem->runFinish(shard.cells.size());
-        return 0;
+        return req.finish(shard.cells.size());
     }
 
     const PlanResult result = sample.enabled()
         ? runSampledPlan(plan, sample, opt)
         : runPlan(plan, opt);
-    storeSummary(result.storeHits, result.storeComputed);
+    req.storeSummary(result.storeHits, result.storeComputed);
 
     if (tracer) {
         tracer->finish();
@@ -979,9 +1007,7 @@ cmdRun(int argc, char **argv, bool shard_mode)
         writeCsvArtifact(os, result);
         inform("wrote %s", csv_path.c_str());
     }
-    if (telem)
-        telem->runFinish(result.cells.size());
-    return 0;
+    return req.finish(result.cells.size());
 }
 
 int
@@ -1134,420 +1160,39 @@ cmdStore(int argc, char **argv)
 int
 cmdCkptSave(int argc, char **argv)
 {
-    ExperimentPlan plan;
-    bool have_plan = false;
-    int first_opt = 0;
-    std::string named_plan;
-    if (argc >= 1 && argv[0][0] != '-') {
-        // Resolved after the telemetry sink opens, so an unknown name
-        // still terminates the stream with run_aborted.
-        named_plan = argv[0];
-        first_opt = 1;
-    }
-
-    SweepOptions opt;
-    SampleSpec sample;
-    std::string out_dir, store_dir, telemetry_path, plan_file, value;
-    std::vector<std::string> sets;
-    std::uint64_t seed = 0;
-    bool have_seed = false, quiet = false;
-    for (int i = first_opt; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--plan", value)) {
-            plan_file = value;
-        } else if (takeValue(argc, argv, i, "--out", value)) {
-            out_dir = value;
-        } else if (takeValue(argc, argv, i, "--sample", value)) {
-            sample = parseSampleSpec(value);
-        } else if (takeValue(argc, argv, i, "--filter", value)) {
-            opt.filter = value;
-        } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
-        } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = parseU64(value, "--seed");
-            have_seed = true;
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
-        } else if (takeValue(argc, argv, i, "--insts", value)) {
-            opt.measure = parseU64(value, "--insts");
-        } else if (takeValue(argc, argv, i, "--set", value)) {
-            sets.push_back(value);
-        } else if (takeValue(argc, argv, i, "--store", value)) {
-            store_dir = value;
-        } else if (takeValue(argc, argv, i, "--telemetry", value)) {
-            telemetry_path = value;
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opt.useTraceCache = false;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-    }
-    if (quiet)
-        setLogLevel(LogLevel::Quiet);
-    std::unique_ptr<TelemetrySink> telem;
-    if (!telemetry_path.empty())
-        telem = std::make_unique<TelemetrySink>(telemetry_path);
-    const auto bail = [&](const std::string &reason) {
-        std::fprintf(stderr, "eole: %s\n", reason.c_str());
-        if (telem)
-            telem->runAborted(reason);
-        return 2;
-    };
-    if (!named_plan.empty()) {
-        if (!plans::exists(named_plan)) {
-            return bail(csprintf(
-                "unknown plan \"%s\"%s (try `eole list`)",
-                named_plan.c_str(),
-                didYouMean(closestMatches(
-                    named_plan, plans::allNames())).c_str()));
-        }
-        plan = plans::get(named_plan);
-        have_plan = true;
-    }
-    if (!plan_file.empty()) {
-        if (have_plan) {
-            return bail("give either a registered plan name or --plan, "
-                        "not both");
-        }
-        std::string err;
-        if (!loadPlanFile(plan_file, &plan, &err))
-            return bail(err);
-        have_plan = true;
-    }
-    if (!have_plan) {
-        std::fprintf(stderr,
-                     "eole: ckpt save needs a plan name or --plan\n");
-        if (telem)
-            telem->runAborted("no plan given");
-        return usage(stderr, 2);
-    }
-    if (have_seed)
-        plan.seed = seed;
-    if (out_dir.empty())
-        return bail("ckpt save needs --out <directory>");
-    const ParamRegistry &reg = ParamRegistry::instance();
-    for (const std::string &kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            return bail(csprintf("--set wants key=value, got \"%s\"",
-                                 kv.c_str()));
-        }
-        for (SimConfig &c : plan.configs) {
-            const std::string err = reg.trySet(c, kv.substr(0, eq),
-                                               kv.substr(eq + 1));
-            if (!err.empty())
-                return bail("--set: " + err);
-        }
-    }
-    sample = resolveSampleSpec(sample, plan.sample);
-    if (!sample.enabled()) {
-        return bail("ckpt save needs a sampling spec: --sample "
-                    "N:W:D[:B] or a plan-file `sample =` directive");
-    }
-
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        return bail(csprintf("cannot create %s: %s", out_dir.c_str(),
-                             ec.message().c_str()));
-    }
-
-    const std::uint64_t warmup = resolveRunLength(
-        opt.warmup, plan.warmup, "EOLE_WARMUP", defaultWarmupUops);
-    const std::uint64_t measure = resolveRunLength(
-        opt.measure, plan.measure, "EOLE_INSTS", defaultMeasureUops);
-
-    // Matched cells, config-major (the artifact order); placement as
-    // in runSampledPlan so the written checkpoints are exactly the
-    // ones a sampled run of this plan/spec/seed restores from.
-    struct CkptCell
-    {
-        const SimConfig *cfg;
-        std::size_t wl;
-        std::string workload;
-        std::uint64_t seed;
-        std::vector<std::uint64_t> starts;
-        std::vector<std::string> files;  //!< pre-assigned slots
-        /** Serialized checkpoint text per interval (pre-assigned
-         *  slots; filled only with --store, consumed by the serial
-         *  put pass after the pool). */
-        std::vector<std::string> serialized;
-    };
-    std::vector<CkptCell> cells;
-    for (const SimConfig &c : plan.configs) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(opt.filter, c.name, plan.workloads[w]))
-                continue;
-            CkptCell cell;
-            cell.cfg = &c;
-            cell.wl = w;
-            cell.workload = plan.workloads[w];
-            cell.seed = jobSeed(plan.seed, c.seed, c.name,
-                                plan.workloads[w]);
-            // Mirror runSampledPlan's per-config `runlen` handling so
-            // the saved checkpoints land where a sampled run looks.
-            cell.starts = placeIntervals(
-                warmup, resolveMeasureFor(opt.measure, plan, c.name),
-                sample, cell.seed);
-            cell.files.resize(cell.starts.size());
-            cell.serialized.resize(cell.starts.size());
-            cells.push_back(std::move(cell));
-        }
-    }
-    if (cells.empty()) {
-        return bail(csprintf("no cell of plan %s matches",
-                             plan.name.c_str()));
-    }
-    if (telem) {
-        telem->runStart("ckpt-save", plan.name, plan.seed, warmup,
-                        measure, opt.filter, sampleSpecString(sample),
-                        opt.jobs > 0 ? opt.jobs : runnerThreads(),
-                        cells.size(), -1, -1);
-        for (const CkptCell &cell : cells)
-            telem->cellQueued(cell.cfg->name, cell.workload);
-    }
-
-    // Content-addressed checkpoint store: keys carry the UNCLAMPED
-    // checkpoint index (a pure function of the placement; the trace
-    // length is unknown before recording, and the clamped content is
-    // itself a deterministic function of these inputs). A cell whose
-    // checkpoints all resolve skips its warming pass entirely and
-    // writes the files straight from the stored payloads.
-    std::unique_ptr<Store> store;
-    if (!store_dir.empty())
-        store = std::make_unique<Store>(store_dir);
-    const auto ckptKey = [&](const CkptCell &cell, std::uint64_t idx) {
-        StoreKey key;
-        key.kind = "ckpt";
-        key.config = cell.cfg->name;
-        key.params = configKeyValues(*cell.cfg);
-        key.workload = cell.workload;
-        key.seed = cell.seed;
-        key.warmup = warmup;
-        key.measure = resolveMeasureFor(opt.measure, plan,
-                                        cell.cfg->name);
-        key.sample = sample;
-        key.index = idx;
-        return key;
-    };
-    // Unclamped per-interval checkpoint indices (strictly increasing,
-    // so every interval gets its own key even when trace clamping
-    // collapses the tails onto identical state).
-    std::vector<std::vector<std::uint64_t>> storeIdxs(cells.size());
-    std::vector<char> cellFromStore(cells.size(), 0);
-    std::size_t storeHits = 0;
-    if (store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            CkptCell &cell = cells[i];
-            storeIdxs[i] = warmCheckpointIndices(cell.starts, ~0ULL,
-                                                 sample);
-            bool all = !storeIdxs[i].empty();
-            for (const std::uint64_t idx : storeIdxs[i])
-                all = all && store->contains(
-                    storeKeyHash(ckptKey(cell, idx)));
-            if (!all)
-                continue;
-            std::uint64_t prevUop = ~0ULL;
-            bool ok = true;
-            for (std::size_t k = 0; ok && k < storeIdxs[i].size();
-                 ++k) {
-                const std::string hash =
-                    storeKeyHash(ckptKey(cell, storeIdxs[i][k]));
-                std::string payload;
-                if (!store->get(hash, &payload)) {
-                    ok = false;  // object vanished: recompute the cell
-                    break;
-                }
-                // The payload IS the checkpoint file; deserialize
-                // only to recover the clamped µ-op index for the
-                // filename and the duplicate-tail skip.
-                Checkpoint ckpt;
-                std::string err;
-                std::istringstream is(payload);
-                fatal_if(!tryDeserializeCheckpoint(is, &ckpt, &err),
-                         "store %s: object %s: %s (delete the store "
-                         "directory to rebuild it)", store_dir.c_str(),
-                         hash.c_str(), err.c_str());
-                if (ckpt.uopIndex == prevUop)
-                    continue;
-                prevUop = ckpt.uopIndex;
-                const std::string file = out_dir + "/"
-                    + sanitizeForPath(cell.cfg->name) + "__"
-                    + sanitizeForPath(cell.workload) + "__u"
-                    + std::to_string(ckpt.uopIndex) + ".ckpt";
-                std::ofstream os(file, std::ios::binary);
-                bool wrote = static_cast<bool>(os);
-                if (wrote) {
-                    os << payload;
-                    os.close();
-                    wrote = !os.fail();
-                }
-                if (!wrote) {
-                    std::fprintf(stderr, "eole: ckpt save: write "
-                                 "failure under %s\n", out_dir.c_str());
-                    return 2;
-                }
-                cell.files[k] = file;
-            }
-            if (ok) {
-                cellFromStore[i] = 1;
-                storeHits += storeIdxs[i].size();
-            }
-        }
-    }
-
-    std::uint64_t maxStart = 0;
-    for (const CkptCell &cell : cells) {
-        for (const std::uint64_t s : cell.starts)
-            maxStart = std::max(maxStart, s);
-    }
-    std::uint64_t longestMeasure = measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(longestMeasure,
-                                  resolveMeasureFor(opt.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded =
-        sampleTraceUopsNeeded(plan, sample, warmup, longestMeasure, maxStart);
-
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (auto &r : remaining)
-        r.store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cellFromStore[i])
-            remaining[cells[i].wl].fetch_add(1,
-                                             std::memory_order_relaxed);
-    }
-
-    std::atomic<bool> write_failed{false};
-    runOnWorkerPool(cells.size(), opt.jobs, [&](std::size_t i,
-                                                int worker) {
-        if (cellFromStore[i])
-            return;  // files already written from the store pre-pass
-        CkptCell &cell = cells[i];
-        SimConfig cfg = *cell.cfg;
-        cfg.seed = cell.seed;
-
-        if (telem)
-            telem->jobStart("warm", cfg.name, cell.workload, worker);
-        const auto job_t0 = std::chrono::steady_clock::now();
-        bool cell_ok = true;
-
-        Workload w = workloads::build(cell.workload);
-        std::shared_ptr<const FrozenTrace> trace;
-        if (opt.useTraceCache)
-            trace = cache.get(w, traceUopsNeeded);
-        if (!trace && !cell.starts.empty()) {
-            trace = w.freeze(std::min(traceUopsNeeded,
-                                      cell.starts.back()));
-        }
-
-        if (trace) {
-            const auto idxs = warmCheckpointIndices(
-                cell.starts, trace->uops.size(), sample);
-            const auto ckpts =
-                warmOnceCheckpoints(cfg, w, trace, idxs);
-            for (std::size_t k = 0; k < ckpts.size(); ++k) {
-                if (store) {
-                    // Keep every interval's serialization (distinct
-                    // unclamped keys even for duplicate tails) for
-                    // the serial put pass after the pool.
-                    std::ostringstream ss;
-                    serializeCheckpoint(ss, *ckpts[k]);
-                    cell.serialized[k] = ss.str();
-                }
-                // Intervals clamped to the end of a short workload
-                // repeat the final index with identical state; one
-                // file covers them all (no silent overwrite, no
-                // inflated count).
-                if (k > 0
-                    && ckpts[k]->uopIndex == ckpts[k - 1]->uopIndex)
-                    continue;
-                const std::string file = out_dir + "/"
-                    + sanitizeForPath(cfg.name) + "__"
-                    + sanitizeForPath(cell.workload) + "__u"
-                    + std::to_string(ckpts[k]->uopIndex) + ".ckpt";
-                std::ofstream os(file, std::ios::binary);
-                bool ok = static_cast<bool>(os);
-                if (ok) {
-                    serializeCheckpoint(os, *ckpts[k]);
-                    // Close before judging success: buffered bytes
-                    // only hit disk here, and ENOSPC at close must
-                    // not report the file as written.
-                    os.close();
-                    ok = !os.fail();
-                }
-                if (!ok) {
-                    write_failed.store(true);
-                    cell_ok = false;
-                } else {
-                    cell.files[k] = file;
-                }
-            }
-        }
-        trace.reset();
-        if (remaining[cell.wl].fetch_sub(1) == 1)
-            cache.drop(cell.workload);
-        if (telem) {
-            const double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - job_t0).count();
-            telem->jobFinish("warm", cfg.name, cell.workload, worker,
-                             wall_ms, cell_ok);
-        }
+    RunRequest req("ckpt save", "ckpt-save");
+    std::string out_dir;
+    int rc = req.parse(argc, argv, [&](int &i) {
+        return takeValue(argc, argv, i, "--out", out_dir);
     });
-    if (telem && opt.useTraceCache)
-        telem->traceCacheCounts(cache.hitCount(), cache.missCount(),
-                                cache.fileHitCount(),
-                                cache.fileMissCount(),
-                                cache.evictCount());
-
-    // Serial put pass: freshly warmed cells enter the store under the
-    // keys the pre-pass derived.
-    std::size_t storeComputed = 0;
-    if (store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cellFromStore[i])
-                continue;
-            for (std::size_t k = 0; k < storeIdxs[i].size(); ++k) {
-                if (cells[i].serialized[k].empty())
-                    continue;
-                store->put(ckptKey(cells[i], storeIdxs[i][k]),
-                           cells[i].serialized[k]);
-                ++storeComputed;
-            }
-        }
-        store->flush();
-        notice("store %s: %zu cached, %zu computed", store_dir.c_str(),
-               storeHits, storeComputed);
-        if (telem)
-            telem->storeCounts(storeHits, storeComputed);
+    if (rc || (rc = req.open()))
+        return rc;
+    if (out_dir.empty())
+        return req.bail("ckpt save needs --out <directory>");
+    if ((rc = req.expand()))
+        return rc;
+    if (!req.sample.enabled()) {
+        return req.bail("ckpt save needs a sampling spec: --sample "
+                        "N:W:D[:B] or a plan-file `sample =` directive");
     }
 
-    std::size_t written = 0;
-    for (const CkptCell &cell : cells) {
-        for (const std::string &f : cell.files) {
-            if (f.empty())
-                continue;
-            ++written;
-            if (!quiet)
-                std::printf("%s\n", f.c_str());
-        }
+    req.start();
+    const CheckpointFiles saved =
+        saveCheckpoints(req.plan, req.sample, req.opt, out_dir);
+    req.storeSummary(saved.storeHits, saved.storeComputed);
+    for (const std::string &f : saved.files) {
+        if (!req.quiet)
+            std::printf("%s\n", f.c_str());
     }
-    if (write_failed.load()) {
-        return bail(csprintf("ckpt save: write failure under %s",
-                             out_dir.c_str()));
-    }
+    if (!saved.error.empty())
+        return req.bail("ckpt save: " + saved.error);
     inform("wrote %zu checkpoint file(s) for %zu cell(s) (plan %s, "
            "sample %s, warmup %llu, measure %llu)",
-           written, cells.size(), plan.name.c_str(),
-           sampleSpecString(sample).c_str(), (unsigned long long)warmup,
-           (unsigned long long)measure);
-    if (telem)
-        telem->runFinish(cells.size());
-    return 0;
+           saved.files.size(), saved.cells, req.plan.name.c_str(),
+           sampleSpecString(req.sample).c_str(),
+           (unsigned long long)req.cells.warmup,
+           (unsigned long long)req.cells.measure);
+    return req.finish(saved.cells);
 }
 
 int
@@ -1626,7 +1271,7 @@ cmdBench(int argc, char **argv)
         } else if (takeValue(argc, argv, i, "--warmup", value)) {
             opt.warmup = parseU64(value, "--warmup");
         } else if (takeValue(argc, argv, i, "--reps", value)) {
-            opt.reps = static_cast<int>(parseU64(value, "--reps"));
+            opt.reps = static_cast<int>(parseU64(value, "--reps", INT_MAX));
         } else if (takeValue(argc, argv, i, "--label", value)) {
             opt.label = value;
         } else if (takeValue(argc, argv, i, "--out", value)) {
@@ -1947,9 +1592,9 @@ cmdDiff(int argc, char **argv)
     std::string value;
     for (int i = 0; i < argc; ++i) {
         if (takeValue(argc, argv, i, "--rel-tol", value)) {
-            opt.relTol = std::strtod(value.c_str(), nullptr);
+            opt.relTol = parseTolerance(value, "--rel-tol");
         } else if (takeValue(argc, argv, i, "--abs-tol", value)) {
-            opt.absTol = std::strtod(value.c_str(), nullptr);
+            opt.absTol = parseTolerance(value, "--abs-tol");
         } else if (std::strcmp(argv[i], "--ci") == 0) {
             opt.ciOverlap = true;
         } else if (argv[i][0] == '-') {

@@ -29,11 +29,11 @@ sampleResult()
     r.warmup = 100;
     r.reps = 2;
     r.cells.push_back(
-        BenchCell{"CfgA", "wl1", 1000, 0.5, 2000.0, 1.25});
+        BenchCell{"CfgA", "wl1", 1000, 0.5, 2000.0, 1.25, {}, 0.0});
     r.cells.push_back(
-        BenchCell{"CfgA", "wl2", 1000, 0.25, 4000.0, 0.75});
+        BenchCell{"CfgA", "wl2", 1000, 0.25, 4000.0, 0.75, {}, 0.0});
     r.cells.push_back(
-        BenchCell{"CfgB", "wl1", 900, 0.1, 9000.0, 2.0});
+        BenchCell{"CfgB", "wl1", 900, 0.1, 9000.0, 2.0, {}, 0.0});
     return r;
 }
 
@@ -91,7 +91,7 @@ TEST(Bench, CompareSpeedupMath)
     b.cells[0].uopsPerSec = 4000.0;  // 2.0x
     b.cells[1].uopsPerSec = 2000.0;  // 0.5x
     b.cells.pop_back();              // CfgB/wl1 only in a
-    b.cells.push_back(BenchCell{"CfgC", "wl1", 1, 1.0, 1.0, 1.0});
+    b.cells.push_back(BenchCell{"CfgC", "wl1", 1, 1.0, 1.0, 1.0, {}, 0.0});
 
     std::ostringstream os;
     const double g = compareBench(a, b, os);
@@ -110,7 +110,7 @@ TEST(Bench, CompareDisjointCellsIsZero)
 {
     BenchResult a = sampleResult();
     BenchResult b;
-    b.cells.push_back(BenchCell{"Other", "wl9", 1, 1.0, 1.0, 1.0});
+    b.cells.push_back(BenchCell{"Other", "wl9", 1, 1.0, 1.0, 1.0, {}, 0.0});
     std::ostringstream os;
     EXPECT_EQ(compareBench(a, b, os), 0.0);
 }

@@ -309,14 +309,16 @@ TEST_P(CoreMatrix, RunsToCompletionWithConsistentStats)
     EXPECT_GT(s.committedUops, 0u);
     EXPECT_GT(s.ipc(), 0.0);
     EXPECT_LE(s.ipc(), double(cfg.commitWidth));
-    if (!cfg.earlyExec)
+    if (!cfg.earlyExec) {
         EXPECT_EQ(s.earlyExecuted, 0u);
+    }
     if (!cfg.lateExec) {
         EXPECT_EQ(s.lateExecutedAlu, 0u);
         EXPECT_EQ(s.lateExecutedBranches, 0u);
     }
-    if (!cfg.vpEnabled())
+    if (!cfg.vpEnabled()) {
         EXPECT_EQ(s.vpPredictionsUsed, 0u);
+    }
     EXPECT_LE(s.earlyExecuted + s.lateExecutedAlu + s.lateExecutedBranches,
               s.committedUops);
 }

@@ -96,8 +96,9 @@ TEST(Opcodes, ClassPredicatesAreConsistent)
         EXPECT_EQ(isLoadOp(op), cls == OpClass::MemRead);
         EXPECT_EQ(isStoreOp(op), cls == OpClass::MemWrite);
         EXPECT_EQ(isSingleCycleAlu(op), cls == OpClass::IntAlu);
-        if (isCondBranch(op))
+        if (isCondBranch(op)) {
             EXPECT_TRUE(isBranchOp(op));
+        }
         // Unpipelined units are only the divides.
         if (!opPipelined(cls)) {
             EXPECT_TRUE(cls == OpClass::IntDiv || cls == OpClass::FpDiv);

@@ -16,8 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "sim/configs.hh"
 #include "sim/plans.hh"
 #include "sim/sample/sample.hh"
+#include "sim/store.hh"
 #include "workloads/torture_gen.hh"
 #include "workloads/workload.hh"
 
@@ -90,6 +96,45 @@ reproLine(std::uint64_t seed)
 {
     return "repro: EOLE_SAMPLE_SEED=" + std::to_string(seed)
         + " ./build/test_sample";
+}
+
+/** A scratch directory, removed with everything in it. */
+struct TempDir
+{
+    std::filesystem::path dir;
+
+    explicit TempDir(const std::string &tag)
+        : dir(std::filesystem::temp_directory_path()
+              / ("eole_sample_test_" + tag + "_"
+                 + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(dir);
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+
+    std::string path(const std::string &name) const
+    {
+        return (dir / name).string();
+    }
+};
+
+/** Every file of @p dir: name -> bytes. */
+std::map<std::string, std::string>
+readDir(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        std::ifstream is(e.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << is.rdbuf();
+        out[e.path().filename().string()] = bytes.str();
+    }
+    return out;
 }
 
 /** The 2x2 smoke plan at explicit run lengths (env-independent). */
@@ -600,4 +645,78 @@ TEST(Sampling, SampledIpcFallsWithinItsCiOfTheFullRun)
             << cell.config << "/" << cell.workload << ": sampled "
             << mean << " +/- " << ci << " vs full " << full_ipc;
     }
+}
+
+// ===================== Checkpoint files (ckpt save) ======================
+
+TEST(CheckpointFiles, SaveMatchesTheSampledRunAcrossJobsAndStore)
+{
+    // Two configs, one with a `runlen` override: the saved checkpoints
+    // must sit exactly where a sampled run of the same plan restores
+    // from, so each cell's last checkpoint index is the µ-op count its
+    // sampled run warmed.
+    ExperimentPlan plan;
+    plan.name = "ckpt_files";
+    plan.configs = {configs::baseline(6, 64), configs::eole(4, 64)};
+    plan.workloads = {"164.gzip", "186.crafty"};
+    plan.warmup = 4000;
+    plan.measure = 20000;
+    plan.runlens = {{plan.configs[1].name, 36000}};
+
+    SampleSpec spec;
+    spec.intervals = 3;
+    spec.intervalUops = 1500;
+    spec.detailUops = 700;
+
+    TempDir tmp("ckpt_files");
+    SweepOptions serial;
+    serial.jobs = 1;
+    const CheckpointFiles saved =
+        saveCheckpoints(plan, spec, serial, tmp.path("serial"));
+    ASSERT_TRUE(saved.error.empty()) << saved.error;
+    EXPECT_EQ(saved.cells, 4u);
+
+    std::map<std::string, std::uint64_t> largest;
+    for (const std::string &file : saved.files) {
+        const std::string name =
+            std::filesystem::path(file).filename().string();
+        const std::size_t u = name.rfind("__u");
+        ASSERT_NE(u, std::string::npos) << name;
+        const std::uint64_t idx = std::stoull(name.substr(u + 3));
+        std::uint64_t &max = largest[name.substr(0, u)];
+        max = std::max(max, idx);
+    }
+    const PlanResult sampled = runSampledPlan(plan, spec, serial);
+    ASSERT_EQ(largest.size(), sampled.cells.size());
+    for (const RunResult &cell : sampled.cells) {
+        const std::string id = sanitizeForPath(cell.config) + "__"
+            + sanitizeForPath(cell.workload);
+        EXPECT_EQ(double(largest[id]), cell.stats.get("sample_warm_uops"))
+            << id;
+    }
+
+    // The worker count never changes a byte.
+    SweepOptions wide;
+    wide.jobs = 3;
+    ASSERT_TRUE(
+        saveCheckpoints(plan, spec, wide, tmp.path("wide")).error.empty());
+    const auto reference = readDir(tmp.path("serial"));
+    EXPECT_EQ(readDir(tmp.path("wide")), reference);
+
+    // A warm store serves every checkpoint, computes none and writes
+    // the same bytes.
+    Store store(tmp.path("store"));
+    SweepOptions stored = serial;
+    stored.store = &store;
+    const CheckpointFiles cold =
+        saveCheckpoints(plan, spec, stored, tmp.path("cold"));
+    EXPECT_EQ(cold.storeHits, 0u);
+    EXPECT_EQ(cold.storeComputed, 12u);
+    const CheckpointFiles warm =
+        saveCheckpoints(plan, spec, stored, tmp.path("warm"));
+    EXPECT_EQ(warm.storeHits, 12u);
+    EXPECT_EQ(warm.storeComputed, 0u);
+    EXPECT_EQ(warm.files.size(), cold.files.size());
+    EXPECT_EQ(readDir(tmp.path("cold")), reference);
+    EXPECT_EQ(readDir(tmp.path("warm")), reference);
 }

@@ -302,8 +302,9 @@ TEST_P(PredictorProperty, MeetsCoverageAndAccuracyFloor)
     }
     auto [cov, acc] = h.train(0x400000, 4000, value);
     EXPECT_GE(cov, param.min_coverage) << param.pattern;
-    if (cov > 0)
+    if (cov > 0) {
         EXPECT_GE(acc, param.min_accuracy) << param.pattern;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -375,8 +376,9 @@ TEST(Fpc, CounterNeverExceedsSaturationAndResetsOnWrong)
         const bool correct = rng.chance(0.999);
         fpc.update(ctr, correct, rng);
         ASSERT_LE(ctr, fpc.max());
-        if (!correct)
+        if (!correct) {
             ASSERT_EQ(ctr, 0);
+        }
         was_saturated = was_saturated || fpc.saturated(ctr);
     }
     EXPECT_TRUE(was_saturated);  // the walk does reach the ceiling
