@@ -10,8 +10,9 @@
  *
  *   1. warmOnceCheckpoints: one continuous warming pass over a cell
  *      drops an eole-ckpt-v2 checkpoint (architectural registers +
- *      serialized predictor/cache state) at each interval start;
- *   2. the checkpoints are plain canonical text — serialize, parse
+ *      by-value copies of the predictor/cache state) at each interval
+ *      start;
+ *   2. the checkpoints serialize to canonical text — serialize, parse
  *      back, byte-identical: the unit you can ship to another host;
  *   3. a sampled run in warm-once mode measures exactly what the
  *      legacy per-interval re-warming mode measures, for a fraction
@@ -79,16 +80,15 @@ main(int argc, char **argv)
                 starts.size(), ckpts.size(),
                 (unsigned long long)idxs.back());
     for (const auto &c : ckpts) {
-        std::size_t bytes = 0;
-        for (const auto &[name, payload] : c->uarch)
-            bytes += payload.size();
-        std::printf("  uop %8llu: %zu µarch sections, %zu bytes\n",
+        std::printf("  uop %8llu: %zu µarch sections, %zu bytes "
+                    "serialized\n",
                     (unsigned long long)c->uopIndex, c->uarch.size(),
-                    bytes);
+                    checkpointString(*c).size());
     }
 
-    // 3. Checkpoints are canonical text: the round trip is exact, so
-    //    a file written here restores bit-identically anywhere.
+    // 3. Checkpoints serialize to canonical text: the round trip is
+    //    exact, so a file written here restores bit-identically
+    //    anywhere.
     const std::string bytes = checkpointString(*ckpts[0]);
     const Checkpoint back = checkpointFromString(bytes);
     std::printf("round trip: %zu bytes, byte-identical: %s\n",

@@ -62,8 +62,13 @@
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
 #                  fuzzer) under AddressSanitizer (-DEOLE_ASAN=ON,
-#                  build-asan/). The suites also run in the default
-#                  ctest pass with the standard per-suite timeout.
+#                  build-asan/);
+#                  (4) the by-value checkpoint, sampling and sweep
+#                  engine suites (test_ckpt_state, test_sample,
+#                  test_experiment) under UndefinedBehaviorSanitizer
+#                  (-DEOLE_UBSAN=ON, build-ubsan/; any finding fails).
+#                  The suites also run in the default ctest pass with
+#                  the standard per-suite timeout.
 #
 # The sharded-sweep, store and `ckpt save` CLI contracts run in every
 # ctest pass (tests/cli_contracts.sh).
@@ -251,6 +256,15 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
           --target test_sample test_ckpt_state test_torture test_slab
     run_ctest build-asan \
         -R '^(test_sample|test_ckpt_state|test_torture|test_slab)$'
+
+    echo "check.sh: UndefinedBehaviorSanitizer pass" \
+         "(checkpoint/sampling/sweep engine suites)"
+    cmake -B build-ubsan -S . -DEOLE_UBSAN=ON \
+          -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
+    cmake --build build-ubsan -j "$JOBS" \
+          --target test_ckpt_state test_sample test_experiment
+    run_ctest build-ubsan \
+        -R '^(test_ckpt_state|test_sample|test_experiment)$'
 fi
 
 if [[ "$WITH_OBS" == 1 ]]; then

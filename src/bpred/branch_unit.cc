@@ -190,6 +190,35 @@ BranchUnit::restoreState(std::istream &is)
     cached.reset();
 }
 
+BranchUnit::BranchUnit(const BranchUnit &o)
+    : WarmableComponent(o), cfg(o.cfg), tage(o.tage), hist(o.hist),
+      btb(o.btb), ras(o.ras), confTable(o.confTable),
+      extraBase(o.extraBase)
+{
+}
+
+std::unique_ptr<WarmableComponent>
+BranchUnit::clone() const
+{
+    return std::unique_ptr<WarmableComponent>(new BranchUnit(*this));
+}
+
+void
+BranchUnit::copyStateFrom(const WarmableComponent &src)
+{
+    const BranchUnit &o = copySource<BranchUnit>(src, "branch-unit");
+    tage.copyStateFrom(o.tage);
+    hist.copyStateFrom(o.hist);
+    btb.copyStateFrom(o.btb);
+    ras.copyStateFrom(o.ras);
+    copyCheck(o.confTable.size() == confTable.size(), "branch-unit",
+              "confidence-table size mismatch");
+    copyCheck(o.cfg.confBits == cfg.confBits, "branch-unit",
+              "confidence-counter width mismatch");
+    confTable = o.confTable;
+    cached.reset();
+}
+
 void
 BranchUnit::commitBranch(const TraceUop &uop, const BranchPrediction &bp)
 {

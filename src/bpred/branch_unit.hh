@@ -154,7 +154,17 @@ class BranchUnit : public WarmableComponent
      *  tests/test_ckpt_state.cc). */
     void restoreState(std::istream &is) override;
 
+    /** A detached unit with this one's tables, history, BTB, RAS and
+     *  filter, and its own (empty) snapshot pool. */
+    std::unique_ptr<WarmableComponent> clone() const override;
+
+    /** Copy another unit's state into this same-geometry one. */
+    void copyStateFrom(const WarmableComponent &src) override;
+
   private:
+    /** clone(): every state member; the snapshot pool starts empty. */
+    BranchUnit(const BranchUnit &o);
+
     /** Apply the architectural effect of @p uop with outcome @p taken. */
     void speculativeApply(const TraceUop &uop, bool taken, Addr target);
 

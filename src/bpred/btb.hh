@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/snapshot.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
@@ -103,6 +104,16 @@ class Btb
             e.lru = r.u64("lru");
         }
         r.endLine();
+    }
+
+    /** The by-value restoreState (isa/warmable.hh). */
+    void
+    copyStateFrom(const Btb &o)
+    {
+        copyCheck(o.entries.size() == entries.size(), "BTB",
+                  "BTB entry-count mismatch");
+        entries = o.entries;
+        lruClock = o.lruClock;
     }
 
   private:
@@ -220,6 +231,17 @@ class Ras
         r.endLine();
         top = t;
         depth = d;
+    }
+
+    /** The by-value restoreState (isa/warmable.hh). */
+    void
+    copyStateFrom(const Ras &o)
+    {
+        copyCheck(o.stack.size() == stack.size(), "RAS",
+                  "RAS size mismatch");
+        stack = o.stack;
+        top = o.top;
+        depth = o.depth;
     }
 
   private:

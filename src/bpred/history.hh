@@ -20,6 +20,7 @@
 
 #include "common/logging.hh"
 #include "isa/snapshot.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
@@ -212,6 +213,25 @@ class GlobalHistory
         }
         r.endLine();
         pos = p;
+    }
+
+    /** The by-value restoreState (isa/warmable.hh): position, fold
+     *  values and raw bits; fold geometry stays this instance's. */
+    void
+    copyStateFrom(const GlobalHistory &o)
+    {
+        copyCheck(o.folds.size() == folds.size(), "history",
+                  "history fold-count mismatch");
+        copyCheck(o.bits.size() == bits.size(), "history",
+                  "history buffer-size mismatch");
+        for (std::size_t i = 0; i < folds.size(); ++i) {
+            copyCheck(o.folds[i].histLen == folds[i].histLen
+                          && o.folds[i].width == folds[i].width,
+                      "history", "history fold-geometry mismatch");
+            folds[i].comp = o.folds[i].comp;
+        }
+        bits = o.bits;
+        pos = o.pos;
     }
 
   private:

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
@@ -280,6 +281,27 @@ Tage::restoreState(SnapshotReader &r)
     for (int i = 0; i < Rng::stateWords; ++i)
         rng.setWord(i, r.u64("word"));
     r.endLine();
+}
+
+void
+Tage::copyStateFrom(const Tage &o)
+{
+    copyCheck(o.cfg.numTagged == cfg.numTagged, "TAGE",
+              "TAGE component-count mismatch");
+    copyCheck(o.tagged.size() == tagged.size()
+                  && (tagged.empty()
+                      || o.tagged[0].size() == tagged[0].size()),
+              "TAGE", "TAGE tagged-table size mismatch");
+    copyCheck(o.base.size() == base.size(), "TAGE",
+              "TAGE base-table size mismatch");
+    copyCheck(o.cfg.tagBits == cfg.tagBits && o.cfg.ctrBits == cfg.ctrBits
+                  && o.cfg.uBits == cfg.uBits,
+              "TAGE", "TAGE counter-width mismatch");
+    tagged = o.tagged;
+    base = o.base;
+    useAltOnNa = o.useAltOnNa;
+    rng = o.rng;
+    updates = o.updates;
 }
 
 } // namespace eole

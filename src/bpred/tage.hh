@@ -104,6 +104,10 @@ class Tage
      *  context on mismatch or malformed input). */
     void restoreState(SnapshotReader &r);
 
+    /** The by-value restoreState (isa/warmable.hh): same geometry
+     *  checks, plus equal counter and tag widths. */
+    void copyStateFrom(const Tage &o);
+
   private:
     struct TaggedEntry
     {

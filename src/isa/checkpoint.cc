@@ -13,22 +13,39 @@ Checkpoint
 captureAt(const FrozenTrace &trace, const std::string &workload_name,
           std::uint64_t uop_index)
 {
+    // From the trace's own start state: its post-init register image.
+    Checkpoint start;
+    for (int r = 0; r < numArchIntRegs; ++r)
+        start.intRegs[r] = trace.initIntRegs[r];
+    for (int r = 0; r < numArchFpRegs; ++r)
+        start.fpRegs[r] = trace.initFpRegs[r];
+    return captureAt(trace, workload_name, uop_index, start);
+}
+
+Checkpoint
+captureAt(const FrozenTrace &trace, const std::string &workload_name,
+          std::uint64_t uop_index, const Checkpoint &from)
+{
     fatal_if(uop_index > trace.uops.size(),
              "checkpoint at µ-op %llu but the trace only covers %zu",
              (unsigned long long)uop_index, trace.uops.size());
+    fatal_if(from.uopIndex > uop_index,
+             "checkpoint at µ-op %llu cannot resume from µ-op %llu",
+             (unsigned long long)uop_index,
+             (unsigned long long)from.uopIndex);
 
     Checkpoint ckpt;
     ckpt.workload = workload_name;
     ckpt.uopIndex = uop_index;
     for (int r = 0; r < numArchIntRegs; ++r)
-        ckpt.intRegs[r] = trace.initIntRegs[r];
+        ckpt.intRegs[r] = from.intRegs[r];
     for (int r = 0; r < numArchFpRegs; ++r)
-        ckpt.fpRegs[r] = trace.initFpRegs[r];
+        ckpt.fpRegs[r] = from.fpRegs[r];
 
     // Replay destination writes. TraceUop::result is the architectural
     // post-write value (already 0 for writes to the int zero register),
     // so a scalar copy per µ-op reproduces the VM state exactly.
-    for (std::uint64_t i = 0; i < uop_index; ++i) {
+    for (std::uint64_t i = from.uopIndex; i < uop_index; ++i) {
         const TraceUop &u = trace.uops[i];
         if (u.dst == invalidReg)
             continue;
@@ -51,6 +68,33 @@ captureFromVM(const KernelVM &vm, const std::string &workload_name)
     for (int r = 0; r < numArchFpRegs; ++r)
         ckpt.fpRegs[r] = vm.readFpReg(static_cast<RegIndex>(r));
     return ckpt;
+}
+
+std::string
+CheckpointSection::payload() const
+{
+    if (!state)
+        return text;
+    std::ostringstream os;
+    state->snapshotState(os);
+    return os.str();
+}
+
+void
+CheckpointSection::restoreInto(WarmableComponent &target) const
+{
+    if (state) {
+        target.copyStateFrom(*state);
+        return;
+    }
+    std::istringstream is(text);
+    target.restoreState(is);
+}
+
+bool
+CheckpointSection::operator==(const CheckpointSection &o) const
+{
+    return name == o.name && payload() == o.payload();
 }
 
 void
@@ -81,11 +125,18 @@ serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt)
     os << '\n' << std::dec;
     if (v2) {
         os << "sections " << ckpt.uarch.size() << '\n';
-        for (const auto &[name, payload] : ckpt.uarch) {
+        for (const CheckpointSection &section : ckpt.uarch) {
             // Byte-counted payloads: component text is opaque to the
             // framing, and truncation is detectable without parsing.
-            os << "section " << name << ' ' << payload.size() << '\n'
-               << payload;
+            // A by-value section renders here, the one place its text
+            // is needed.
+            std::string rendered;
+            if (section.state)
+                rendered = section.payload();
+            const std::string &payload =
+                section.state ? rendered : section.text;
+            os << "section " << section.name << ' ' << payload.size()
+               << '\n' << payload;
         }
         os << "end\n";
     }
@@ -261,8 +312,8 @@ tryDeserializeCheckpoint(std::istream &is, Checkpoint *out,
             std::string name;
             if (!cur.token(&name) || name.empty() || name.size() > 64)
                 return fail("bad section name");
-            for (const auto &[prev, _] : ckpt.uarch) {
-                if (prev == name)
+            for (const CheckpointSection &prev : ckpt.uarch) {
+                if (prev.name == name)
                     return fail("duplicate section \"" + name + "\"");
             }
             std::uint64_t bytes = 0;

@@ -14,8 +14,7 @@
  *
  * On top of the architectural state, a checkpoint may carry the warmed
  * *microarchitectural* state of the core that produced it: one named
- * section per WarmableComponent (isa/warmable.hh) holding the
- * component's canonical snapshotState() text — predictor tables,
+ * section per WarmableComponent (isa/warmable.hh) — predictor tables,
  * histories, cache tags/LRU, DRAM rows, the warming pseudo-clock.
  * Core::restoreWarmState() rebuilds a same-configuration core to the
  * exact state continuous functional warming would have produced, which
@@ -24,12 +23,21 @@
  * (sim/sample/), and what makes checkpoint directories the unit
  * shipped across hosts (`eole ckpt save`).
  *
+ * A section holds its state in one of two forms. Inside one process it
+ * is a by-value copy (WarmableComponent::clone): Core::captureWarmState
+ * takes copies and restoreWarmState copies them back, with no text in
+ * between. A checkpoint parsed from a file or the store holds each
+ * component's snapshotState() text instead. serializeCheckpoint renders
+ * a by-value section through the component's snapshotState, so both
+ * forms of the same state serialize to the same bytes (pinned by
+ * tests/test_sample.cc).
+ *
  * Checkpoints come from two equivalent sources (pinned equal by
  * tests/test_sample.cc):
  *  - captureFromVM: snapshot a live KernelVM mid-run, and
  *  - captureAt: reconstruct the register state at any index of a
  *    FrozenTrace by scalar-replaying its destination writes — no VM
- *    re-execution, one linear scan.
+ *    re-execution, one linear scan, resumable from an earlier capture.
  *
  * Serialized forms are canonical text: writing the same checkpoint
  * twice yields identical bytes, and a serialize -> deserialize -> run
@@ -46,16 +54,53 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "isa/frozen_trace.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
 class KernelVM;
+
+/**
+ * One named µarch section: a WarmableComponent's warmed state, held by
+ * value (in-process captures) or as its snapshotState() text
+ * (checkpoints parsed from a file or the store).
+ */
+struct CheckpointSection
+{
+    std::string name;   //!< "branch", "vpred" or "mem"
+    std::string text;   //!< snapshotState() document; empty by value
+    /** The by-value copy (shared, immutable), or null for text. */
+    std::shared_ptr<const WarmableComponent> state;
+
+    CheckpointSection(std::string name_, std::string text_)
+        : name(std::move(name_)), text(std::move(text_))
+    {
+    }
+
+    CheckpointSection(std::string name_,
+                      std::shared_ptr<const WarmableComponent> state_)
+        : name(std::move(name_)), state(std::move(state_))
+    {
+    }
+
+    /** The snapshotState() document: the text, or rendered from the
+     *  by-value copy. */
+    std::string payload() const;
+
+    /** Restore into @p target: copyStateFrom for a by-value section,
+     *  restoreState over the text otherwise. */
+    void restoreInto(WarmableComponent &target) const;
+
+    /** Equal names and equal payload bytes, whatever the forms. */
+    bool operator==(const CheckpointSection &o) const;
+};
 
 /** Architectural (+ optionally microarchitectural) restart state at a
  *  µ-op boundary. */
@@ -69,12 +114,11 @@ struct Checkpoint
     RegVal fpRegs[numArchFpRegs] = {};
 
     /**
-     * Named µarch snapshot sections, canonical order ("branch",
-     * "vpred" when value prediction is on, "mem"); each payload is one
-     * WarmableComponent::snapshotState() document. Empty for purely
-     * architectural (v1) checkpoints.
+     * Named µarch sections, canonical order ("branch", "vpred" when
+     * value prediction is on, "mem"). Empty for purely architectural
+     * (v1) checkpoints.
      */
-    std::vector<std::pair<std::string, std::string>> uarch;
+    std::vector<CheckpointSection> uarch;
 
     /** Does this checkpoint carry warmed µarch state (v2)? */
     bool hasWarmState() const { return !uarch.empty(); }
@@ -111,6 +155,17 @@ Checkpoint captureAt(const FrozenTrace &trace,
                      const std::string &workload_name,
                      std::uint64_t uop_index);
 
+/**
+ * captureAt resumed from @p from, an earlier capture of the same trace
+ * (from.uopIndex <= @p uop_index): replays only the destination writes
+ * in between, so a pass over increasing indices costs one scan in
+ * total. Bit-identical to the from-scratch form (pinned by
+ * tests/test_sample.cc). The result is architectural only.
+ */
+Checkpoint captureAt(const FrozenTrace &trace,
+                     const std::string &workload_name,
+                     std::uint64_t uop_index, const Checkpoint &from);
+
 /** Snapshot a live VM mid-run (uopIndex = vm.executedUops()). */
 Checkpoint captureFromVM(const KernelVM &vm,
                          const std::string &workload_name);
@@ -121,7 +176,8 @@ Checkpoint captureFromVM(const KernelVM &vm,
  *  sections or provenance ride along. */
 const char *checkpointSchemaName(const Checkpoint &ckpt);
 
-/** Canonical text serialization (schema per checkpointSchemaName). */
+/** Canonical text serialization (schema per checkpointSchemaName);
+ *  by-value sections render through their snapshotState. */
 void serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt);
 
 /**

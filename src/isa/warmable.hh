@@ -13,17 +13,21 @@
  * predictor instances). See DESIGN.md §8 for the exact fidelity
  * contract of each implementor.
  *
- * Warmed state is *serializable*: snapshotState() writes the complete
- * predictive state (tables, histories, LRU/row/bus state, the warming
- * pseudo-clock and every RNG) as canonical byte-stable text, and
- * restoreState() rebuilds it into a same-geometry instance such that
- * the restored component's future decisions are identical to the
- * original's (pinned by tests/test_ckpt_state.cc). That makes warmed
- * state a first-class artifact: the sampling subsystem warms each
- * (config, workload) cell once and feeds every measurement interval
- * from "eole-ckpt-v2" checkpoints (isa/checkpoint.hh, sim/sample/)
- * instead of re-warming N prefixes, and later sharding PRs can ship
- * checkpoint directories across hosts (`eole ckpt save`).
+ * Warmed state travels in two equivalent forms:
+ *  - by value, inside one process: clone() copies the complete
+ *    predictive state into a detached instance and copyStateFrom()
+ *    copies it back into a same-geometry one. The sampling subsystem
+ *    warms each (config, workload) cell once and feeds every
+ *    measurement interval from such copies (isa/checkpoint.hh,
+ *    sim/sample/);
+ *  - as canonical byte-stable text, wherever state leaves the
+ *    process: snapshotState() writes the complete predictive state
+ *    (tables, histories, LRU/row/bus state, the warming pseudo-clock
+ *    and every RNG) and restoreState() rebuilds it. That is the form
+ *    of `eole ckpt save` files and store objects.
+ * Either way the restored component's future decisions are identical
+ * to the original's, and a by-value copy snapshots to the original's
+ * exact bytes (both pinned by tests/test_ckpt_state.cc).
  *
  * Implementors: BranchUnit (bpred/), ValuePredictor (vpred/),
  * MemHierarchy (mem/).
@@ -33,7 +37,9 @@
 #define EOLE_ISA_WARMABLE_HH
 
 #include <iosfwd>
+#include <memory>
 
+#include "common/logging.hh"
 #include "isa/trace.hh"
 
 namespace eole {
@@ -68,7 +74,46 @@ class WarmableComponent
      * identical to the snapshotted one.
      */
     virtual void restoreState(std::istream &is) = 0;
+
+    /**
+     * A by-value copy of the complete predictive state: a new instance
+     * of the same kind and geometry holding exactly what
+     * snapshotState() would write. The copy carries state, not wiring:
+     * a value predictor's clone is bound to no branch history, so it
+     * serves as a snapshot source and a copyStateFrom() source only.
+     */
+    virtual std::unique_ptr<WarmableComponent> clone() const = 0;
+
+    /**
+     * The by-value restoreState(): copy @p src's predictive state into
+     * this instance, which keeps its own wiring (cache next-level
+     * links, the value predictor's history binding, the branch
+     * snapshot pool) and its statistics counters. Fatal on a kind
+     * mismatch and on every geometry mismatch restoreState rejects.
+     */
+    virtual void copyStateFrom(const WarmableComponent &src) = 0;
 };
+
+/** copyStateFrom's source as the implementor's own type @p T (fatal,
+ *  naming @p what, when it is another kind of component). */
+template <typename T>
+const T &
+copySource(const WarmableComponent &src, const char *what)
+{
+    const T *same = dynamic_cast<const T *>(&src);
+    fatal_if(same == nullptr,
+             "%s copy: the source is a different kind of component",
+             what);
+    return *same;
+}
+
+/** A geometry check of copyStateFrom: unless @p same, fatal with
+ *  "<what> copy: <mismatch>", in restoreState's wording. */
+inline void
+copyCheck(bool same, const char *what, const char *mismatch)
+{
+    fatal_if(!same, "%s copy: %s", what, mismatch);
+}
 
 } // namespace eole
 

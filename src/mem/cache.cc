@@ -208,6 +208,18 @@ Cache::restoreState(SnapshotReader &r)
     r.endLine();
 }
 
+void
+Cache::copyStateFrom(const Cache &o)
+{
+    copyCheck(o.cfg.name == cfg.name, cfg.name.c_str(),
+              "cache level mismatch");
+    copyCheck(o.lines.size() == lines.size(), cfg.name.c_str(),
+              "cache line-count mismatch");
+    lines = o.lines;
+    inflight = o.inflight;
+    lruClock = o.lruClock;
+}
+
 StatRecord
 Cache::record() const
 {

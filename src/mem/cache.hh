@@ -20,6 +20,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/snapshot.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
@@ -86,6 +87,11 @@ class Cache
     /** Restore into a same-geometry cache (fatal with section/line
      *  context on mismatch). */
     void restoreState(SnapshotReader &r);
+
+    /** The by-value restoreState (isa/warmable.hh): lines, fills and
+     *  the LRU clock; the next-level link, the observer and the
+     *  statistic counters stay this cache's. */
+    void copyStateFrom(const Cache &o);
 
     /** Zero the statistic counters; tags/LRU/MSHR state is kept (used
      *  by Core::resetTiming to open a measurement window on a warmed

@@ -17,6 +17,7 @@
 
 #include "common/types.hh"
 #include "isa/snapshot.hh"
+#include "isa/warmable.hh"
 
 namespace eole {
 
@@ -119,6 +120,16 @@ class Dram
             b.openRow = r.u64("openRow");
         }
         r.endLine();
+    }
+
+    /** The by-value restoreState (isa/warmable.hh). */
+    void
+    copyStateFrom(const Dram &o)
+    {
+        copyCheck(o.banks.size() == banks.size(), "DRAM",
+                  "DRAM bank-count mismatch");
+        banks = o.banks;
+        busBusyUntil = o.busBusyUntil;
     }
 
   private:

@@ -52,7 +52,8 @@ class MemHierarchy : public WarmableComponent
                   return l2->access(a, w, t);
               })),
           prefetcher(config.prefetch),
-          fetchLineMask(~static_cast<Addr>(config.l1i.lineBytes - 1))
+          fetchLineMask(~static_cast<Addr>(config.l1i.lineBytes - 1)),
+          cfg(config)
     {
         if (config.prefetchEnabled)
             prefetcher.attach(l2.get());
@@ -176,6 +177,31 @@ class MemHierarchy : public WarmableComponent
         prefetcher.restoreState(r);
     }
 
+    /** A hierarchy of the same configuration, wired to its own levels,
+     *  holding this one's warmed state. */
+    std::unique_ptr<WarmableComponent>
+    clone() const override
+    {
+        auto copy = std::make_unique<MemHierarchy>(cfg);
+        copy->copyStateFrom(*this);
+        return copy;
+    }
+
+    /** Copy every level's warmed state and the warming pseudo-clock
+     *  into this same-geometry hierarchy (its level links stay). */
+    void
+    copyStateFrom(const WarmableComponent &src) override
+    {
+        const auto &o = copySource<MemHierarchy>(src, "mem-hierarchy");
+        warmClock = o.warmClock;
+        warmFetchLine = o.warmFetchLine;
+        l1i->copyStateFrom(*o.l1i);
+        l1d->copyStateFrom(*o.l1d);
+        l2->copyStateFrom(*o.l2);
+        dram->copyStateFrom(*o.dram);
+        prefetcher.copyStateFrom(o.prefetcher);
+    }
+
     /** Zero every statistic counter in the hierarchy; cache tags, LRU,
      *  MSHR, DRAM row and prefetcher training state are all kept. */
     void
@@ -211,6 +237,9 @@ class MemHierarchy : public WarmableComponent
     Addr fetchLineMask;
     Cycle warmClock = 0;
     Addr warmFetchLine = ~0ULL;
+    /** The construction config, for clone() (after the hot members,
+     *  which keep their offsets). */
+    MemConfig cfg;
 };
 
 } // namespace eole

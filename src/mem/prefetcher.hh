@@ -17,6 +17,7 @@
 
 #include "common/types.hh"
 #include "isa/snapshot.hh"
+#include "isa/warmable.hh"
 #include "mem/cache.hh"
 
 namespace eole {
@@ -121,6 +122,16 @@ class StridePrefetcher
                 static_cast<std::uint8_t>(r.u64Max("conf", 3));
         }
         r.endLine();
+    }
+
+    /** The by-value restoreState (isa/warmable.hh); the attached
+     *  cache stays this prefetcher's. */
+    void
+    copyStateFrom(const StridePrefetcher &o)
+    {
+        copyCheck(o.table.size() == table.size(), "prefetch",
+                  "prefetcher table size mismatch");
+        table = o.table;
     }
 
   private:

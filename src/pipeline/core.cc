@@ -110,21 +110,36 @@ Core::functionalWarm(const FrozenTrace &trace, std::uint64_t begin,
     state->now = std::max(state->now, state->mem->warmClockNow());
 }
 
+std::vector<std::pair<const char *, WarmableComponent *>>
+Core::warmables() const
+{
+    std::vector<std::pair<const char *, WarmableComponent *>> out;
+    out.emplace_back("branch", state->bu.get());
+    if (state->vp)
+        out.emplace_back("vpred", state->vp.get());
+    out.emplace_back("mem", state->mem.get());
+    return out;
+}
+
 void
 Core::captureWarmState(Checkpoint &ckpt) const
 {
     ckpt.config = state->cfg.name;
     ckpt.uarch.clear();
-    const auto capture = [&](const char *name,
-                             const WarmableComponent &c) {
+    for (const auto &[name, c] : warmables())
+        ckpt.uarch.emplace_back(name, c->clone());
+}
+
+void
+Core::captureWarmText(Checkpoint &ckpt) const
+{
+    ckpt.config = state->cfg.name;
+    ckpt.uarch.clear();
+    for (const auto &[name, c] : warmables()) {
         std::ostringstream os;
-        c.snapshotState(os);
+        c->snapshotState(os);
         ckpt.uarch.emplace_back(name, os.str());
-    };
-    capture("branch", *state->bu);
-    if (state->vp)
-        capture("vpred", *state->vp);
-    capture("mem", *state->mem);
+    }
 }
 
 void
@@ -135,34 +150,34 @@ Core::restoreWarmState(const Checkpoint &ckpt)
 
     prof::ScopedTimer timer(prof::WarmRestore);
 
-    // The section set must match this core's component set exactly: a
-    // checkpoint from a different configuration (e.g. with value
-    // prediction when this core has none) is an operator error, not
-    // something to silently half-restore.
-    std::size_t restored = 0;
-    for (const auto &[name, payload] : ckpt.uarch) {
-        WarmableComponent *target = nullptr;
-        if (name == "branch")
-            target = state->bu.get();
-        else if (name == "vpred")
-            target = state->vp.get();
-        else if (name == "mem")
-            target = state->mem.get();
-        fatal_if(name == "vpred" && state->vp == nullptr,
+    // The section set must match this core's component set exactly,
+    // checked before anything is restored: a checkpoint from a
+    // different configuration (e.g. with value prediction when this
+    // core has none) is an operator error, not something to silently
+    // half-restore.
+    const auto components = warmables();
+    std::vector<WarmableComponent *> targets;
+    for (const CheckpointSection &section : ckpt.uarch) {
+        fatal_if(section.name == "vpred" && state->vp == nullptr,
                  "checkpoint carries a \"vpred\" section but this "
                  "configuration has no value predictor");
+        WarmableComponent *target = nullptr;
+        for (const auto &[name, c] : components) {
+            if (section.name == name)
+                target = c;
+        }
         fatal_if(target == nullptr,
                  "checkpoint section \"%s\" matches no warmable "
-                 "component", name.c_str());
-        std::istringstream is(payload);
-        target->restoreState(is);
-        ++restored;
+                 "component", section.name.c_str());
+        targets.push_back(target);
     }
-    const std::size_t expected = 2 + (state->vp ? 1 : 0);
-    fatal_if(restored != expected,
+    fatal_if(targets.size() != components.size(),
              "checkpoint restores %zu of %zu warmable components "
              "(value prediction %s in this configuration)",
-             restored, expected, state->vp ? "on" : "off");
+             targets.size(), components.size(),
+             state->vp ? "on" : "off");
+    for (std::size_t i = 0; i < targets.size(); ++i)
+        ckpt.uarch[i].restoreInto(*targets[i]);
 
     // Detailed simulation resumes after the restored warming
     // pseudo-cycles, exactly as after a live functionalWarm pass.

@@ -100,8 +100,9 @@ class Core
 
     /**
      * Attach this core's warmed microarchitectural state to @p ckpt as
-     * named snapshot sections ("branch", "vpred" when value prediction
-     * is configured, "mem"; isa/checkpoint.hh schema eole-ckpt-v2).
+     * named sections ("branch", "vpred" when value prediction is
+     * configured, "mem"; isa/checkpoint.hh schema eole-ckpt-v2), each
+     * a by-value copy of its component (WarmableComponent::clone).
      * Also stamps the provenance config name from the SimConfig. Call
      * between warming passes — the captured state is exactly what
      * continuous functional warming produced so far.
@@ -109,13 +110,24 @@ class Core
     void captureWarmState(Checkpoint &ckpt) const;
 
     /**
+     * captureWarmState with each section's snapshotState() text
+     * rendered straight from this core instead of a copy: for a
+     * checkpoint that only leaves the process (a `ckpt save` file, a
+     * store object). Serializes to the same bytes.
+     */
+    void captureWarmText(Checkpoint &ckpt) const;
+
+    /**
      * Restore the µarch sections of @p ckpt into this core's warmable
-     * components and re-align the core clock with the restored warming
-     * pseudo-clock — the state-equivalent of having functionally
-     * warmed this core over the checkpoint's whole prefix (pinned by
+     * components — copied back from by-value sections, parsed from
+     * text ones (a checkpoint read from a file or the store) — and
+     * re-align the core clock with the restored warming pseudo-clock:
+     * the state-equivalent of having functionally warmed this core
+     * over the checkpoint's whole prefix (pinned by
      * tests/test_sample.cc). No-op for purely architectural (v1)
      * checkpoints; fatal when the section set does not match this
-     * core's components (config mismatch).
+     * core's components or a component's geometry differs (config
+     * mismatch), on either path.
      */
     void restoreWarmState(const Checkpoint &ckpt);
 
@@ -149,6 +161,10 @@ class Core
 
   private:
     void tick();
+
+    /** The warmable components, in checkpoint-section order. */
+    std::vector<std::pair<const char *, WarmableComponent *>>
+    warmables() const;
 
     std::unique_ptr<PipelineState> state;
     StagePipeline pipe;

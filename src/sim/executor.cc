@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <mutex>
 
 #include "common/env.hh"
@@ -199,82 +201,127 @@ SweepExecutor::run(std::uint64_t trace_uops,
 {
     traceUops = trace_uops;
 
-    // Result slots are config-major (the artifact order); jobs run
-    // workload-major, so configurations sharing a workload's recording
-    // run back-to-back and the recording drops once its last job — of
-    // any phase — finishes.
+    // Result slots are config-major (the artifact order); cells are
+    // scheduled workload-major, so configurations sharing a workload's
+    // recording run back-to-back and the recording drops once its last
+    // job — of any phase — finishes. A cell's jobs of one phase become
+    // ready when its jobs of the previous phase have all finished, and
+    // a free worker takes the ready job of the latest phase first: a
+    // cell's intervals run right after its warm pass, so the state one
+    // phase hands the next never accumulates across cells.
     struct Job
     {
         std::size_t cell;
         std::size_t index;
     };
-    std::vector<std::vector<Job>> jobs(phases.size());
+    std::vector<std::size_t> order;  // uncached cells, workload-major
+    for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (cells[i].wl == w && !served[i])
+                order.push_back(i);
+        }
+    }
+    std::vector<std::vector<std::size_t>> counts(
+        cells.size(), std::vector<std::size_t>(phases.size(), 0));
     std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
     std::size_t total = 0;
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            for (std::size_t i = 0; i < cells.size(); ++i) {
-                if (cells[i].wl != w || served[i])
-                    continue;
-                const std::size_t n = phases[p].jobs(i);
-                for (std::size_t k = 0; k < n; ++k)
-                    jobs[p].push_back(Job{i, k});
-                remaining[w] += n;
-                total += n;
-            }
+    for (const std::size_t i : order) {
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+            counts[i][p] = phases[p].jobs(i);
+            remaining[cells[i].wl] += counts[i][p];
+            total += counts[i][p];
         }
     }
     if (total == 0)
         return;
 
+    // Scheduler state, under mu: the ready jobs of each phase and each
+    // cell's unfinished jobs in its current phase.
+    std::mutex mu;
+    std::condition_variable readyCv;
+    std::vector<std::deque<Job>> ready(phases.size());
+    std::vector<std::size_t> open(cells.size(), 0);
+    // Queue cell @p i's jobs of its first phase at or after @p p that
+    // has any (none once its phases are exhausted).
+    const auto enter = [&](std::size_t i, std::size_t p) {
+        while (p < phases.size() && counts[i][p] == 0)
+            ++p;
+        if (p == phases.size())
+            return;
+        open[i] = counts[i][p];
+        for (std::size_t k = 0; k < counts[i][p]; ++k)
+            ready[p].push_back(Job{i, k});
+    };
+    for (const std::size_t i : order)
+        enter(i, 0);
+
     std::atomic<std::size_t> done{0};
     std::mutex progressMu;
-    for (std::size_t p = 0; p < phases.size(); ++p) {
+    // One pool task per job; each takes the best ready job, waiting when
+    // every unfinished job still depends on one in flight.
+    runOnWorkerPool(total, options.jobs, [&](std::size_t, int worker) {
+        Job job;
+        std::size_t p = phases.size();
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            readyCv.wait(lock, [&] {
+                for (p = phases.size(); p-- > 0;) {
+                    if (!ready[p].empty())
+                        return true;
+                }
+                return false;
+            });
+            job = ready[p].front();
+            ready[p].pop_front();
+        }
         const SweepPhase &phase = phases[p];
-        runOnWorkerPool(jobs[p].size(), options.jobs,
-                        [&](std::size_t j, int worker) {
-            const Job &job = jobs[p][j];
-            const RunResult &cell = result.cells[job.cell];
-            const long interval =
-                phase.perInterval ? static_cast<long>(job.index) : -1;
-            if (options.telemetry) {
-                options.telemetry->jobStart(phase.kind, cell.config,
-                                            cell.workload, worker, interval);
-            }
-            const auto t0 = std::chrono::steady_clock::now();
+        const RunResult &cell = result.cells[job.cell];
+        const long interval =
+            phase.perInterval ? static_cast<long>(job.index) : -1;
+        if (options.telemetry) {
+            options.telemetry->jobStart(phase.kind, cell.config,
+                                        cell.workload, worker, interval);
+        }
+        const auto t0 = std::chrono::steady_clock::now();
 
-            RunResult report;
-            bool ok;
-            {
-                SweepJob ctx;
-                ctx.cell = job.cell;
-                ctx.index = job.index;
-                ctx.workload = workloads::build(cell.workload);
-                phase.body(ctx);
-                report.stats = std::move(ctx.stats);
-                ok = ctx.ok;
-            }
-            if (remaining[cells[job.cell].wl].fetch_sub(1) == 1)
-                cache.drop(cell.workload);
+        RunResult report;
+        bool ok;
+        {
+            SweepJob ctx;
+            ctx.cell = job.cell;
+            ctx.index = job.index;
+            ctx.workload = workloads::build(cell.workload);
+            phase.body(ctx);
+            report.stats = std::move(ctx.stats);
+            ok = ctx.ok;
+        }
+        if (remaining[cells[job.cell].wl].fetch_sub(1) == 1)
+            cache.drop(cell.workload);
 
-            if (options.telemetry) {
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0).count();
-                options.telemetry->jobFinish(phase.kind, cell.config,
-                                             cell.workload, worker, wall_ms,
-                                             ok, interval);
+        if (options.telemetry) {
+            const double wall_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0).count();
+            options.telemetry->jobFinish(phase.kind, cell.config,
+                                         cell.workload, worker, wall_ms,
+                                         ok, interval);
+        }
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            if (--open[job.cell] == 0) {
+                enter(job.cell, p + 1);
+                readyCv.notify_all();
             }
-            const std::size_t finished = done.fetch_add(1) + 1;
-            if (options.progress) {
-                report.config = cell.config;
-                report.workload = cell.workload;
-                report.seed = cell.seed;
-                std::lock_guard<std::mutex> lock(progressMu);
-                options.progress(finished, total, report);
-            }
-        });
-    }
+        }
+        const std::size_t finished = done.fetch_add(1) + 1;
+        if (options.progress) {
+            report.config = cell.config;
+            report.workload = cell.workload;
+            report.seed = cell.seed;
+            std::lock_guard<std::mutex> lock(progressMu);
+            options.progress(finished, total, report);
+        }
+    });
     if (options.telemetry && options.useTraceCache) {
         options.telemetry->traceCacheCounts(
             cache.hitCount(), cache.missCount(), cache.fileHitCount(),

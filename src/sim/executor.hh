@@ -13,10 +13,15 @@
  *    runShard's slot numbering read);
  *  - building store keys and running the serial store pre-pass (a cell
  *    whose keys all resolve runs no jobs) and post-pass;
- *  - scheduling jobs workload-major on the worker pool, with the trace
- *    cache's per-workload refcount (a recording drops after its
- *    workload's last job, counted across every phase) and the
- *    private-recording fallback;
+ *  - scheduling jobs workload-major on the worker pool, phase by phase
+ *    within each cell: a cell's jobs of one phase become ready when
+ *    its previous phase finishes, and a free worker takes a ready
+ *    later-phase job before it starts a new cell (so a cell's
+ *    intervals follow its warm pass, and what one phase hands the
+ *    next never accumulates across cells). The trace cache keeps a
+ *    per-workload refcount (a recording drops after its workload's
+ *    last job, counted across every phase) with the private-recording
+ *    fallback;
  *  - per-job telemetry and progress.
  *
  * Determinism: cells land in pre-assigned slots, job bodies write only
@@ -78,7 +83,9 @@ struct SweepJob
     bool ok = true;         //!< set by the body: telemetry job outcome
 };
 
-/** One scheduling phase; it finishes before the next phase starts. */
+/** One scheduling phase. A cell's jobs of this phase become ready
+ *  when all its jobs of the previous phases have finished; other
+ *  cells' jobs of any phase may run meanwhile. */
 struct SweepPhase
 {
     const char *kind;    //!< telemetry job kind: cell, warm, interval
@@ -139,8 +146,9 @@ class SweepExecutor
 
     bool cached(std::size_t cell) const { return served[cell]; }
 
-    /** Run every phase's jobs for the uncached cells; @p trace_uops
-     *  sizes the shared recordings. */
+    /** Run every phase's jobs for the uncached cells (file header:
+     *  per-cell phase order, later phases first); @p trace_uops sizes
+     *  the shared recordings. */
     void run(std::uint64_t trace_uops, const std::vector<SweepPhase> &phases);
 
     /** The workload's shared recording, or null when the cache is off

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -177,33 +178,57 @@ sampleTraceUopsNeeded(const ExperimentPlan &plan,
     return furthest + maxInflightUops(plan);
 }
 
-std::vector<std::shared_ptr<const Checkpoint>>
-warmOnceCheckpoints(const SimConfig &cfg, const Workload &workload,
-                    const std::shared_ptr<const FrozenTrace> &trace,
-                    const std::vector<std::uint64_t> &ckpt_indices)
+namespace {
+
+/**
+ * The warm-once pass: stream [0, idx) of @p trace through a fresh
+ * core's warmable components and, at the k-th index of
+ * @p ckpt_indices (non-decreasing; clamped to the trace length), hand
+ * @p at k, the core and the architectural checkpoint there — captureAt
+ * resumed from the previous index, so the pass scans the trace once.
+ */
+void
+warmOncePass(const SimConfig &cfg, const Workload &workload,
+             const std::shared_ptr<const FrozenTrace> &trace,
+             const std::vector<std::uint64_t> &ckpt_indices,
+             const std::function<void(std::size_t k, const Core &core,
+                                      Checkpoint &arch)> &at)
 {
     Workload wc = workload;
     wc.frozen = trace;
     wc.start.reset();
     Core core(cfg, wc);
 
+    const std::uint64_t len = trace->uops.size();
+    Checkpoint arch = captureAt(*trace, workload.name, 0);
+    for (std::size_t k = 0; k < ckpt_indices.size(); ++k) {
+        const std::uint64_t idx = std::min(ckpt_indices[k], len);
+        fatal_if(idx < arch.uopIndex,
+                 "warm-once pass: indices must be non-decreasing "
+                 "(%llu after %llu)",
+                 (unsigned long long)idx,
+                 (unsigned long long)arch.uopIndex);
+        core.functionalWarm(*trace, arch.uopIndex, idx);
+        arch = captureAt(*trace, workload.name, idx, arch);
+        Checkpoint ckpt = arch;
+        at(k, core, ckpt);
+    }
+}
+
+} // namespace
+
+std::vector<std::shared_ptr<const Checkpoint>>
+warmOnceCheckpoints(const SimConfig &cfg, const Workload &workload,
+                    const std::shared_ptr<const FrozenTrace> &trace,
+                    const std::vector<std::uint64_t> &ckpt_indices)
+{
     std::vector<std::shared_ptr<const Checkpoint>> out;
     out.reserve(ckpt_indices.size());
-    const std::uint64_t len = trace->uops.size();
-    std::uint64_t cursor = 0;
-    for (std::uint64_t idx : ckpt_indices) {
-        idx = std::min(idx, len);
-        fatal_if(idx < cursor,
-                 "warmOnceCheckpoints: indices must be non-decreasing "
-                 "(%llu after %llu)",
-                 (unsigned long long)idx, (unsigned long long)cursor);
-        core.functionalWarm(*trace, cursor, idx);
-        cursor = idx;
-        auto ckpt = std::make_shared<Checkpoint>(
-            captureAt(*trace, workload.name, idx));
-        core.captureWarmState(*ckpt);
-        out.push_back(std::move(ckpt));
-    }
+    warmOncePass(cfg, workload, trace, ckpt_indices,
+                 [&](std::size_t, const Core &core, Checkpoint &ckpt) {
+        core.captureWarmState(ckpt);
+        out.push_back(std::make_shared<const Checkpoint>(std::move(ckpt)));
+    });
     return out;
 }
 
@@ -462,23 +487,27 @@ saveCheckpoints(const ExperimentPlan &plan, const SampleSpec &spec,
             return err;
         });
 
+    // Each checkpoint is rendered straight from the warming core and
+    // written as it is captured: the files and store objects are the
+    // only form it takes, so no by-value copy is ever made.
     ex.run(placedTraceUops(ex, starts),
            {{"warm", false,
              [&](std::size_t i) { return std::size_t{!starts[i].empty()}; },
              [&](SweepJob &job) {
                  const std::size_t i = job.cell;
                  const auto trace = ex.trace(job.workload, starts[i].back());
-                 const auto ckpts = warmOnceCheckpoints(
+                 warmOncePass(
                      ex.config(i), job.workload, trace,
                      warmCheckpointIndices(starts[i], trace->uops.size(),
-                                           spec));
-                 for (std::size_t k = 0; k < ckpts.size(); ++k) {
-                     slots[i][k].uop = ckpts[k]->uopIndex;
-                     std::string text = checkpointString(*ckpts[k]);
-                     job.ok = write(i, k, text) && job.ok;
-                     if (options.store)
-                         slots[i][k].text = std::move(text);
-                 }
+                                           spec),
+                     [&](std::size_t k, const Core &core, Checkpoint &ckpt) {
+                         core.captureWarmText(ckpt);
+                         slots[i][k].uop = ckpt.uopIndex;
+                         std::string text = checkpointString(ckpt);
+                         job.ok = write(i, k, text) && job.ok;
+                         if (options.store)
+                             slots[i][k].text = std::move(text);
+                     });
              }}});
     ex.saveToStore([&](std::size_t i, std::size_t k) {
         return std::move(slots[i][k].text);

@@ -14,21 +14,25 @@
  *
  * Warm once, restore everywhere (the B=0 default): each (config,
  * workload) cell runs ONE continuous warming pass that drops an
- * "eole-ckpt-v2" checkpoint — architectural registers plus the
- * serialized µarch state of every warmable component — at each
- * interval's detailed-warmup start (warmOnceCheckpoints). Interval
- * jobs then restore instead of re-warming their own prefix, turning
- * the sampled cost from O(N·prefix) into O(prefix + N·(D+W)) while
- * producing measurements identical to per-interval continuous warming
- * (same warmed state ⇒ same measurements; pinned by the differential
- * test in tests/test_sample.cc). Bounded warming (B>0) and
+ * "eole-ckpt-v2" checkpoint — architectural registers plus a by-value
+ * copy of every warmable component's µarch state — at each interval's
+ * detailed-warmup start (warmOnceCheckpoints). Interval jobs then
+ * restore instead of re-warming their own prefix, turning the sampled
+ * cost from O(N·prefix) into O(prefix + N·(D+W)) while producing
+ * measurements identical to per-interval continuous warming (same
+ * warmed state ⇒ same measurements; pinned by the differential test
+ * in tests/test_sample.cc). No checkpoint text is written or parsed
+ * in a sampled run. Bounded warming (B>0) and
  * SweepOptions::sampleRewarm keep the legacy per-interval warming
  * path. saveCheckpoints (`eole ckpt save`) writes the same
- * per-interval checkpoints to disk as shippable files.
+ * per-interval checkpoints to disk as shippable text files, rendered
+ * straight from the warming core as each is captured.
  *
  * Scheduling: both entry points are job bodies on the cell executor
- * (sim/executor.hh) — warm-once cells, then all intervals of all
- * cells, sharing each workload's frozen trace through its trace cache.
+ * (sim/executor.hh), sharing each workload's frozen trace through its
+ * trace cache. A cell's interval jobs become ready when its warm job
+ * finishes and run before the next cell's warm pass starts, so at most
+ * about one cell's checkpoint copies per worker are alive at a time.
  * Per-cell seeds follow the jobSeed discipline, results land in
  * pre-assigned slots, and the reduction walks them in slot order — so
  * sampled artifacts (and checkpoint directories) are byte-identical
@@ -127,12 +131,13 @@ std::uint64_t sampleTraceUopsNeeded(const ExperimentPlan &plan,
  * (whose seed must already be the resolved cell seed): stream µ-ops
  * [0, idx) through a fresh core's warmable components and capture an
  * "eole-ckpt-v2" checkpoint — architectural registers via captureAt
- * plus every component's snapshotState — at each index of
+ * (resumed from the previous index) plus a by-value copy of every
+ * component (Core::captureWarmState) — at each index of
  * @p ckpt_indices (non-decreasing; clamped to the trace length).
  * Piecewise warming is state-identical to one uninterrupted pass, so
  * checkpoint k holds exactly the state continuous warming of its
- * whole prefix would produce. Shared by runSampledPlan's warm-once
- * phase and saveCheckpoints.
+ * whole prefix would produce. runSampledPlan's warm-once phase;
+ * saveCheckpoints runs the same pass but renders text instead.
  */
 std::vector<std::shared_ptr<const Checkpoint>> warmOnceCheckpoints(
     const SimConfig &cfg, const Workload &workload,

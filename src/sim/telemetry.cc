@@ -307,6 +307,11 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     double spanMs = 0;
     std::string slowestCell, slowestKind;
     double slowestMs = -1;
+    // A cell's jobs of one kind may run in parallel, its kinds run in
+    // sequence: its critical path is the sum over kinds of the longest
+    // job of that kind. Keyed by (stream, cell) like the workers.
+    std::map<std::pair<std::size_t, std::string>,
+             std::map<std::string, double>> longestByKind;
 
     for (std::size_t f = 0; f < paths.size(); ++f) {
         double first = -1, last = 0;
@@ -324,10 +329,13 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
                 auto &w = workers[{f, static_cast<int>(ev.num("worker"))}];
                 ++w.jobs;
                 w.busyMs += ev.num("wall_ms");
+                const std::string cell =
+                    ev.str("config") + "/" + ev.str("workload");
+                double &longest = longestByKind[{f, cell}][ev.str("kind")];
+                longest = std::max(longest, ev.num("wall_ms"));
                 if (ev.num("wall_ms") > slowestMs) {
                     slowestMs = ev.num("wall_ms");
-                    slowestCell =
-                        ev.str("config") + "/" + ev.str("workload");
+                    slowestCell = cell;
                     slowestKind = ev.str("kind");
                 }
             } else if (ev.ev == "store") {
@@ -362,7 +370,26 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
             << "\n";
     }
     if (slowestMs >= 0) {
-        out << csprintf("  critical path: %s (%s, %.1f ms)",
+        std::string pathCell, pathKinds;
+        double pathMs = -1;
+        for (const auto &[key, kinds] : longestByKind) {
+            double ms = 0;
+            std::string parts;
+            for (const auto &[kind, longest] : kinds) {
+                ms += longest;
+                parts += csprintf("%s%s %.1f", parts.empty() ? "" : " + ",
+                                  kind.c_str(), longest);
+            }
+            if (ms > pathMs) {
+                pathMs = ms;
+                pathCell = key.second;
+                pathKinds = parts;
+            }
+        }
+        out << csprintf("  critical path: %s (%.1f ms: %s)",
+                        pathCell.c_str(), pathMs, pathKinds.c_str())
+            << "\n";
+        out << csprintf("  slowest job: %s (%s, %.1f ms)",
                         slowestCell.c_str(), slowestKind.c_str(), slowestMs)
             << "\n";
     }

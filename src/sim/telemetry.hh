@@ -108,8 +108,10 @@ struct TelemetryEvent
 std::vector<TelemetryEvent> readTelemetry(const std::string &path);
 
 /** Merge one or more streams into a human summary: per-worker
- *  utilization, the critical-path (longest) job, counters, and the
- *  sorted distinct cell set. */
+ *  utilization, the critical path (the cell whose longest job of each
+ *  kind sums highest — a cell's kinds run in sequence, its jobs of one
+ *  kind in parallel), the slowest single job, counters, and the sorted
+ *  distinct cell set. */
 void summarizeTelemetry(const std::vector<std::string> &paths,
                         std::ostream &out);
 

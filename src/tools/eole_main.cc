@@ -1226,8 +1226,10 @@ cmdCkptInfo(int argc, char **argv)
             std::printf(" config \"%s\"", ckpt.config.c_str());
         if (ckpt.hasWarmState()) {
             std::printf(" sections");
-            for (const auto &[name, payload] : ckpt.uarch)
-                std::printf(" %s=%zuB", name.c_str(), payload.size());
+            for (const CheckpointSection &section : ckpt.uarch) {
+                std::printf(" %s=%zuB", section.name.c_str(),
+                            section.text.size());
+            }
         }
         std::printf("\n");
     }

@@ -122,4 +122,25 @@ FcmPredictor::restoreState(std::istream &is)
     r.endLine();
 }
 
+std::unique_ptr<WarmableComponent>
+FcmPredictor::clone() const
+{
+    return std::make_unique<FcmPredictor>(*this);
+}
+
+void
+FcmPredictor::copyStateFrom(const WarmableComponent &src)
+{
+    const auto &o = copySource<FcmPredictor>(src, name());
+    copyCheck(o.histTable.size() == histTable.size(), name(),
+              "FCM history-table size mismatch");
+    copyCheck(o.valueTable.size() == valueTable.size(), name(),
+              "FCM value-table size mismatch");
+    copyCheck(o.fpc.max() == fpc.max(), name(),
+              "confidence-counter width mismatch");
+    histTable = o.histTable;
+    valueTable = o.valueTable;
+    rng = o.rng;
+}
+
 } // namespace eole

@@ -37,6 +37,8 @@ class FcmPredictor : public ValuePredictor
 
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
+    std::unique_ptr<WarmableComponent> clone() const override;
+    void copyStateFrom(const WarmableComponent &src) override;
 
   private:
     struct HistEntry

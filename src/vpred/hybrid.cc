@@ -9,6 +9,12 @@ HybridVtage2DStride::HybridVtage2DStride(const VpConfig &config,
 {
 }
 
+HybridVtage2DStride::HybridVtage2DStride(const HybridVtage2DStride &o)
+    : ValuePredictor(o), vt(static_cast<Vtage *>(o.vt->clone().release())),
+      sp(std::make_unique<StridePredictor>(*o.sp))
+{
+}
+
 std::vector<std::pair<int, int>>
 HybridVtage2DStride::foldSpecs() const
 {
@@ -100,6 +106,20 @@ HybridVtage2DStride::restoreState(std::istream &is)
     r.endLine();
     vt->restoreStateBody(r);
     sp->restoreStateBody(r);
+}
+
+std::unique_ptr<WarmableComponent>
+HybridVtage2DStride::clone() const
+{
+    return std::unique_ptr<WarmableComponent>(new HybridVtage2DStride(*this));
+}
+
+void
+HybridVtage2DStride::copyStateFrom(const WarmableComponent &src)
+{
+    const auto &o = copySource<HybridVtage2DStride>(src, name());
+    vt->copyStateFrom(*o.vt);
+    sp->copyStateFrom(*o.sp);
 }
 
 } // namespace eole

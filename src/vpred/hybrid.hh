@@ -45,11 +45,16 @@ class HybridVtage2DStride : public ValuePredictor
      *  stateless, so the two sub-predictors are the whole state). */
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
+    std::unique_ptr<WarmableComponent> clone() const override;
+    void copyStateFrom(const WarmableComponent &src) override;
 
     Vtage &vtage() { return *vt; }
     StridePredictor &stride() { return *sp; }
 
   private:
+    /** clone(): deep copies of both components. */
+    HybridVtage2DStride(const HybridVtage2DStride &o);
+
     std::unique_ptr<Vtage> vt;
     std::unique_ptr<StridePredictor> sp;
 };

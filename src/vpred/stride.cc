@@ -90,6 +90,24 @@ LastValuePredictor::restoreState(std::istream &is)
     r.endLine();
 }
 
+std::unique_ptr<WarmableComponent>
+LastValuePredictor::clone() const
+{
+    return std::make_unique<LastValuePredictor>(*this);
+}
+
+void
+LastValuePredictor::copyStateFrom(const WarmableComponent &src)
+{
+    const auto &o = copySource<LastValuePredictor>(src, name());
+    copyCheck(o.table.size() == table.size(), name(),
+              "LVP table size mismatch");
+    copyCheck(o.fpc.max() == fpc.max(), name(),
+              "confidence-counter width mismatch");
+    table = o.table;
+    rng = o.rng;
+}
+
 // ----------------------------- StridePredictor ----------------------------
 
 StridePredictor::StridePredictor(const VpConfig &config, bool two_delta,
@@ -212,6 +230,25 @@ StridePredictor::restoreState(std::istream &is)
 {
     SnapshotReader r(is, name());
     restoreStateBody(r);
+}
+
+std::unique_ptr<WarmableComponent>
+StridePredictor::clone() const
+{
+    return std::make_unique<StridePredictor>(*this);
+}
+
+void
+StridePredictor::copyStateFrom(const WarmableComponent &src)
+{
+    const auto &o = copySource<StridePredictor>(src, name());
+    copyCheck(o.table.size() == table.size(), name(),
+              "stride table size mismatch");
+    copyCheck(o.twoDelta == twoDelta, name(), "stride variant mismatch");
+    copyCheck(o.fpc.max() == fpc.max(), name(),
+              "confidence-counter width mismatch");
+    table = o.table;
+    rng = o.rng;
 }
 
 void

@@ -34,6 +34,8 @@ class LastValuePredictor : public ValuePredictor
 
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
+    std::unique_ptr<WarmableComponent> clone() const override;
+    void copyStateFrom(const WarmableComponent &src) override;
 
   private:
     struct Entry
@@ -78,6 +80,8 @@ class StridePredictor : public ValuePredictor
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */
     void restoreStateBody(SnapshotReader &r);
+    std::unique_ptr<WarmableComponent> clone() const override;
+    void copyStateFrom(const WarmableComponent &src) override;
 
   private:
     struct Entry

@@ -263,4 +263,32 @@ Vtage::restoreState(std::istream &is)
     restoreStateBody(r);
 }
 
+std::unique_ptr<WarmableComponent>
+Vtage::clone() const
+{
+    auto copy = std::make_unique<Vtage>(*this);
+    copy->hist = nullptr;
+    return copy;
+}
+
+void
+Vtage::copyStateFrom(const WarmableComponent &src)
+{
+    const auto &o = copySource<Vtage>(src, name());
+    copyCheck(o.base.size() == base.size(), name(),
+              "VTAGE base-table size mismatch");
+    copyCheck(o.cfg.vtageNumTagged == cfg.vtageNumTagged, name(),
+              "VTAGE component-count mismatch");
+    copyCheck(o.tagged.size() == tagged.size()
+                  && (tagged.empty()
+                      || o.tagged[0].size() == tagged[0].size()),
+              name(), "VTAGE tagged-table size mismatch");
+    copyCheck(o.cfg.vtageTagBits == cfg.vtageTagBits
+                  && o.fpc.max() == fpc.max(),
+              name(), "VTAGE tag or confidence width mismatch");
+    base = o.base;
+    tagged = o.tagged;
+    rng = o.rng;
+}
+
 } // namespace eole

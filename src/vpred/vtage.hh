@@ -43,6 +43,10 @@ class Vtage : public ValuePredictor
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */
     void restoreStateBody(SnapshotReader &r);
+    /** Tables and RNG; the clone is bound to no history. */
+    std::unique_ptr<WarmableComponent> clone() const override;
+    /** Tables and RNG; this instance keeps its history binding. */
+    void copyStateFrom(const WarmableComponent &src) override;
 
     int histLength(int comp) const { return histLens[comp]; }
 

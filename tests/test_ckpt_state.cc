@@ -4,14 +4,16 @@
  * (WarmableComponent::snapshotState / restoreState, isa/snapshot.hh).
  *
  * The contract pinned here is the foundation of the warm-once sampling
- * path (sim/sample/): for every warmable component, warming K µ-ops,
- * serializing, and restoring into a *fresh, differently-seeded*
- * instance must leave that instance decision-for-decision identical to
- * the never-serialized original over the next ~10k predictions or
- * accesses — the PR 1 golden-record trick applied to state round
- * trips. Snapshots must also be byte-stable (restore → re-serialize
- * reproduces the exact bytes), and corrupted or truncated documents
- * must die with section- and line-numbered diagnostics, never UB.
+ * path (sim/sample/): for every warmable component, warming K µ-ops
+ * and moving the state into a *fresh, differently-seeded* instance —
+ * through snapshotState text, or by value (clone + copyStateFrom, the
+ * in-process form) — must leave that instance decision-for-decision
+ * identical to the original over the next ~10k predictions or
+ * accesses, the golden-record trick applied to state round trips.
+ * Either way the fresh instance snapshots to the original's exact
+ * bytes, corrupted or truncated documents die with section- and
+ * line-numbered diagnostics (never UB), and a checkpoint from a
+ * different configuration is rejected on both paths.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@
 #include "common/env.hh"
 #include "isa/checkpoint.hh"
 #include "mem/hierarchy.hh"
+#include "pipeline/core.hh"
+#include "sim/configs.hh"
 #include "vpred/value_predictor.hh"
 #include "workloads/torture_gen.hh"
 #include "workloads/workload.hh"
@@ -63,6 +67,30 @@ restoreFrom(Component &c, const std::string &bytes)
     c.restoreState(is);
 }
 
+/** How warmed state moves into the fresh instance. */
+enum class Transfer
+{
+    Text,     //!< snapshotState -> restoreState
+    ByValue,  //!< clone -> copyStateFrom (the in-process form)
+};
+constexpr Transfer transfers[] = {Transfer::Text, Transfer::ByValue};
+
+const char *
+transferName(Transfer how)
+{
+    return how == Transfer::Text ? "text" : "by value";
+}
+
+template <typename Component>
+void
+transfer(Transfer how, const Component &from, Component &to)
+{
+    if (how == Transfer::Text)
+        restoreFrom(to, snapshotOf(from));
+    else
+        to.copyStateFrom(*from.clone());
+}
+
 } // namespace
 
 // ========================== BranchUnit ===================================
@@ -70,51 +98,54 @@ restoreFrom(Component &c, const std::string &bytes)
 TEST(CkptState, BranchUnitRoundTripIsDecisionIdentical)
 {
     const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 3000;
-    std::size_t compared = 0;
-    for (std::uint64_t r = 0; r < 12 && compared < 10000; ++r) {
-        const auto trace = tortureTrace(base + r);
-        const BpConfig bp;
+    for (const Transfer how : transfers) {
+        SCOPED_TRACE(transferName(how));
+        std::size_t compared = 0;
+        for (std::uint64_t r = 0; r < 12 && compared < 10000; ++r) {
+            const auto trace = tortureTrace(base + r);
+            const BpConfig bp;
 
-        // The reference unit warms and is never serialized; the fresh
-        // unit starts from a DIFFERENT seed (its RNG state must come
-        // from the snapshot, not from construction).
-        BranchUnit ref(bp, {}, 0xAAAA);
-        const std::size_t warm_len = trace->uops.size() / 2;
-        for (std::size_t i = 0; i < warm_len; ++i)
-            ref.warmUpdate(trace->uops[i]);
+            // The reference unit warms and is never serialized; the fresh
+            // unit starts from a DIFFERENT seed (its RNG state must come
+            // from the snapshot, not from construction).
+            BranchUnit ref(bp, {}, 0xAAAA);
+            const std::size_t warm_len = trace->uops.size() / 2;
+            for (std::size_t i = 0; i < warm_len; ++i)
+                ref.warmUpdate(trace->uops[i]);
 
-        const std::string bytes = snapshotOf(ref);
-        BranchUnit fresh(bp, {}, 0xBBBB);
-        restoreFrom(fresh, bytes);
+            const std::string bytes = snapshotOf(ref);
+            BranchUnit fresh(bp, {}, 0xBBBB);
+            transfer(how, ref, fresh);
 
-        // Byte stability: re-serializing the restored unit reproduces
-        // the exact snapshot.
-        EXPECT_EQ(snapshotOf(fresh), bytes);
+            // Byte stability: re-serializing the restored unit reproduces
+            // the exact snapshot.
+            EXPECT_EQ(snapshotOf(fresh), bytes);
 
-        // Decision-for-decision identical continuation through the
-        // full pipeline-path API (predict -> repair -> commit).
-        for (std::size_t i = warm_len;
-             i < trace->uops.size() && compared < 10000; ++i) {
-            const TraceUop &u = trace->uops[i];
-            if (!u.isBranch())
-                continue;
-            ++compared;
-            BranchUnit::SnapshotPtr pa, pb;
-            const BranchPrediction a = ref.predictBranch(u, pa);
-            const BranchPrediction b = fresh.predictBranch(u, pb);
-            ASSERT_EQ(a.predTaken, b.predTaken) << "µ-op " << i;
-            ASSERT_EQ(a.predTarget, b.predTarget) << "µ-op " << i;
-            ASSERT_EQ(a.highConf, b.highConf) << "µ-op " << i;
-            ASSERT_EQ(a.mispredict, b.mispredict) << "µ-op " << i;
-            if (a.mispredict) {
-                ref.repairAfterBranch(u, pa);
-                fresh.repairAfterBranch(u, pb);
+            // Decision-for-decision identical continuation through the
+            // full pipeline-path API (predict -> repair -> commit).
+            for (std::size_t i = warm_len;
+                 i < trace->uops.size() && compared < 10000; ++i) {
+                const TraceUop &u = trace->uops[i];
+                if (!u.isBranch())
+                    continue;
+                ++compared;
+                BranchUnit::SnapshotPtr pa, pb;
+                const BranchPrediction a = ref.predictBranch(u, pa);
+                const BranchPrediction b = fresh.predictBranch(u, pb);
+                ASSERT_EQ(a.predTaken, b.predTaken) << "µ-op " << i;
+                ASSERT_EQ(a.predTarget, b.predTarget) << "µ-op " << i;
+                ASSERT_EQ(a.highConf, b.highConf) << "µ-op " << i;
+                ASSERT_EQ(a.mispredict, b.mispredict) << "µ-op " << i;
+                if (a.mispredict) {
+                    ref.repairAfterBranch(u, pa);
+                    fresh.repairAfterBranch(u, pb);
+                }
+                ref.commitBranch(u, a);
+                fresh.commitBranch(u, b);
             }
-            ref.commitBranch(u, a);
-            fresh.commitBranch(u, b);
         }
+        EXPECT_GT(compared, 200u);
     }
-    EXPECT_GT(compared, 200u);
 }
 
 // ======================== ValuePredictor =================================
@@ -128,55 +159,58 @@ TEST(CkptState, ValuePredictorRoundTripsEveryKind)
         VpKind::Fcm,            VpKind::HybridVtage2DStride,
     };
 
-    for (const VpKind kind : kinds) {
-        VpConfig vcfg;
-        vcfg.kind = kind;
-        auto ref = createValuePredictor(vcfg, 0x1111);
-        auto fresh = createValuePredictor(vcfg, 0x2222);
-        ASSERT_NE(ref, nullptr);
+    for (const Transfer how : transfers) {
+        SCOPED_TRACE(transferName(how));
+        for (const VpKind kind : kinds) {
+            VpConfig vcfg;
+            vcfg.kind = kind;
+            auto ref = createValuePredictor(vcfg, 0x1111);
+            auto fresh = createValuePredictor(vcfg, 0x2222);
+            ASSERT_NE(ref, nullptr);
 
-        // History-indexed predictors ride the branch unit's history,
-        // exactly as PipelineState wires them; both instances bind to
-        // the same (shared) history so only table/RNG state differs.
-        const BpConfig bp;
-        BranchUnit bu(bp, ref->foldSpecs(), 0x3333);
-        ref->bindHistory(bu.history(), bu.extraFoldBase());
-        fresh->bindHistory(bu.history(), bu.extraFoldBase());
+            // History-indexed predictors ride the branch unit's history,
+            // exactly as PipelineState wires them; both instances bind to
+            // the same (shared) history so only table/RNG state differs.
+            const BpConfig bp;
+            BranchUnit bu(bp, ref->foldSpecs(), 0x3333);
+            ref->bindHistory(bu.history(), bu.extraFoldBase());
+            fresh->bindHistory(bu.history(), bu.extraFoldBase());
 
-        const auto trace = tortureTrace(base);
-        const std::size_t warm_len = trace->uops.size() / 2;
-        for (std::size_t i = 0; i < warm_len; ++i) {
-            bu.warmUpdate(trace->uops[i]);
-            ref->warmUpdate(trace->uops[i]);
+            const auto trace = tortureTrace(base);
+            const std::size_t warm_len = trace->uops.size() / 2;
+            for (std::size_t i = 0; i < warm_len; ++i) {
+                bu.warmUpdate(trace->uops[i]);
+                ref->warmUpdate(trace->uops[i]);
+            }
+
+            const std::string bytes = snapshotOf(*ref);
+            transfer(how, *ref, *fresh);
+            EXPECT_EQ(snapshotOf(*fresh), bytes) << ref->name();
+
+            std::size_t compared = 0;
+            for (std::size_t i = warm_len;
+                 i < trace->uops.size() && compared < 10000; ++i) {
+                const TraceUop &u = trace->uops[i];
+                bu.warmUpdate(u);  // advance the shared history
+                if (!u.vpPredictable())
+                    continue;
+                ++compared;
+                const VpLookup a = ref->predict(u.pc);
+                const VpLookup b = fresh->predict(u.pc);
+                ASSERT_EQ(a.predictionMade, b.predictionMade)
+                    << ref->name() << " µ-op " << i;
+                ASSERT_EQ(a.value, b.value)
+                    << ref->name() << " µ-op " << i;
+                ASSERT_EQ(a.confident, b.confident)
+                    << ref->name() << " µ-op " << i;
+                ref->commit(u.pc, u.result, a);
+                fresh->commit(u.pc, u.result, b);
+            }
+            EXPECT_GT(compared, 100u) << ref->name();
+
+            // The two streams trained identically: states stay equal.
+            EXPECT_EQ(snapshotOf(*ref), snapshotOf(*fresh)) << ref->name();
         }
-
-        const std::string bytes = snapshotOf(*ref);
-        restoreFrom(*fresh, bytes);
-        EXPECT_EQ(snapshotOf(*fresh), bytes) << ref->name();
-
-        std::size_t compared = 0;
-        for (std::size_t i = warm_len;
-             i < trace->uops.size() && compared < 10000; ++i) {
-            const TraceUop &u = trace->uops[i];
-            bu.warmUpdate(u);  // advance the shared history
-            if (!u.vpPredictable())
-                continue;
-            ++compared;
-            const VpLookup a = ref->predict(u.pc);
-            const VpLookup b = fresh->predict(u.pc);
-            ASSERT_EQ(a.predictionMade, b.predictionMade)
-                << ref->name() << " µ-op " << i;
-            ASSERT_EQ(a.value, b.value)
-                << ref->name() << " µ-op " << i;
-            ASSERT_EQ(a.confident, b.confident)
-                << ref->name() << " µ-op " << i;
-            ref->commit(u.pc, u.result, a);
-            fresh->commit(u.pc, u.result, b);
-        }
-        EXPECT_GT(compared, 100u) << ref->name();
-
-        // The two streams trained identically: states stay equal.
-        EXPECT_EQ(snapshotOf(*ref), snapshotOf(*fresh)) << ref->name();
     }
 }
 
@@ -185,47 +219,50 @@ TEST(CkptState, ValuePredictorRoundTripsEveryKind)
 TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
 {
     const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 5000;
-    std::size_t compared = 0;
-    for (std::uint64_t r = 0; r < 10 && compared < 10000; ++r) {
-        const auto trace = tortureTrace(base + r);
-        const MemConfig mcfg;
-        MemHierarchy ref(mcfg);
-        const std::size_t warm_len = trace->uops.size() / 2;
-        for (std::size_t i = 0; i < warm_len; ++i)
-            ref.warmUpdate(trace->uops[i]);
+    for (const Transfer how : transfers) {
+        SCOPED_TRACE(transferName(how));
+        std::size_t compared = 0;
+        for (std::uint64_t r = 0; r < 10 && compared < 10000; ++r) {
+            const auto trace = tortureTrace(base + r);
+            const MemConfig mcfg;
+            MemHierarchy ref(mcfg);
+            const std::size_t warm_len = trace->uops.size() / 2;
+            for (std::size_t i = 0; i < warm_len; ++i)
+                ref.warmUpdate(trace->uops[i]);
 
-        const std::string bytes = snapshotOf(ref);
-        MemHierarchy fresh(mcfg);
-        restoreFrom(fresh, bytes);
-        EXPECT_EQ(snapshotOf(fresh), bytes);
-        EXPECT_EQ(fresh.warmClockNow(), ref.warmClockNow());
+            const std::string bytes = snapshotOf(ref);
+            MemHierarchy fresh(mcfg);
+            transfer(how, ref, fresh);
+            EXPECT_EQ(snapshotOf(fresh), bytes);
+            EXPECT_EQ(fresh.warmClockNow(), ref.warmClockNow());
 
-        // Paired demand accesses must see identical hit/miss/fill
-        // behaviour — the returned availability cycle is the complete
-        // decision (tags, LRU, MSHRs, DRAM rows, bus and prefetcher
-        // effects included).
-        Cycle now = ref.warmClockNow();
-        for (std::size_t i = warm_len;
-             i < trace->uops.size() && compared < 10000; ++i) {
-            const TraceUop &u = trace->uops[i];
-            ++now;
-            ASSERT_EQ(ref.fetchAccess(u.pc, now),
-                      fresh.fetchAccess(u.pc, now)) << "µ-op " << i;
-            if (u.isLoad()) {
-                ++compared;
-                ASSERT_EQ(ref.loadAccess(u.pc, u.effAddr, now),
-                          fresh.loadAccess(u.pc, u.effAddr, now))
-                    << "µ-op " << i;
-            } else if (u.isStore()) {
-                ++compared;
-                ASSERT_EQ(ref.storeAccess(u.pc, u.effAddr, now),
-                          fresh.storeAccess(u.pc, u.effAddr, now))
-                    << "µ-op " << i;
+            // Paired demand accesses must see identical hit/miss/fill
+            // behaviour — the returned availability cycle is the complete
+            // decision (tags, LRU, MSHRs, DRAM rows, bus and prefetcher
+            // effects included).
+            Cycle now = ref.warmClockNow();
+            for (std::size_t i = warm_len;
+                 i < trace->uops.size() && compared < 10000; ++i) {
+                const TraceUop &u = trace->uops[i];
+                ++now;
+                ASSERT_EQ(ref.fetchAccess(u.pc, now),
+                          fresh.fetchAccess(u.pc, now)) << "µ-op " << i;
+                if (u.isLoad()) {
+                    ++compared;
+                    ASSERT_EQ(ref.loadAccess(u.pc, u.effAddr, now),
+                              fresh.loadAccess(u.pc, u.effAddr, now))
+                        << "µ-op " << i;
+                } else if (u.isStore()) {
+                    ++compared;
+                    ASSERT_EQ(ref.storeAccess(u.pc, u.effAddr, now),
+                              fresh.storeAccess(u.pc, u.effAddr, now))
+                        << "µ-op " << i;
+                }
             }
+            EXPECT_EQ(snapshotOf(ref), snapshotOf(fresh));
         }
-        EXPECT_EQ(snapshotOf(ref), snapshotOf(fresh));
+        EXPECT_GT(compared, 500u);
     }
-    EXPECT_GT(compared, 500u);
 }
 
 // ==================== Corruption diagnostics =============================
@@ -309,4 +346,45 @@ TEST(CkptState, V2CheckpointCarriesAndRestoresEveryComponent)
     std::istringstream is(bad);
     EXPECT_FALSE(tryDeserializeCheckpoint(is, &out, &err));
     EXPECT_NE(err.find("line"), std::string::npos) << err;
+}
+
+TEST(CkptState, RestoreRejectsACheckpointFromAnotherConfig)
+{
+    // A warmed EOLE core's checkpoint, by value as a sampled run holds
+    // it and as text as a file carries it: neither may restore into a
+    // core without value prediction, nor into one whose L2 has another
+    // geometry.
+    const std::uint64_t seed = 0xBEEF;
+    Workload w;
+    w.name = "torture-" + std::to_string(seed);
+    w.memBytes = tortureMemBytes;
+    w.program = generateTortureProgram(seed);
+    w.frozen = tortureTrace(seed);
+    const std::uint64_t split = w.frozen->uops.size() / 2;
+
+    const SimConfig eole = configs::eole(4, 64);
+    Core warmed(eole, w);
+    warmed.functionalWarm(*w.frozen, 0, split);
+    Checkpoint byValue = captureAt(*w.frozen, w.name, split);
+    warmed.captureWarmState(byValue);
+    ASSERT_EQ(byValue.uarch.size(), 3u);
+    for (const CheckpointSection &section : byValue.uarch)
+        ASSERT_NE(section.state, nullptr) << section.name;
+    const Checkpoint text =
+        checkpointFromString(checkpointString(byValue));
+
+    SimConfig smallL2 = eole;
+    smallL2.mem.l2.sizeBytes /= 2;
+    for (const Checkpoint *ckpt :
+         std::initializer_list<const Checkpoint *>{&byValue, &text}) {
+        SCOPED_TRACE(ckpt == &byValue ? "by value" : "text");
+        EXPECT_DEATH(Core(configs::baseline(6, 64), w).restoreWarmState(
+                         *ckpt),
+                     "\"vpred\" section but this configuration has no "
+                     "value predictor");
+        EXPECT_DEATH(Core(smallL2, w).restoreWarmState(*ckpt),
+                     "cache line-count mismatch");
+        // The matching configuration restores fine either way.
+        Core(eole, w).restoreWarmState(*ckpt);
+    }
 }

@@ -340,6 +340,39 @@ TEST(Telemetry, RoundTripWithInjectedFailure)
     std::filesystem::remove(path);
 }
 
+TEST(Telemetry, SummaryCriticalPathSumsEachCellsLongestJobPerKind)
+{
+    // A hand-written stream: one sampled cell (a 100 ms warm job, then
+    // 10 ms and 30 ms intervals) and one full cell (a 110 ms cell job).
+    // Each cell's kinds run in sequence and its jobs of one kind in
+    // parallel, so the sampled cell's critical path is 100 + 30 ms —
+    // longer than the slowest single job.
+    const std::string path = scratchFile("critical_path");
+    {
+        std::ofstream os(path);
+        const auto job = [&](const char *kind, const char *config,
+                             const char *workload, double wall_ms) {
+            os << "{\"ev\":\"job_finish\",\"t_ms\":0,\"kind\":\"" << kind
+               << "\",\"config\":\"" << config << "\",\"workload\":\""
+               << workload << "\",\"worker\":0,\"wall_ms\":" << wall_ms
+               << ",\"ok\":true}\n";
+        };
+        job("warm", "EOLE_4_64", "164.gzip", 100);
+        job("interval", "EOLE_4_64", "164.gzip", 10);
+        job("interval", "EOLE_4_64", "164.gzip", 30);
+        job("cell", "Baseline_6_64", "429.mcf", 110);
+    }
+    std::ostringstream sum;
+    summarizeTelemetry({path}, sum);
+    const std::string s = sum.str();
+    EXPECT_NE(s.find("critical path: EOLE_4_64/164.gzip (130.0 ms"),
+              std::string::npos) << s;
+    EXPECT_NE(
+        s.find("slowest job: Baseline_6_64/429.mcf (cell, 110.0 ms)"),
+        std::string::npos) << s;
+    std::filesystem::remove(path);
+}
+
 TEST(Telemetry, SweepEmitsFullLifecycle)
 {
     SimConfig a, b;

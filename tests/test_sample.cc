@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "sim/plans.hh"
 #include "sim/sample/sample.hh"
 #include "sim/store.hh"
+#include "sim/telemetry.hh"
 #include "workloads/torture_gen.hh"
 #include "workloads/workload.hh"
 
@@ -167,14 +169,70 @@ TEST(Checkpoint, CaptureAtMatchesLiveVM)
 
         KernelVM vm(w.program, w.memBytes);
         TraceUop u;
+        Checkpoint resumed = captureAt(*trace, w.name, 0);
         for (const std::uint64_t split :
              {std::uint64_t(0), len / 3, len / 2, len}) {
             while (vm.executedUops() < split)
                 ASSERT_TRUE(vm.step(u)) << reproLine(seed);
             const Checkpoint fromVm = captureFromVM(vm, w.name);
             const Checkpoint fromTrace = captureAt(*trace, w.name, split);
+            // The warm-once pass resumes each capture from the last.
+            resumed = captureAt(*trace, w.name, split, resumed);
             EXPECT_TRUE(fromVm == fromTrace)
                 << "split " << split << "; " << reproLine(seed);
+            EXPECT_TRUE(resumed == fromTrace)
+                << "resumed at split " << split << "; " << reproLine(seed);
+        }
+
+        // Resuming one µ-op at a time stays bit-equal to a from-scratch
+        // capture at every index of the trace.
+        if (r == 0) {
+            Checkpoint step = captureAt(*trace, w.name, 0);
+            for (std::uint64_t i = 1; i <= len; ++i) {
+                step = captureAt(*trace, w.name, i, step);
+                ASSERT_TRUE(step == captureAt(*trace, w.name, i))
+                    << "index " << i << "; " << reproLine(seed);
+            }
+        }
+    }
+}
+
+TEST(Checkpoint, ByValueCaptureSerializesToTheTextBytes)
+{
+    // The in-process checkpoint holds copies, a file holds text: at the
+    // same index of one warming pass both must serialize to the same
+    // bytes, for a core with and without value prediction.
+    const std::uint64_t seed = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 700;
+    Workload w;
+    w.name = "torture-" + std::to_string(seed);
+    w.memBytes = tortureMemBytes;
+    w.program = generateTortureProgram(seed);
+    w.frozen = w.freeze(1u << 21);
+    ASSERT_TRUE(w.frozen->complete);
+    const std::uint64_t len = w.frozen->uops.size();
+
+    for (const SimConfig &cfg :
+         {configs::baseline(6, 64), configs::eole(4, 64)}) {
+        Core core(cfg, w);
+        std::uint64_t warmed = 0;
+        for (const std::uint64_t idx : {len / 4, len / 2, len}) {
+            core.functionalWarm(*w.frozen, warmed, idx);
+            warmed = idx;
+            Checkpoint byValue = captureAt(*w.frozen, w.name, idx);
+            Checkpoint text = byValue;
+            core.captureWarmState(byValue);
+            core.captureWarmText(text);
+            ASSERT_EQ(byValue.uarch.size(), cfg.vp.kind == VpKind::None
+                                                ? 2u : 3u);
+            for (const CheckpointSection &section : byValue.uarch) {
+                EXPECT_NE(section.state, nullptr) << section.name;
+                EXPECT_TRUE(section.text.empty()) << section.name;
+            }
+            const std::string bytes = checkpointString(text);
+            EXPECT_EQ(checkpointString(byValue), bytes)
+                << cfg.name << " at " << idx;
+            EXPECT_TRUE(checkpointFromString(bytes) == byValue)
+                << cfg.name << " at " << idx;
         }
     }
 }
@@ -609,6 +667,50 @@ TEST(Sampling, WarmOnceRestoreMatchesContinuousRewarmExactly)
     wide.jobs = 8;
     EXPECT_EQ(jsonArtifactString(runSampledPlan(plan, spec, wide)),
               jsonArtifactString(a));
+}
+
+TEST(Sampling, EachCellsIntervalsRunRightAfterItsWarmPass)
+{
+    // The executor orders phases per cell: with one worker, a cell's
+    // interval jobs follow its warm job directly, so at most one cell's
+    // checkpoint copies are ever alive.
+    const ExperimentPlan plan = sampledTinyPlan();
+    SampleSpec spec;
+    spec.intervals = 3;
+    spec.intervalUops = 1500;
+    spec.detailUops = 700;
+
+    TempDir tmp("order");
+    std::filesystem::create_directories(tmp.dir);
+    const std::string path = tmp.path("run.jsonl");
+    {
+        TelemetrySink sink(path);
+        SweepOptions serial;
+        serial.jobs = 1;
+        serial.telemetry = &sink;
+        runSampledPlan(plan, spec, serial);
+    }
+
+    std::vector<std::pair<std::string, std::string>> jobs;  // kind, cell
+    for (const TelemetryEvent &ev : readTelemetry(path)) {
+        if (ev.ev == "job_start") {
+            jobs.emplace_back(ev.str("kind"),
+                              ev.str("config") + "/" + ev.str("workload"));
+        }
+    }
+    std::set<std::string> cells;
+    for (std::size_t i = 0; i < jobs.size();) {
+        ASSERT_EQ(jobs[i].first, "warm") << "job " << i;
+        const std::string cell = jobs[i].second;
+        EXPECT_TRUE(cells.insert(cell).second) << cell << " warmed twice";
+        std::size_t intervals = 0;
+        for (++i; i < jobs.size() && jobs[i].first == "interval"; ++i) {
+            EXPECT_EQ(jobs[i].second, cell) << "job " << i;
+            ++intervals;
+        }
+        EXPECT_EQ(intervals, spec.intervals) << cell;
+    }
+    EXPECT_EQ(cells.size(), 4u);
 }
 
 TEST(Sampling, SampledIpcFallsWithinItsCiOfTheFullRun)
