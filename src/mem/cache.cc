@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 
@@ -58,7 +59,17 @@ Cache::findLine(Addr addr) const
 void
 Cache::reapInflight(Cycle now)
 {
-    std::erase_if(inflight, [now](Cycle c) { return c <= now; });
+    while (!inflight.empty() && inflight.front().ready <= now) {
+        std::pop_heap(inflight.begin(), inflight.end(), std::greater<>{});
+        inflight.pop_back();
+    }
+}
+
+void
+Cache::pushInflight(Cycle ready)
+{
+    inflight.push_back(Fill{ready, fillSeq++});
+    std::push_heap(inflight.begin(), inflight.end(), std::greater<>{});
 }
 
 Cycle
@@ -105,7 +116,7 @@ Cache::fill(Addr addr, bool is_write, Cycle now)
     victim->lru = ++lruClock;
     victim->readyAt = ready;
     if (ready > now)
-        inflight.push_back(ready);
+        pushInflight(ready);
     return ready;
 }
 
@@ -133,8 +144,7 @@ Cache::access(Addr addr, bool is_write, Cycle now)
     if (static_cast<int>(inflight.size()) >= cfg.mshrs) {
         // No MSHR free: stall until the earliest fill returns, then pay
         // the full miss path.
-        const Cycle earliest =
-            *std::min_element(inflight.begin(), inflight.end());
+        const Cycle earliest = inflight.front().ready;
         ++statMshrStalls;
         return fill(addr, is_write, earliest);
     }
@@ -171,9 +181,13 @@ Cache::snapshotState(std::ostream &os) const
     for (const Line &l : lines)
         w.flag(l.valid).u64(l.tag).flag(l.dirty).u64(l.lru).u64(l.readyAt);
     w.end();
+    // Insertion order, independent of the heap's internal layout.
+    std::vector<Fill> fills = inflight;
+    std::sort(fills.begin(), fills.end(),
+              [](const Fill &a, const Fill &b) { return a.seq < b.seq; });
     w.tag("cache.inflight");
-    for (const Cycle c : inflight)
-        w.u64(c);
+    for (const Fill &f : fills)
+        w.u64(f.ready);
     w.end();
 }
 
@@ -184,9 +198,11 @@ Cache::restoreState(SnapshotReader &r)
     r.fatalIf(r.str("name") != cfg.name, "cache level mismatch");
     r.fatalIf(r.u64("lines") != lines.size(),
               "cache line-count mismatch");
-    // No tight invariant bounds the in-flight list (the MSHR-stall
-    // path in access() pushes one more fill past the cap), so only
-    // reject allocation-bomb counts from corrupt documents.
+    // No tight invariant bounds the in-flight list: the MSHR-stall
+    // path in access() pushes one more fill past the cap each time
+    // (hundreds past it under functional warming of a miss-heavy
+    // workload), so only reject allocation-bomb counts from corrupt
+    // documents.
     const std::uint64_t n_inflight = r.u64("inflight");
     r.fatalIf(n_inflight > (1ULL << 20),
               "implausible in-flight fill count");
@@ -201,10 +217,12 @@ Cache::restoreState(SnapshotReader &r)
         l.readyAt = r.u64("readyAt");
     }
     r.endLine();
+    // File order is insertion order: it becomes the sequence.
     r.line("cache.inflight");
-    inflight.assign(n_inflight, 0);
-    for (Cycle &c : inflight)
-        c = r.u64("cycle");
+    inflight.clear();
+    fillSeq = 0;
+    for (std::uint64_t i = 0; i < n_inflight; ++i)
+        pushInflight(r.u64("cycle"));
     r.endLine();
 }
 
@@ -217,6 +235,7 @@ Cache::copyStateFrom(const Cache &o)
               "cache line-count mismatch");
     lines = o.lines;
     inflight = o.inflight;
+    fillSeq = o.fillSeq;
     lruClock = o.lruClock;
 }
 

@@ -113,13 +113,30 @@ class Cache
         Cycle readyAt = 0;   //!< fill completion (MSHR semantics)
     };
 
+    /** One outstanding fill. The sequence number is its insertion
+     *  order: snapshots list fills in that order, which is the order
+     *  the in-flight list had when it was a plain vector. */
+    struct Fill
+    {
+        Cycle ready;
+        std::uint64_t seq;
+
+        /** Min-heap order on (ready, seq) for std::*_heap. */
+        bool
+        operator>(const Fill &o) const
+        {
+            return ready != o.ready ? ready > o.ready : seq > o.seq;
+        }
+    };
+
     std::uint32_t setOf(Addr addr) const;
     std::uint64_t tagOf(Addr addr) const;
     Addr lineAddrOf(Addr addr) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
-    /** Drop completed fills from the in-flight list. */
+    /** Pop completed fills off the in-flight heap. */
     void reapInflight(Cycle now);
+    void pushInflight(Cycle ready);
     Cycle fill(Addr addr, bool is_write, Cycle now);
 
     CacheConfig cfg;
@@ -127,7 +144,15 @@ class Cache
     std::function<void(Addr, bool, Cycle)> observer;
     std::uint32_t numSets;
     std::vector<Line> lines;
-    std::vector<Cycle> inflight;  //!< fill-completion times (<= mshrs)
+    /**
+     * Outstanding fills, a min-heap on (ready, seq). New misses are
+     * refused only while it holds >= mshrs entries, yet the stall path
+     * in access() still pushes one more fill each time, so it can grow
+     * far past mshrs when misses arrive faster than memory returns
+     * lines (functional warming advances one cycle per µ-op).
+     */
+    std::vector<Fill> inflight;
+    std::uint64_t fillSeq = 0;   //!< next Fill::seq
     std::uint64_t lruClock = 0;
 
     std::uint64_t statHits = 0;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "common/env.hh"
 #include "isa/checkpoint.hh"
 #include "mem/hierarchy.hh"
+#include "miss_stream.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
 #include "vpred/value_predictor.hh"
@@ -218,19 +220,30 @@ TEST(CkptState, ValuePredictorRoundTripsEveryKind)
 
 TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
 {
+    // Inputs: torture traces, plus a warming-shaped miss stream that
+    // leaves L1D and L2 holding far more in-flight fills than MSHRs
+    // (test::missStream), so a list past the cap crosses both transfers.
     const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 5000;
+    const MemConfig mcfg;
+    const std::vector<TraceUop> misses = test::missStream(30000, base);
     for (const Transfer how : transfers) {
         SCOPED_TRACE(transferName(how));
         std::size_t compared = 0;
-        for (std::uint64_t r = 0; r < 10 && compared < 10000; ++r) {
-            const auto trace = tortureTrace(base + r);
-            const MemConfig mcfg;
+        // Warms on half of @p uops, transfers, then pairs up to 10k
+        // demand accesses (counted into @p paired).
+        const auto check = [&](std::span<const TraceUop> uops,
+                               bool past_cap, std::size_t &paired) {
             MemHierarchy ref(mcfg);
-            const std::size_t warm_len = trace->uops.size() / 2;
+            const std::size_t warm_len = uops.size() / 2;
             for (std::size_t i = 0; i < warm_len; ++i)
-                ref.warmUpdate(trace->uops[i]);
+                ref.warmUpdate(uops[i]);
 
             const std::string bytes = snapshotOf(ref);
+            if (past_cap) {
+                const auto fills = test::inflightFills(bytes);
+                EXPECT_GT(fills.at("l1d"), std::uint64_t(mcfg.l1d.mshrs));
+                EXPECT_GT(fills.at("l2"), std::uint64_t(mcfg.l2.mshrs));
+            }
             MemHierarchy fresh(mcfg);
             transfer(how, ref, fresh);
             EXPECT_EQ(snapshotOf(fresh), bytes);
@@ -242,26 +255,37 @@ TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
             // effects included).
             Cycle now = ref.warmClockNow();
             for (std::size_t i = warm_len;
-                 i < trace->uops.size() && compared < 10000; ++i) {
-                const TraceUop &u = trace->uops[i];
+                 i < uops.size() && paired < 10000; ++i) {
+                const TraceUop &u = uops[i];
                 ++now;
                 ASSERT_EQ(ref.fetchAccess(u.pc, now),
                           fresh.fetchAccess(u.pc, now)) << "µ-op " << i;
                 if (u.isLoad()) {
-                    ++compared;
+                    ++paired;
                     ASSERT_EQ(ref.loadAccess(u.pc, u.effAddr, now),
                               fresh.loadAccess(u.pc, u.effAddr, now))
                         << "µ-op " << i;
                 } else if (u.isStore()) {
-                    ++compared;
+                    ++paired;
                     ASSERT_EQ(ref.storeAccess(u.pc, u.effAddr, now),
                               fresh.storeAccess(u.pc, u.effAddr, now))
                         << "µ-op " << i;
                 }
             }
             EXPECT_EQ(snapshotOf(ref), snapshotOf(fresh));
+        };
+        for (std::uint64_t r = 0; r < 10 && compared < 10000; ++r) {
+            const auto trace = tortureTrace(base + r);
+            check({trace->uops.begin(), trace->uops.size()}, false,
+                  compared);
+            ASSERT_FALSE(HasFatalFailure());
         }
         EXPECT_GT(compared, 500u);
+        SCOPED_TRACE("miss stream");
+        std::size_t paired = 0;
+        check(misses, true, paired);
+        ASSERT_FALSE(HasFatalFailure());
+        EXPECT_EQ(paired, 10000u);
     }
 }
 

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <utility>
+
+#include "common/hash.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/hierarchy.hh"
 #include "mem/prefetcher.hh"
+#include "miss_stream.hh"
 
 using namespace eole;
 
@@ -231,4 +236,60 @@ TEST(Hierarchy, StreamingLoadsTriggerPrefetch)
     EXPECT_GT(mem.record().get("prefetches_issued"), 0.0);
     // Far ahead in the stream, lines should already be in L2.
     EXPECT_TRUE(mem.l2Cache().probe(0x100000 + 66 * 64, t + 10000));
+}
+
+TEST(Hierarchy, MshrOverflowUnderWarmingShapedMissesIsGolden)
+{
+    // One access per cycle, nearly all misses: L1D and L2 hold far more
+    // fills than they have MSHRs (429.mcf under functional warming).
+    // The final state, every returned cycle and every counter are
+    // pinned, so how the in-flight list is stored may change but not
+    // what it decides.
+    const MemConfig cfg;
+    MemHierarchy mem(cfg);
+    Cycle now = 0, sum = 0;
+    for (const TraceUop &u : test::missStream(30000, 0x429)) {
+        ++now;
+        sum += u.isStore() ? mem.storeAccess(u.pc, u.effAddr, now)
+                           : mem.loadAccess(u.pc, u.effAddr, now);
+    }
+    std::ostringstream os;
+    mem.snapshotState(os);
+    const auto fills = test::inflightFills(os.str());
+    EXPECT_GT(fills.at("l1d"), std::uint64_t(cfg.l1d.mshrs));
+    EXPECT_GT(fills.at("l2"), std::uint64_t(cfg.l2.mshrs));
+
+    EXPECT_EQ(sha256Hex(os.str()), "3171d99cb077fad0dc7621112631084"
+                                   "148de279fbc4697c4814ba3bc0bae1058");
+    EXPECT_EQ(sum, 530201588u);
+    const std::pair<const char *, double> golden[] = {
+        {"l1i.hits", 0},
+        {"l1i.misses", 0},
+        {"l1i.miss_rate", 0},
+        {"l1i.mshr_merges", 0},
+        {"l1i.mshr_stalls", 0},
+        {"l1i.writebacks", 0},
+        {"l1i.prefetches", 0},
+        {"l1d.hits", 0},
+        {"l1d.misses", 29982},
+        {"l1d.miss_rate", 1},
+        {"l1d.mshr_merges", 18},
+        {"l1d.mshr_stalls", 57897},
+        {"l1d.writebacks", 198},
+        {"l1d.prefetches", 0},
+        {"l2.hits", 199},
+        {"l2.misses", 1989},
+        {"l2.miss_rate", 0.90904936014625226},
+        {"l2.mshr_merges", 13},
+        {"l2.mshr_stalls", 1938},
+        {"l2.writebacks", 0},
+        {"l2.prefetches", 13},
+        {"dram.reads", 2002},
+        {"dram.writes", 0},
+        {"prefetches_issued", 29888},
+    };
+    const StatRecord r = mem.record();
+    EXPECT_EQ(r.all().size(), std::size(golden));
+    for (const auto &[name, value] : golden)
+        EXPECT_EQ(r.get(name), value) << name;
 }
