@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "common/logging.hh"
@@ -10,25 +11,32 @@ namespace eole {
 Cache::Cache(const CacheConfig &config, NextLevelFn next_level)
     : cfg(config), next(std::move(next_level))
 {
+    // Sets and tags are indexed by shifting, and line addresses are
+    // masked with lineBytes - 1: both need powers of two.
+    fatal_if(!std::has_single_bit(cfg.lineBytes),
+             "%s: line size %u not a power of 2", cfg.name.c_str(),
+             cfg.lineBytes);
     fatal_if(cfg.sizeBytes % (cfg.lineBytes * cfg.ways) != 0,
              "%s: size %u not divisible by ways*line", cfg.name.c_str(),
              cfg.sizeBytes);
     numSets = cfg.sizeBytes / (cfg.lineBytes * cfg.ways);
-    fatal_if((numSets & (numSets - 1)) != 0, "%s: sets not a power of 2",
+    fatal_if(!std::has_single_bit(numSets), "%s: sets not a power of 2",
              cfg.name.c_str());
+    lineShift = std::countr_zero(cfg.lineBytes);
+    tagShift = lineShift + std::countr_zero(numSets);
     lines.assign(static_cast<std::size_t>(numSets) * cfg.ways, Line{});
 }
 
 std::uint32_t
 Cache::setOf(Addr addr) const
 {
-    return static_cast<std::uint32_t>(addr / cfg.lineBytes) & (numSets - 1);
+    return static_cast<std::uint32_t>(addr >> lineShift) & (numSets - 1);
 }
 
 std::uint64_t
 Cache::tagOf(Addr addr) const
 {
-    return (addr / cfg.lineBytes) / numSets;
+    return addr >> tagShift;
 }
 
 Addr
@@ -104,8 +112,8 @@ Cache::fill(Addr addr, bool is_write, Cycle now)
     if (victim->valid && victim->dirty) {
         // Write back the victim (consumes next-level/DRAM bandwidth).
         ++statWritebacks;
-        (void)next(victim->tag * numSets * cfg.lineBytes
-                       + static_cast<Addr>(setOf(addr)) * cfg.lineBytes,
+        (void)next((victim->tag << tagShift)
+                       | (static_cast<Addr>(set) << lineShift),
                    true, now);
     }
 

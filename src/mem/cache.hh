@@ -143,6 +143,8 @@ class Cache
     NextLevelFn next;
     std::function<void(Addr, bool, Cycle)> observer;
     std::uint32_t numSets;
+    int lineShift;   //!< log2(lineBytes)
+    int tagShift;    //!< log2(lineBytes * numSets)
     std::vector<Line> lines;
     /**
      * Outstanding fills, a min-heap on (ready, seq). New misses are

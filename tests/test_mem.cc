@@ -124,6 +124,17 @@ TEST(Cache, MshrExhaustionDelaysNewMisses)
     EXPECT_GE(c.record().get("mshr_stalls"), 1.0);
 }
 
+TEST(CacheDeathTest, LineSizeMustBeAPowerOfTwo)
+{
+    // 24576 / (4 x 48) = 128 sets passes the set check, but line
+    // addresses are masked with lineBytes - 1 and sets are indexed by
+    // shifting: a 48-byte line would alias.
+    CacheConfig cfg = smallCache();
+    cfg.sizeBytes = 24576;
+    cfg.lineBytes = 48;
+    EXPECT_DEATH(Cache(cfg, fixedLatency(10)), "line size 48");
+}
+
 TEST(Cache, ProbeDoesNotDisturbState)
 {
     Cache c(smallCache(), fixedLatency(50));
