@@ -131,9 +131,6 @@ Cache::fill(Addr addr, bool is_write, Cycle now)
 Cycle
 Cache::access(Addr addr, bool is_write, Cycle now)
 {
-    if (observer)
-        observer(addr, is_write, now);
-
     Line *l = findLine(addr);
     if (l != nullptr) {
         l->lru = ++lruClock;

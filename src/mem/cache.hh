@@ -64,13 +64,6 @@ class Cache
      */
     Cycle prefetch(Addr addr, Cycle now);
 
-    /** Demand-access observer (address, isWrite, now) for prefetchers. */
-    void
-    setAccessObserver(std::function<void(Addr, bool, Cycle)> obs)
-    {
-        observer = std::move(obs);
-    }
-
     StatRecord record() const;
 
     std::uint64_t hits() const { return statHits; }
@@ -89,8 +82,8 @@ class Cache
     void restoreState(SnapshotReader &r);
 
     /** The by-value restoreState (isa/warmable.hh): lines, fills and
-     *  the LRU clock; the next-level link, the observer and the
-     *  statistic counters stay this cache's. */
+     *  the LRU clock; the next-level link and the statistic counters
+     *  stay this cache's. */
     void copyStateFrom(const Cache &o);
 
     /** Zero the statistic counters; tags/LRU/MSHR state is kept (used
@@ -141,7 +134,6 @@ class Cache
 
     CacheConfig cfg;
     NextLevelFn next;
-    std::function<void(Addr, bool, Cycle)> observer;
     std::uint32_t numSets;
     int lineShift;   //!< log2(lineBytes)
     int tagShift;    //!< log2(lineBytes * numSets)
