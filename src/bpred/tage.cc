@@ -8,10 +8,17 @@
 namespace eole {
 
 Tage::Tage(const TageConfig &config, std::uint64_t seed)
-    : cfg(config), useAltOnNa(4, 0), rng(seed)
+    : cfg(config),
+      taggedCtr{static_cast<std::int8_t>(-(1 << (config.ctrBits - 1))),
+                static_cast<std::int8_t>((1 << (config.ctrBits - 1)) - 1)},
+      useAltOnNa(4, 0), rng(seed)
 {
     panic_if(cfg.numTagged < 1 || cfg.numTagged > TageLookup::maxComps,
              "unsupported number of tagged components %d", cfg.numTagged);
+    panic_if(cfg.ctrBits < 1 || cfg.ctrBits > 8 || cfg.uBits < 1
+                 || cfg.uBits > 8 || cfg.tagBits < 1 || cfg.tagBits > 16,
+             "TAGE field widths out of range (ctr %d, u %d, tag %d bits)",
+             cfg.ctrBits, cfg.uBits, cfg.tagBits);
 
     // Geometric history lengths from minHist to maxHist.
     histLens.resize(cfg.numTagged);
@@ -32,10 +39,6 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
 
     tagged.assign(cfg.numTagged,
                   std::vector<TaggedEntry>(1u << cfg.taggedLog2Entries));
-    for (auto &comp : tagged) {
-        for (auto &e : comp)
-            e.ctr = SignedSatCounter(cfg.ctrBits, 0);
-    }
     base.assign(1u << cfg.baseLog2Entries, SignedSatCounter(2, 0));
 }
 
@@ -107,22 +110,21 @@ Tage::predict(Addr pc, const GlobalHistory &hist, std::size_t fold_base,
 
     const bool base_pred = base[out.baseIdx].predictTaken();
     out.altPred = out.altProvider >= 0
-        ? tagged[out.altProvider][out.idx[out.altProvider]].ctr
-              .predictTaken()
+        ? tagged[out.altProvider][out.idx[out.altProvider]].ctr >= 0
         : base_pred;
 
     bool high_conf;
     if (out.provider >= 0) {
         const TaggedEntry &e = tagged[out.provider][out.idx[out.provider]];
-        out.providerPred = e.ctr.predictTaken();
+        out.providerPred = e.ctr >= 0;
         // Newly-allocated (weak, not yet useful) entries may be
         // bypassed in favour of the alternate prediction.
-        out.usedAlt = useAltOnNa.predictTaken() && e.ctr.isWeak()
+        out.usedAlt = useAltOnNa.predictTaken() && isWeak(e.ctr)
             && e.u == 0;
         out.predTaken = out.usedAlt ? out.altPred : out.providerPred;
         // Storage-free confidence: saturated provider counter, not
         // overridden by the alternate prediction path.
-        high_conf = !out.usedAlt && e.ctr.isSaturated();
+        high_conf = !out.usedAlt && taggedCtr.saturated(e.ctr);
     } else {
         out.predTaken = base_pred;
         high_conf = base[out.baseIdx].isSaturated();
@@ -151,11 +153,11 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
     if (lookup.provider >= 0) {
         TaggedEntry &e = tagged[lookup.provider][lookup.idx[lookup.provider]];
         // use_alt_on_na bias update: did bypassing (or not) pay off?
-        if (e.ctr.isWeak() && e.u == 0
+        if (isWeak(e.ctr) && e.u == 0
             && lookup.providerPred != lookup.altPred) {
             useAltOnNa.update(lookup.altPred == taken);
         }
-        e.ctr.update(taken);
+        taggedCtr.update(e.ctr, taken);
         if (lookup.providerPred != lookup.altPred) {
             if (lookup.providerPred == taken) {
                 if (e.u < ((1u << cfg.uBits) - 1))
@@ -200,7 +202,7 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
         }
         TaggedEntry &e = tagged[chosen][lookup.idx[chosen]];
         e.tag = lookup.tag[chosen];
-        e.ctr.reset(taken ? 0 : -1);
+        e.ctr = taken ? 0 : -1;
         e.u = 0;
     }
 }
@@ -218,7 +220,7 @@ Tage::snapshotState(std::ostream &os) const
     for (int i = 0; i < cfg.numTagged; ++i) {
         w.tag("tage.comp").u64(static_cast<std::uint64_t>(i));
         for (const TaggedEntry &e : tagged[i])
-            w.u64(e.tag).i64(e.ctr.value()).u64(e.u);
+            w.u64(e.tag).i64(e.ctr).u64(e.u);
         w.end();
     }
     w.tag("tage.base");
@@ -256,9 +258,9 @@ Tage::restoreState(SnapshotReader &r)
         for (TaggedEntry &e : tagged[i]) {
             e.tag = static_cast<std::uint16_t>(r.u64Max("tag", tag_max));
             const std::int64_t c = r.i64("ctr");
-            r.fatalIf(c < e.ctr.min() || c > e.ctr.max(),
+            r.fatalIf(c < taggedCtr.lo || c > taggedCtr.hi,
                       "TAGE counter out of range");
-            e.ctr.reset(static_cast<int>(c));
+            e.ctr = static_cast<std::int8_t>(c);
             e.u = static_cast<std::uint8_t>(r.u64Max("u", u_max));
         }
         r.endLine();

@@ -109,12 +109,42 @@ class Tage
     void copyStateFrom(const Tage &o);
 
   private:
+    /**
+     * Bounds of a signed saturating counter stored as a bare int8_t:
+     * entries hold only the value, the table holds the bounds once.
+     * "Taken" is predicted when the value is >= 0.
+     */
+    struct CtrRange
+    {
+        std::int8_t lo;
+        std::int8_t hi;
+
+        void
+        update(std::int8_t &c, bool taken) const
+        {
+            if (taken) {
+                if (c < hi)
+                    ++c;
+            } else if (c > lo) {
+                --c;
+            }
+        }
+
+        bool saturated(std::int8_t c) const { return c == lo || c == hi; }
+    };
+
+    /** Packed into 4 bytes: the registry caps tagBits at 16 and
+     *  ctrBits and uBits at 8 (the constructor enforces it). */
     struct TaggedEntry
     {
         std::uint16_t tag = 0;
-        SignedSatCounter ctr;
+        std::int8_t ctr = 0;
         std::uint8_t u = 0;
     };
+
+    /** The two central states, -1 and 0: newly allocated entries
+     *  start weak. */
+    static bool isWeak(std::int8_t c) { return c == 0 || c == -1; }
 
     std::uint32_t baseIndex(Addr pc) const;
     std::uint32_t taggedIndex(Addr pc, const GlobalHistory &hist,
@@ -123,6 +153,7 @@ class Tage
                             std::size_t fold_base, int comp) const;
 
     TageConfig cfg;
+    CtrRange taggedCtr;
     std::vector<int> histLens;
     std::vector<std::vector<TaggedEntry>> tagged;
     std::vector<SignedSatCounter> base;

@@ -97,15 +97,19 @@ transfer(Transfer how, const Component &from, Component &to)
 
 // ========================== BranchUnit ===================================
 
-TEST(CkptState, BranchUnitRoundTripIsDecisionIdentical)
+namespace {
+
+/** Warm a unit of geometry @p bp on half of each torture trace, move
+ *  its state into a differently seeded unit both ways, and pair up
+ *  their next 10k branch decisions. */
+void
+checkBranchUnitTransfer(const BpConfig &bp, std::uint64_t base)
 {
-    const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 3000;
     for (const Transfer how : transfers) {
         SCOPED_TRACE(transferName(how));
         std::size_t compared = 0;
         for (std::uint64_t r = 0; r < 12 && compared < 10000; ++r) {
             const auto trace = tortureTrace(base + r);
-            const BpConfig bp;
 
             // The reference unit warms and is never serialized; the fresh
             // unit starts from a DIFFERENT seed (its RNG state must come
@@ -148,6 +152,25 @@ TEST(CkptState, BranchUnitRoundTripIsDecisionIdentical)
         }
         EXPECT_GT(compared, 200u);
     }
+}
+
+} // namespace
+
+TEST(CkptState, BranchUnitRoundTripIsDecisionIdentical)
+{
+    const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 3000;
+    {
+        SCOPED_TRACE("default geometry");
+        checkBranchUnitTransfer(BpConfig{}, base);
+    }
+    // The registry's widest TAGE fields: the packed tagged entry at its
+    // limits.
+    BpConfig widest;
+    widest.tage.ctrBits = 8;
+    widest.tage.uBits = 8;
+    widest.tage.tagBits = 16;
+    SCOPED_TRACE("widest TAGE fields");
+    checkBranchUnitTransfer(widest, base);
 }
 
 // ======================== ValuePredictor =================================
