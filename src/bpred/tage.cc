@@ -39,7 +39,7 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
 
     tagged.assign(cfg.numTagged,
                   std::vector<TaggedEntry>(1u << cfg.taggedLog2Entries));
-    base.assign(1u << cfg.baseLog2Entries, SignedSatCounter(2, 0));
+    base.assign(1u << cfg.baseLog2Entries, 0);
 }
 
 std::vector<std::pair<int, int>>
@@ -108,7 +108,7 @@ Tage::predict(Addr pc, const GlobalHistory &hist, std::size_t fold_base,
         }
     }
 
-    const bool base_pred = base[out.baseIdx].predictTaken();
+    const bool base_pred = base[out.baseIdx] >= 0;
     out.altPred = out.altProvider >= 0
         ? tagged[out.altProvider][out.idx[out.altProvider]].ctr >= 0
         : base_pred;
@@ -127,7 +127,7 @@ Tage::predict(Addr pc, const GlobalHistory &hist, std::size_t fold_base,
         high_conf = !out.usedAlt && taggedCtr.saturated(e.ctr);
     } else {
         out.predTaken = base_pred;
-        high_conf = base[out.baseIdx].isSaturated();
+        high_conf = baseCtr.saturated(base[out.baseIdx]);
     }
     out.highConf = high_conf;
     return out.predTaken;
@@ -168,7 +168,7 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
             }
         }
     } else {
-        base[lookup.baseIdx].update(taken);
+        baseCtr.update(base[lookup.baseIdx], taken);
     }
 
     // Allocate a new entry in a longer-history component on a
@@ -224,8 +224,8 @@ Tage::snapshotState(std::ostream &os) const
         w.end();
     }
     w.tag("tage.base");
-    for (const SignedSatCounter &c : base)
-        w.i64(c.value());
+    for (const std::int8_t c : base)
+        w.i64(c);
     w.end();
     w.tag("tage.meta").i64(useAltOnNa.value());
     w.end();
@@ -266,11 +266,11 @@ Tage::restoreState(SnapshotReader &r)
         r.endLine();
     }
     r.line("tage.base");
-    for (SignedSatCounter &c : base) {
+    for (std::int8_t &c : base) {
         const std::int64_t v = r.i64("ctr");
-        r.fatalIf(v < c.min() || v > c.max(),
+        r.fatalIf(v < baseCtr.lo || v > baseCtr.hi,
                   "TAGE base counter out of range");
-        c.reset(static_cast<int>(v));
+        c = static_cast<std::int8_t>(v);
     }
     r.endLine();
     r.line("tage.meta");

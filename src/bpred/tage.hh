@@ -154,9 +154,11 @@ class Tage
 
     TageConfig cfg;
     CtrRange taggedCtr;
+    static constexpr CtrRange baseCtr{-2, 1};
     std::vector<int> histLens;
     std::vector<std::vector<TaggedEntry>> tagged;
-    std::vector<SignedSatCounter> base;
+    /** 2-bit bimodal counters, in baseCtr's bounds. */
+    std::vector<std::int8_t> base;
     /** use_alt_on_newly_allocated bias counter (TAGE standard). */
     SignedSatCounter useAltOnNa;
     Rng rng;
