@@ -37,8 +37,8 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
         len *= ratio;
     }
 
-    tagged.assign(cfg.numTagged,
-                  std::vector<TaggedEntry>(1u << cfg.taggedLog2Entries));
+    tagged.assign(static_cast<std::size_t>(cfg.numTagged) * compEntries(),
+                  TaggedEntry{});
     base.assign(1u << cfg.baseLog2Entries, 0);
 }
 
@@ -98,7 +98,7 @@ Tage::predict(Addr pc, const GlobalHistory &hist, std::size_t fold_base,
 
     // Longest-history hit is the provider; next hit is the alternate.
     for (int i = cfg.numTagged - 1; i >= 0; --i) {
-        if (tagged[i][out.idx[i]].tag == out.tag[i]) {
+        if (entry(i, out.idx[i]).tag == out.tag[i]) {
             if (out.provider < 0) {
                 out.provider = i;
             } else {
@@ -110,12 +110,12 @@ Tage::predict(Addr pc, const GlobalHistory &hist, std::size_t fold_base,
 
     const bool base_pred = base[out.baseIdx] >= 0;
     out.altPred = out.altProvider >= 0
-        ? tagged[out.altProvider][out.idx[out.altProvider]].ctr >= 0
+        ? entry(out.altProvider, out.idx[out.altProvider]).ctr >= 0
         : base_pred;
 
     bool high_conf;
     if (out.provider >= 0) {
-        const TaggedEntry &e = tagged[out.provider][out.idx[out.provider]];
+        const TaggedEntry &e = entry(out.provider, out.idx[out.provider]);
         out.providerPred = e.ctr >= 0;
         // Newly-allocated (weak, not yet useful) entries may be
         // bypassed in favour of the alternate prediction.
@@ -142,16 +142,14 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
     // Periodic graceful reset of useful bits (alternating halves).
     if (updates % cfg.uResetPeriod == 0) {
         const std::uint8_t mask = (updates / cfg.uResetPeriod) % 2 ? 1 : 2;
-        for (auto &comp : tagged) {
-            for (auto &e : comp)
-                e.u &= mask;
-        }
+        for (TaggedEntry &e : tagged)
+            e.u &= mask;
     }
 
     const bool mispredicted = lookup.predTaken != taken;
 
     if (lookup.provider >= 0) {
-        TaggedEntry &e = tagged[lookup.provider][lookup.idx[lookup.provider]];
+        TaggedEntry &e = entry(lookup.provider, lookup.idx[lookup.provider]);
         // use_alt_on_na bias update: did bypassing (or not) pay off?
         if (isWeak(e.ctr) && e.u == 0
             && lookup.providerPred != lookup.altPred) {
@@ -178,13 +176,13 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
         // Find allocation candidates (u == 0).
         int candidates = 0;
         for (int i = start; i < cfg.numTagged; ++i) {
-            if (tagged[i][lookup.idx[i]].u == 0)
+            if (entry(i, lookup.idx[i]).u == 0)
                 ++candidates;
         }
         if (candidates == 0) {
             // Nothing allocatable: age all would-be victims instead.
             for (int i = start; i < cfg.numTagged; ++i) {
-                TaggedEntry &e = tagged[i][lookup.idx[i]];
+                TaggedEntry &e = entry(i, lookup.idx[i]);
                 if (e.u > 0)
                     --e.u;
             }
@@ -194,13 +192,13 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
         // candidate with probability 1/2 (standard TAGE allocation).
         int chosen = -1;
         for (int i = start; i < cfg.numTagged; ++i) {
-            if (tagged[i][lookup.idx[i]].u != 0)
+            if (entry(i, lookup.idx[i]).u != 0)
                 continue;
             chosen = i;
             if (rng.below(2) == 0)
                 break;
         }
-        TaggedEntry &e = tagged[chosen][lookup.idx[chosen]];
+        TaggedEntry &e = entry(chosen, lookup.idx[chosen]);
         e.tag = lookup.tag[chosen];
         e.ctr = taken ? 0 : -1;
         e.u = 0;
@@ -213,14 +211,16 @@ Tage::snapshotState(std::ostream &os) const
     SnapshotWriter w(os);
     w.tag("tage")
         .u64(static_cast<std::uint64_t>(cfg.numTagged))
-        .u64(tagged.empty() ? 0 : tagged[0].size())
+        .u64(compEntries())
         .u64(base.size())
         .u64(updates);
     w.end();
     for (int i = 0; i < cfg.numTagged; ++i) {
         w.tag("tage.comp").u64(static_cast<std::uint64_t>(i));
-        for (const TaggedEntry &e : tagged[i])
+        for (std::uint32_t j = 0; j < compEntries(); ++j) {
+            const TaggedEntry &e = entry(i, j);
             w.u64(e.tag).i64(e.ctr).u64(e.u);
+        }
         w.end();
     }
     w.tag("tage.base");
@@ -242,8 +242,7 @@ Tage::restoreState(SnapshotReader &r)
     r.fatalIf(r.u64("numTagged")
                   != static_cast<std::uint64_t>(cfg.numTagged),
               "TAGE component-count mismatch");
-    r.fatalIf(r.u64("taggedEntries")
-                  != (tagged.empty() ? 0 : tagged[0].size()),
+    r.fatalIf(r.u64("taggedEntries") != compEntries(),
               "TAGE tagged-table size mismatch");
     r.fatalIf(r.u64("baseEntries") != base.size(),
               "TAGE base-table size mismatch");
@@ -255,7 +254,8 @@ Tage::restoreState(SnapshotReader &r)
                   "TAGE components out of order");
         const std::uint64_t tag_max = (1u << cfg.tagBits) - 1;
         const std::uint64_t u_max = (1u << cfg.uBits) - 1;
-        for (TaggedEntry &e : tagged[i]) {
+        for (std::uint32_t j = 0; j < compEntries(); ++j) {
+            TaggedEntry &e = entry(i, j);
             e.tag = static_cast<std::uint16_t>(r.u64Max("tag", tag_max));
             const std::int64_t c = r.i64("ctr");
             r.fatalIf(c < taggedCtr.lo || c > taggedCtr.hi,
@@ -290,10 +290,8 @@ Tage::copyStateFrom(const Tage &o)
 {
     copyCheck(o.cfg.numTagged == cfg.numTagged, "TAGE",
               "TAGE component-count mismatch");
-    copyCheck(o.tagged.size() == tagged.size()
-                  && (tagged.empty()
-                      || o.tagged[0].size() == tagged[0].size()),
-              "TAGE", "TAGE tagged-table size mismatch");
+    copyCheck(o.compEntries() == compEntries(), "TAGE",
+              "TAGE tagged-table size mismatch");
     copyCheck(o.base.size() == base.size(), "TAGE",
               "TAGE base-table size mismatch");
     copyCheck(o.cfg.tagBits == cfg.tagBits && o.cfg.ctrBits == cfg.ctrBits

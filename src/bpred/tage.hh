@@ -146,6 +146,26 @@ class Tage
      *  start weak. */
     static bool isWeak(std::int8_t c) { return c == 0 || c == -1; }
 
+    /** Entries per tagged component. */
+    std::size_t
+    compEntries() const
+    {
+        return std::size_t{1} << cfg.taggedLog2Entries;
+    }
+
+    /** Entry @p idx of tagged component @p comp. */
+    TaggedEntry &
+    entry(int comp, std::uint32_t idx)
+    {
+        return tagged[static_cast<std::size_t>(comp) * compEntries() + idx];
+    }
+
+    const TaggedEntry &
+    entry(int comp, std::uint32_t idx) const
+    {
+        return tagged[static_cast<std::size_t>(comp) * compEntries() + idx];
+    }
+
     std::uint32_t baseIndex(Addr pc) const;
     std::uint32_t taggedIndex(Addr pc, const GlobalHistory &hist,
                               std::size_t fold_base, int comp) const;
@@ -156,7 +176,8 @@ class Tage
     CtrRange taggedCtr;
     static constexpr CtrRange baseCtr{-2, 1};
     std::vector<int> histLens;
-    std::vector<std::vector<TaggedEntry>> tagged;
+    /** Every tagged component in one row-major allocation. */
+    std::vector<TaggedEntry> tagged;
     /** 2-bit bimodal counters, in baseCtr's bounds. */
     std::vector<std::int8_t> base;
     /** use_alt_on_newly_allocated bias counter (TAGE standard). */

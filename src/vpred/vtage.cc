@@ -22,9 +22,9 @@ Vtage::Vtage(const VpConfig &config, std::uint64_t seed)
     }
 
     base.assign(1u << cfg.vtageBaseLog2Entries, BaseEntry{});
-    tagged.assign(cfg.vtageNumTagged,
-                  std::vector<TaggedEntry>(
-                      1u << cfg.vtageTaggedLog2Entries));
+    tagged.assign(
+        static_cast<std::size_t>(cfg.vtageNumTagged) * compEntries(),
+        TaggedEntry{});
 }
 
 int
@@ -96,7 +96,7 @@ Vtage::predict(Addr pc)
     // Longest matching tagged component provides; next hit (or the
     // base) is the alternate.
     for (int i = cfg.vtageNumTagged - 1; i >= 0; --i) {
-        const TaggedEntry &e = tagged[i][l.idx[i + 1]];
+        const TaggedEntry &e = entry(i, l.idx[i + 1]);
         if (e.valid && e.tag == l.tag[i + 1]) {
             if (l.provider < 0) {
                 l.provider = i;
@@ -108,12 +108,12 @@ Vtage::predict(Addr pc)
     }
 
     if (l.provider >= 0) {
-        const TaggedEntry &e = tagged[l.provider][l.idx[l.provider + 1]];
+        const TaggedEntry &e = entry(l.provider, l.idx[l.provider + 1]);
         l.predictionMade = true;
         l.value = e.value;
         l.confident = fpc.saturated(e.conf);
         l.altValue = l.altProvider >= 0
-            ? tagged[l.altProvider][l.idx[l.altProvider + 1]].value
+            ? entry(l.altProvider, l.idx[l.altProvider + 1]).value
             : base[l.idx[0]].value;
     } else {
         const BaseEntry &b = base[l.idx[0]];
@@ -132,8 +132,8 @@ Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
     const bool correct = lookup.value == actual;
 
     if (lookup.provider >= 0) {
-        TaggedEntry &e = tagged[lookup.provider][lookup.idx[lookup.provider
-                                                            + 1]];
+        TaggedEntry &e =
+            entry(lookup.provider, lookup.idx[lookup.provider + 1]);
         fpc.update(e.conf, correct, rng);
         if (correct) {
             if (lookup.altValue != actual)
@@ -157,27 +157,27 @@ Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         const int start = lookup.provider + 1;
         bool any_free = false;
         for (int i = start; i < cfg.vtageNumTagged; ++i) {
-            if (tagged[i][lookup.idx[i + 1]].u == 0) {
+            if (entry(i, lookup.idx[i + 1]).u == 0) {
                 any_free = true;
                 break;
             }
         }
         if (!any_free) {
             for (int i = start; i < cfg.vtageNumTagged; ++i)
-                tagged[i][lookup.idx[i + 1]].u = 0;
+                entry(i, lookup.idx[i + 1]).u = 0;
             return;
         }
         // Pick among free slots with geometric bias toward shorter
         // histories (probability 1/2 to stop at each candidate).
         int chosen = -1;
         for (int i = start; i < cfg.vtageNumTagged; ++i) {
-            if (tagged[i][lookup.idx[i + 1]].u != 0)
+            if (entry(i, lookup.idx[i + 1]).u != 0)
                 continue;
             chosen = i;
             if (rng.below(2) == 0)
                 break;
         }
-        TaggedEntry &e = tagged[chosen][lookup.idx[chosen + 1]];
+        TaggedEntry &e = entry(chosen, lookup.idx[chosen + 1]);
         e.valid = true;
         e.tag = lookup.tag[chosen + 1];
         e.value = actual;
@@ -194,7 +194,7 @@ Vtage::snapshotState(std::ostream &os) const
         .u64(1)
         .u64(base.size())
         .u64(static_cast<std::uint64_t>(cfg.vtageNumTagged))
-        .u64(tagged.empty() ? 0 : tagged[0].size());
+        .u64(compEntries());
     w.end();
     w.tag("vtage.base");
     for (const BaseEntry &b : base)
@@ -202,7 +202,8 @@ Vtage::snapshotState(std::ostream &os) const
     w.end();
     for (int i = 0; i < cfg.vtageNumTagged; ++i) {
         w.tag("vtage.comp").u64(static_cast<std::uint64_t>(i));
-        for (const TaggedEntry &e : tagged[i]) {
+        for (std::uint32_t j = 0; j < compEntries(); ++j) {
+            const TaggedEntry &e = entry(i, j);
             w.flag(e.valid).u64(e.tag).u64(e.value).u64(e.conf)
                 .u64(e.u);
         }
@@ -224,8 +225,7 @@ Vtage::restoreStateBody(SnapshotReader &r)
     r.fatalIf(r.u64("numTagged")
                   != static_cast<std::uint64_t>(cfg.vtageNumTagged),
               "VTAGE component-count mismatch");
-    r.fatalIf(r.u64("taggedEntries")
-                  != (tagged.empty() ? 0 : tagged[0].size()),
+    r.fatalIf(r.u64("taggedEntries") != compEntries(),
               "VTAGE tagged-table size mismatch");
     r.endLine();
     r.line("vtage.base");
@@ -239,7 +239,8 @@ Vtage::restoreStateBody(SnapshotReader &r)
         r.fatalIf(r.u64("comp") != static_cast<std::uint64_t>(i),
                   "VTAGE components out of order");
         const std::uint64_t tag_max = (1u << tagBitsOf(i)) - 1;
-        for (TaggedEntry &e : tagged[i]) {
+        for (std::uint32_t j = 0; j < compEntries(); ++j) {
+            TaggedEntry &e = entry(i, j);
             e.valid = r.flag("valid");
             e.tag =
                 static_cast<std::uint16_t>(r.u64Max("tag", tag_max));
@@ -279,10 +280,8 @@ Vtage::copyStateFrom(const WarmableComponent &src)
               "VTAGE base-table size mismatch");
     copyCheck(o.cfg.vtageNumTagged == cfg.vtageNumTagged, name(),
               "VTAGE component-count mismatch");
-    copyCheck(o.tagged.size() == tagged.size()
-                  && (tagged.empty()
-                      || o.tagged[0].size() == tagged[0].size()),
-              name(), "VTAGE tagged-table size mismatch");
+    copyCheck(o.compEntries() == compEntries(), name(),
+              "VTAGE tagged-table size mismatch");
     copyCheck(o.cfg.vtageTagBits == cfg.vtageTagBits
                   && o.fpc.max() == fpc.max(),
               name(), "VTAGE tag or confidence width mismatch");

@@ -68,6 +68,26 @@ class Vtage : public ValuePredictor
         bool valid = false;
     };
 
+    /** Entries per tagged component. */
+    std::size_t
+    compEntries() const
+    {
+        return std::size_t{1} << cfg.vtageTaggedLog2Entries;
+    }
+
+    /** Entry @p idx of tagged component @p comp. */
+    TaggedEntry &
+    entry(int comp, std::uint32_t idx)
+    {
+        return tagged[static_cast<std::size_t>(comp) * compEntries() + idx];
+    }
+
+    const TaggedEntry &
+    entry(int comp, std::uint32_t idx) const
+    {
+        return tagged[static_cast<std::size_t>(comp) * compEntries() + idx];
+    }
+
     std::uint32_t baseIndex(Addr pc) const;
     std::uint32_t taggedIndex(Addr pc, int comp) const;
     std::uint16_t taggedTag(Addr pc, int comp) const;
@@ -76,7 +96,8 @@ class Vtage : public ValuePredictor
     VpConfig cfg;
     std::vector<int> histLens;
     std::vector<BaseEntry> base;
-    std::vector<std::vector<TaggedEntry>> tagged;
+    /** Every tagged component in one row-major allocation. */
+    std::vector<TaggedEntry> tagged;
     const GlobalHistory *hist = nullptr;
     std::size_t foldBase = 0;
     Fpc fpc;
