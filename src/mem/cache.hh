@@ -97,13 +97,14 @@ class Cache
     }
 
   private:
+    // Flags after the 64-bit fields: 32 bytes, not 40.
     struct Line
     {
-        bool valid = false;
         std::uint64_t tag = 0;
-        bool dirty = false;
         std::uint64_t lru = 0;
         Cycle readyAt = 0;   //!< fill completion (MSHR semantics)
+        bool valid = false;
+        bool dirty = false;
     };
 
     /** One outstanding fill. The sequence number is its insertion

@@ -84,15 +84,16 @@ class StridePredictor : public ValuePredictor
     void copyStateFrom(const WarmableComponent &src) override;
 
   private:
+    // Narrow fields after the 64-bit ones: 40 bytes, not 48.
     struct Entry
     {
         std::uint64_t tag = 0;
-        bool valid = false;
         RegVal lastValue = 0;
         std::int64_t stride1 = 0;  //!< last observed stride
         std::int64_t stride2 = 0;  //!< confirmed (predicting) stride
-        std::uint8_t conf = 0;
         std::uint16_t inflight = 0;
+        std::uint8_t conf = 0;
+        bool valid = false;
     };
 
     std::uint32_t indexOf(Addr pc) const;
