@@ -325,7 +325,7 @@ SweepExecutor::run(std::uint64_t trace_uops,
     if (options.telemetry && options.useTraceCache) {
         options.telemetry->traceCacheCounts(
             cache.hitCount(), cache.missCount(), cache.fileHitCount(),
-            cache.fileMissCount(), cache.evictCount());
+            cache.fileMissCount(), cache.evictCount(), cache.recordMs());
     }
 }
 

@@ -137,14 +137,14 @@ void
 TelemetrySink::traceCacheCounts(std::uint64_t hits, std::uint64_t misses,
                                 std::uint64_t file_hits,
                                 std::uint64_t file_misses,
-                                std::uint64_t evicts)
+                                std::uint64_t evicts, double record_ms)
 {
     std::ostringstream b;
     b << "\"trace_cache\",\"t_ms\":" << jms(elapsedMs())
       << ",\"hits\":" << hits << ",\"misses\":" << misses
       << ",\"file_hits\":" << file_hits
       << ",\"file_misses\":" << file_misses
-      << ",\"evicts\":" << evicts;
+      << ",\"evicts\":" << evicts << ",\"record_ms\":" << jms(record_ms);
     emit(b.str());
 }
 
@@ -302,7 +302,10 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     std::size_t jobsTotal = 0, jobsOk = 0;
     std::uint64_t storeHits = 0, storeComputed = 0;
     std::uint64_t cacheHits = 0, cacheMisses = 0;
+    double recordMs = 0;
     bool sawStore = false, sawCache = false;
+    struct KindAgg { std::size_t jobs = 0; double totalMs = 0, maxMs = 0; };
+    std::map<std::string, KindAgg> kinds;
     std::size_t aborted = 0, finished = 0;
     double spanMs = 0;
     std::string slowestCell, slowestKind;
@@ -329,6 +332,10 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
                 auto &w = workers[{f, static_cast<int>(ev.num("worker"))}];
                 ++w.jobs;
                 w.busyMs += ev.num("wall_ms");
+                KindAgg &k = kinds[ev.str("kind")];
+                ++k.jobs;
+                k.totalMs += ev.num("wall_ms");
+                k.maxMs = std::max(k.maxMs, ev.num("wall_ms"));
                 const std::string cell =
                     ev.str("config") + "/" + ev.str("workload");
                 double &longest = longestByKind[{f, cell}][ev.str("kind")];
@@ -348,6 +355,7 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
                 cacheHits += static_cast<std::uint64_t>(ev.num("hits"));
                 cacheMisses +=
                     static_cast<std::uint64_t>(ev.num("misses"));
+                recordMs += ev.num("record_ms");
             } else if (ev.ev == "run_aborted") {
                 ++aborted;
             } else if (ev.ev == "run_finish") {
@@ -367,6 +375,11 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
         const double util = spanMs > 0 ? 100.0 * w.busyMs / spanMs : 0;
         out << csprintf("  worker %zu.%d: %zu jobs, busy %.1f ms (%.1f%%)",
                         key.first, key.second, w.jobs, w.busyMs, util)
+            << "\n";
+    }
+    for (const auto &[kind, k] : kinds) {
+        out << csprintf("  kind %s: %zu jobs, total %.1f ms, max %.1f ms",
+                        kind.c_str(), k.jobs, k.totalMs, k.maxMs)
             << "\n";
     }
     if (slowestMs >= 0) {
@@ -398,7 +411,8 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
             << " computed\n";
     if (sawCache)
         out << "  trace cache: " << cacheHits << " hits, " << cacheMisses
-            << " misses\n";
+            << " misses, " << csprintf("%.1f", recordMs)
+            << " ms recording\n";
     out << "  cells (" << cells.size() << "):\n";
     for (const std::string &cell : cells)
         out << "    " << cell << "\n";

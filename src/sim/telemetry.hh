@@ -68,12 +68,13 @@ class TelemetrySink
     void storeCounts(std::size_t hits, std::size_t computed);
     /** Trace-cache outcome counters. hits/misses are totals across
      *  both source kinds; file_hits/file_misses break out mmap-backed
-     *  `file:` workloads and evicts counts drops that released a
-     *  trace. */
+     *  `file:` workloads, evicts counts drops that released a trace
+     *  and record_ms is the wall time spent recording on misses
+     *  (Workload::freeze; a workload's first job pays it). */
     void traceCacheCounts(std::uint64_t hits, std::uint64_t misses,
-                          std::uint64_t file_hits = 0,
-                          std::uint64_t file_misses = 0,
-                          std::uint64_t evicts = 0);
+                          std::uint64_t file_hits,
+                          std::uint64_t file_misses, std::uint64_t evicts,
+                          double record_ms);
 
     void runFinish(std::size_t cells);
 
@@ -108,10 +109,11 @@ struct TelemetryEvent
 std::vector<TelemetryEvent> readTelemetry(const std::string &path);
 
 /** Merge one or more streams into a human summary: per-worker
- *  utilization, the critical path (the cell whose longest job of each
- *  kind sums highest — a cell's kinds run in sequence, its jobs of one
- *  kind in parallel), the slowest single job, counters, and the sorted
- *  distinct cell set. */
+ *  utilization, per job kind the count, total and longest wall time,
+ *  the critical path (the cell whose longest job of each kind sums
+ *  highest — a cell's kinds run in sequence, its jobs of one kind in
+ *  parallel), the slowest single job, counters (the trace cache's with
+ *  its recording time), and the sorted distinct cell set. */
 void summarizeTelemetry(const std::vector<std::string> &paths,
                         std::ostream &out);
 

@@ -1,5 +1,7 @@
 #include "sim/trace_cache.hh"
 
+#include <chrono>
+
 #include "common/env.hh"
 #include "isa/trace.hh"
 
@@ -9,6 +11,20 @@ std::uint64_t
 TraceCache::byteBudget()
 {
     return envU64("EOLE_TRACE_CACHE_MB", 4096) * 1024 * 1024;
+}
+
+std::shared_ptr<const FrozenTrace>
+TraceCache::record(const Workload &workload, std::uint64_t min_uops)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    auto trace = workload.freeze(min_uops);
+    recordNs.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()),
+        std::memory_order_relaxed);
+    return trace;
 }
 
 std::shared_ptr<const FrozenTrace>
@@ -32,7 +48,7 @@ TraceCache::get(const Workload &workload, std::uint64_t min_uops)
         if (!entry->trace || (!entry->trace->complete
                               && entry->trace->uops.size() < min_uops)) {
             fileMisses.fetch_add(1, std::memory_order_relaxed);
-            entry->trace = workload.freeze(min_uops);
+            entry->trace = record(workload, min_uops);
         } else {
             fileHits.fetch_add(1, std::memory_order_relaxed);
         }
@@ -57,7 +73,7 @@ TraceCache::get(const Workload &workload, std::uint64_t min_uops)
     if (!entry->trace
         || (!entry->trace->complete && entry->trace->uops.size() < min_uops)) {
         misses.fetch_add(1, std::memory_order_relaxed);
-        entry->trace = workload.freeze(min_uops);
+        entry->trace = record(workload, min_uops);
     } else {
         hits.fetch_add(1, std::memory_order_relaxed);
     }

@@ -75,12 +75,21 @@ class TraceCache
     std::uint64_t fileMissCount() const { return fileMisses.load(); }
     std::uint64_t evictCount() const { return evicts.load(); }
 
+    /** Wall time spent recording on misses (Workload::freeze), summed
+     *  over the jobs that recorded. Telemetry-only, like the counts. */
+    double recordMs() const { return recordNs.load() / 1e6; }
+
   private:
+    /** Workload::freeze, its wall time added to recordNs. */
+    std::shared_ptr<const FrozenTrace> record(const Workload &workload,
+                                              std::uint64_t min_uops);
+
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> fileHits{0};
     std::atomic<std::uint64_t> fileMisses{0};
     std::atomic<std::uint64_t> evicts{0};
+    std::atomic<std::uint64_t> recordNs{0};
     struct Entry
     {
         std::mutex mu;

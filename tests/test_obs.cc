@@ -373,6 +373,51 @@ TEST(Telemetry, SummaryCriticalPathSumsEachCellsLongestJobPerKind)
     std::filesystem::remove(path);
 }
 
+TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
+{
+    // A hand-written stream from two shards: warm and interval jobs of
+    // one sampled cell, a full cell, and each shard's trace-cache
+    // counters with the time its misses spent recording.
+    const std::string a = scratchFile("kinds_a"), b = scratchFile("kinds_b");
+    const auto job = [](std::ofstream &os, const char *kind,
+                        const char *workload, double wall_ms) {
+        os << "{\"ev\":\"job_finish\",\"t_ms\":0,\"kind\":\"" << kind
+           << "\",\"config\":\"EOLE_4_64\",\"workload\":\"" << workload
+           << "\",\"worker\":0,\"wall_ms\":" << wall_ms
+           << ",\"ok\":true}\n";
+    };
+    {
+        std::ofstream os(a);
+        job(os, "warm", "164.gzip", 100);
+        job(os, "interval", "164.gzip", 10);
+        job(os, "interval", "164.gzip", 30);
+        os << "{\"ev\":\"trace_cache\",\"t_ms\":1,\"hits\":1,"
+              "\"misses\":1,\"file_hits\":0,\"file_misses\":0,"
+              "\"evicts\":1,\"record_ms\":12.5}\n";
+    }
+    {
+        std::ofstream os(b);
+        job(os, "warm", "429.mcf", 250);
+        job(os, "cell", "429.mcf", 110);
+        os << "{\"ev\":\"trace_cache\",\"t_ms\":1,\"hits\":0,"
+              "\"misses\":1,\"file_hits\":0,\"file_misses\":0,"
+              "\"evicts\":1,\"record_ms\":30}\n";
+    }
+    std::ostringstream sum;
+    summarizeTelemetry({a, b}, sum);
+    const std::string s = sum.str();
+    EXPECT_NE(s.find("kind cell: 1 jobs, total 110.0 ms, max 110.0 ms\n"),
+              std::string::npos) << s;
+    EXPECT_NE(s.find("kind interval: 2 jobs, total 40.0 ms, max 30.0 ms\n"),
+              std::string::npos) << s;
+    EXPECT_NE(s.find("kind warm: 2 jobs, total 350.0 ms, max 250.0 ms\n"),
+              std::string::npos) << s;
+    EXPECT_NE(s.find("trace cache: 1 hits, 2 misses, 42.5 ms recording\n"),
+              std::string::npos) << s;
+    std::filesystem::remove(a);
+    std::filesystem::remove(b);
+}
+
 TEST(Telemetry, SweepEmitsFullLifecycle)
 {
     SimConfig a, b;
@@ -413,6 +458,7 @@ TEST(Telemetry, SweepEmitsFullLifecycle)
             // Two configs share one workload: 1 recording, 1 replay.
             EXPECT_EQ(ev.num("hits"), 1);
             EXPECT_EQ(ev.num("misses"), 1);
+            EXPECT_GT(ev.num("record_ms"), 0);
         }
     }
     const std::set<std::string> expect = {"Baseline_4_48/164.gzip",
@@ -430,12 +476,17 @@ TEST(TraceCache, CountsHitsAndMisses)
     Workload w = workloads::build("164.gzip");
     EXPECT_EQ(cache.hitCount(), 0u);
     EXPECT_EQ(cache.missCount(), 0u);
+    EXPECT_EQ(cache.recordMs(), 0.0);
     cache.get(w, 1000);
     EXPECT_EQ(cache.hitCount(), 0u);
     EXPECT_EQ(cache.missCount(), 1u);
+    // A miss records, and the recording is timed.
+    const double recorded = cache.recordMs();
+    EXPECT_GT(recorded, 0.0);
     cache.get(w, 1000);
     EXPECT_EQ(cache.hitCount(), 1u);
     EXPECT_EQ(cache.missCount(), 1u);
+    EXPECT_EQ(cache.recordMs(), recorded);
 }
 
 // --- Build provenance ------------------------------------------------------
