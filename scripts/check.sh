@@ -61,12 +61,14 @@
 #                  not silent re-warming, produced the numbers);
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer) under AddressSanitizer (-DEOLE_ASAN=ON,
+#                  fuzzer), test_slab and the memory model (test_mem)
+#                  under AddressSanitizer (-DEOLE_ASAN=ON,
 #                  build-asan/);
 #                  (4) the by-value checkpoint, sampling and sweep
 #                  engine suites (test_ckpt_state, test_sample,
-#                  test_experiment) under UndefinedBehaviorSanitizer
-#                  (-DEOLE_UBSAN=ON, build-ubsan/; any finding fails).
+#                  test_experiment) and test_mem under
+#                  UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
+#                  build-ubsan/; any finding fails).
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
@@ -246,25 +248,28 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
         exit 1
     fi
 
-    echo "check.sh: AddressSanitizer pass (checkpoint/state/slab suites)"
+    echo "check.sh: AddressSanitizer pass" \
+         "(checkpoint/state/slab/memory-model suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
     # slots under ASan, so a use-after-release of a pooled DynInst (e.g.
-    # a completion-wheel handle dropped early) faults here.
+    # a completion-wheel handle dropped early) faults here. test_mem
+    # drives the caches' in-flight heaps far past their MSHR count.
     cmake -B build-asan -S . -DEOLE_ASAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-asan -j "$JOBS" \
-          --target test_sample test_ckpt_state test_torture test_slab
+          --target test_sample test_ckpt_state test_torture test_slab \
+                   test_mem
     run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab)$'
+        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem)$'
 
     echo "check.sh: UndefinedBehaviorSanitizer pass" \
-         "(checkpoint/sampling/sweep engine suites)"
+         "(checkpoint/sampling/sweep engine/memory-model suites)"
     cmake -B build-ubsan -S . -DEOLE_UBSAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-ubsan -j "$JOBS" \
-          --target test_ckpt_state test_sample test_experiment
+          --target test_ckpt_state test_sample test_experiment test_mem
     run_ctest build-ubsan \
-        -R '^(test_ckpt_state|test_sample|test_experiment)$'
+        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem)$'
 fi
 
 if [[ "$WITH_OBS" == 1 ]]; then
