@@ -8,10 +8,7 @@
 namespace eole {
 
 Tage::Tage(const TageConfig &config, std::uint64_t seed)
-    : cfg(config),
-      taggedCtr{static_cast<std::int8_t>(-(1 << (config.ctrBits - 1))),
-                static_cast<std::int8_t>((1 << (config.ctrBits - 1)) - 1)},
-      useAltOnNa(4, 0), rng(seed)
+    : cfg(config), useAltOnNa(4, 0), rng(seed)
 {
     panic_if(cfg.numTagged < 1 || cfg.numTagged > TageLookup::maxComps,
              "unsupported number of tagged components %d", cfg.numTagged);
@@ -19,6 +16,8 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
                  || cfg.uBits > 8 || cfg.tagBits < 1 || cfg.tagBits > 16,
              "TAGE field widths out of range (ctr %d, u %d, tag %d bits)",
              cfg.ctrBits, cfg.uBits, cfg.tagBits);
+    taggedCtr = {static_cast<std::int8_t>(-(1 << (cfg.ctrBits - 1))),
+                 static_cast<std::int8_t>((1 << (cfg.ctrBits - 1)) - 1)};
 
     // Geometric history lengths from minHist to maxHist.
     histLens.resize(cfg.numTagged);
