@@ -12,6 +12,7 @@
 #ifndef EOLE_MEM_CACHE_HH
 #define EOLE_MEM_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -115,12 +116,8 @@ class Cache
         Cycle ready;
         std::uint64_t seq;
 
-        /** Min-heap order on (ready, seq) for std::*_heap. */
-        bool
-        operator>(const Fill &o) const
-        {
-            return ready != o.ready ? ready > o.ready : seq > o.seq;
-        }
+        /** (ready, seq), lexicographic: the heap's order. */
+        auto operator<=>(const Fill &) const = default;
     };
 
     std::uint32_t setOf(Addr addr) const;
