@@ -303,7 +303,7 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     std::uint64_t storeHits = 0, storeComputed = 0;
     std::uint64_t cacheHits = 0, cacheMisses = 0;
     double recordMs = 0;
-    bool sawStore = false, sawCache = false;
+    bool sawStore = false, sawCache = false, sawRecord = false;
     struct KindAgg { std::size_t jobs = 0; double totalMs = 0, maxMs = 0; };
     std::map<std::string, KindAgg> kinds;
     std::size_t aborted = 0, finished = 0;
@@ -355,7 +355,10 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
                 cacheHits += static_cast<std::uint64_t>(ev.num("hits"));
                 cacheMisses +=
                     static_cast<std::uint64_t>(ev.num("misses"));
-                recordMs += ev.num("record_ms");
+                if (ev.nums.count("record_ms") != 0) {
+                    sawRecord = true;
+                    recordMs += ev.num("record_ms");
+                }
             } else if (ev.ev == "run_aborted") {
                 ++aborted;
             } else if (ev.ev == "run_finish") {
@@ -409,10 +412,14 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     if (sawStore)
         out << "  store: " << storeHits << " cached, " << storeComputed
             << " computed\n";
-    if (sawCache)
+    if (sawCache) {
         out << "  trace cache: " << cacheHits << " hits, " << cacheMisses
-            << " misses, " << csprintf("%.1f", recordMs)
-            << " ms recording\n";
+            << " misses";
+        // Streams written before record_ms existed carry no timing.
+        if (sawRecord)
+            out << csprintf(", %.1f ms recording", recordMs);
+        out << "\n";
+    }
     out << "  cells (" << cells.size() << "):\n";
     for (const std::string &cell : cells)
         out << "    " << cell << "\n";

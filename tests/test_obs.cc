@@ -414,8 +414,22 @@ TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
               std::string::npos) << s;
     EXPECT_NE(s.find("trace cache: 1 hits, 2 misses, 42.5 ms recording\n"),
               std::string::npos) << s;
+
+    // A stream written before record_ms existed reports no timing.
+    const std::string c = scratchFile("kinds_c");
+    {
+        std::ofstream os(c);
+        os << "{\"ev\":\"trace_cache\",\"t_ms\":1,\"hits\":0,"
+              "\"misses\":1,\"file_hits\":0,\"file_misses\":0,"
+              "\"evicts\":1}\n";
+    }
+    std::ostringstream old;
+    summarizeTelemetry({c}, old);
+    EXPECT_NE(old.str().find("trace cache: 0 hits, 1 misses\n"),
+              std::string::npos) << old.str();
     std::filesystem::remove(a);
     std::filesystem::remove(b);
+    std::filesystem::remove(c);
 }
 
 TEST(Telemetry, SweepEmitsFullLifecycle)
