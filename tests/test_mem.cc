@@ -124,6 +124,19 @@ TEST(Cache, MshrExhaustionDelaysNewMisses)
     EXPECT_GE(c.record().get("mshr_stalls"), 1.0);
 }
 
+TEST(Cache, CompletedFillFreesItsMshr)
+{
+    // One MSHR: once the first fill has returned, a new miss must issue
+    // at once instead of stalling behind it.
+    CacheConfig cfg = smallCache();
+    cfg.mshrs = 1;
+    Cache c(cfg, fixedLatency(100));
+    const Cycle first = c.access(0x10000, false, 0);
+    const Cycle later = first + 50;
+    EXPECT_EQ(c.access(0x20000, false, later), later + 2 + 100);
+    EXPECT_EQ(c.record().get("mshr_stalls"), 0.0);
+}
+
 TEST(CacheDeathTest, LineSizeMustBeAPowerOfTwo)
 {
     // 24576 / (4 x 48) = 128 sets passes the set check, but line
