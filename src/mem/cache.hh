@@ -98,7 +98,7 @@ class Cache
     }
 
   private:
-    // Flags after the 64-bit fields: 32 bytes, not 40.
+    // Flags after the 64-bit fields keep a line at 32 bytes.
     struct Line
     {
         std::uint64_t tag = 0;
@@ -109,8 +109,8 @@ class Cache
     };
 
     /** One outstanding fill. The sequence number is its insertion
-     *  order: snapshots list fills in that order, which is the order
-     *  the in-flight list had when it was a plain vector. */
+     *  order, the order snapshots list fills in, so checkpoint bytes
+     *  never depend on the heap's layout. */
     struct Fill
     {
         Cycle ready;

@@ -84,7 +84,7 @@ class StridePredictor : public ValuePredictor
     void copyStateFrom(const WarmableComponent &src) override;
 
   private:
-    // Narrow fields after the 64-bit ones: 40 bytes, not 48.
+    // Narrow fields after the 64-bit ones keep an entry at 40 bytes.
     struct Entry
     {
         std::uint64_t tag = 0;
