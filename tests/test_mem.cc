@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the memory hierarchy: cache hit/miss timing, LRU,
  * MSHR semantics, writebacks, the stride prefetcher and the DRAM bank
- * model, plus end-to-end hierarchy latencies (Table 1 calibration).
+ * model, plus end-to-end hierarchy latencies (Table 1 calibration) and
+ * a golden run whose in-flight lists outgrow their MSHRs.
  */
 
 #include <gtest/gtest.h>
