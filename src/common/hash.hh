@@ -10,150 +10,57 @@
  * here rather than std::hash (whose value is unspecified and
  * per-process) or a non-cryptographic mix (whose collisions would
  * silently alias two different experiments onto one cached result).
+ *
+ * The same digest checks every trace file in full at each load
+ * (trace/trace_file.hh), so the block function is the cost of a
+ * `file:` workload. Two implementations exist (hash.cc): the portable
+ * one, and one on the x86 SHA extensions, which Sha256 uses when CPUID
+ * reports them. Both produce the same digest; nothing selects between
+ * them but the CPU.
  */
 
 #ifndef EOLE_COMMON_HASH_HH
 #define EOLE_COMMON_HASH_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 namespace eole {
+
+/** A SHA-256 block function: compress @p blocks consecutive 64-byte
+ *  blocks starting at @p data into @p state (FIPS 180-4 §6.2.2). */
+using Sha256BlockFn = void (*)(std::uint32_t *state,
+                               const unsigned char *data,
+                               std::size_t blocks);
+
+/** The portable block function: the only one on CPUs without SHA
+ *  instructions, and the reference the tests compare against. */
+void sha256BlocksPortable(std::uint32_t *state, const unsigned char *data,
+                          std::size_t blocks);
+
+/** The block function Sha256 uses on this host, chosen once from
+ *  CPUID: the SHA-extension one on x86-64 CPUs that report SHA, SSSE3
+ *  and SSE4.1, sha256BlocksPortable everywhere else. */
+Sha256BlockFn sha256Blocks();
 
 class Sha256
 {
   public:
     Sha256() { reset(); }
 
-    void
-    reset()
-    {
-        state = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-                 0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
-        total = 0;
-        fill = 0;
-    }
+    void reset();
 
-    void
-    update(const void *data, std::size_t len)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        total += len;
-        while (len > 0) {
-            const std::size_t take =
-                std::min<std::size_t>(len, sizeof(block) - fill);
-            std::memcpy(block + fill, p, take);
-            fill += take;
-            p += take;
-            len -= take;
-            if (fill == sizeof(block)) {
-                compress(block);
-                fill = 0;
-            }
-        }
-    }
+    void update(const void *data, std::size_t len);
 
     void update(const std::string &s) { update(s.data(), s.size()); }
 
     /** Finish and return the digest as 64 lowercase hex characters.
      *  The object must be reset() before further use. */
-    std::string
-    hexDigest()
-    {
-        const std::uint64_t bits = total * 8;
-        const unsigned char pad = 0x80;
-        update(&pad, 1);
-        const unsigned char zero = 0;
-        while (fill != 56)
-            update(&zero, 1);
-        unsigned char lenBytes[8];
-        for (int i = 0; i < 8; ++i)
-            lenBytes[i] = static_cast<unsigned char>(bits >> (56 - 8 * i));
-        update(lenBytes, 8);
-
-        std::string out;
-        out.reserve(64);
-        for (const std::uint32_t w : state) {
-            for (int shift = 28; shift >= 0; shift -= 4)
-                out += "0123456789abcdef"[(w >> shift) & 0xf];
-        }
-        return out;
-    }
+    std::string hexDigest();
 
   private:
-    static std::uint32_t
-    rotr(std::uint32_t x, int n)
-    {
-        return (x >> n) | (x << (32 - n));
-    }
-
-    void
-    compress(const unsigned char *chunk)
-    {
-        static constexpr std::uint32_t k[64] = {
-            0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b,
-            0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01,
-            0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7,
-            0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
-            0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152,
-            0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-            0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-            0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-            0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819,
-            0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116, 0x1e376c08,
-            0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f,
-            0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-            0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-        };
-
-        std::uint32_t w[64];
-        for (int i = 0; i < 16; ++i) {
-            w[i] = (std::uint32_t(chunk[4 * i]) << 24)
-                | (std::uint32_t(chunk[4 * i + 1]) << 16)
-                | (std::uint32_t(chunk[4 * i + 2]) << 8)
-                | std::uint32_t(chunk[4 * i + 3]);
-        }
-        for (int i = 16; i < 64; ++i) {
-            const std::uint32_t s0 = rotr(w[i - 15], 7)
-                ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-            const std::uint32_t s1 = rotr(w[i - 2], 17)
-                ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-        }
-
-        std::uint32_t a = state[0], b = state[1], c = state[2],
-                      d = state[3], e = state[4], f = state[5],
-                      g = state[6], h = state[7];
-        for (int i = 0; i < 64; ++i) {
-            const std::uint32_t s1 =
-                rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-            const std::uint32_t ch = (e & f) ^ (~e & g);
-            const std::uint32_t t1 = h + s1 + ch + k[i] + w[i];
-            const std::uint32_t s0 =
-                rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-            const std::uint32_t t2 = s0 + maj;
-            h = g;
-            g = f;
-            f = e;
-            e = d + t1;
-            d = c;
-            c = b;
-            b = a;
-            a = t1 + t2;
-        }
-        state[0] += a;
-        state[1] += b;
-        state[2] += c;
-        state[3] += d;
-        state[4] += e;
-        state[5] += f;
-        state[6] += g;
-        state[7] += h;
-    }
-
     std::array<std::uint32_t, 8> state;
     unsigned char block[64];
     std::uint64_t total = 0;

@@ -1,11 +1,18 @@
 /**
  * @file
  * Unit tests for the common substrate: saturating counters, RNG,
- * bounded queues, delayed pipes, stats records and FPC confidence.
+ * bounded queues, delayed pipes, stats records, FPC confidence and the
+ * SHA-256 block functions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "common/hash.hh"
 #include "common/queues.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
@@ -344,4 +351,105 @@ TEST(Fpc, RejectsBadVectors)
     EXPECT_DEATH({ Fpc bad(std::vector<double>{}); }, "");
     EXPECT_DEATH({ Fpc bad(std::vector<double>{0.0}); }, "");
     EXPECT_DEATH({ Fpc bad(std::vector<double>{2.0}); }, "");
+}
+
+namespace {
+
+/** SHA-256 of @p msg through block function @p fn alone: the FIPS
+ *  180-4 padding is done here, independently of Sha256. */
+std::string
+digestWith(Sha256BlockFn fn, const std::string &msg)
+{
+    std::uint32_t state[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                              0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                              0x1f83d9abu, 0x5be0cd19u};
+    std::string padded = msg + '\x80';
+    padded.append((119 - msg.size() % 64) % 64, '\0');
+    const std::uint64_t bits = std::uint64_t(msg.size()) * 8;
+    for (int i = 0; i < 8; ++i)
+        padded += static_cast<char>(bits >> (56 - 8 * i));
+    fn(state, reinterpret_cast<const unsigned char *>(padded.data()),
+       padded.size() / 64);
+    char hex[65];
+    for (int i = 0; i < 8; ++i)
+        std::snprintf(hex + 8 * i, 9, "%08x", state[i]);
+    return hex;
+}
+
+std::string
+pseudoRandomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::string s(n, '\0');
+    for (char &c : s)
+        c = static_cast<char>(rng.next());
+    return s;
+}
+
+} // namespace
+
+TEST(Sha256, BlockFunctionsMatchFipsVectorsAndEachOther)
+{
+    const bool hardware = sha256Blocks() != sha256BlocksPortable;
+    std::printf("SHA-256 block function on this host: %s\n",
+                hardware ? "SHA extensions" : "portable");
+
+    // FIPS 180-4 / NIST CSRC examples, through both block functions
+    // directly and through the dispatched Sha256.
+    const std::vector<std::pair<std::string, std::string>> vectors = {
+        {"",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        {"abc",
+         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+        {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+        {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+         "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+         "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+        {std::string(1000000, 'a'),
+         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+    };
+    for (const auto &[msg, want] : vectors) {
+        EXPECT_EQ(digestWith(sha256BlocksPortable, msg), want) << msg.size();
+        EXPECT_EQ(digestWith(sha256Blocks(), msg), want) << msg.size();
+        EXPECT_EQ(sha256Hex(msg), want) << msg.size();
+    }
+
+    // Every length across the padding boundaries (55/56, 63/64, ...).
+    const std::string bytes = pseudoRandomBytes(300, 11);
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+        const std::string msg = bytes.substr(0, n);
+        EXPECT_EQ(sha256Hex(msg), digestWith(sha256BlocksPortable, msg))
+            << "length " << n;
+    }
+}
+
+TEST(Sha256, SplitAndUnalignedUpdatesHashLikeOneCall)
+{
+    // A multi-MB buffer (not a whole number of blocks), fed whole, in
+    // pieces of 1, 63, 64, 65 and 4096 bytes, and from unaligned start
+    // addresses: every way must give the portable function's digest.
+    const std::string big = pseudoRandomBytes((3u << 20) + 37, 23);
+    const std::string want = digestWith(sha256BlocksPortable, big);
+    EXPECT_EQ(sha256Hex(big), want);
+
+    Rng rng(5);
+    const std::size_t pieces[] = {1, 63, 64, 65, 4096};
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        // Copy into a buffer whose payload starts @p offset bytes past
+        // an aligned address.
+        std::vector<unsigned char> shifted(big.size() + 8);
+        std::copy(big.begin(), big.end(), shifted.begin() + offset);
+        const unsigned char *p = shifted.data() + offset;
+
+        Sha256 h;
+        std::size_t done = 0;
+        while (done < big.size()) {
+            const std::size_t take =
+                std::min(pieces[rng.next() % 5], big.size() - done);
+            h.update(p + done, take);
+            done += take;
+        }
+        EXPECT_EQ(h.hexDigest(), want) << "offset " << offset;
+    }
 }
