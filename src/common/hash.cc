@@ -205,36 +205,44 @@ Sha256::reset()
 void
 Sha256::update(const void *data, std::size_t len)
 {
+    if (len == 0)
+        return;
     const auto *p = static_cast<const unsigned char *>(data);
     const Sha256BlockFn blocks = sha256Blocks();
     total += len;
-    while (len > 0) {
-        const std::size_t take =
-            std::min<std::size_t>(len, sizeof(block) - fill);
+    // Top up a partial block first; whole blocks then hash straight
+    // from the caller's buffer, and only the tail is copied.
+    if (fill > 0) {
+        const std::size_t take = std::min(len, sizeof(block) - fill);
         std::memcpy(block + fill, p, take);
         fill += take;
         p += take;
         len -= take;
-        if (fill == sizeof(block)) {
-            blocks(state.data(), block, 1);
-            fill = 0;
-        }
+        if (fill < sizeof(block))
+            return;
+        blocks(state.data(), block, 1);
+        fill = 0;
     }
+    const std::size_t whole = len / sizeof(block);
+    if (whole > 0) {
+        blocks(state.data(), p, whole);
+        p += whole * sizeof(block);
+        len -= whole * sizeof(block);
+    }
+    std::memcpy(block, p, len);
+    fill = len;
 }
 
 std::string
 Sha256::hexDigest()
 {
+    // 0x80, zeros up to 56 mod 64, then the bit length big-endian.
     const std::uint64_t bits = total * 8;
-    const unsigned char pad = 0x80;
-    update(&pad, 1);
-    const unsigned char zero = 0;
-    while (fill != 56)
-        update(&zero, 1);
-    unsigned char lenBytes[8];
+    unsigned char pad[72] = {0x80};
+    const std::size_t zeros = (119 - fill) % 64;
     for (int i = 0; i < 8; ++i)
-        lenBytes[i] = static_cast<unsigned char>(bits >> (56 - 8 * i));
-    update(lenBytes, 8);
+        pad[1 + zeros + i] = static_cast<unsigned char>(bits >> (56 - 8 * i));
+    update(pad, 1 + zeros + 8);
 
     std::string out;
     out.reserve(64);
