@@ -16,6 +16,7 @@
 #define EOLE_BPRED_HISTORY_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -166,14 +167,16 @@ class GlobalHistory
         w.end();
         // The raw buffer packs 4 direction bits per hex nibble,
         // buffer-index order.
-        os << "hist.bits ";
+        std::string nibbles;
+        nibbles.reserve((bits.size() + 3) / 4);
         for (std::size_t i = 0; i < bits.size(); i += 4) {
             unsigned nib = 0;
             for (std::size_t b = 0; b < 4 && i + b < bits.size(); ++b)
                 nib |= (bits[i + b] ? 1u : 0u) << (3 - b);
-            os << "0123456789abcdef"[nib];
+            nibbles += "0123456789abcdef"[nib];
         }
-        os << '\n';
+        w.tag("hist.bits").str(nibbles);
+        w.end();
     }
 
     /** Restore into a same-geometry instance (fatal with section/line
