@@ -1,9 +1,11 @@
 #include "trace/trace_file.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -30,6 +32,9 @@ constexpr std::size_t offName = 48;
 constexpr std::size_t offSource = 112;
 constexpr std::size_t offIntRegs = 128;
 constexpr std::size_t offFpRegs = 384;
+
+/** µ-op records the writer packs per hash update and fwrite. */
+constexpr std::size_t chunkUops = 4096;
 
 constexpr std::uint32_t flagComplete = 1u << 0;
 constexpr std::uint32_t flagIsFp = 1u << 1;
@@ -193,11 +198,17 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
         return std::fwrite(data, 1, len, f) == len;
     };
 
+    // Records are packed into a chunk, then hashed and written a chunk
+    // at a time: the hash takes whole blocks straight from the buffer
+    // and stdio sees one large write instead of one per record.
     bool ok = put(header, sizeof(header));
-    unsigned char rec[sizeof(TraceUop)];
-    for (std::size_t i = 0; ok && i < trace.uops.size(); ++i) {
-        packUop(rec, trace.uops[i]);
-        ok = put(rec, sizeof(rec));
+    std::vector<unsigned char> chunk(chunkUops * sizeof(TraceUop));
+    for (std::size_t i = 0; ok && i < trace.uops.size(); i += chunkUops) {
+        const std::size_t n =
+            std::min(chunkUops, trace.uops.size() - i);
+        for (std::size_t j = 0; j < n; ++j)
+            packUop(chunk.data() + j * sizeof(TraceUop), trace.uops[i + j]);
+        ok = put(chunk.data(), n * sizeof(TraceUop));
     }
 
     if (ok) {
