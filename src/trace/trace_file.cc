@@ -307,7 +307,18 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
                              "written on an incompatible host)",
                              endian, offEndian));
     }
+    // Bound the count by what the file can hold before multiplying:
+    // a count near 2^64 / sizeof(TraceUop) would wrap the size check.
     const auto count = unpackAt<std::uint64_t>(p, offUopCount);
+    const std::uint64_t fits = (fileBytes - minBytes) / sizeof(TraceUop);
+    if (count > fits) {
+        return fail(csprintf("µ-op count %llu at byte %zu exceeds the "
+                             "%llu records a %llu-byte file can hold "
+                             "(truncated, or a corrupt count)",
+                             (unsigned long long)count, offUopCount,
+                             (unsigned long long)fits,
+                             (unsigned long long)fileBytes));
+    }
     const std::uint64_t want = traceFileHeaderBytes
         + count * sizeof(TraceUop) + traceFileFooterBytes;
     if (fileBytes != want) {

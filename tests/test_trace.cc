@@ -85,7 +85,8 @@ spit(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(os.good()) << path;
 }
 
-/** Record a torture workload and write it as a trace file. */
+/** Record a workload (torture or registry name) and write it as a
+ *  trace file. */
 std::shared_ptr<const FrozenTrace>
 writeTortureTrace(const std::string &wl, std::uint64_t max_uops,
                   const std::string &path)
@@ -418,6 +419,31 @@ TEST(TraceFile, FuzzedFilesAreRejectedNotCrashed)
         err.clear();
         EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
         EXPECT_NE(err.find("layout"), std::string::npos) << err;
+    }
+
+    // A µ-op count that wraps when multiplied by the record size:
+    // 1000 records on disk, 1000 + 2^59 in the header and the footer
+    // (96 · 2^59 = 3 · 2^64, so the size equation still balances) and
+    // a consistent checksum. The count must be bounded by the file
+    // size before any arithmetic with it.
+    {
+        const std::string small = tmp.path("gzip1000.trace");
+        writeTortureTrace("164.gzip", 1000, small);
+        std::string bad = slurp(small);
+        ASSERT_EQ(bad.size(), traceFileHeaderBytes + 1000 * sizeof(TraceUop)
+                                  + traceFileFooterBytes);
+        const std::uint64_t wrapped = 1000 + (1ULL << 59);
+        const std::size_t footer = bad.size() - traceFileFooterBytes;
+        bad.replace(24, 8, reinterpret_cast<const char *>(&wrapped), 8);
+        bad.replace(footer + 8, 8, reinterpret_cast<const char *>(&wrapped),
+                    8);
+        bad.replace(bad.size() - 64, 64, sha256Hex(bad.substr(0, footer)));
+        spit(mut, bad);
+        err.clear();
+        EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
+        EXPECT_NE(err.find("at byte 24"), std::string::npos) << err;
+        TraceFileInfo info;
+        EXPECT_FALSE(readTraceFileInfo(mut, &info, &err));
     }
 
     // The original is still pristine (fuzzing wrote copies only).
