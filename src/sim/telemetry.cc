@@ -308,6 +308,10 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     std::map<std::string, KindAgg> kinds;
     std::size_t aborted = 0, finished = 0;
     double spanMs = 0;
+    // The sink opens before the plan loads and traces bind, so each
+    // stream's run_start t_ms is the time spent before the run began.
+    double preStartMs = 0;
+    bool sawStart = false;
     std::string slowestCell, slowestKind;
     double slowestMs = -1;
     // A cell's jobs of one kind may run in parallel, its kinds run in
@@ -359,6 +363,9 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
                     sawRecord = true;
                     recordMs += ev.num("record_ms");
                 }
+            } else if (ev.ev == "run_start") {
+                sawStart = true;
+                preStartMs += t;
             } else if (ev.ev == "run_aborted") {
                 ++aborted;
             } else if (ev.ev == "run_finish") {
@@ -373,6 +380,8 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
         << (paths.size() == 1 ? "" : "s") << ", span " << csprintf("%.1f",
         spanMs) << " ms, " << finished << " finished, " << aborted
         << " aborted\n";
+    if (sawStart)
+        out << csprintf("  before run_start: %.1f ms", preStartMs) << "\n";
     out << "  jobs: " << jobsTotal << " (" << jobsOk << " ok)\n";
     for (const auto &[key, w] : workers) {
         const double util = spanMs > 0 ? 100.0 * w.busyMs / spanMs : 0;

@@ -281,9 +281,10 @@ usage(FILE *to, int exit_code)
         "\n"
         "  eole telemetry summarize <file.jsonl>...\n"
         "      Merge one or more --telemetry streams (e.g. the three\n"
-        "      files of a 3-shard sweep) into per-worker utilization,\n"
-        "      the critical-path cell, store/trace-cache totals and\n"
-        "      the distinct cell set.\n"
+        "      files of a 3-shard sweep) into the time before\n"
+        "      run_start, per-worker utilization, the critical-path\n"
+        "      cell, store/trace-cache totals and the distinct cell\n"
+        "      set.\n"
         "\n"
         "  eole --version\n"
         "      Print build provenance (git describe, compiler, build\n"

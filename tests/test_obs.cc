@@ -375,9 +375,10 @@ TEST(Telemetry, SummaryCriticalPathSumsEachCellsLongestJobPerKind)
 
 TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
 {
-    // A hand-written stream from two shards: warm and interval jobs of
-    // one sampled cell, a full cell, and each shard's trace-cache
-    // counters with the time its misses spent recording.
+    // A hand-written stream from two shards: each shard's run_start,
+    // warm and interval jobs of one sampled cell, a full cell, and each
+    // shard's trace-cache counters with the time its misses spent
+    // recording.
     const std::string a = scratchFile("kinds_a"), b = scratchFile("kinds_b");
     const auto job = [](std::ofstream &os, const char *kind,
                         const char *workload, double wall_ms) {
@@ -388,6 +389,7 @@ TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
     };
     {
         std::ofstream os(a);
+        os << "{\"ev\":\"run_start\",\"t_ms\":40.3}\n";
         job(os, "warm", "164.gzip", 100);
         job(os, "interval", "164.gzip", 10);
         job(os, "interval", "164.gzip", 30);
@@ -397,6 +399,7 @@ TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
     }
     {
         std::ofstream os(b);
+        os << "{\"ev\":\"run_start\",\"t_ms\":2.5}\n";
         job(os, "warm", "429.mcf", 250);
         job(os, "cell", "429.mcf", 110);
         os << "{\"ev\":\"trace_cache\",\"t_ms\":1,\"hits\":0,"
@@ -414,6 +417,9 @@ TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
               std::string::npos) << s;
     EXPECT_NE(s.find("trace cache: 1 hits, 2 misses, 42.5 ms recording\n"),
               std::string::npos) << s;
+    // The time before each stream's run_start, summed over streams.
+    EXPECT_NE(s.find("  before run_start: 42.8 ms\n"), std::string::npos)
+        << s;
 
     // A stream written before record_ms existed reports no timing.
     const std::string c = scratchFile("kinds_c");
@@ -427,6 +433,8 @@ TEST(Telemetry, SummaryTotalsEachJobKindAndRecordingTime)
     summarizeTelemetry({c}, old);
     EXPECT_NE(old.str().find("trace cache: 0 hits, 1 misses\n"),
               std::string::npos) << old.str();
+    EXPECT_EQ(old.str().find("before run_start"), std::string::npos)
+        << old.str();
     std::filesystem::remove(a);
     std::filesystem::remove(b);
     std::filesystem::remove(c);
