@@ -61,14 +61,15 @@
 #                  not silent re-warming, produced the numbers);
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer), test_slab and the memory model (test_mem)
-#                  under AddressSanitizer (-DEOLE_ASAN=ON,
-#                  build-asan/);
+#                  fuzzer), test_slab, the memory model (test_mem) and
+#                  the disk-boundary suites (test_common's SHA-256,
+#                  test_trace incl. the trace-file fuzzer) under
+#                  AddressSanitizer (-DEOLE_ASAN=ON, build-asan/);
 #                  (4) the by-value checkpoint, sampling and sweep
 #                  engine suites (test_ckpt_state, test_sample,
-#                  test_experiment) and test_mem under
-#                  UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
-#                  build-ubsan/; any finding fails).
+#                  test_experiment), test_mem, test_common and
+#                  test_trace under UndefinedBehaviorSanitizer
+#                  (-DEOLE_UBSAN=ON, build-ubsan/; any finding fails).
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
@@ -249,27 +250,34 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     fi
 
     echo "check.sh: AddressSanitizer pass" \
-         "(checkpoint/state/slab/memory-model suites)"
+         "(checkpoint/state/slab/memory-model/disk-boundary suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
     # slots under ASan, so a use-after-release of a pooled DynInst (e.g.
     # a completion-wheel handle dropped early) faults here. test_mem
     # drives the caches' in-flight heaps far past their MSHR count.
+    # test_trace reads fuzzed files through the mapped trace view whose
+    # bounds the header checks set; test_common hashes split and
+    # unaligned buffers.
     cmake -B build-asan -S . -DEOLE_ASAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-asan -j "$JOBS" \
           --target test_sample test_ckpt_state test_torture test_slab \
-                   test_mem
+                   test_mem test_common test_trace
     run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem)$'
+        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem|test_common|test_trace)$'
 
     echo "check.sh: UndefinedBehaviorSanitizer pass" \
-         "(checkpoint/sampling/sweep engine/memory-model suites)"
+         "(checkpoint/sampling/sweep engine/memory-model/disk-boundary" \
+         "suites)"
+    # test_common runs the SHA-256 block functions (intrinsics) and the
+    # partial-block logic; test_trace the trace header arithmetic.
     cmake -B build-ubsan -S . -DEOLE_UBSAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-ubsan -j "$JOBS" \
-          --target test_ckpt_state test_sample test_experiment test_mem
+          --target test_ckpt_state test_sample test_experiment test_mem \
+                   test_common test_trace
     run_ctest build-ubsan \
-        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem)$'
+        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem|test_common|test_trace)$'
 fi
 
 if [[ "$WITH_OBS" == 1 ]]; then
