@@ -87,10 +87,11 @@ compress(std::uint32_t *state, const unsigned char *chunk)
 
 /**
  * The block function on the SHA extensions. The state lives in two
- * registers as ABEF and CDGH (the layout sha256rnds2 works on); each
- * group of four rounds adds the round constants to four message words,
- * runs two sha256rnds2, and extends the schedule with sha256msg1/msg2
- * four words at a time — W[t..t+3] sits in msg[(t / 4) % 4].
+ * registers as ABEF and CDGH, the layout sha256rnds2 works on (lane
+ * comments list 32-bit lanes high to low). Group g runs rounds
+ * 4g..4g+3: it adds the round constants to W[4g..4g+3], which sits in
+ * msg[g % 4], runs two sha256rnds2, and extends the schedule four
+ * words at a time with sha256msg1/msg2.
  */
 __attribute__((target("sha,sse4.1,ssse3"))) void
 blocksShaNi(std::uint32_t *state, const unsigned char *data,
@@ -125,8 +126,9 @@ blocksShaNi(std::uint32_t *state, const unsigned char *data,
                 _mm_loadu_si128(reinterpret_cast<const __m128i *>(k + 4 * g)));
             cdgh = _mm_sha256rnds2_epu32(cdgh, abef, m);
             if (g >= 3 && g < 15) {
-                // W[t+4..t+7] from its msg1 partial, W[t-3..t] and
-                // W[t..t+3].
+                // Each new word W[t], t in 4g+4..4g+7: its msg1
+                // partial W[t-16] + σ0(W[t-15]), plus W[t-7]; msg2
+                // then adds σ1(W[t-2]).
                 __m128i &next = msg[(g + 1) & 3];
                 next = _mm_add_epi32(
                     next, _mm_alignr_epi8(msg[g & 3], msg[(g - 1) & 3], 4));
@@ -146,7 +148,7 @@ blocksShaNi(std::uint32_t *state, const unsigned char *data,
     tmp = _mm_shuffle_epi32(abef, 0x1b);                 // FEBA
     cdgh = _mm_shuffle_epi32(cdgh, 0xb1);                // DCHG
     abef = _mm_blend_epi16(tmp, cdgh, 0xf0);             // DCBA
-    cdgh = _mm_alignr_epi8(cdgh, tmp, 8);                // ABEF
+    cdgh = _mm_alignr_epi8(cdgh, tmp, 8);                // HGFE
     _mm_storeu_si128(reinterpret_cast<__m128i *>(state), abef);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4), cdgh);
 }
@@ -224,11 +226,9 @@ Sha256::update(const void *data, std::size_t len)
         fill = 0;
     }
     const std::size_t whole = len / sizeof(block);
-    if (whole > 0) {
-        blocks(state.data(), p, whole);
-        p += whole * sizeof(block);
-        len -= whole * sizeof(block);
-    }
+    blocks(state.data(), p, whole);
+    p += whole * sizeof(block);
+    len -= whole * sizeof(block);
     std::memcpy(block, p, len);
     fill = len;
 }
