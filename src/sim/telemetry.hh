@@ -111,11 +111,11 @@ std::vector<TelemetryEvent> readTelemetry(const std::string &path);
 /** Merge one or more streams into a human summary: the time before
  *  run_start (loading the plan and binding traces; each stream's
  *  run_start t_ms, summed), per-worker utilization, per job kind the
- *  count, total and longest wall time,
- *  the critical path (the cell whose longest job of each kind sums
- *  highest — a cell's kinds run in sequence, its jobs of one kind in
- *  parallel), the slowest single job, counters (the trace cache's with
- *  its recording time), and the sorted distinct cell set. */
+ *  count, total and longest wall time, the critical path (the cell
+ *  whose longest job of each kind sums highest — a cell's kinds run
+ *  in sequence, its jobs of one kind in parallel), the slowest single
+ *  job, counters (the trace cache's with its recording time), and
+ *  the sorted distinct cell set. */
 void summarizeTelemetry(const std::vector<std::string> &paths,
                         std::ostream &out);
 

@@ -204,8 +204,7 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
     bool ok = put(header, sizeof(header));
     std::vector<unsigned char> chunk(chunkUops * sizeof(TraceUop));
     for (std::size_t i = 0; ok && i < trace.uops.size(); i += chunkUops) {
-        const std::size_t n =
-            std::min(chunkUops, trace.uops.size() - i);
+        const std::size_t n = std::min(chunkUops, trace.uops.size() - i);
         for (std::size_t j = 0; j < n; ++j)
             packUop(chunk.data() + j * sizeof(TraceUop), trace.uops[i + j]);
         ok = put(chunk.data(), n * sizeof(TraceUop));
