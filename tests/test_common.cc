@@ -436,7 +436,7 @@ TEST(Sha256, SplitAndUnalignedUpdatesHashLikeOneCall)
     Rng rng(5);
     const std::size_t pieces[] = {1, 63, 64, 65, 4096};
     for (std::size_t offset = 0; offset < 8; ++offset) {
-        // Copy into a buffer whose payload starts @p offset bytes past
+        // Copy into a buffer whose payload starts `offset` bytes past
         // an aligned address.
         std::vector<unsigned char> shifted(big.size() + 8);
         std::copy(big.begin(), big.end(), shifted.begin() + offset);
