@@ -19,6 +19,7 @@
 #include "pipeline/stages/rename.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
+#include "sim/plan.hh"
 #include "sim/plans.hh"
 #include "sim/sweep.hh"
 #include "workloads/workload.hh"
@@ -61,7 +62,8 @@ stageSwapDemo(const SimConfig &cfg, const std::string &workload)
 {
     const std::uint64_t uops = std::min<std::uint64_t>(measureUops(), 200000);
 
-    const Workload w = workloads::build(workload);
+    Workload w = workloads::build(workload);
+    w.frozen = w.freeze(uops + maxInflightUops(cfg));
     Core stock(cfg, w);
     stock.run(uops, uops * 200 + 100000);
 

@@ -11,6 +11,7 @@
 #include "mem/hierarchy.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "vpred/value_predictor.hh"
 #include "workloads/workload.hh"
 
@@ -136,40 +137,47 @@ BENCHMARK(BM_CacheStream);
 void
 BM_KernelVmStep(benchmark::State &state)
 {
-    Workload w = workloads::makeGzip();
-    TraceSource ts = w.makeTrace();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(&ts.fetch());
-        ts.retireUpTo(ts.nextSeq() - 1);
-    }
+    const Workload w = workloads::makeGzip();
+    KernelVM vm(w.program, w.memBytes);
+    if (w.init)
+        w.init(vm);
+    TraceUop u;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(vm.step(u));
 }
 BENCHMARK(BM_KernelVmStep);
+
+/** core.run(64) calls per BM_CoreTick* run: a recording ends, so the
+ *  iteration count is fixed and the recording sized to cover it. */
+constexpr std::int64_t coreTickIterations = 4096;
+
+void
+runCoreTicks(benchmark::State &state, const SimConfig &cfg)
+{
+    Workload w = workloads::makeCrafty();
+    // Each run(64) may overshoot by less than a commit group.
+    w.frozen = w.freeze(coreTickIterations * (64 + cfg.commitWidth)
+                        + maxInflightUops(cfg));
+    Core core(cfg, w);
+    for (auto _ : state)
+        core.run(64);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(core.stats().committedUops));
+}
 
 void
 BM_CoreTickBaseline(benchmark::State &state)
 {
-    const SimConfig cfg = configs::baseline(6, 64);
-    Workload w = workloads::makeCrafty();
-    Core core(cfg, w);
-    for (auto _ : state)
-        core.run(64);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(core.stats().committedUops));
+    runCoreTicks(state, configs::baseline(6, 64));
 }
-BENCHMARK(BM_CoreTickBaseline);
+BENCHMARK(BM_CoreTickBaseline)->Iterations(coreTickIterations);
 
 void
 BM_CoreTickEole(benchmark::State &state)
 {
-    const SimConfig cfg = configs::eoleConstrained(4, 64, 4, 4);
-    Workload w = workloads::makeCrafty();
-    Core core(cfg, w);
-    for (auto _ : state)
-        core.run(64);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(core.stats().committedUops));
+    runCoreTicks(state, configs::eoleConstrained(4, 64, 4, 4));
 }
-BENCHMARK(BM_CoreTickEole);
+BENCHMARK(BM_CoreTickEole)->Iterations(coreTickIterations);
 
 } // namespace
 

@@ -10,9 +10,9 @@
  * length, workload by workload:
  *
  *   full      the ordinary detailed run (the fidelity reference);
- *   re-warm   sampled, legacy path: every interval functionally
- *             re-warms its own prefix (PR 3's B=0 mode, forced via
- *             SweepOptions::sampleRewarm) — O(N·prefix) warming;
+ *   re-warm   sampled, per-interval path: every interval functionally
+ *             re-warms its own whole prefix (a warming bound B no
+ *             shorter than the prefix) — O(N·prefix) warming;
  *   restore   sampled, warm-once path: one continuous warming pass
  *             per cell drops an eole-ckpt-v2 µarch checkpoint at each
  *             interval start and intervals restore instead of
@@ -75,12 +75,15 @@ main(int argc, char **argv)
 
     SweepOptions opt;
     opt.jobs = argc > 1 ? std::atoi(argv[1]) : 0;
-    SweepOptions rewarm_opt = opt;
-    rewarm_opt.sampleRewarm = true;
 
     const char *spec_env = std::getenv("EOLE_SAMPLE");
     const SampleSpec spec = parseSampleSpec(
         spec_env && *spec_env ? spec_env : "10:5000:2500");
+    // The re-warm oracle: at B=0 a bound no shorter than any prefix,
+    // so every interval warms from µ-op 0; a given B>0 is kept.
+    SampleSpec rewarm_spec = spec;
+    if (rewarm_spec.warmBound == 0)
+        rewarm_spec.warmBound = ~std::uint64_t{0};
     const double min_speedup =
         static_cast<double>(envU64("EOLE_SAMPLE_MIN_SPEEDUP", 2));
 
@@ -116,7 +119,7 @@ main(int argc, char **argv)
         const auto t0 = std::chrono::steady_clock::now();
         const PlanResult full = runPlan(one, opt);
         const auto t1 = std::chrono::steady_clock::now();
-        const PlanResult rewarm = runSampledPlan(one, spec, rewarm_opt);
+        const PlanResult rewarm = runSampledPlan(one, rewarm_spec, opt);
         const auto t2 = std::chrono::steady_clock::now();
         const PlanResult restore = runSampledPlan(one, spec, opt);
         const auto t3 = std::chrono::steady_clock::now();

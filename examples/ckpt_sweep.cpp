@@ -14,9 +14,10 @@
  *      start;
  *   2. the checkpoints serialize to canonical text — serialize, parse
  *      back, byte-identical: the unit you can ship to another host;
- *   3. a sampled run in warm-once mode measures exactly what the
- *      legacy per-interval re-warming mode measures, for a fraction
- *      of the warming work (sample_warm_uops tells the story, and
+ *   3. a sampled run in warm-once mode measures exactly what
+ *      re-warming each interval's whole prefix (a warming bound B no
+ *      shorter than the prefix) measures, for a fraction of the
+ *      warming work (sample_warm_uops tells the story, and
  *      sample_restored_intervals proves the restore path ran).
  */
 
@@ -95,12 +96,13 @@ main(int argc, char **argv)
                 bytes.size(),
                 checkpointString(back) == bytes ? "yes" : "NO");
 
-    // 4. Same measurements, less warming: run the sampled cell in both
-    //    modes and compare.
-    SweepOptions rewarm = opt;
-    rewarm.sampleRewarm = true;
+    // 4. Same measurements, less warming: run the sampled cell both
+    //    ways and compare. A warming bound B no shorter than the
+    //    prefix makes every interval re-warm from µ-op 0.
+    SampleSpec rewarm = spec;
+    rewarm.warmBound = ~std::uint64_t{0};
     const auto t0 = std::chrono::steady_clock::now();
-    const PlanResult legacy = runSampledPlan(plan, spec, rewarm);
+    const PlanResult legacy = runSampledPlan(plan, rewarm, opt);
     const auto t1 = std::chrono::steady_clock::now();
     const PlanResult restored = runSampledPlan(plan, spec, opt);
     const auto t2 = std::chrono::steady_clock::now();

@@ -9,12 +9,14 @@
  *  - data-dependent accumulation          -> stays in the OoO engine
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/random.hh"
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
@@ -69,18 +71,25 @@ makeChecksumKernel()
 int
 main()
 {
-    const Workload w = makeChecksumKernel();
+    Workload w = makeChecksumKernel();
+    const SimConfig cfgs[] = {configs::baselineVp(6, 64),
+                              configs::eole(4, 64)};
 
-    // Functional dry-run first: the KernelVM executes the kernel
-    // directly (this is also how the timing core gets its oracle).
+    // Record the kernel once: the KernelVM executes it functionally,
+    // and every timing core replays the recording. It covers both
+    // run() targets plus what a core holds in flight past them.
+    std::uint64_t inflight = 0;
+    for (const SimConfig &cfg : cfgs)
+        inflight = std::max(inflight, maxInflightUops(cfg));
+    w.frozen = w.freeze(200000 + 1000000 + inflight);
+
+    // The functional mix of the first 100k µ-ops of the recording.
     {
-        TraceSource ts = w.makeTrace();
         std::uint64_t alu = 0, loads = 0, total = 100000;
         for (std::uint64_t n = 0; n < total; ++n) {
-            const TraceUop &u = ts.fetch();
+            const TraceUop &u = w.frozen->uops[n];
             alu += isSingleCycleAlu(u.opc);
             loads += u.isLoad();
-            ts.retireUpTo(ts.nextSeq() - 1);
         }
         std::printf("functional mix: %.1f%% single-cycle ALU, %.1f%% "
                     "loads\n\n",
@@ -88,8 +97,7 @@ main()
     }
 
     // Now measure on the paper's machines.
-    for (const SimConfig &cfg :
-         {configs::baselineVp(6, 64), configs::eole(4, 64)}) {
+    for (const SimConfig &cfg : cfgs) {
         Core core(cfg, w);
         core.run(200000, 40000000);
         core.resetStats();

@@ -8,12 +8,14 @@
  *   ./build/examples/design_space [benchmark]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
@@ -45,9 +47,16 @@ main(int argc, char **argv)
     std::printf("%-52s %7s %9s %8s\n", "step", "IPC", "offload",
                 "IQ-occ");
 
+    // One recording of the benchmark serves every step: both run()
+    // targets plus what the widest core holds in flight past them.
+    Workload w = workloads::build(bench);
+    std::uint64_t inflight = 0;
+    for (const Step &s : steps)
+        inflight = std::max(inflight, maxInflightUops(s.cfg));
+    w.frozen = w.freeze(300000 + 1500000 + inflight);
+
     double base_vp_ipc = 0.0;
     for (const Step &s : steps) {
-        const Workload w = workloads::build(bench);
         Core core(s.cfg, w);
         core.run(300000, 60000000);
         core.resetStats();

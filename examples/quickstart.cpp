@@ -6,12 +6,14 @@
  *   ./build/examples/quickstart [benchmark] [uops]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
@@ -39,8 +41,15 @@ main(int argc, char **argv)
     std::printf("%-18s %7s %8s %8s %8s %9s\n", "config", "IPC", "VP-cov",
                 "EE-frac", "LE-frac", "offload");
 
+    // Every machine replays one recording of the benchmark, long enough
+    // for both run() targets plus what a core holds in flight past them.
+    Workload w = workloads::build(bench);
+    std::uint64_t inflight = 0;
+    for (const SimConfig &cfg : cfgs)
+        inflight = std::max(inflight, maxInflightUops(cfg));
+    w.frozen = w.freeze(uops / 5 + uops + inflight);
+
     for (const SimConfig &cfg : cfgs) {
-        const Workload w = workloads::build(bench);
         Core core(cfg, w);
         core.run(uops / 5, uops * 100);  // warm predictors and caches
         core.resetStats();

@@ -24,6 +24,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/logging.hh"
+
 namespace eole {
 
 /**
@@ -47,19 +49,52 @@ parseU64Strict(const std::string &s, std::uint64_t *out)
 constexpr std::uint64_t defaultWarmupUops = 1000000;
 constexpr std::uint64_t defaultMeasureUops = 5000000;
 
-/** @p name parsed as u64 (base auto-detected), or @p fallback when
- *  unset/empty. */
-inline std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+/** The longest run length accepted from outside the program — a
+ *  warmup, a measured length, a sample interval W or its detailed
+ *  warmup D. 2^40 µ-ops is days of one worker, and far from wrapping
+ *  the sums (warmup + measure + look-ahead) and cycle caps (x 60) the
+ *  engine derives from run lengths. Every entry point checks it: the
+ *  CLI flags, the environment, plan files and sample specs. */
+constexpr std::uint64_t maxRunLengthUops = std::uint64_t{1} << 40;
+
+/**
+ * Environment variable @p name as a u64: @p fallback when unset or
+ * empty, else parsed strictly (parseU64Strict) into @p out. Returns ""
+ * or a diagnostic naming the variable when the value is malformed or
+ * above @p max.
+ */
+inline std::string
+tryEnvU64(const char *name, std::uint64_t fallback, std::uint64_t max,
+          std::uint64_t *out)
 {
     const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
+    if (v == nullptr || *v == '\0') {
+        *out = fallback;
+        return "";
+    }
+    if (!parseU64Strict(v, out))
+        return std::string("bad ") + name + " \"" + v + "\"";
+    if (*out > max) {
+        return std::string(name) + "=" + v + " is above "
+            + std::to_string(max);
+    }
+    return "";
+}
+
+/** tryEnvU64, fatal on a diagnostic. */
+inline std::uint64_t
+envU64(const char *name, std::uint64_t fallback,
+       std::uint64_t max = ~std::uint64_t{0})
+{
+    std::uint64_t v = 0;
+    const std::string err = tryEnvU64(name, fallback, max, &v);
+    fatal_if(!err.empty(), "%s", err.c_str());
+    return v;
 }
 
 /** Resolve a run-length knob with the precedence documented in the
- *  file header: explicit option > plan field > environment > default. */
+ *  file header: explicit option > plan field > environment > default.
+ *  The environment is bounded by maxRunLengthUops. */
 inline std::uint64_t
 resolveRunLength(std::uint64_t option_value, std::uint64_t plan_value,
                  const char *env_name, std::uint64_t fallback)
@@ -68,7 +103,7 @@ resolveRunLength(std::uint64_t option_value, std::uint64_t plan_value,
         return option_value;
     if (plan_value)
         return plan_value;
-    return envU64(env_name, fallback);
+    return envU64(env_name, fallback, maxRunLengthUops);
 }
 
 } // namespace eole

@@ -16,10 +16,12 @@
  * borrowed span, not a container):
  *  - recorded in memory (`storage` owns the vector; seal() points the
  *    span at it), or
- *  - mapped from an eole-trace-v1 file (src/trace/trace_file.hh): the
- *    span points straight into the read-only mapping and `mapping`
- *    keeps it alive, so a billion-µ-op trace costs address space and
- *    page cache, not resident heap (residentBytes() == 0).
+ *  - a read-only file mapping: an eole-trace-v1 file
+ *    (src/trace/trace_file.hh), or a recording spilled to an unlinked
+ *    temporary file because it is over the trace cache's RAM budget.
+ *    The span points straight into the mapping and `mapping` keeps it
+ *    alive, so a billion-µ-op trace costs address space and page
+ *    cache, not resident heap (residentBytes() == 0).
  */
 
 #ifndef EOLE_ISA_FROZEN_TRACE_HH
@@ -113,11 +115,18 @@ struct FrozenTrace
  * @param max_uops recording cap; the trace is complete if the program
  *        halts within the cap
  * @param name canonical workload name stamped into the trace
+ * @param is_fp the workload's SPEC-suite flag, stamped into the trace
+ * @param spill_dir empty: record to the heap. Otherwise write the
+ *        records to an unlinked temporary file in this directory and
+ *        map it read-only (mmapBacked). The spill is scratch, not a
+ *        format: no header, no checksum, no reader outside this
+ *        process. A failed write or map is fatal.
  */
 std::shared_ptr<const FrozenTrace>
 recordTrace(const Program &program, std::size_t mem_bytes,
             const std::function<void(KernelVM &)> &init,
-            std::uint64_t max_uops, const std::string &name = "");
+            std::uint64_t max_uops, const std::string &name = "",
+            bool is_fp = false, const std::string &spill_dir = "");
 
 /**
  * A prefix view of @p trace bounded to @p max_uops µ-ops, sharing the

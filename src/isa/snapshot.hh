@@ -129,7 +129,7 @@ class SnapshotWriter
             *--p = "0123456789abcdef"[v & 0xf];
             v >>= 4;
         } while (v);
-        line.append(p, buf + sizeof(buf));
+        line.append(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
     }
 
     void

@@ -1,67 +1,46 @@
 /**
  * @file
- * TraceSource: on-demand generation of the dynamic µ-op stream with
- * rewind support.
+ * TraceSource: the sequence-numbered replay of a recorded µ-op stream,
+ * with rewind support.
  *
  * The timing simulator is trace-driven: it fetches the architecturally
  * correct path from this source. On a squash (branch/value misprediction
  * or memory-order violation) the front end rewinds to the first squashed
- * µ-op and re-fetches the same correct-path stream. Committed µ-ops are
- * retired from the replay window.
+ * µ-op and re-fetches the same correct-path stream.
  *
- * Two backings produce bit-identical streams:
- *  - a live KernelVM stepped lazily (the original mode), and
- *  - a shared immutable FrozenTrace recorded once and replayed by any
- *    number of concurrently-running cores (the sweep engine's trace
- *    cache, see sim/trace_cache.hh). Replay keeps no window of its
- *    own — rewind/retire are pure index arithmetic over the shared
- *    vector.
+ * The stream is always a shared immutable FrozenTrace — recorded to the
+ * heap or a mapped spill file by the trace cache (sim/trace_cache.hh),
+ * loaded from an eole-trace-v1 file, or recorded by the caller with
+ * Workload::freeze — replayed by any number of concurrently running
+ * cores. The source keeps no window of its own: fetch, rewind and
+ * retire are index arithmetic over the shared array.
  */
 
 #ifndef EOLE_ISA_TRACE_SOURCE_HH
 #define EOLE_ISA_TRACE_SOURCE_HH
 
-#include <deque>
-#include <functional>
 #include <memory>
 
 #include "common/logging.hh"
 #include "isa/checkpoint.hh"
 #include "isa/frozen_trace.hh"
-#include "isa/kernel_vm.hh"
 #include "isa/trace.hh"
 
 namespace eole {
 
 /**
- * Sequence-numbered µ-op stream backed by a KernelVM or a FrozenTrace.
- * Sequence numbers start at 1 and are dense. In VM mode, the window of
- * µ-ops between the oldest non-retired and the newest generated is
- * kept for replay.
+ * Sequence-numbered replay of a FrozenTrace. Sequence numbers start at
+ * 1 and are dense: µ-op i of the recording has sequence number i + 1.
  */
 class TraceSource
 {
   public:
-    /**
-     * Live-VM backing.
-     * @param program kernel program (copied; self-contained source)
-     * @param mem_bytes VM data-memory size
-     * @param init one-time architectural state initializer
-     */
-    TraceSource(Program program, std::size_t mem_bytes,
-                const std::function<void(KernelVM &)> &init)
-        : prog(std::make_unique<Program>(std::move(program))),
-          vm(std::make_unique<KernelVM>(*prog, mem_bytes))
-    {
-        if (init)
-            init(*vm);
-    }
-
-    /** Replay backing over a shared immutable recording. */
+    /** Replay @p trace from its first µ-op. */
     explicit TraceSource(std::shared_ptr<const FrozenTrace> trace)
         : frozen(std::move(trace))
     {
         panic_if(!frozen, "null frozen trace");
+        uops = frozen->uops;
         for (int r = 0; r < numArchIntRegs; ++r)
             startIntRegs[r] = frozen->initIntRegs[r];
         for (int r = 0; r < numArchFpRegs; ++r)
@@ -69,12 +48,11 @@ class TraceSource
     }
 
     /**
-     * Replay backing resuming mid-stream at @p ckpt: the first fetch
-     * returns µ-op ckpt.uopIndex (sequence number uopIndex + 1), and
-     * the initial-register accessors return the checkpoint's
-     * architectural state instead of the trace's start state. The
-     * skipped prefix stays out of the replay window (it can never be
-     * rewound into).
+     * Replay resuming mid-stream at @p ckpt: the first fetch returns
+     * µ-op ckpt.uopIndex (sequence number uopIndex + 1), and the
+     * initial-register accessors return the checkpoint's architectural
+     * state instead of the trace's start state. The skipped prefix
+     * counts as retired (it can never be rewound into).
      */
     TraceSource(std::shared_ptr<const FrozenTrace> trace,
                 const Checkpoint &ckpt)
@@ -84,6 +62,7 @@ class TraceSource
         panic_if(ckpt.uopIndex > frozen->uops.size(),
                  "checkpoint at µ-op %llu outside the %zu-µ-op trace",
                  (unsigned long long)ckpt.uopIndex, frozen->uops.size());
+        uops = frozen->uops;
         cursor = static_cast<std::size_t>(ckpt.uopIndex);
         highWater = cursor;
         retiredSeq = ckpt.uopIndex;
@@ -93,34 +72,29 @@ class TraceSource
             startFpRegs[r] = ckpt.fpRegs[r];
     }
 
-    bool replaying() const { return frozen != nullptr; }
-
-    /** Is a µ-op available at the cursor? */
+    /** Is a µ-op available at the cursor? Reading past the end of an
+     *  incomplete recording is a hard error, never a silent stop. */
     bool
-    hasNext()
+    hasNext() const
     {
-        if (frozen) {
-            if (cursor < frozen->uops.size())
-                return true;
-            panic_if(!frozen->complete,
-                     "frozen trace exhausted after %zu µ-ops but the "
-                     "program has not halted; record a longer prefix",
-                     frozen->uops.size());
-            return false;
-        }
-        fill();
-        return cursor < window.size();
+        if (cursor < uops.size())
+            return true;
+        panic_if(!frozen->complete,
+                 "frozen trace exhausted after %zu µ-ops but the "
+                 "program has not halted; record a longer prefix",
+                 uops.size());
+        return false;
     }
 
     /** Sequence number the next fetch() will return. */
-    SeqNum nextSeq() const { return baseSeq + cursor; }
+    SeqNum nextSeq() const { return cursor + 1; }
 
     /** Peek the µ-op at the cursor without consuming it. */
     const TraceUop &
-    peek()
+    peek() const
     {
         panic_if(!hasNext(), "peek past end of trace");
-        return frozen ? frozen->uops[cursor] : window[cursor];
+        return uops[cursor];
     }
 
     /** Consume and return the µ-op at the cursor. */
@@ -128,115 +102,50 @@ class TraceSource
     fetch()
     {
         panic_if(!hasNext(), "fetch past end of trace");
-        const TraceUop &u = frozen ? frozen->uops[cursor] : window[cursor];
+        const TraceUop &u = uops[cursor];
         ++cursor;
-        if (frozen && cursor > highWater)
+        if (cursor > highWater)
             highWater = cursor;
         return u;
     }
 
     /**
-     * Rewind so that the next fetch returns sequence number @p seq.
-     * @p seq must still be inside the replay window.
+     * Rewind so that the next fetch returns sequence number @p seq:
+     * a µ-op already fetched and not yet retired, or the next new one.
      */
     void
     rewindTo(SeqNum seq)
     {
-        if (frozen) {
-            panic_if(seq <= retiredSeq || seq > highWater + 1,
-                     "rewind to %llu outside window (%llu, %llu]",
-                     (unsigned long long)seq,
-                     (unsigned long long)retiredSeq,
-                     (unsigned long long)(highWater + 1));
-            cursor = static_cast<std::size_t>(seq - 1);
-            return;
-        }
-        panic_if(seq < baseSeq || seq > baseSeq + window.size(),
-                 "rewind to %llu outside window [%llu, %llu]",
-                 (unsigned long long)seq, (unsigned long long)baseSeq,
-                 (unsigned long long)(baseSeq + window.size()));
-        cursor = static_cast<std::size_t>(seq - baseSeq);
+        panic_if(seq <= retiredSeq || seq > highWater + 1,
+                 "rewind to %llu outside window (%llu, %llu]",
+                 (unsigned long long)seq, (unsigned long long)retiredSeq,
+                 (unsigned long long)(highWater + 1));
+        cursor = static_cast<std::size_t>(seq - 1);
     }
 
-    /** Retire (drop) all window entries with sequence number <= @p seq. */
+    /** Retire every µ-op with sequence number <= @p seq: no rewind may
+     *  reach them again. */
     void
     retireUpTo(SeqNum seq)
     {
-        if (frozen) {
-            panic_if(seq > cursor, "retiring unfetched µ-op %llu",
-                     (unsigned long long)seq);
-            if (seq > retiredSeq)
-                retiredSeq = seq;
-            return;
-        }
-        while (!window.empty() && baseSeq <= seq) {
-            panic_if(cursor == 0, "retiring unfetched µ-op %llu",
-                     (unsigned long long)baseSeq);
-            window.pop_front();
-            ++baseSeq;
-            --cursor;
-        }
+        panic_if(seq > cursor, "retiring unfetched µ-op %llu",
+                 (unsigned long long)seq);
+        if (seq > retiredSeq)
+            retiredSeq = seq;
     }
 
-    /** Total µ-ops generated so far (high-water mark). */
-    std::uint64_t
-    generated() const
-    {
-        return frozen ? highWater : vm->executedUops();
-    }
-
-    /** The live VM — the escape hatch for ad-hoc tools and debugging
-     *  that need architectural state mid-run (VM backing only; replay
-     *  has no machine). Core code reads initial register state through
-     *  the backing-agnostic accessors below instead. */
-    KernelVM &
-    machine()
-    {
-        panic_if(!vm, "no live VM behind a frozen-trace replay");
-        return *vm;
-    }
-
-    /** Architectural state at the stream's start point — post-init
-     *  state, or the checkpoint state for a resumed replay (valid for
-     *  both backings). */
-    RegVal
-    initialIntReg(RegIndex r) const
-    {
-        return frozen ? startIntRegs[r] : vm->readIntReg(r);
-    }
-
-    RegVal
-    initialFpReg(RegIndex r) const
-    {
-        return frozen ? startFpRegs[r] : vm->readFpReg(r);
-    }
+    /** Architectural state at the stream's start point: the trace's
+     *  post-init state, or the checkpoint's for a resumed replay. */
+    RegVal initialIntReg(RegIndex r) const { return startIntRegs[r]; }
+    RegVal initialFpReg(RegIndex r) const { return startFpRegs[r]; }
 
   private:
-    void
-    fill()
-    {
-        if (cursor < window.size() || vm->halted())
-            return;
-        TraceUop u;
-        if (vm->step(u))
-            window.push_back(u);
-    }
+    std::shared_ptr<const FrozenTrace> frozen;  //!< keeps `uops` alive
+    FrozenTrace::UopView uops;  //!< the recording's array, by value
+    std::size_t cursor = 0;     //!< 0-based index of the next fetch
+    std::size_t highWater = 0;  //!< max cursor ever reached
+    SeqNum retiredSeq = 0;      //!< all seq <= this retired
 
-    std::unique_ptr<Program> prog;
-    std::unique_ptr<KernelVM> vm;
-    std::shared_ptr<const FrozenTrace> frozen;
-
-    // VM mode: sliding replay window. Replay mode: window is the whole
-    // frozen stream, so baseSeq stays 1 and cursor is the 0-based index
-    // of the next fetch.
-    std::deque<TraceUop> window;
-    SeqNum baseSeq = 1;     //!< sequence number of window[0] (VM mode)
-    std::size_t cursor = 0;
-    std::size_t highWater = 0;  //!< replay: max cursor ever reached
-    SeqNum retiredSeq = 0;      //!< replay: all seq <= this retired
-
-    // Replay mode: register state at the start point (trace init state,
-    // or the checkpoint's image for a mid-stream resume).
     RegVal startIntRegs[numArchIntRegs] = {};
     RegVal startFpRegs[numArchFpRegs] = {};
 };

@@ -23,13 +23,12 @@ struct DynInst
 {
     // --- Fetch ---
     /** The trace µ-op this in-flight instance executes. A pointer into
-     *  the TraceSource's stable storage (the frozen vector, or the VM
-     *  window deque — end pops never move other elements), not a copy:
-     *  the source retires an entry only when commit retires the same
-     *  seq, and a squashed µ-op's entry outlives every handle because
-     *  it stays in the replay window until re-fetched and committed.
-     *  Dropping the ~100-byte copy per µ-op is a measurable win on the
-     *  fetch path and shrinks DynInst across every queue scan. */
+     *  the immutable recording the TraceSource replays (a heap vector
+     *  or a read-only mapping, kept alive by the source for the core's
+     *  whole life), not a copy: replay never moves or frees an entry,
+     *  so the pointee outlives every handle, squashed or not. Dropping
+     *  the ~100-byte copy per µ-op is a measurable win on the fetch
+     *  path and shrinks DynInst across every queue scan. */
     const TraceUop *uopP = nullptr;
     SeqNum seq = 0;
     Cycle fetchCycle = 0;

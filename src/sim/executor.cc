@@ -183,16 +183,9 @@ SweepExecutor::saveCellStats()
 }
 
 std::shared_ptr<const FrozenTrace>
-SweepExecutor::sharedTrace(const Workload &w)
+SweepExecutor::trace(const Workload &w)
 {
-    return options.useTraceCache ? cache.get(w, traceUops) : nullptr;
-}
-
-std::shared_ptr<const FrozenTrace>
-SweepExecutor::trace(const Workload &w, std::uint64_t horizon)
-{
-    std::shared_ptr<const FrozenTrace> t = sharedTrace(w);
-    return t ? t : w.freeze(std::min(traceUops, horizon));
+    return cache.get(w, traceUops);
 }
 
 void
@@ -322,7 +315,7 @@ SweepExecutor::run(std::uint64_t trace_uops,
             options.progress(finished, total, report);
         }
     });
-    if (options.telemetry && options.useTraceCache) {
+    if (options.telemetry) {
         options.telemetry->traceCacheCounts(
             cache.hitCount(), cache.missCount(), cache.fileHitCount(),
             cache.fileMissCount(), cache.evictCount(), cache.recordMs());

@@ -18,16 +18,16 @@
  *    its previous phase finishes, and a free worker takes a ready
  *    later-phase job before it starts a new cell (so a cell's
  *    intervals follow its warm pass, and what one phase hands the
- *    next never accumulates across cells). The trace cache keeps a
- *    per-workload refcount (a recording drops after its workload's
- *    last job, counted across every phase) with the private-recording
- *    fallback;
+ *    next never accumulates across cells). Every job replays its
+ *    workload's one shared recording from the trace cache, which keeps
+ *    a per-workload refcount (a recording drops after its workload's
+ *    last job, counted across every phase);
  *  - per-job telemetry and progress.
  *
  * Determinism: cells land in pre-assigned slots, job bodies write only
  * to their own cell's slots, and the store is touched only from the
  * serial passes — so whatever an engine reduces from the slots is
- * byte-identical across --jobs and trace-cache settings.
+ * byte-identical across --jobs and trace-cache budgets.
  */
 
 #ifndef EOLE_SIM_EXECUTOR_HH
@@ -151,14 +151,9 @@ class SweepExecutor
      *  the shared recordings. */
     void run(std::uint64_t trace_uops, const std::vector<SweepPhase> &phases);
 
-    /** The workload's shared recording, or null when the cache is off
-     *  or the trace is over budget (full runs then step the live VM). */
-    std::shared_ptr<const FrozenTrace> sharedTrace(const Workload &w);
-
-    /** sharedTrace, else a private recording bounded to @p horizon, the
-     *  job's own reach, so residency stays proportional to the job. */
-    std::shared_ptr<const FrozenTrace> trace(const Workload &w,
-                                             std::uint64_t horizon);
+    /** The workload's shared recording of run()'s trace_uops µ-ops
+     *  (heap or spilled, never null). */
+    std::shared_ptr<const FrozenTrace> trace(const Workload &w);
 
   private:
     TraceCache cache;

@@ -1,7 +1,10 @@
 /**
  * @file
- * Experiment infrastructure: parallel (configuration x workload) grid
- * execution and paper-style table formatting.
+ * Experiment infrastructure: the result of one (configuration x
+ * workload) cell, the run-length and worker-count knobs, and the
+ * geometric mean the paper-style tables (sim/sweep.hh
+ * printPlanTables) normalize with. Grids run through the sweep engine
+ * (sim/sweep.hh runPlan).
  *
  * Run lengths follow DESIGN.md §5: each (config, workload) pair warms
  * all structures for EOLE_WARMUP µ-ops (default 1M) and measures for
@@ -52,49 +55,8 @@ std::uint64_t measureUops();
 /** Worker threads for grids (EOLE_THREADS env var, default = cores). */
 int runnerThreads();
 
-/**
- * Run every (config, workload) pair in parallel (a thin wrapper over
- * the sweep engine, sim/sweep.hh).
- *
- * Each cell runs with a deterministic per-job seed derived from the
- * cell identity and the config's seed field (sim/plan.hh jobSeed) —
- * not with SimConfig::seed verbatim — so results are independent of
- * worker count and scheduling.
- *
- * @param cfgs configurations (names must be unique)
- * @param workload_names registry names (see workloads::allNames())
- * @return results in (config-major, workload-minor) order
- */
-std::vector<RunResult> runGrid(const std::vector<SimConfig> &cfgs,
-                               const std::vector<std::string>
-                                   &workload_names);
-
-/** Find a result in a grid (fatal if absent). */
-const RunResult &findResult(const std::vector<RunResult> &results,
-                            const std::string &config,
-                            const std::string &workload);
-
 /** Geometric mean of a vector of ratios. */
 double geomean(const std::vector<double> &xs);
-
-/**
- * Print a paper-style table: one row per workload, one column per
- * configuration, cell = stat value; followed by a geometric-mean row
- * when the stat is a speedup.
- *
- * @param title table heading
- * @param results the grid
- * @param cfg_names column order
- * @param stat stat to show (e.g. "ipc", "offload_frac")
- * @param normalize_to config name whose value divides each row
- *        (empty = absolute values)
- */
-void printTable(const std::string &title,
-                const std::vector<RunResult> &results,
-                const std::vector<std::string> &cfg_names,
-                const std::vector<std::string> &workload_names,
-                const std::string &stat,
-                const std::string &normalize_to = "");
 
 } // namespace eole
 

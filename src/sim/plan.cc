@@ -77,6 +77,13 @@ tryParseSampleSpec(const std::string &text, SampleSpec *out,
                         text.c_str());
         return false;
     }
+    if (spec.intervalUops > maxRunLengthUops
+        || spec.detailUops > maxRunLengthUops) {
+        *err = csprintf("sample spec \"%s\": W and D must be at most "
+                        "%llu µ-ops", text.c_str(),
+                        (unsigned long long)maxRunLengthUops);
+        return false;
+    }
     *out = spec;
     return true;
 }
@@ -164,19 +171,22 @@ ShardSlice::owns(std::uint64_t plan_seed, std::uint64_t config_seed,
 }
 
 std::uint64_t
-maxInflightUops(const ExperimentPlan &plan)
+maxInflightUops(const SimConfig &c)
 {
-    std::uint64_t worst = 0;
-    for (const SimConfig &c : plan.configs) {
-        const std::uint64_t inflight =
-            static_cast<std::uint64_t>(c.frontEndCycles) * c.fetchWidth
-            + c.robEntries + c.iqEntries + 4 * c.renameWidth
-            + 2 * c.commitWidth;
-        worst = std::max(worst, inflight);
-    }
     // Slack for the commit-group overshoot of the warmup and measure
     // run() calls and for anything this accounting missed.
-    return worst + 512;
+    return static_cast<std::uint64_t>(c.frontEndCycles) * c.fetchWidth
+        + c.robEntries + c.iqEntries + 4 * c.renameWidth
+        + 2 * c.commitWidth + 512;
+}
+
+std::uint64_t
+maxInflightUops(const ExperimentPlan &plan)
+{
+    std::uint64_t worst = 512;
+    for (const SimConfig &c : plan.configs)
+        worst = std::max(worst, maxInflightUops(c));
+    return worst;
 }
 
 bool

@@ -178,11 +178,14 @@ std::uint64_t jobSeed(std::uint64_t plan_seed, std::uint64_t config_seed,
                       const std::string &workload);
 
 /**
- * Upper bound on µ-ops fetched but not yet committed under any of the
- * plan's configurations (front-end pipe + rename buffer + ROB, plus
- * slack). Used to size frozen-trace recordings so a replay never runs
- * off the end of the prefix.
+ * Upper bound on µ-ops fetched but not yet committed under @p cfg
+ * (front-end pipe + rename buffer + ROB, plus slack). Used to size
+ * frozen-trace recordings so a replay never runs off the end of the
+ * prefix: a run committing n µ-ops needs n + maxInflightUops(cfg).
  */
+std::uint64_t maxInflightUops(const SimConfig &cfg);
+
+/** The largest maxInflightUops over the plan's configurations. */
 std::uint64_t maxInflightUops(const ExperimentPlan &plan);
 
 /** Does "config/workload" contain @p filter (empty matches all)? */

@@ -222,6 +222,12 @@ parsePlanText(const std::string &text, const std::string &origin,
                 return fail(lineno, directive + " = \"" + value
                             + "\" is not an unsigned integer");
             }
+            if (directive != "seed" && v > maxRunLengthUops) {
+                return fail(lineno, directive + " = " + value
+                            + " is over the longest run length ("
+                            + std::to_string(maxRunLengthUops)
+                            + " µ-ops)");
+            }
             if (directive == "seed")
                 draft.plan.seed = v;
             else if (directive == "warmup")
@@ -247,6 +253,13 @@ parsePlanText(const std::string &text, const std::string &origin,
                 return fail(lineno, "runlen " + cfg_name + " = \""
                             + uops_text
                             + "\" is not a positive µ-op count");
+            }
+            if (v > maxRunLengthUops) {
+                return fail(lineno, "runlen " + cfg_name + " = "
+                            + uops_text + " is over the longest run "
+                            "length ("
+                            + std::to_string(maxRunLengthUops)
+                            + " µ-ops)");
             }
             for (const auto &[prev_line, prev_cfg, prev_uops] :
                  draft.runlens) {

@@ -240,10 +240,10 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
 
     // Bounded warming is per-interval by construction (each interval
     // warms at most B µ-ops of its own prefix), so the warm-once
-    // checkpoints apply to the continuous (B=0) mode only;
-    // options.sampleRewarm forces the legacy path there for
-    // differential validation.
-    const bool warmOnce = spec.warmBound == 0 && !options.sampleRewarm;
+    // checkpoints apply to the continuous (B=0) mode only. A B no
+    // shorter than the prefix re-warms the whole prefix per interval:
+    // the same warmed state, which the differential test pins.
+    const bool warmOnce = spec.warmBound == 0;
 
     SweepExecutor ex(plan, options, spec);
     const std::vector<std::vector<std::uint64_t>> starts =
@@ -266,7 +266,6 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
     // sampled and full results never alias.
     ex.loadCellStats();
 
-    const std::uint64_t inflight = maxInflightUops(plan);
     ex.run(placedTraceUops(ex, starts),
            {// Phase 1 (warm-once mode): one continuous warming pass per
             // cell, dropping a µarch-bearing v2 checkpoint at each
@@ -278,10 +277,7 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
              [&](SweepJob &job) {
                  Cell &cell = cells[job.cell];
                  const std::vector<std::uint64_t> &placed = starts[job.cell];
-                 // A private recording reaches the furthest interval
-                 // start (consistent with the cached clamps because
-                 // every start <= the request).
-                 const auto trace = ex.trace(job.workload, placed.back());
+                 const auto trace = ex.trace(job.workload);
                  const std::uint64_t len = trace->uops.size();
                  const std::vector<std::uint64_t> idxs =
                      warmCheckpointIndices(placed, len, spec);
@@ -298,19 +294,15 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
                                static_cast<double>(cell.ckpts.size()));
              }},
             // Phase 2: the measurement intervals. Warm-once jobs restore
-            // the phase-1 checkpoint; the legacy path functionally
-            // re-warms its own prefix (bounded by B when set).
+            // the phase-1 checkpoint; with B set, each functionally
+            // re-warms up to B µ-ops of its own prefix.
             {"interval", true,
              [&](std::size_t i) { return starts[i].size(); },
              [&](SweepJob &job) {
                  Cell &cell = cells[job.cell];
                  IntervalResult &iv = cell.intervals[job.index];
                  const std::uint64_t start = starts[job.cell][job.index];
-                 // A private recording (checkpointed starts need a
-                 // frozen trace) reaches this interval's own fetch
-                 // horizon only.
-                 const auto trace = ex.trace(
-                     job.workload, start + spec.intervalUops + inflight);
+                 const auto trace = ex.trace(job.workload);
 
                  std::shared_ptr<const Checkpoint> ckpt;
                  if (warmOnce) {
@@ -337,12 +329,10 @@ runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
                  if (warmOnce) {
                      core.restoreWarmState(*ckpt);
                  } else {
-                     // Bounded warming (spec.warmBound != 0) caps the
-                     // functionally-warmed window before each interval;
-                     // 0 keeps classic SMARTS continuous warming over
-                     // the whole prefix.
+                     // Bounded warming caps the functionally-warmed
+                     // window before each interval at B µ-ops.
                      const std::uint64_t warmBegin =
-                         spec.warmBound && ckptIdx > spec.warmBound
+                         ckptIdx > spec.warmBound
                              ? ckptIdx - spec.warmBound
                              : 0;
                      iv.warmedUops = ckptIdx - warmBegin;
@@ -495,7 +485,7 @@ saveCheckpoints(const ExperimentPlan &plan, const SampleSpec &spec,
              [&](std::size_t i) { return std::size_t{!starts[i].empty()}; },
              [&](SweepJob &job) {
                  const std::size_t i = job.cell;
-                 const auto trace = ex.trace(job.workload, starts[i].back());
+                 const auto trace = ex.trace(job.workload);
                  warmOncePass(
                      ex.config(i), job.workload, trace,
                      warmCheckpointIndices(starts[i], trace->uops.size(),

@@ -22,9 +22,10 @@
  * measurements identical to per-interval continuous warming (same
  * warmed state ⇒ same measurements; pinned by the differential test
  * in tests/test_sample.cc). No checkpoint text is written or parsed
- * in a sampled run. Bounded warming (B>0) and
- * SweepOptions::sampleRewarm keep the legacy per-interval warming
- * path. saveCheckpoints (`eole ckpt save`) writes the same
+ * in a sampled run. Bounded warming (B>0) keeps the per-interval
+ * warming path; a B no shorter than the prefix re-warms each interval
+ * over its whole prefix, the oracle the differential test compares
+ * against. saveCheckpoints (`eole ckpt save`) writes the same
  * per-interval checkpoints to disk as shippable text files, rendered
  * straight from the warming core as each is captured.
  *
@@ -36,7 +37,7 @@
  * Per-cell seeds follow the jobSeed discipline, results land in
  * pre-assigned slots, and the reduction walks them in slot order — so
  * sampled artifacts (and checkpoint directories) are byte-identical
- * regardless of --jobs and cache settings, exactly like full runs.
+ * regardless of --jobs and the trace-cache budget, like full runs.
  *
  * The reduction records, per cell:
  *   ipc                 mean of the per-interval IPCs

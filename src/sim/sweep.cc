@@ -87,7 +87,7 @@ runPlan(const ExperimentPlan &plan, const SweepOptions &options)
                  const std::uint64_t measure = ex.cells[job.cell].measure;
                  const std::uint64_t maxCycles =
                      (warmup + measure) * 60 + 1000000;
-                 job.workload.frozen = ex.sharedTrace(job.workload);
+                 job.workload.frozen = ex.trace(job.workload);
                  Core core(ex.config(job.cell), job.workload);
                  if (options.tracer)
                      core.setPipeTracer(options.tracer);

@@ -10,9 +10,10 @@
  *    are a pure function of the cell identity (sim/plan.hh), jobs
  *    share no mutable state, and results land in pre-assigned slots,
  *    so `--jobs 1` and `--jobs 8` produce byte-identical artifacts.
- *  - The shared trace cache is a pure accelerator: a cache hit, a
- *    cache miss and a disabled cache all replay the same functional
- *    stream (live-VM and frozen-replay backings are bit-identical).
+ *  - Every job replays its workload's one shared recording from the
+ *    trace cache: a cache hit, a miss, and a recording spilled to a
+ *    mapped file because it is over the RAM budget all hold the same
+ *    functional stream.
  *
  * The executor schedules workload-major so that the configurations
  * sharing a workload's frozen trace run back-to-back and the trace can
@@ -43,7 +44,6 @@ struct SweepOptions
     std::string filter;        //!< substring over "config/workload"
     std::uint64_t warmup = 0;  //!< µ-ops; 0 = plan, then EOLE_WARMUP
     std::uint64_t measure = 0; //!< µ-ops; 0 = plan, then EOLE_INSTS
-    bool useTraceCache = true;
 
     /** Sharded execution (`eole shard`): when enabled, only cells
      *  this slice owns (ShardSlice::owns, a pure function of plan
@@ -60,16 +60,6 @@ struct SweepOptions
      * from its serial pre/post passes, never from worker threads.
      */
     Store *store = nullptr;
-
-    /**
-     * Sampling only: force the legacy per-interval re-warming path (as
-     * before the warm-once checkpoints) even at B=0. The two paths
-     * produce identical per-interval measurements (same warmed state —
-     * pinned by tests/test_sample.cc); re-warming just pays the prefix
-     * N times. Kept for the differential harness and the wall-clock
-     * comparison in bench/sample_validation.
-     */
-    bool sampleRewarm = false;
 
     /** Progress hook, invoked (serialized) as each job finishes. */
     std::function<void(std::size_t done, std::size_t total,

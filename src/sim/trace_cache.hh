@@ -10,21 +10,23 @@
  * on the single recording instead of duplicating it) and hands out
  * shared immutable FrozenTrace replays.
  *
- * Memory discipline: paper-grade traces are large (~70 B/µ-op), so the
+ * Memory discipline: paper-grade traces are large (~100 B/µ-op), so the
  * sweep engine orders jobs workload-major, tracks how many jobs still
  * need each workload, and calls drop() when the last one finishes —
  * peak residency is bounded by the number of workloads in flight, not
  * the grid. A per-trace byte budget (EOLE_TRACE_CACHE_MB, default 4096)
- * turns caching off for traces that would not fit; jobs then fall back
- * to live-VM execution, which is bit-identical by construction.
+ * chooses where a recording goes: within it, to the heap; over it, the
+ * same recording loop spills the µ-op array to an unlinked temporary
+ * file under std::filesystem::temp_directory_path() (TMPDIR) and maps
+ * it read-only, so the trace costs page cache, not heap. Either way
+ * get() hands out a recording: replay is the only backing.
  *
  * File-backed workloads (workloads::bindTraceFile) are different: their
- * µ-ops live in a read-only mmap of the trace file, so they cost no
- * resident heap (FrozenTrace::residentBytes() == 0) and are exempt from
- * the byte budget — the kernel pages them in and out as needed. get()
- * serves a clamped prefix view directly and the hit/miss counters
- * record them under the file-source column so telemetry can tell the
- * two populations apart.
+ * µ-ops already live in a read-only mmap of the trace file, so they are
+ * exempt from the byte budget — get() serves a clamped prefix view
+ * directly and the hit/miss counters record them under the file-source
+ * column so telemetry can tell the two populations apart. Spilled and
+ * file traces alike report residentBytes() == 0.
  */
 
 #ifndef EOLE_SIM_TRACE_CACHE_HH
@@ -46,9 +48,9 @@ class TraceCache
   public:
     /**
      * Get (recording on first use) a frozen trace of @p workload
-     * covering at least @p min_uops µ-ops, or null when the trace
-     * would exceed the byte budget. Thread-safe; keyed by workload
-     * name (unique in the registry).
+     * covering at least @p min_uops µ-ops — heap-backed within the
+     * byte budget, spilled and mapped over it. Never null. Thread-safe;
+     * keyed by workload name (unique in the registry).
      */
     std::shared_ptr<const FrozenTrace> get(const Workload &workload,
                                            std::uint64_t min_uops);
@@ -61,8 +63,8 @@ class TraceCache
     static std::uint64_t byteBudget();
 
     /** get() calls that found an adequate recorded trace / had to
-     *  record (or re-record) one. Over-budget fallbacks count as
-     *  misses. Telemetry-only; never consulted by the engine. Totals
+     *  record (or re-record) one, spilled or not. Telemetry-only;
+     *  never consulted by the engine. Totals
      *  span both source kinds; the file* accessors expose the
      *  mmap-backed (bindTraceFile) share and evictCount() the number
      *  of drop() calls that actually released a trace. */
@@ -75,12 +77,14 @@ class TraceCache
     std::uint64_t fileMissCount() const { return fileMisses.load(); }
     std::uint64_t evictCount() const { return evicts.load(); }
 
-    /** Wall time spent recording on misses (Workload::freeze), summed
-     *  over the jobs that recorded. Telemetry-only, like the counts. */
+    /** Wall time spent recording on misses (Workload::freeze, spills
+     *  included), summed over the jobs that recorded. Telemetry-only,
+     *  like the counts. */
     double recordMs() const { return recordNs.load() / 1e6; }
 
   private:
-    /** Workload::freeze, its wall time added to recordNs. */
+    /** Workload::freeze — spilled when @p min_uops µ-ops are over the
+     *  byte budget — its wall time added to recordNs. */
     std::shared_ptr<const FrozenTrace> record(const Workload &workload,
                                               std::uint64_t min_uops);
 

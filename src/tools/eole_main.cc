@@ -143,7 +143,6 @@ usage(FILE *to, int exit_code)
         "                    of running, and fresh cells are inserted\n"
         "                    — artifacts stay byte-identical either\n"
         "                    way\n"
-        "      --no-cache    disable the shared functional-trace cache\n"
         "      --no-tables   skip the paper-style tables\n"
         "      --quiet       suppress progress chatter on stderr\n"
         "                    (notice-level lines like store summaries\n"
@@ -200,7 +199,7 @@ usage(FILE *to, int exit_code)
         "  eole ckpt save <plan>|--plan <file.plan> --out <dir>\n"
         "            [--sample N:W:D[:B]] [--filter S] [--jobs N]\n"
         "            [--seed N] [--warmup N] [--insts N] [--set K=V]\n"
-        "            [--store DIR] [--no-cache] [--quiet]\n"
+        "            [--store DIR] [--quiet]\n"
         "      One continuous warming pass per matched (config,\n"
         "      workload) cell, writing an eole-ckpt-v2 checkpoint\n"
         "      file (architectural registers + serialized predictor/\n"
@@ -222,9 +221,14 @@ usage(FILE *to, int exit_code)
         "            [--uops N] [--store DIR] [--quiet]\n"
         "      Record a workload's functional µ-op trace into an\n"
         "      eole-trace-v1 file (mmap-ready packed records +\n"
-        "      SHA-256 footer). --uops bounds the recording (default:\n"
-        "      the current warmup+measure horizon plus slack, so the\n"
-        "      file covers a default-length run of any stock config).\n"
+        "      SHA-256 footer). A trace that ends before its program\n"
+        "      halts must hold every µ-op a run fetches: warmup +\n"
+        "      measure plus the plan's in-flight look-ahead\n"
+        "      (maxInflightUops), e.g. 6,000,936 µ-ops for fig12 at\n"
+        "      the default lengths; a run that reads past the end\n"
+        "      stops with an error. --uops N records N µ-ops and adds\n"
+        "      nothing; the default is EOLE_WARMUP + EOLE_INSTS +\n"
+        "      65,536, which covers any stock config.\n"
         "      --store also inserts the file into a content-addressed\n"
         "      store as a kind=trace object keyed by its own bytes.\n"
         "\n"
@@ -577,8 +581,10 @@ resolveWorkloadSpec(const std::string &spec, std::string *resolved,
  * The front door `run`, `shard` and `ckpt save` share: the plan (a
  * registered name or --plan FILE), --set, --seed, --filter with its
  * "matches no cell" diagnostic, --jobs, --warmup, --insts, --sample,
- * --store, --telemetry, --no-cache and --quiet, plus the exit-2 bail
- * that ends the telemetry stream with run_aborted. A command's own
+ * --store, --telemetry and --quiet, plus the exit-2 bail that ends the
+ * telemetry stream with run_aborted. A malformed number among these
+ * flags, or a run length over maxRunLengthUops from a flag, the
+ * environment or the plan file, takes the same bail. A command's own
  * flags go through the callback it hands to parse().
  */
 struct RunRequest
@@ -614,6 +620,7 @@ struct RunRequest
 
   private:
     std::string namedPlan, planFile, telemetryPath, storeDir;
+    std::string badFlag;  //!< parse(): the first malformed number
     std::vector<std::string> sets;
     std::uint64_t seed = 0;
     bool haveSeed = false;
@@ -631,6 +638,16 @@ RunRequest::parse(int argc, char **argv,
         i = 1;
     }
     std::string value;
+    // A malformed number is reported once the telemetry stream is open
+    // (open()), so it ends the stream like every other exit-2 path.
+    const auto number = [&](const char *what, std::uint64_t max) {
+        std::uint64_t v = 0;
+        if (parseU64Strict(value, &v) && v <= max)
+            return v;
+        if (badFlag.empty())
+            badFlag = csprintf("bad %s \"%s\"", what, value.c_str());
+        return std::uint64_t{0};
+    };
     for (; i < argc; ++i) {
         if (own(i) || takeValue(argc, argv, i, "--plan", planFile)
             || takeValue(argc, argv, i, "--filter", opt.filter)
@@ -640,18 +657,18 @@ RunRequest::parse(int argc, char **argv,
         if (takeValue(argc, argv, i, "--set", value)) {
             sets.push_back(value);
         } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = parseU64(value, "--seed");
+            seed = number("--seed", ~0ULL);
             haveSeed = true;
         } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs", INT_MAX));
+            opt.jobs = static_cast<int>(number("--jobs", INT_MAX));
         } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
+            opt.warmup = number("--warmup", maxRunLengthUops);
         } else if (takeValue(argc, argv, i, "--insts", value)) {
-            opt.measure = parseU64(value, "--insts");
+            opt.measure = number("--insts", maxRunLengthUops);
         } else if (takeValue(argc, argv, i, "--sample", value)) {
-            sample = parseSampleSpec(value);
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opt.useTraceCache = false;
+            std::string err;
+            if (!tryParseSampleSpec(value, &sample, &err) && badFlag.empty())
+                badFlag = err;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -681,6 +698,16 @@ RunRequest::open()
     // a consumer never sees a silently truncated stream.
     if (!telemetryPath.empty())
         telem = std::make_unique<TelemetrySink>(telemetryPath);
+    if (!badFlag.empty())
+        return bail(badFlag);
+    // The run lengths the environment may supply, checked before an
+    // engine reads them so that a bad one ends the stream here.
+    for (const char *env : {"EOLE_WARMUP", "EOLE_INSTS"}) {
+        std::uint64_t v = 0;
+        const std::string err = tryEnvU64(env, 0, maxRunLengthUops, &v);
+        if (!err.empty())
+            return bail(err);
+    }
     if (!namedPlan.empty() && !plans::exists(namedPlan)) {
         return bail(csprintf("unknown plan \"%s\"%s (try `eole list`)",
                              namedPlan.c_str(),
@@ -1270,9 +1297,9 @@ cmdBench(int argc, char **argv)
             for (std::string &n : splitCommaList(value))
                 opt.workloads.push_back(std::move(n));
         } else if (takeValue(argc, argv, i, "--budget", value)) {
-            opt.budget = parseU64(value, "--budget");
+            opt.budget = parseU64(value, "--budget", maxRunLengthUops);
         } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
+            opt.warmup = parseU64(value, "--warmup", maxRunLengthUops);
         } else if (takeValue(argc, argv, i, "--reps", value)) {
             opt.reps = static_cast<int>(parseU64(value, "--reps", INT_MAX));
         } else if (takeValue(argc, argv, i, "--label", value)) {

@@ -7,6 +7,12 @@
  * paper's mechanisms key on for the corresponding SPEC benchmark:
  * value-predictability mix, branch behaviour, memory footprint/pattern,
  * and ILP. See DESIGN.md §5 for the substitution rationale.
+ *
+ * A timing core never steps the program itself: it replays a recording
+ * of it. Whoever builds a Core sets `frozen` first — the sweep engine
+ * from its trace cache, anyone else with `w.frozen = w.freeze(n)`,
+ * where n covers the run's commit target plus the in-flight window
+ * (maxInflightUops), or the whole program for one that halts.
  */
 
 #ifndef EOLE_WORKLOADS_WORKLOAD_HH
@@ -32,16 +38,15 @@ struct Workload
     Program program;
     std::function<void(KernelVM &)> init;
 
-    /** Optional shared pre-executed stream (sim/trace_cache.hh). When
-     *  set, makeTrace() replays it instead of running a live VM; the
-     *  two backings are bit-identical. */
+    /** The shared pre-executed stream every run of this workload
+     *  replays (freeze(), sim/trace_cache.hh or a trace file).
+     *  makeTrace() requires it. */
     std::shared_ptr<const FrozenTrace> frozen;
 
     /** Optional resume point inside `frozen` (isa/checkpoint.hh): the
      *  run starts at the checkpoint's µ-op with its architectural
-     *  register state. Requires `frozen`; used by the sampling
-     *  subsystem (sim/sample/) to start measurement intervals
-     *  mid-workload. */
+     *  register state. Used by the sampling subsystem (sim/sample/) to
+     *  start measurement intervals mid-workload. */
     std::shared_ptr<const Checkpoint> start;
 
     /** The workload IS its frozen trace (loaded from an eole-trace-v1
@@ -50,27 +55,26 @@ struct Workload
      *  instead of running a VM. */
     bool fileBacked = false;
 
-    /** Construct a fresh trace source for one simulation run. */
+    /** Construct a fresh replay of `frozen` for one simulation run. */
     TraceSource
     makeTrace() const
     {
-        if (frozen) {
-            return start ? TraceSource(frozen, *start)
-                         : TraceSource(frozen);
-        }
-        panic_if(start != nullptr,
-                 "workload %s: a checkpointed start requires a frozen "
-                 "trace", name.c_str());
-        return TraceSource(program, memBytes, init);
+        panic_if(!frozen,
+                 "workload %s has no recording: set frozen = "
+                 "freeze(n) (Workload::freeze) before building a Core",
+                 name.c_str());
+        return start ? TraceSource(frozen, *start) : TraceSource(frozen);
     }
 
-    /** Record this workload's first @p max_uops µ-ops for replay. A
-     *  file-backed workload cannot re-record; it returns a clamped
-     *  prefix view of the loaded trace — decision-identical to what a
-     *  recording of the same length would hold, and a hard error when
-     *  the file holds fewer µ-ops than an incomplete replay needs. */
+    /** Record this workload's first @p max_uops µ-ops for replay, to
+     *  the heap or, given @p spill_dir, to a mapped temporary file
+     *  there (recordTrace). A file-backed workload cannot re-record;
+     *  it returns a clamped prefix view of the loaded trace —
+     *  decision-identical to what a recording of the same length would
+     *  hold, and a hard error when the file holds fewer µ-ops than an
+     *  incomplete replay needs. */
     std::shared_ptr<const FrozenTrace>
-    freeze(std::uint64_t max_uops) const
+    freeze(std::uint64_t max_uops, const std::string &spill_dir = "") const
     {
         if (fileBacked) {
             fatal_if(!frozen->complete && frozen->uops.size() < max_uops,
@@ -80,7 +84,8 @@ struct Workload
                      (unsigned long long)max_uops);
             return clampTrace(frozen, max_uops);
         }
-        return recordTrace(program, memBytes, init, max_uops, name);
+        return recordTrace(program, memBytes, init, max_uops, name, isFp,
+                           spill_dir);
     }
 };
 

@@ -15,7 +15,10 @@
 #    matches nothing — and `ckpt save` does so for a file it cannot
 #    write, also when the store serves the cell;
 #  - malformed numbers (`diff --rel-tol abc`, `--abs-tol -5`, a --jobs
-#    above INT_MAX) exit 2 instead of running.
+#    above INT_MAX) exit 2 instead of running, and so do run lengths
+#    over the 2^40-µ-op bound or malformed, from a flag, the
+#    environment, a plan file or a sample spec (`run` also ends its
+#    telemetry with run_aborted).
 set -uo pipefail
 
 if [[ $# != 1 ]]; then
@@ -133,6 +136,27 @@ expect_exit2 "run --jobs 4294967297" \
     "$EOLE" run smoke --jobs 4294967297 --no-tables "${LEN[@]}"
 expect_exit2 "run --jobs 2147483648" \
     "$EOLE" run smoke --jobs 2147483648 --no-tables "${LEN[@]}"
+# Run lengths are bounded where they enter, so none can wrap the
+# engine's sums and abort the run mid-way.
+expect_aborted "run --warmup 18446744073709551000" \
+    "$EOLE" run smoke --no-tables --quiet --insts 40000 \
+    --warmup 18446744073709551000
+expect_aborted "run EOLE_WARMUP=-1" \
+    env EOLE_WARMUP=-1 "$EOLE" run smoke --no-tables --quiet --insts 40000
+printf 'plan = huge\nconfigs = Baseline_6_64\nworkloads = 164.gzip\nwarmup = 18446744073709551000\n' \
+    > huge.plan
+expect_aborted "run plan-file warmup = 18446744073709551000" \
+    "$EOLE" run --plan huge.plan --no-tables --quiet --insts 40000
+expect_aborted "run --sample 1:2000:18446744073709550000" \
+    "$EOLE" run smoke --no-tables "${LEN[@]}" \
+    --sample 1:2000:18446744073709550000
+expect_aborted "run --sample 1:307445734561825861" \
+    "$EOLE" run smoke --no-tables "${LEN[@]}" --sample 1:307445734561825861
+expect_aborted "run EOLE_INSTS=abc" \
+    env EOLE_INSTS=abc "$EOLE" run smoke --no-tables --quiet --warmup 20000
+expect_exit2 "bench --budget 18446744073709551000" \
+    "$EOLE" bench --workloads 164.gzip --configs Baseline_6_64 --reps 1 \
+    --quiet --budget 18446744073709551000
 
 if ((failures)); then
     echo "cli_contracts: $failures check(s) failed" >&2

@@ -12,15 +12,19 @@
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
 
 namespace {
 
+/** Run @p uops committed µ-ops of @p w on @p cfg, replaying a recording
+ *  that covers them plus what may be in flight past them. */
 CoreStats
-runWorkload(const SimConfig &cfg, const Workload &w, std::uint64_t uops)
+runWorkload(const SimConfig &cfg, Workload w, std::uint64_t uops)
 {
+    w.frozen = w.freeze(uops + maxInflightUops(cfg));
     Core core(cfg, w);
     core.run(uops, uops * 200 + 100000);
     return core.stats();
@@ -187,6 +191,8 @@ TEST(CoreBaseline, DrainsFiniteProgram)
     w.name = "micro.finite";
     w.memBytes = 0x100;
     w.program = a.finish();
+    w.frozen = w.freeze(1000);  // the whole program
+    ASSERT_TRUE(w.frozen->complete);
 
     Core core(configs::baseline(6, 64), w);
     const std::uint64_t committed = core.run(1000000, 100000);
@@ -196,6 +202,7 @@ TEST(CoreBaseline, DrainsFiniteProgram)
 TEST(CoreBaseline, ResetStatsPreservesArchState)
 {
     Workload w = workloads::micro::depChain();
+    w.frozen = w.freeze(20000 + maxInflightUops(configs::baseline(6, 64)));
     Core core(configs::baseline(6, 64), w);
     core.run(10000, 1000000);
     core.resetStats();
@@ -299,7 +306,8 @@ TEST_P(CoreMatrix, RunsToCompletionWithConsistentStats)
 {
     const auto &param = GetParam();
     const SimConfig cfg = configByName(param.config);
-    const Workload w = workloadByName(param.workload);
+    Workload w = workloadByName(param.workload);
+    w.frozen = w.freeze(40000 + maxInflightUops(cfg));
     Core core(cfg, w);
     const std::uint64_t committed = core.run(40000, 8000000);
     // The oracle check in commit makes this a correctness test: any

@@ -13,6 +13,7 @@
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
@@ -95,9 +96,12 @@ TEST(PrfPortModel, UnlimitedWhenZero)
 
 namespace {
 
+/** Run @p uops committed µ-ops of @p w on @p cfg, replaying a recording
+ *  that covers them plus what may be in flight past them. */
 CoreStats
-runWorkload(const SimConfig &cfg, const Workload &w, std::uint64_t uops)
+runWorkload(const SimConfig &cfg, Workload w, std::uint64_t uops)
 {
+    w.frozen = w.freeze(uops + maxInflightUops(cfg));
     Core core(cfg, w);
     core.run(uops, uops * 200 + 100000);
     return core.stats();
@@ -346,6 +350,7 @@ TEST(Ports, SingleLevtPortIsRejected)
         {
             SimConfig cfg = configs::eoleConstrained(4, 64, 4, 1);
             Workload w = workloads::micro::depChain();
+            w.frozen = w.freeze(100);
             Core core(cfg, w);
         },
         "read ports");

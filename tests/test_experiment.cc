@@ -32,6 +32,18 @@ tinyPlan()
     return p;
 }
 
+/** An ad-hoc plan over @p cfgs x @p names; run lengths come from the
+ *  environment. */
+ExperimentPlan
+gridPlan(std::vector<SimConfig> cfgs, std::vector<std::string> names)
+{
+    ExperimentPlan p;
+    p.name = "grid";
+    p.configs = std::move(cfgs);
+    p.workloads = std::move(names);
+    return p;
+}
+
 } // namespace
 
 TEST(Configs, NamesFollowThePaper)
@@ -97,35 +109,30 @@ TEST(Experiment, GridRunsAllPairsInParallel)
     setenv("EOLE_WARMUP", "2000", 1);
     setenv("EOLE_INSTS", "20000", 1);
 
-    const std::vector<SimConfig> cfgs = {configs::baseline(6, 64),
-                                         configs::baselineVp(6, 64)};
-    const std::vector<std::string> names = {"164.gzip", "186.crafty"};
-    const auto results = runGrid(cfgs, names);
-    ASSERT_EQ(results.size(), 4u);
+    const ExperimentPlan plan =
+        gridPlan({configs::baseline(6, 64), configs::baselineVp(6, 64)},
+                 {"164.gzip", "186.crafty"});
+    const PlanResult results = runPlan(plan);
+    ASSERT_EQ(results.cells.size(), 4u);
 
-    for (const auto &cfg : cfgs) {
-        for (const auto &wname : names) {
-            const RunResult &r = findResult(results, cfg.name, wname);
-            EXPECT_GT(r.ipc(), 0.0) << cfg.name << "/" << wname;
+    for (const auto &cfg : plan.configs) {
+        for (const auto &wname : plan.workloads) {
+            const RunResult *r = results.find(cfg.name, wname);
+            ASSERT_NE(r, nullptr) << cfg.name << "/" << wname;
+            EXPECT_GT(r->ipc(), 0.0) << cfg.name << "/" << wname;
             // A commit group may overshoot the target by < commitWidth.
-            EXPECT_GE(r.stats.get("committed_uops"), 20000.0);
-            EXPECT_LT(r.stats.get("committed_uops"), 20008.0);
+            EXPECT_GE(r->stats.get("committed_uops"), 20000.0);
+            EXPECT_LT(r->stats.get("committed_uops"), 20008.0);
         }
     }
     // VP stats only present (non-zero) on the VP configuration.
-    EXPECT_EQ(findResult(results, "Baseline_6_64", "164.gzip")
-                  .stats.get("vp_used"),
+    ASSERT_NE(results.find("Baseline_6_64", "164.gzip"), nullptr);
+    EXPECT_EQ(results.find("Baseline_6_64", "164.gzip")
+                  ->stats.get("vp_used"),
               0.0);
 
     unsetenv("EOLE_WARMUP");
     unsetenv("EOLE_INSTS");
-}
-
-TEST(Experiment, FindResultDiesOnMissing)
-{
-    std::vector<RunResult> results;
-    EXPECT_DEATH((void)findResult(results, "nope", "nothing"),
-                 "no result");
 }
 
 // ------------------------- Sweep engine ----------------------------------
@@ -184,16 +191,16 @@ TEST(Sweep, JobCountDoesNotChangeTheArtifactBytes)
 
 TEST(Sweep, TraceCacheDoesNotChangeTheArtifactBytes)
 {
-    // Frozen-trace replay is a pure accelerator: live-VM execution
-    // must produce the same bytes.
+    // Where a recording lives is not part of the result: under a zero
+    // budget every recording spills to a mapped file, and the bytes
+    // must equal the heap-backed run's.
     const ExperimentPlan plan = tinyPlan();
 
-    SweepOptions cached;   // default: cache on
-    SweepOptions live;
-    live.useTraceCache = false;
-
-    EXPECT_EQ(jsonArtifactString(runPlan(plan, cached)),
-              jsonArtifactString(runPlan(plan, live)));
+    const std::string cached = jsonArtifactString(runPlan(plan));
+    setenv("EOLE_TRACE_CACHE_MB", "0", 1);
+    const std::string spilled = jsonArtifactString(runPlan(plan));
+    unsetenv("EOLE_TRACE_CACHE_MB");
+    EXPECT_EQ(cached, spilled);
 }
 
 TEST(Sweep, FilterSelectsCells)
@@ -226,35 +233,6 @@ TEST(Sweep, ProgressReportsEveryJob)
     (void)runPlan(plan, opt);
     EXPECT_EQ(calls, 4u);
     EXPECT_EQ(last_total, 4u);
-}
-
-TEST(TraceCacheT, ByteBudgetEnforcedUnderPressure)
-{
-    // PR 2 added the per-trace byte budget; pin its enforcement. A
-    // request whose recording cannot fit must be declined (the caller
-    // falls back to live-VM execution), while requests within budget
-    // still cache.
-    setenv("EOLE_TRACE_CACHE_MB", "1", 1);  // 1 MB budget
-    TraceCache cache;
-    const Workload w = workloads::build("164.gzip");
-
-    const std::uint64_t fits = (512 * 1024) / sizeof(TraceUop);
-    const std::uint64_t toobig = (2 * 1024 * 1024) / sizeof(TraceUop);
-    EXPECT_EQ(cache.get(w, toobig), nullptr);
-    const auto small = cache.get(w, fits);
-    ASSERT_NE(small, nullptr);
-    EXPECT_LE(small->bytes(), TraceCache::byteBudget());
-
-    // The sweep engine under the same pressure: every job falls back
-    // to the live VM, and the artifact bytes must not move (the cache
-    // is a pure accelerator even when it declines).
-    const ExperimentPlan plan = tinyPlan();
-    const std::string pressured =
-        jsonArtifactString(runPlan(plan, SweepOptions{}));
-    unsetenv("EOLE_TRACE_CACHE_MB");
-    const std::string cached =
-        jsonArtifactString(runPlan(plan, SweepOptions{}));
-    EXPECT_EQ(pressured, cached);
 }
 
 TEST(TraceCacheT, RefcountedEvictionOrder)
@@ -449,13 +427,14 @@ TEST(Experiment, DeterministicAcrossRuns)
 {
     setenv("EOLE_WARMUP", "1000", 1);
     setenv("EOLE_INSTS", "10000", 1);
-    const std::vector<SimConfig> cfgs = {configs::eole(4, 64)};
-    const std::vector<std::string> names = {"458.sjeng"};
-    const auto a = runGrid(cfgs, names);
-    const auto b = runGrid(cfgs, names);
-    EXPECT_DOUBLE_EQ(a[0].stats.get("cycles"), b[0].stats.get("cycles"));
-    EXPECT_DOUBLE_EQ(a[0].stats.get("early_executed"),
-                     b[0].stats.get("early_executed"));
+    const ExperimentPlan plan =
+        gridPlan({configs::eole(4, 64)}, {"458.sjeng"});
+    const PlanResult a = runPlan(plan);
+    const PlanResult b = runPlan(plan);
+    EXPECT_DOUBLE_EQ(a.cells[0].stats.get("cycles"),
+                     b.cells[0].stats.get("cycles"));
+    EXPECT_DOUBLE_EQ(a.cells[0].stats.get("early_executed"),
+                     b.cells[0].stats.get("early_executed"));
     unsetenv("EOLE_WARMUP");
     unsetenv("EOLE_INSTS");
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hh"
+#include "isa/checkpoint.hh"
+#include "isa/frozen_trace.hh"
 #include "isa/functional.hh"
 #include "isa/kernel_vm.hh"
 #include "isa/trace_source.hh"
@@ -317,11 +319,21 @@ countingLoop(int iters)
     return a.finish();
 }
 
+/** A recording of @p program's whole run (these programs halt). */
+std::shared_ptr<const FrozenTrace>
+recording(const Program &program,
+          const std::function<void(KernelVM &)> &init = nullptr)
+{
+    const auto trace = recordTrace(program, 0x100, init, 1u << 12);
+    EXPECT_TRUE(trace->complete);
+    return trace;
+}
+
 } // namespace
 
 TEST(TraceSource, SequentialSeqNums)
 {
-    TraceSource ts(countingLoop(4), 0x100, nullptr);
+    TraceSource ts(recording(countingLoop(4)));
     SeqNum expect = 1;
     while (ts.hasNext()) {
         EXPECT_EQ(ts.nextSeq(), expect);
@@ -333,7 +345,7 @@ TEST(TraceSource, SequentialSeqNums)
 
 TEST(TraceSource, RewindReplaysSameUops)
 {
-    TraceSource ts(countingLoop(100), 0x100, nullptr);
+    TraceSource ts(recording(countingLoop(100)));
     std::vector<TraceUop> first;
     for (int i = 0; i < 20; ++i)
         first.push_back(ts.fetch());
@@ -348,7 +360,7 @@ TEST(TraceSource, RewindReplaysSameUops)
 
 TEST(TraceSource, RetireShrinksWindowAndBlocksOldRewind)
 {
-    TraceSource ts(countingLoop(100), 0x100, nullptr);
+    TraceSource ts(recording(countingLoop(100)));
     for (int i = 0; i < 10; ++i)
         ts.fetch();
     ts.retireUpTo(5);
@@ -364,9 +376,48 @@ TEST(TraceSource, InitHookRuns)
     Assembler a;
     a.ld(IntReg(1), IntReg(20), 0);
     a.halt();
-    TraceSource ts(a.finish(), 0x100, [](KernelVM &vm) {
+    TraceSource ts(recording(a.finish(), [](KernelVM &vm) {
         vm.setIntReg(20, 0x40);
         vm.writeMem(0x40, 8, 0xdead);
-    });
+    }));
     EXPECT_EQ(ts.fetch().result, 0xdeadu);
+}
+
+TEST(TraceSource, ResumedReplayStartsAtTheCheckpoint)
+{
+    const auto trace = recording(countingLoop(100));
+    const Checkpoint ckpt = captureAt(*trace, "loop", 41);
+    TraceSource ts(trace, ckpt);
+
+    EXPECT_EQ(ts.nextSeq(), ckpt.uopIndex + 1);
+    // movi + 20 x (addi, bne): the counter register has moved on.
+    EXPECT_EQ(ckpt.intRegs[1], 20u);
+    for (int r = 0; r < numArchIntRegs; ++r)
+        EXPECT_EQ(ts.initialIntReg(r), ckpt.intRegs[r]) << r;
+    for (int r = 0; r < numArchFpRegs; ++r)
+        EXPECT_EQ(ts.initialFpReg(r), ckpt.fpRegs[r]) << r;
+
+    EXPECT_EQ(ts.fetch().pc, trace->uops[41].pc);
+    ts.rewindTo(ckpt.uopIndex + 1);  // the resume point itself
+    // The skipped prefix counts as retired.
+    EXPECT_DEATH(ts.rewindTo(ckpt.uopIndex), "outside window");
+}
+
+TEST(TraceSource, CompleteRecordingEndsQuietly)
+{
+    TraceSource ts(recording(countingLoop(4)));
+    for (int i = 0; i < 9; ++i)
+        ts.fetch();
+    EXPECT_FALSE(ts.hasNext());
+}
+
+TEST(TraceSource, IncompleteRecordingDiesAtItsEnd)
+{
+    const auto prefix =
+        recordTrace(countingLoop(100), 0x100, nullptr, 10);
+    ASSERT_FALSE(prefix->complete);
+    TraceSource ts(prefix);
+    for (int i = 0; i < 10; ++i)
+        ts.fetch();
+    EXPECT_DEATH(ts.hasNext(), "record a longer prefix");
 }

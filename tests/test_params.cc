@@ -494,6 +494,13 @@ TEST(PlanFile, ErrorsCarryLineNumbersAndSuggestions)
         "axis prfBanks = 8\n", "f.plan", &plan, &err));
     EXPECT_NE(err.find("f.plan line 4"), std::string::npos);
     EXPECT_NE(err.find("declared twice"), std::string::npos);
+
+    // A run length past maxRunLengthUops would wrap the engine's sums.
+    EXPECT_FALSE(parsePlanText(
+        "plan = x\nconfigs = EOLE_4_64\nwarmup = 18446744073709551000\n",
+        "f.plan", &plan, &err));
+    EXPECT_NE(err.find("f.plan line 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("longest run length"), std::string::npos) << err;
 }
 
 TEST(PlanFile, SampleDirectiveParsesResolvesAndRejects)
@@ -618,6 +625,13 @@ TEST(PlanFile, RunlenDirectiveErrors)
         "plan = x\nconfigs = EOLE_4_64\nrunlen = 100\n", "f.plan",
         &plan, &err));
     EXPECT_NE(err.find("needs a config name"), std::string::npos) << err;
+
+    // Over the longest run length.
+    EXPECT_FALSE(parsePlanText(
+        "plan = x\nconfigs = EOLE_4_64\nrunlen EOLE_4_64 = 1099511627777\n",
+        "f.plan", &plan, &err));
+    EXPECT_NE(err.find("f.plan line 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("longest run length"), std::string::npos) << err;
 
     // Duplicates would silently shadow the earlier value.
     EXPECT_FALSE(parsePlanText(

@@ -19,11 +19,21 @@
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
 
 namespace {
+
+/** @p w with a recording of @p uops µ-ops plus what @p cfg may hold in
+ *  flight past them. */
+Workload
+recorded(Workload w, const SimConfig &cfg, std::uint64_t uops)
+{
+    w.frozen = w.freeze(uops + maxInflightUops(cfg));
+    return w;
+}
 
 struct GoldenCase
 {
@@ -40,7 +50,8 @@ class Golden : public ::testing::TestWithParam<GoldenCase>
     static CoreStats
     run(const SimConfig &cfg, const std::string &workload)
     {
-        const Workload w = workloads::build(workload);
+        const Workload w =
+            recorded(workloads::build(workload), cfg, 150000 + 400000);
         Core core(cfg, w);
         core.run(150000, 60000000);
         core.resetStats();
@@ -101,7 +112,8 @@ TEST(GoldenDeterminism, SameSeedSameCycleCount)
     const SimConfig cfg = configs::eoleConstrained(4, 64, 4, 4);
     std::uint64_t cycles[2];
     for (int r = 0; r < 2; ++r) {
-        const Workload w = workloads::build("458.sjeng");
+        const Workload w =
+            recorded(workloads::build("458.sjeng"), cfg, 100000);
         Core core(cfg, w);
         core.run(100000, 40000000);
         cycles[r] = core.stats().cycles;
@@ -117,7 +129,7 @@ TEST(GoldenDeterminism, SeedChangesProbabilisticPathsOnly)
     SimConfig a = configs::eole(6, 64);
     SimConfig b = configs::eole(6, 64);
     b.seed = 999;
-    const Workload w = workloads::build("401.bzip2");
+    const Workload w = recorded(workloads::build("401.bzip2"), a, 200000);
     Core ca(a, w), cb(b, w);
     ca.run(200000, 60000000);
     cb.run(200000, 60000000);
@@ -418,7 +430,8 @@ goldenConfig(const std::string &name)
 TEST(StageDecomposition, StatRecordsBitIdenticalToMonolithicCore)
 {
     for (const GoldenRecord &g : goldenRecords()) {
-        const Workload w = workloads::build(g.workload);
+        const Workload w = recorded(workloads::build(g.workload),
+                                    goldenConfig(g.config), 30000 + 120000);
         Core core(goldenConfig(g.config), w);
         core.run(30000, 10000000);
         core.resetStats();
@@ -510,8 +523,11 @@ runCheckingRecovery(Core &core, CounterFn counter, std::uint64_t cycles,
 
 TEST(SquashRecovery, BranchMispredictAtExecute)
 {
-    const Workload w = workloads::micro::randomBranch();
-    Core core(configs::baseline(6, 64), w);
+    // Each checked cycle commits at most a commit group.
+    const SimConfig cfg = configs::baseline(6, 64);
+    const Workload w = recorded(workloads::micro::randomBranch(), cfg,
+                                30000 * cfg.commitWidth);
+    Core core(cfg, w);
     const std::uint64_t events = runCheckingRecovery(
         core,
         [](const CoreStats &s) { return s.branchMispredicts; },
@@ -525,8 +541,10 @@ TEST(SquashRecovery, ValueMispredictAtLevtValidation)
     // Strided loads wrap periodically: each wrap breaks the stride
     // prediction and triggers a commit-time validation squash while
     // EE'd and late-executable µ-ops are in flight.
-    const Workload w = workloads::micro::stridedLoads();
-    Core core(configs::eole(4, 64), w);
+    const SimConfig cfg = configs::eole(4, 64);
+    const Workload w = recorded(workloads::micro::stridedLoads(), cfg,
+                                120000 * cfg.commitWidth);
+    Core core(cfg, w);
     const std::uint64_t events = runCheckingRecovery(
         core,
         [](const CoreStats &s) { return s.vpMispredictSquashes; },
@@ -564,7 +582,9 @@ TEST(SquashRecovery, MemoryOrderViolationAtStoreExecute)
         vm.setIntReg(21, 3);
     };
 
-    Core core(configs::eole(6, 64), w);
+    const SimConfig cfg = configs::eole(6, 64);
+    w = recorded(w, cfg, 60000 * cfg.commitWidth);
+    Core core(cfg, w);
     const std::uint64_t events = runCheckingRecovery(
         core,
         [](const CoreStats &s) { return s.memOrderViolations; },

@@ -34,6 +34,7 @@
 #include "pipeline/core.hh"
 #include "sim/artifact.hh"
 #include "sim/configs.hh"
+#include "sim/plan.hh"
 #include "sim/plans.hh"
 #include "sim/sample/sample.hh"
 #include "sim/store.hh"
@@ -368,8 +369,9 @@ TEST(Warming, ResetTimingOpensACleanMeasurementWindow)
     // sampled interval's record() covers only the measured window),
     // while plain resetStats leaves them accumulating — the full-run
     // golden records pin that accumulation.
-    const Workload w = workloads::build("164.gzip");
     const SimConfig cfg = configs::eole(6, 64);
+    Workload w = workloads::build("164.gzip");
+    w.frozen = w.freeze(10000 + maxInflightUops(cfg));
 
     Core a(cfg, w);
     a.run(5000, 2000000);
@@ -535,15 +537,16 @@ TEST(Sampling, JobCountAndCacheDoNotChangeTheArtifactBytes)
     serial.jobs = 1;
     SweepOptions wide;
     wide.jobs = 8;
-    SweepOptions live;
-    live.useTraceCache = false;
 
     const std::string a =
         jsonArtifactString(runSampledPlan(plan, spec, serial));
     const std::string b =
         jsonArtifactString(runSampledPlan(plan, spec, wide));
+    // A zero budget spills every recording to a mapped file.
+    setenv("EOLE_TRACE_CACHE_MB", "0", 1);
     const std::string c =
-        jsonArtifactString(runSampledPlan(plan, spec, live));
+        jsonArtifactString(runSampledPlan(plan, spec, SweepOptions{}));
+    unsetenv("EOLE_TRACE_CACHE_MB");
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
     EXPECT_NE(a.find("\"sample\": {\"intervals\": 5"), std::string::npos);
@@ -603,13 +606,22 @@ TEST(Sampling, SampleSpecParsesAndRejects)
     EXPECT_DEATH((void)parseSampleSpec("4:-100:50"), "sample spec");
     EXPECT_DEATH((void)parseSampleSpec("-4:100"), "sample spec");
     EXPECT_DEATH((void)parseSampleSpec("4:100:+10"), "sample spec");
+    // W and D are run lengths, bounded where they enter; B is not.
+    EXPECT_DEATH((void)parseSampleSpec("1:307445734561825861"),
+                 "at most");
+    EXPECT_DEATH((void)parseSampleSpec("1:2000:18446744073709550000"),
+                 "at most");
+    EXPECT_EQ(parseSampleSpec("1:2000:1000:18446744073709551615")
+                  .warmBound,
+              ~std::uint64_t{0});
 }
 
 TEST(Sampling, WarmOnceRestoreMatchesContinuousRewarmExactly)
 {
     // The warm-once differential: a v2 restore-based sampled run must
-    // measure EXACTLY what the legacy B=0 per-interval continuous
-    // re-warming run measures (same warmed state ⇒ same
+    // measure EXACTLY what per-interval continuous re-warming measures
+    // — a warming bound B no shorter than any prefix, so every
+    // interval warms from µ-op 0 (same warmed state ⇒ same
     // measurements), across 2 configs x 2 torture workloads. Only the
     // cost accounting (sample_warm_uops, sample_restored_intervals)
     // may differ — the restore path warms each cell's prefix once.
@@ -625,12 +637,12 @@ TEST(Sampling, WarmOnceRestoreMatchesContinuousRewarmExactly)
     spec.intervalUops = 800;
     spec.detailUops = 400;
 
-    SweepOptions restore_opt;
-    SweepOptions rewarm_opt;
-    rewarm_opt.sampleRewarm = true;
+    SampleSpec rewarm_spec = spec;
+    rewarm_spec.warmBound = ~std::uint64_t{0};
 
+    SweepOptions restore_opt;
     const PlanResult a = runSampledPlan(plan, spec, restore_opt);
-    const PlanResult b = runSampledPlan(plan, spec, rewarm_opt);
+    const PlanResult b = runSampledPlan(plan, rewarm_spec, restore_opt);
     ASSERT_EQ(a.cells.size(), 4u);
     ASSERT_EQ(b.cells.size(), a.cells.size());
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -39,9 +40,10 @@ tinyPlan()
     return p;
 }
 
-/** Run all kHosts slices with deliberately heterogeneous worker and
- *  cache settings, round-tripping each partial through its text form
- *  — merging must erase every execution-environment difference. */
+/** Run all kHosts slices with deliberately heterogeneous worker counts
+ *  and trace-cache budgets, round-tripping each partial through its
+ *  text form — merging must erase every execution-environment
+ *  difference. */
 std::vector<ShardArtifact>
 runAllShards(const ExperimentPlan &plan, const SampleSpec &spec,
              SweepOptions base)
@@ -50,10 +52,13 @@ runAllShards(const ExperimentPlan &plan, const SampleSpec &spec,
     for (std::uint64_t h = 0; h < kHosts; ++h) {
         SweepOptions o = base;
         o.jobs = static_cast<int>(h) + 1;
-        o.useTraceCache = (h % 2) == 0;
         o.shard.hosts = kHosts;
         o.shard.host = h;
+        // Odd hosts spill every recording to a mapped file.
+        if (h % 2)
+            setenv("EOLE_TRACE_CACHE_MB", "0", 1);
         const ShardArtifact part = runShard(plan, spec, o);
+        unsetenv("EOLE_TRACE_CACHE_MB");
 
         std::istringstream is(shardArtifactString(part));
         ShardArtifact back;
@@ -134,17 +139,18 @@ TEST(Shard, MergeByteIdenticalToSingleHostPlain)
 TEST(Shard, MergeByteIdenticalToSingleHostSampledRewarm)
 {
     const ExperimentPlan p = tinyPlan();
-    const SampleSpec spec = parseSampleSpec("3:2000:1000");
-    SweepOptions base;
-    base.sampleRewarm = true;  // the legacy per-interval warming path
+    // A warming bound no shorter than any prefix: every interval
+    // re-warms from µ-op 0 (the per-interval warming path).
+    const SampleSpec spec =
+        parseSampleSpec("3:2000:1000:18446744073709551615");
 
-    SweepOptions single = base;
+    SweepOptions single;
     single.jobs = 2;
     const std::string want =
         jsonArtifactString(runSampledPlan(p, spec, single));
 
     const PlanResult merged =
-        mergeShardArtifacts(runAllShards(p, spec, base));
+        mergeShardArtifacts(runAllShards(p, spec, SweepOptions{}));
     EXPECT_EQ(jsonArtifactString(merged), want);
 }
 
@@ -400,9 +406,11 @@ TEST(Store, WarmRunComputesZeroCellsAndStaysByteIdentical)
         Store store(dir);
         SweepOptions o;
         o.store = &store;
-        o.jobs = 3;              // environment differences must not
-        o.useTraceCache = false; // matter on the cache-hit path
+        o.jobs = 3;  // environment differences must not matter on
+                     // the cache-hit path
+        setenv("EOLE_TRACE_CACHE_MB", "0", 1);
         const PlanResult r = runPlan(p, o);
+        unsetenv("EOLE_TRACE_CACHE_MB");
         EXPECT_EQ(r.storeHits, p.gridSize());
         EXPECT_EQ(r.storeComputed, 0u);
         warm = jsonArtifactString(r);

@@ -148,6 +148,8 @@ TEST(Slab, SquashStormChurnKeepsFootprintBounded)
         w.name = "torture-" + std::to_string(seed);
         w.memBytes = workloads::tortureMemBytes;
         w.program = workloads::generateTortureProgram(seed);
+        w.frozen = w.freeze(1u << 20);  // the whole program
+        ASSERT_TRUE(w.frozen->complete) << "seed " << seed;
 
         Core core(cfg, w);
         std::uint64_t committed = 0;

@@ -9,9 +9,9 @@
  * src/isa/assembler.hh. Each program is executed:
  *
  *   1. by a standalone KernelVM — the functional oracle stream, and
- *   2. through the full cycle-level pipeline under several
- *      configurations (VP off, VP on, idealized EOLE, port/bank
- *      constrained EOLE, and EOLE replaying a frozen trace),
+ *   2. through the full cycle-level pipeline, replaying a recording
+ *      of the program, under several configurations (VP off, VP on,
+ *      idealized EOLE, port/bank constrained EOLE),
  *
  * asserting that every configuration commits exactly the oracle
  * stream (program counters, results, effective addresses, branch
@@ -115,7 +115,6 @@ runAndCompare(const SimConfig &cfg, const Workload &w,
     got.reserve(ref.size());
 
     Core core(cfg, w);
-    EXPECT_EQ(core.pipelineState().ts.replaying(), w.frozen != nullptr);
     core.setCommitHook([&](const DynInst &di) {
         got.push_back(recordOf(di.uop()));
         // The pipeline recomputes every result through its renamed
@@ -129,12 +128,11 @@ runAndCompare(const SimConfig &cfg, const Workload &w,
     core.run(ref.size() + 64, cap);
 
     ASSERT_EQ(got.size(), ref.size())
-        << cfg.name << (w.frozen ? " (frozen replay)" : "")
-        << ": committed stream length diverges; " << reproLine(seed);
+        << cfg.name << ": committed stream length diverges; "
+        << reproLine(seed);
     for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_TRUE(got[i] == ref[i])
-            << cfg.name << (w.frozen ? " (frozen replay)" : "")
-            << ": commit #" << i << " diverges at pc=" << std::hex
+            << cfg.name << ": commit #" << i << " diverges at pc=" << std::hex
             << ref[i].pc << std::dec << " (" << opcodeName(ref[i].opc)
             << "); " << reproLine(seed);
     }
@@ -168,23 +166,17 @@ TEST(Torture, RandomProgramsMatchFunctionalOracle)
             return;
         total_uops += ref.size();
 
+        // Every config replays one recording of the whole program.
+        w.frozen = w.freeze(ref.size() + 16);
+        ASSERT_TRUE(w.frozen->complete) << reproLine(seed);
         for (const SimConfig &cfg : cfgs) {
             runAndCompare(cfg, w, ref, seed);
             if (::testing::Test::HasFailure())
                 return;
         }
-
-        // Same program through the frozen-replay trace backing: the
-        // cached stream must be architecturally indistinguishable.
-        Workload frozen = w;
-        frozen.frozen = w.freeze(ref.size() + 16);
-        ASSERT_TRUE(frozen.frozen->complete) << reproLine(seed);
-        runAndCompare(configs::eole(4, 64), frozen, ref, seed);
-        if (::testing::Test::HasFailure())
-            return;
     }
     std::printf("torture: %llu programs, %llu oracle µ-ops, %zu configs "
-                "+ 1 frozen replay each\n",
+                "each\n",
                 (unsigned long long)runs,
                 (unsigned long long)total_uops,
                 std::size(cfgs));

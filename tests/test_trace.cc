@@ -3,7 +3,8 @@
  * Tests for the on-disk trace subsystem (src/trace/): eole-trace-v1
  * write/load round-trips, clamped prefix views, the bound-registry
  * `file:` workload path and its byte-identical sweep artifacts, the
- * trace cache's budget-exempt file accounting, a seeded corruption
+ * trace cache's budget-exempt file accounting and its spill of
+ * recordings over the RAM budget to mapped files, a seeded corruption
  * fuzzer over the loader, and the RV64I ingestion frontend's golden
  * µ-op stream.
  */
@@ -22,8 +23,10 @@
 #include "common/hash.hh"
 #include "sim/artifact.hh"
 #include "sim/plans.hh"
+#include "sim/sample/sample.hh"
 #include "sim/store.hh"
 #include "sim/sweep.hh"
+#include "sim/telemetry.hh"
 #include "sim/trace_cache.hh"
 #include "trace/rv64_ingest.hh"
 #include "trace/trace_file.hh"
@@ -126,28 +129,34 @@ expectSameUop(const TraceUop &a, const TraceUop &b, std::size_t i)
 
 TEST(TraceFile, RoundTripIsLossless)
 {
-    TempDir tmp("roundtrip");
-    const std::string path = tmp.path("t7.trace");
-    const auto orig = writeTortureTrace("torture:7", 50000, path);
+    // An INT torture program and an FP registry workload's prefix.
+    for (const auto &[wl, is_fp] :
+         {std::pair{"torture:7", false}, std::pair{"173.applu", true}}) {
+        SCOPED_TRACE(wl);
+        TempDir tmp("roundtrip");
+        const std::string path = tmp.path("t.trace");
+        const auto orig = writeTortureTrace(wl, 50000, path);
 
-    std::string err;
-    const auto back = loadTraceFile(path, &err);
-    ASSERT_NE(back, nullptr) << err;
+        std::string err;
+        const auto back = loadTraceFile(path, &err);
+        ASSERT_NE(back, nullptr) << err;
 
-    EXPECT_TRUE(back->mmapBacked);
-    EXPECT_EQ(back->residentBytes(), 0u);
-    EXPECT_EQ(back->bytes(), orig->bytes());
-    EXPECT_EQ(back->name, "torture:7");
-    EXPECT_EQ(back->complete, orig->complete);
-    EXPECT_EQ(back->isFp, orig->isFp);
-    for (int r = 0; r < numArchIntRegs; ++r)
-        EXPECT_EQ(back->initIntRegs[r], orig->initIntRegs[r]) << r;
-    for (int r = 0; r < numArchFpRegs; ++r)
-        EXPECT_EQ(back->initFpRegs[r], orig->initFpRegs[r]) << r;
+        EXPECT_TRUE(back->mmapBacked);
+        EXPECT_EQ(back->residentBytes(), 0u);
+        EXPECT_EQ(back->bytes(), orig->bytes());
+        EXPECT_EQ(back->name, wl);
+        EXPECT_EQ(back->complete, orig->complete);
+        EXPECT_EQ(back->isFp, orig->isFp);
+        EXPECT_EQ(back->isFp, is_fp);
+        for (int r = 0; r < numArchIntRegs; ++r)
+            EXPECT_EQ(back->initIntRegs[r], orig->initIntRegs[r]) << r;
+        for (int r = 0; r < numArchFpRegs; ++r)
+            EXPECT_EQ(back->initFpRegs[r], orig->initFpRegs[r]) << r;
 
-    ASSERT_EQ(back->uops.size(), orig->uops.size());
-    for (std::size_t i = 0; i < orig->uops.size(); ++i)
-        expectSameUop(orig->uops[i], back->uops[i], i);
+        ASSERT_EQ(back->uops.size(), orig->uops.size());
+        for (std::size_t i = 0; i < orig->uops.size(); ++i)
+            expectSameUop(orig->uops[i], back->uops[i], i);
+    }
 }
 
 TEST(TraceFile, WritesAreByteStable)
@@ -167,19 +176,24 @@ TEST(TraceFile, WritesAreByteStable)
 
 TEST(TraceFile, InfoMatchesTheHeader)
 {
-    TempDir tmp("info");
-    const std::string path = tmp.path("t7.trace");
-    const auto orig = writeTortureTrace("torture:7", 50000, path);
+    // An INT torture program and an FP registry workload's prefix.
+    for (const auto &[wl, is_fp] :
+         {std::pair{"torture:7", false}, std::pair{"173.applu", true}}) {
+        SCOPED_TRACE(wl);
+        TempDir tmp("info");
+        const std::string path = tmp.path("t.trace");
+        const auto orig = writeTortureTrace(wl, 50000, path);
 
-    TraceFileInfo info;
-    std::string err;
-    ASSERT_TRUE(readTraceFileInfo(path, &info, &err)) << err;
-    EXPECT_EQ(info.name, "torture:7");
-    EXPECT_EQ(info.source, "generated");
-    EXPECT_EQ(info.uopCount, orig->uops.size());
-    EXPECT_EQ(info.complete, orig->complete);
-    EXPECT_FALSE(info.isFp);
-    EXPECT_EQ(info.fileBytes, fs::file_size(path));
+        TraceFileInfo info;
+        std::string err;
+        ASSERT_TRUE(readTraceFileInfo(path, &info, &err)) << err;
+        EXPECT_EQ(info.name, wl);
+        EXPECT_EQ(info.source, "generated");
+        EXPECT_EQ(info.uopCount, orig->uops.size());
+        EXPECT_EQ(info.complete, orig->complete);
+        EXPECT_EQ(info.isFp, is_fp);
+        EXPECT_EQ(info.fileBytes, fs::file_size(path));
+    }
 }
 
 TEST(TraceFile, WriterRejectsAnOverlongName)
@@ -317,8 +331,9 @@ TEST(TraceCacheT, FileTracesAreBudgetExemptAndCountedSeparately)
     std::string canonical, err;
     ASSERT_TRUE(workloads::bindTraceFile(path, &canonical, &err)) << err;
 
-    // A zero-byte RAM budget blocks every generated recording but no
-    // mmap-backed file (resident bytes ≈ 0 by construction).
+    // A zero-byte RAM budget spills every generated recording but
+    // leaves an mmap-backed file as it is (resident bytes ≈ 0 by
+    // construction).
     setenv("EOLE_TRACE_CACHE_MB", "0", 1);
     TraceCache cache;
     const Workload file_wl = workloads::build("torture:7");
@@ -338,13 +353,89 @@ TEST(TraceCacheT, FileTracesAreBudgetExemptAndCountedSeparately)
     EXPECT_EQ(cache.hitCount(), 1u);
     EXPECT_EQ(cache.missCount(), 1u);
 
+    // Over budget, a generated recording spills to a mapped file.
     const Workload gen_wl = workloads::build("164.gzip");
-    EXPECT_EQ(cache.get(gen_wl, 100000), nullptr);  // over budget
+    const auto spilled = cache.get(gen_wl, 100000);
     unsetenv("EOLE_TRACE_CACHE_MB");
+    ASSERT_NE(spilled, nullptr);
+    EXPECT_TRUE(spilled->mmapBacked);
+    EXPECT_EQ(spilled->residentBytes(), 0u);
+    EXPECT_EQ(cache.missCount(), 2u);
 
     EXPECT_EQ(cache.evictCount(), 0u);
     cache.drop(file_wl.name);
     EXPECT_EQ(cache.evictCount(), 1u);
+}
+
+TEST(TraceCacheT, ByteBudgetEnforcedUnderPressure)
+{
+    // The per-trace byte budget chooses heap or file: a recording that
+    // fits stays on the heap, one that does not spills to an unlinked
+    // temporary file mapped read-only (no resident heap) — and holds
+    // exactly the µ-ops a heap recording would.
+    setenv("EOLE_TRACE_CACHE_MB", "1", 1);  // 1 MB budget
+    TraceCache cache;
+    const Workload w = workloads::build("164.gzip");
+
+    const std::uint64_t fits = (512 * 1024) / sizeof(TraceUop);
+    const std::uint64_t toobig = (2 * 1024 * 1024) / sizeof(TraceUop);
+    const auto small = cache.get(w, fits);
+    ASSERT_NE(small, nullptr);
+    EXPECT_FALSE(small->mmapBacked);
+    EXPECT_LE(small->bytes(), TraceCache::byteBudget());
+
+    const auto spilled = cache.get(w, toobig);
+    ASSERT_NE(spilled, nullptr);
+    EXPECT_TRUE(spilled->mmapBacked);
+    EXPECT_EQ(spilled->residentBytes(), 0u);
+    const auto heap = w.freeze(toobig);
+    EXPECT_EQ(spilled->name, heap->name);
+    EXPECT_EQ(spilled->isFp, heap->isFp);
+    EXPECT_EQ(spilled->complete, heap->complete);
+    for (int r = 0; r < numArchIntRegs; ++r)
+        EXPECT_EQ(spilled->initIntRegs[r], heap->initIntRegs[r]) << r;
+    for (int r = 0; r < numArchFpRegs; ++r)
+        EXPECT_EQ(spilled->initFpRegs[r], heap->initFpRegs[r]) << r;
+    ASSERT_EQ(spilled->uops.size(), heap->uops.size());
+    for (std::size_t i = 0; i < heap->uops.size(); ++i)
+        expectSameUop(heap->uops[i], spilled->uops[i], i);
+
+    // The sweep engines under the same pressure spill every recording;
+    // full and sampled artifact bytes must not move, and each workload
+    // is recorded once.
+    ExperimentPlan plan = plans::get("smoke");
+    plan.warmup = 2000;
+    plan.measure = 20000;
+    SampleSpec spec;
+    spec.intervals = 3;
+    spec.intervalUops = 2000;
+    spec.detailUops = 1000;
+    TempDir tmp("budget");
+    const std::string telemetry = tmp.path("run.jsonl");
+    const std::string pressuredFull =
+        jsonArtifactString(runPlan(plan, SweepOptions{}));
+    std::string pressuredSampled;
+    {
+        TelemetrySink sink(telemetry);
+        SweepOptions o;
+        o.telemetry = &sink;
+        pressuredSampled = jsonArtifactString(runSampledPlan(plan, spec, o));
+    }
+    unsetenv("EOLE_TRACE_CACHE_MB");
+    EXPECT_EQ(pressuredFull,
+              jsonArtifactString(runPlan(plan, SweepOptions{})));
+    EXPECT_EQ(pressuredSampled,
+              jsonArtifactString(runSampledPlan(plan, spec)));
+
+    bool sawCache = false;
+    for (const TelemetryEvent &ev : readTelemetry(telemetry)) {
+        if (ev.ev != "trace_cache")
+            continue;
+        sawCache = true;
+        EXPECT_EQ(ev.num("misses"), double(plan.workloads.size()));
+        EXPECT_GT(ev.num("record_ms"), 0.0);
+    }
+    EXPECT_TRUE(sawCache);
 }
 
 // ------------------------- corruption fuzzer -----------------------------

@@ -29,11 +29,10 @@ struct Mix
 Mix
 measureMix(const Workload &w, std::uint64_t n)
 {
-    TraceSource ts = w.makeTrace();
+    const auto trace = w.freeze(n);
+    EXPECT_EQ(trace->uops.size(), n) << w.name << " halted early";
     std::uint64_t br = 0, taken = 0, ld = 0, st = 0, alu = 0, fp = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(ts.hasNext()) << w.name << " halted early";
-        const TraceUop &u = ts.fetch();
+    for (const TraceUop &u : trace->uops) {
         br += u.isBranch();
         taken += u.isBranch() && u.taken;
         ld += u.isLoad();
@@ -42,7 +41,6 @@ measureMix(const Workload &w, std::uint64_t n)
         const OpClass c = u.opClass();
         fp += c == OpClass::FpAlu || c == OpClass::FpMul
             || c == OpClass::FpDiv;
-        ts.retireUpTo(ts.nextSeq() - 1);
     }
     Mix m;
     m.branches = double(br) / n;
@@ -78,15 +76,13 @@ TEST(WorkloadRegistry, TracesAreDeterministic)
 {
     for (const auto &name : {"164.gzip", "433.milc", "445.gobmk"}) {
         Workload w = workloads::build(name);
-        TraceSource a = w.makeTrace();
-        TraceSource b = w.makeTrace();
-        for (int i = 0; i < 5000; ++i) {
-            const TraceUop &ua = a.fetch();
-            const TraceUop &ub = b.fetch();
-            ASSERT_EQ(ua.pc, ub.pc) << name;
-            ASSERT_EQ(ua.result, ub.result) << name;
-            a.retireUpTo(a.nextSeq() - 1);
-            b.retireUpTo(b.nextSeq() - 1);
+        const auto a = w.freeze(5000);
+        const auto b = w.freeze(5000);
+        ASSERT_EQ(a->uops.size(), 5000u) << name;
+        ASSERT_EQ(b->uops.size(), 5000u) << name;
+        for (std::size_t i = 0; i < 5000; ++i) {
+            ASSERT_EQ(a->uops[i].pc, b->uops[i].pc) << name;
+            ASSERT_EQ(a->uops[i].result, b->uops[i].result) << name;
         }
     }
 }
@@ -152,11 +148,11 @@ TEST(WorkloadTraits, CallRetPairsBalance)
 {
     // vortex is the call/ret-heavy kernel: calls and rets must pair up.
     Workload w = workloads::build("255.vortex");
-    TraceSource ts = w.makeTrace();
+    const auto trace = w.freeze(100000);
+    ASSERT_EQ(trace->uops.size(), 100000u);
     std::int64_t depth = 0;
     std::int64_t max_depth = 0;
-    for (int i = 0; i < 100000; ++i) {
-        const TraceUop &u = ts.fetch();
+    for (const TraceUop &u : trace->uops) {
         if (u.isCall())
             ++depth;
         if (u.isRet())
@@ -164,7 +160,6 @@ TEST(WorkloadTraits, CallRetPairsBalance)
         max_depth = std::max(max_depth, depth);
         ASSERT_GE(depth, 0);
         ASSERT_LE(depth, 8);
-        ts.retireUpTo(ts.nextSeq() - 1);
     }
     EXPECT_GE(max_depth, 1);
 }
@@ -189,12 +184,12 @@ TEST(WorkloadTraits, StridedLoadValuesAreStrided)
 {
     // The value stream the VP tests rely on: A[i] = 3 * index.
     Workload w = workloads::micro::stridedLoads();
-    TraceSource ts = w.makeTrace();
+    const auto trace = w.freeze(5000);
     RegVal prev = 0;
     bool have_prev = false;
     int checked = 0;
-    for (int i = 0; i < 5000 && checked < 500; ++i) {
-        const TraceUop &u = ts.fetch();
+    for (std::size_t i = 0; i < trace->uops.size() && checked < 500; ++i) {
+        const TraceUop &u = trace->uops[i];
         if (u.isLoad()) {
             if (have_prev && u.result > prev) {
                 EXPECT_EQ(u.result - prev, 3u);
@@ -203,7 +198,6 @@ TEST(WorkloadTraits, StridedLoadValuesAreStrided)
             prev = u.result;
             have_prev = true;
         }
-        ts.retireUpTo(ts.nextSeq() - 1);
     }
     EXPECT_GT(checked, 100);
 }
