@@ -31,22 +31,24 @@ FcmPredictor::predict(Addr pc)
 {
     VpLookup l;
     const HistEntry &h = histTable[histIndex(pc)];
-    l.idx[0] = histIndex(pc);
+    l.table.idx[0] = histIndex(pc);
     if (h.valid && h.tag == pc) {
         const std::uint32_t vidx = h.ctx & valueMask;
-        l.idx[1] = vidx;
+        l.table.idx[1] = vidx;
         const ValueEntry &v = valueTable[vidx];
-        l.predictionMade = true;
-        l.value = v.value;
-        l.confident = fpc.saturated(v.conf);
+        l.table.made = true;
+        l.table.value = v.value;
+        l.table.confident = fpc.saturated(v.conf);
     }
+    l.choose(l.table);
     return l;
 }
 
 void
 FcmPredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
-    HistEntry &h = histTable[lookup.idx[0]];
+    const VpLookup::TablePart &l = lookup.table;
+    HistEntry &h = histTable[l.idx[0]];
     if (!h.valid || h.tag != pc) {
         h = HistEntry{};
         h.tag = pc;
@@ -54,10 +56,10 @@ FcmPredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         h.ctx = foldValue(actual);
         return;
     }
-    if (lookup.predictionMade) {
+    if (l.made) {
         // Second level was read through the context captured at lookup.
-        ValueEntry &v = valueTable[lookup.idx[1]];
-        const bool correct = lookup.value == actual;
+        ValueEntry &v = valueTable[l.idx[1]];
+        const bool correct = l.value == actual;
         fpc.update(v.conf, correct, rng);
         if (!correct && v.conf == 0)
             v.value = actual;

@@ -14,8 +14,6 @@
 #ifndef EOLE_VPRED_HYBRID_HH
 #define EOLE_VPRED_HYBRID_HH
 
-#include <memory>
-
 #include "vpred/stride.hh"
 #include "vpred/vtage.hh"
 
@@ -35,12 +33,6 @@ class HybridVtage2DStride : public ValuePredictor
     void squash(Addr pc, const VpLookup &lookup) override;
     const char *name() const override { return "VTAGE-2DStride"; }
 
-    /** Functional-warming fast path: both components predict and
-     *  train directly, skipping the pipeline path's per-lookup
-     *  sub-record heap allocations (the arbitration chooser is
-     *  stateless, so component state evolves identically). */
-    void warmUpdate(const TraceUop &uop) override;
-
     /** Concatenated component snapshots (the arbitration chooser is
      *  stateless, so the two sub-predictors are the whole state). */
     void snapshotState(std::ostream &os) const override;
@@ -48,15 +40,15 @@ class HybridVtage2DStride : public ValuePredictor
     std::unique_ptr<WarmableComponent> clone() const override;
     void copyStateFrom(const WarmableComponent &src) override;
 
-    Vtage &vtage() { return *vt; }
-    StridePredictor &stride() { return *sp; }
+    Vtage &vtage() { return vt; }
+    StridePredictor &stride() { return sp; }
 
   private:
     /** clone(): deep copies of both components. */
     HybridVtage2DStride(const HybridVtage2DStride &o);
 
-    std::unique_ptr<Vtage> vt;
-    std::unique_ptr<StridePredictor> sp;
+    Vtage vt;
+    StridePredictor sp;
 };
 
 } // namespace eole

@@ -24,19 +24,21 @@ LastValuePredictor::predict(Addr pc)
 {
     VpLookup l;
     const Entry &e = table[indexOf(pc)];
-    l.idx[0] = indexOf(pc);
+    l.table.idx[0] = indexOf(pc);
     if (e.valid && e.tag == pc) {
-        l.predictionMade = true;
-        l.value = e.value;
-        l.confident = fpc.saturated(e.conf);
+        l.table.made = true;
+        l.table.value = e.value;
+        l.table.confident = fpc.saturated(e.conf);
     }
+    l.choose(l.table);
     return l;
 }
 
 void
 LastValuePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
-    Entry &e = table[lookup.idx[0]];
+    const VpLookup::TablePart &l = lookup.table;
+    Entry &e = table[l.idx[0]];
     if (!e.valid || e.tag != pc) {
         e = Entry{};
         e.tag = pc;
@@ -44,7 +46,7 @@ LastValuePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         e.value = actual;
         return;
     }
-    const bool correct = lookup.predictionMade && lookup.value == actual;
+    const bool correct = l.made && l.value == actual;
     fpc.update(e.conf, correct, rng);
     // Replace the value only at zero confidence (hysteresis).
     if (e.value != actual && e.conf == 0)
@@ -125,16 +127,16 @@ StridePredictor::indexOf(Addr pc) const
     return static_cast<std::uint32_t>(pc >> 2) & mask;
 }
 
-VpLookup
-StridePredictor::predict(Addr pc)
+void
+StridePredictor::predictInto(Addr pc, VpLookup::TablePart &l)
 {
-    VpLookup l;
+    l = VpLookup::TablePart{};
     Entry &e = table[indexOf(pc)];
     l.idx[0] = indexOf(pc);
     if (e.valid && e.tag == pc) {
         // Project past the in-flight instances of this static µ-op.
         const std::int64_t stride = twoDelta ? e.stride2 : e.stride1;
-        l.predictionMade = true;
+        l.made = true;
         l.value = e.lastValue
             + static_cast<RegVal>(stride) * (e.inflight + 1);
         l.confident = fpc.saturated(e.conf);
@@ -143,13 +145,28 @@ StridePredictor::predict(Addr pc)
             l.inflightNoted = true;
         }
     }
+}
+
+VpLookup
+StridePredictor::predict(Addr pc)
+{
+    VpLookup l;
+    predictInto(pc, l.table);
+    l.choose(l.table);
     return l;
 }
 
 void
 StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
-    Entry &e = table[lookup.idx[0]];
+    train(pc, actual, lookup.table);
+}
+
+void
+StridePredictor::train(Addr pc, RegVal actual,
+                       const VpLookup::TablePart &l)
+{
+    Entry &e = table[l.idx[0]];
     if (!e.valid || e.tag != pc) {
         e = Entry{};
         e.tag = pc;
@@ -157,7 +174,7 @@ StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         e.lastValue = actual;
         return;
     }
-    if (lookup.inflightNoted && e.inflight > 0)
+    if (l.inflightNoted && e.inflight > 0)
         --e.inflight;
     const std::int64_t new_stride =
         static_cast<std::int64_t>(actual - e.lastValue);
@@ -170,8 +187,8 @@ StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         e.stride1 = new_stride;
     }
     e.lastValue = actual;
-    if (lookup.predictionMade)
-        fpc.update(e.conf, lookup.value == actual, rng);
+    if (l.made)
+        fpc.update(e.conf, l.value == actual, rng);
 }
 
 void
@@ -254,8 +271,14 @@ StridePredictor::copyStateFrom(const WarmableComponent &src)
 void
 StridePredictor::squash(Addr pc, const VpLookup &lookup)
 {
-    Entry &e = table[lookup.idx[0]];
-    if (lookup.inflightNoted && e.valid && e.tag == pc && e.inflight > 0)
+    squash(pc, lookup.table);
+}
+
+void
+StridePredictor::squash(Addr pc, const VpLookup::TablePart &l)
+{
+    Entry &e = table[l.idx[0]];
+    if (l.inflightNoted && e.valid && e.tag == pc && e.inflight > 0)
         --e.inflight;
 }
 

@@ -76,6 +76,13 @@ class StridePredictor : public ValuePredictor
         return twoDelta ? "2D-Stride" : "Stride";
     }
 
+    /** Predict into the table part (predict() and the hybrid). */
+    void predictInto(Addr pc, VpLookup::TablePart &part);
+    /** Retirement-order training from the stride's own part. */
+    void train(Addr pc, RegVal actual, const VpLookup::TablePart &part);
+    /** Squash of the instance @p part predicted. */
+    void squash(Addr pc, const VpLookup::TablePart &part);
+
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,26 +32,80 @@
 
 namespace eole {
 
-/** Per-lookup record carried by the µ-op until commit/squash. */
+/**
+ * Per-lookup record carried by the µ-op until commit/squash. One flat,
+ * trivially copyable value: a DynInst holds it inline, and neither a
+ * prediction nor a recycled µ-op touches the heap. It has three parts:
+ *  - the arbitrated prediction, the only part the pipeline reads;
+ *  - VTAGE's part;
+ *  - the part of the table component (stride, LVP or FCM).
+ * Each component fills and trains from its own part only; a
+ * single-component predictor leaves the other part at its defaults.
+ */
 struct VpLookup
 {
+    /** VTAGE's base table plus at most maxComps - 1 tagged tables. */
     static constexpr int maxComps = 8;
 
+    /** VTAGE's part. The base index is the pc's alone, so training
+     *  recomputes it; the tagged indices and tags hash the speculative
+     *  history at fetch and are kept. */
+    struct VtagePart
+    {
+        RegVal value = 0;              //!< VTAGE's own prediction
+        RegVal altValue = 0;           //!< the alternate's value
+        std::uint32_t idx[maxComps - 1] = {};  //!< per tagged table
+        std::uint16_t tag[maxComps - 1] = {};
+        std::int8_t provider = -1;     //!< longest tagged hit; -1 = base
+        std::int8_t altProvider = -1;  //!< next tagged hit; -1 = base
+        bool made = false;
+        bool confident = false;
+    };
+
+    /** The stride, LVP or FCM component's part. */
+    struct TablePart
+    {
+        RegVal value = 0;              //!< the component's own prediction
+        std::uint32_t idx[2] = {};     //!< the pc's entry; FCM: + value entry
+        bool made = false;
+        bool confident = false;
+        bool inflightNoted = false;    //!< stride: counted in flight
+    };
+
+    // The arbitrated prediction.
     RegVal value = 0;          //!< predicted value
     bool predictionMade = false;
     bool confident = false;    //!< FPC saturated: pipeline uses it
+    std::int8_t provider = -1; //!< 0: the VTAGE part, 1: the table part
 
-    // Provenance for retirement-order training.
-    int provider = -1;         //!< predictor-specific component id
-    int altProvider = -1;
-    RegVal altValue = 0;
-    std::uint32_t idx[maxComps] = {};
-    std::uint16_t tag[maxComps] = {};
-    bool inflightNoted = false;
+    VtagePart vtage;
+    TablePart table;
 
-    // Hybrid: the sub-predictor lookups.
-    std::unique_ptr<VpLookup> sub[2];
+    /** Arbitrate for VTAGE's own prediction. */
+    void
+    choose(const VtagePart &part)
+    {
+        value = part.value;
+        predictionMade = part.made;
+        confident = part.confident;
+        provider = 0;
+    }
+
+    /** Arbitrate for the table component's own prediction. */
+    void
+    choose(const TablePart &part)
+    {
+        value = part.value;
+        predictionMade = part.made;
+        confident = part.confident;
+        provider = 1;
+    }
 };
+
+static_assert(std::is_trivially_copyable_v<VpLookup>,
+              "VpLookup rides inline in every DynInst");
+static_assert(sizeof(VpLookup) <= 104,
+              "VpLookup must not grow DynInst");
 
 /** Supported predictor kinds. */
 enum class VpKind

@@ -81,62 +81,73 @@ Vtage::taggedTag(Addr pc, int comp) const
         & ((1u << tagBitsOf(comp)) - 1));
 }
 
-VpLookup
-Vtage::predict(Addr pc)
+void
+Vtage::predictInto(Addr pc, VpLookup::VtagePart &l) const
 {
     panic_if(hist == nullptr, "VTAGE history not bound");
 
-    VpLookup l;
-    l.idx[0] = baseIndex(pc);
     for (int i = 0; i < cfg.vtageNumTagged; ++i) {
-        l.idx[i + 1] = taggedIndex(pc, i);
-        l.tag[i + 1] = taggedTag(pc, i);
+        l.idx[i] = taggedIndex(pc, i);
+        l.tag[i] = taggedTag(pc, i);
     }
 
     // Longest matching tagged component provides; next hit (or the
     // base) is the alternate.
+    int provider = -1;
+    int alt = -1;
     for (int i = cfg.vtageNumTagged - 1; i >= 0; --i) {
-        const TaggedEntry &e = entry(i, l.idx[i + 1]);
-        if (e.valid && e.tag == l.tag[i + 1]) {
-            if (l.provider < 0) {
-                l.provider = i;
+        const TaggedEntry &e = entry(i, l.idx[i]);
+        if (e.valid && e.tag == l.tag[i]) {
+            if (provider < 0) {
+                provider = i;
             } else {
-                l.altProvider = i;
+                alt = i;
                 break;
             }
         }
     }
+    l.provider = static_cast<std::int8_t>(provider);
+    l.altProvider = static_cast<std::int8_t>(alt);
+    l.made = true;
 
-    if (l.provider >= 0) {
-        const TaggedEntry &e = entry(l.provider, l.idx[l.provider + 1]);
-        l.predictionMade = true;
+    const BaseEntry &b = base[baseIndex(pc)];
+    if (provider >= 0) {
+        const TaggedEntry &e = entry(provider, l.idx[provider]);
         l.value = e.value;
         l.confident = fpc.saturated(e.conf);
-        l.altValue = l.altProvider >= 0
-            ? entry(l.altProvider, l.idx[l.altProvider + 1]).value
-            : base[l.idx[0]].value;
+        l.altValue = alt >= 0 ? entry(alt, l.idx[alt]).value : b.value;
     } else {
-        const BaseEntry &b = base[l.idx[0]];
-        l.predictionMade = true;
         l.value = b.value;
         l.confident = fpc.saturated(b.conf);
         l.altValue = b.value;
     }
+}
+
+VpLookup
+Vtage::predict(Addr pc)
+{
+    VpLookup l;
+    predictInto(pc, l.vtage);
+    l.choose(l.vtage);
     return l;
 }
 
 void
 Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
-    (void)pc;
-    const bool correct = lookup.value == actual;
+    train(pc, actual, lookup.vtage);
+}
 
-    if (lookup.provider >= 0) {
-        TaggedEntry &e =
-            entry(lookup.provider, lookup.idx[lookup.provider + 1]);
+void
+Vtage::train(Addr pc, RegVal actual, const VpLookup::VtagePart &l)
+{
+    const bool correct = l.value == actual;
+
+    if (l.provider >= 0) {
+        TaggedEntry &e = entry(l.provider, l.idx[l.provider]);
         fpc.update(e.conf, correct, rng);
         if (correct) {
-            if (lookup.altValue != actual)
+            if (l.altValue != actual)
                 e.u = 1;
         } else {
             // Replace the value only once confidence has drained.
@@ -145,7 +156,7 @@ Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
             e.u = 0;
         }
     } else {
-        BaseEntry &b = base[lookup.idx[0]];
+        BaseEntry &b = base[baseIndex(pc)];
         fpc.update(b.conf, correct, rng);
         if (!correct && b.conf == 0)
             b.value = actual;
@@ -153,33 +164,33 @@ Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 
     // ITTAGE-style allocation in a longer-history component on a
     // misprediction.
-    if (!correct && lookup.provider < cfg.vtageNumTagged - 1) {
-        const int start = lookup.provider + 1;
+    if (!correct && l.provider < cfg.vtageNumTagged - 1) {
+        const int start = l.provider + 1;
         bool any_free = false;
         for (int i = start; i < cfg.vtageNumTagged; ++i) {
-            if (entry(i, lookup.idx[i + 1]).u == 0) {
+            if (entry(i, l.idx[i]).u == 0) {
                 any_free = true;
                 break;
             }
         }
         if (!any_free) {
             for (int i = start; i < cfg.vtageNumTagged; ++i)
-                entry(i, lookup.idx[i + 1]).u = 0;
+                entry(i, l.idx[i]).u = 0;
             return;
         }
         // Pick among free slots with geometric bias toward shorter
         // histories (probability 1/2 to stop at each candidate).
         int chosen = -1;
         for (int i = start; i < cfg.vtageNumTagged; ++i) {
-            if (entry(i, lookup.idx[i + 1]).u != 0)
+            if (entry(i, l.idx[i]).u != 0)
                 continue;
             chosen = i;
             if (rng.below(2) == 0)
                 break;
         }
-        TaggedEntry &e = entry(chosen, lookup.idx[chosen + 1]);
+        TaggedEntry &e = entry(chosen, l.idx[chosen]);
         e.valid = true;
-        e.tag = lookup.tag[chosen + 1];
+        e.tag = l.tag[chosen];
         e.value = actual;
         e.conf = 0;
         e.u = 0;
@@ -268,7 +279,7 @@ std::unique_ptr<WarmableComponent>
 Vtage::clone() const
 {
     auto copy = std::make_unique<Vtage>(*this);
-    copy->hist = nullptr;
+    copy->unbindHistory();
     return copy;
 }
 

@@ -39,6 +39,11 @@ class Vtage : public ValuePredictor
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     const char *name() const override { return "VTAGE"; }
 
+    /** Predict into VTAGE's own part (predict() and the hybrid). */
+    void predictInto(Addr pc, VpLookup::VtagePart &part) const;
+    /** Retirement-order training from VTAGE's own part. */
+    void train(Addr pc, RegVal actual, const VpLookup::VtagePart &part);
+
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */
@@ -47,6 +52,9 @@ class Vtage : public ValuePredictor
     std::unique_ptr<WarmableComponent> clone() const override;
     /** Tables and RNG; this instance keeps its history binding. */
     void copyStateFrom(const WarmableComponent &src) override;
+
+    /** Drop the history binding (a copy must not share it). */
+    void unbindHistory() { hist = nullptr; }
 
     int histLength(int comp) const { return histLens[comp]; }
 

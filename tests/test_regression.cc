@@ -13,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
 #include "sim/plan.hh"
+#include "sim/plans.hh"
+#include "sim/store.hh"
+#include "sim/sweep.hh"
 #include "workloads/workload.hh"
 
 using namespace eole;
@@ -106,6 +111,60 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return s;
     });
+
+TEST(GoldenDeterminism, Fig12CellPayloadsPinnedByteForByte)
+{
+    // The golden bands above allow a few percent; these pin every
+    // detailed fig12 cell of three workloads exactly (SHA-256 of the
+    // store payload text), so a faster value-prediction path or
+    // workload image cannot move a single counter.
+    struct Pin
+    {
+        const char *config;
+        const char *workload;
+        const char *payload;
+    };
+    const Pin pins[] = {
+        {"Baseline_VP_6_64", "164.gzip",
+         "946e0e920ecbb00d028a4b121d196c5bc1634eb1a888c94dd70ea249aa08c50b"},
+        {"Baseline_VP_6_64", "429.mcf",
+         "7ce873ee62a3910fbd69439c652a6a16b0b46ae6520a90c3db9790e78d8291fe"},
+        {"Baseline_VP_6_64", "186.crafty",
+         "c5425a6edb5148757372a27982c4f84508bfecd97b13964ba9446d88f21befbc"},
+        {"Baseline_6_64", "164.gzip",
+         "94a306c6b461d0a91168079a772583c3dfde3aeb498e4d7f7840f117eeb78b9e"},
+        {"Baseline_6_64", "429.mcf",
+         "ad275f5117750a6a21e48d1fcee3e1ff0c3923952535274e9659a2e6f310b82e"},
+        {"Baseline_6_64", "186.crafty",
+         "9d3b473c85153c966b4f2cef0050ffcf48d2c8f0e3ef7f3dbb4c3a67a60ca06d"},
+        {"EOLE_4_64", "164.gzip",
+         "599bd5fd83f9cb410fc9ced856085f3019c283d4c8d3a63d4588cec0b6b2ac17"},
+        {"EOLE_4_64", "429.mcf",
+         "1a06a58fc034bc4e3d9d09938c233da5fcb34a86be7f8e4f13d8e7b16eaf77cf"},
+        {"EOLE_4_64", "186.crafty",
+         "f86b5f13e1434a6a94b872b569e9e3810ae67dcf3c125e4f01d4c1e3f13d6dc0"},
+        {"EOLE_4_64_4ports_4banks", "164.gzip",
+         "cc16300437518ea2d1435842c3a1f83aa81c3b1ee13c844d4d4cc70351933699"},
+        {"EOLE_4_64_4ports_4banks", "429.mcf",
+         "5c0a3056300479b26676f10993dd073477bc4c9f9d81d1cfd931876c6d17464c"},
+        {"EOLE_4_64_4ports_4banks", "186.crafty",
+         "72578d6b8c086920090e285b315071ec38c3b684ed9a9315181b8844d5540231"},
+    };
+    ExperimentPlan p = plans::get("fig12");
+    p.workloads = {"164.gzip", "429.mcf", "186.crafty"};
+    SweepOptions o;
+    o.jobs = 2;
+    o.warmup = 5000;
+    o.measure = 20000;
+    const PlanResult r = runPlan(p, o);
+    ASSERT_EQ(r.cells.size(), std::size(pins));
+    for (const Pin &pin : pins) {
+        const RunResult *cell = r.find(pin.config, pin.workload);
+        ASSERT_NE(cell, nullptr) << pin.config << "/" << pin.workload;
+        EXPECT_EQ(sha256Hex(cellPayloadText(cell->stats)), pin.payload)
+            << pin.config << "/" << pin.workload;
+    }
+}
 
 TEST(GoldenDeterminism, SameSeedSameCycleCount)
 {
