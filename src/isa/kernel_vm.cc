@@ -1,35 +1,31 @@
 #include "isa/kernel_vm.hh"
 
+#include <cerrno>
 #include <cstring>
+
+#include <sys/mman.h>
 
 #include "isa/functional.hh"
 
 namespace eole {
 
 KernelVM::KernelVM(const Program &program, std::size_t mem_bytes)
-    : prog(program), mem(mem_bytes, 0)
+    : prog(program), memBytes(mem_bytes)
 {
     fatal_if(prog.code.empty(), "KernelVM: empty program");
+    if (memBytes == 0)
+        return;
+    void *base = ::mmap(nullptr, memBytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(base == MAP_FAILED, "KernelVM: cannot map %zu bytes: %s",
+             memBytes, std::strerror(errno));
+    mem = static_cast<std::uint8_t *>(base);
 }
 
-RegVal
-KernelVM::readMem(Addr addr, unsigned size) const
+KernelVM::~KernelVM()
 {
-    panic_if(addr + size > mem.size(),
-             "VM load out of bounds: addr %#lx size %u (mem %zu)",
-             static_cast<unsigned long>(addr), size, mem.size());
-    RegVal v = 0;
-    std::memcpy(&v, mem.data() + addr, size);
-    return v;
-}
-
-void
-KernelVM::writeMem(Addr addr, unsigned size, RegVal value)
-{
-    panic_if(addr + size > mem.size(),
-             "VM store out of bounds: addr %#lx size %u (mem %zu)",
-             static_cast<unsigned long>(addr), size, mem.size());
-    std::memcpy(mem.data() + addr, &value, size);
+    if (mem)
+        ::munmap(mem, memBytes);
 }
 
 bool

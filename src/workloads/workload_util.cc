@@ -11,32 +11,33 @@ namespace workloads {
 void
 fillRandomBytes(KernelVM &vm, Addr base, std::size_t len, std::uint64_t seed)
 {
+    std::uint8_t *p = vm.memSpan(base, len);
     Rng rng(seed);
     std::size_t i = 0;
     for (; i + 8 <= len; i += 8)
-        vm.writeMem(base + i, 8, rng.next());
+        storeWord(p + i, rng.next());
     for (; i < len; ++i)
-        vm.writeMem(base + i, 1, rng.next() & 0xff);
+        p[i] = static_cast<std::uint8_t>(rng.next());
 }
 
 void
 fillRandomWords(KernelVM &vm, Addr base, std::size_t n, std::uint64_t bound,
                 std::uint64_t seed)
 {
+    std::uint8_t *p = vm.memSpan(base, n * 8);
     Rng rng(seed);
     for (std::size_t i = 0; i < n; ++i)
-        vm.writeMem(base + i * 8, 8, bound == ~0ULL ? rng.next()
-                                                    : rng.below(bound));
+        storeWord(p + i * 8, bound == ~0ULL ? rng.next() : rng.below(bound));
 }
 
 void
 fillRandomDoubles(KernelVM &vm, Addr base, std::size_t n, double lo,
                   double hi, std::uint64_t seed)
 {
+    std::uint8_t *p = vm.memSpan(base, n * 8);
     Rng rng(seed);
     for (std::size_t i = 0; i < n; ++i)
-        vm.writeMem(base + i * 8, 8,
-                    fromDouble(lo + rng.uniform() * (hi - lo)));
+        storeWord(p + i * 8, fromDouble(lo + rng.uniform() * (hi - lo)));
 }
 
 void
@@ -51,10 +52,11 @@ linkRandomCycle(KernelVM &vm, Addr base, std::size_t count,
         const std::size_t j = rng.below(i + 1);
         std::swap(order[i], order[j]);
     }
+    // Up to word 0 of the last node.
+    std::uint8_t *p = vm.memSpan(base, (count - 1) * node_bytes + 8);
     for (std::size_t k = 0; k < count; ++k) {
-        const Addr from = base + order[k] * node_bytes;
         const Addr to = base + order[(k + 1) % count] * node_bytes;
-        vm.writeMem(from, 8, to);
+        storeWord(p + order[k] * node_bytes, to);
     }
 }
 

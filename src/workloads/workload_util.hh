@@ -8,12 +8,21 @@
 #define EOLE_WORKLOADS_WORKLOAD_UTIL_HH
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/random.hh"
 #include "isa/kernel_vm.hh"
 
 namespace eole {
 namespace workloads {
+
+/** Store the 64-bit word @p v at @p p, a KernelVM::memSpan pointer
+ *  (little-endian, as KernelVM::writeMem stores it). */
+inline void
+storeWord(std::uint8_t *p, std::uint64_t v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
 
 /** Fill [base, base+len) with uniformly random bytes (8 at a time). */
 void fillRandomBytes(KernelVM &vm, Addr base, std::size_t len,

@@ -66,13 +66,13 @@ makeWupwise()
         // hop roughly every 400 entries (keeps long-run stride-
         // predictability around 99.75%).
         Rng rng(0x1680);
+        std::uint8_t *idx = vm.memSpan(idxBase, idxEntries * 8);
         for (std::int64_t n = 0; n < idxEntries; ++n) {
             std::int64_t next = ((n + 1) * 8) % chainBytes;
             if (rng.chance(1.0 / 400))
                 next = static_cast<std::int64_t>(
                     rng.below(idxEntries)) * 8;
-            vm.writeMem(idxBase + Addr(n) * 8, 8,
-                        static_cast<RegVal>(next));
+            storeWord(idx + n * 8, static_cast<RegVal>(next));
         }
         fillRandomDoubles(vm, xBase, 0x20000, 0.0, 2.0, 0x1681);
         fillRandomDoubles(vm, yBase, 0x20000, -1.0, 1.0, 0x1682);
@@ -206,11 +206,12 @@ makeArt()
     w.init = [=](KernelVM &vm) {
         Rng rng(0x1791);
         const RegVal onePattern = fromDouble(1.0);
+        std::uint8_t *wt = vm.memSpan(wBase, (jMask + 1) * 8);
         for (std::int64_t n = 0; n <= jMask; ++n) {
             const RegVal v = rng.chance(0.85)
                 ? onePattern
                 : fromDouble(rng.uniform() * 2.0);
-            vm.writeMem(wBase + Addr(n) * 8, 8, v);
+            storeWord(wt + n * 8, v);
         }
         fillRandomDoubles(vm, xBase, jMask + 1, 0.0, 1.0, 0x1792);
         vm.setIntReg(wb.idx, wBase);
@@ -412,8 +413,9 @@ makeNamd()
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
         // Pairlist: stride-16 byte offsets wrapping inside the coords.
+        std::uint8_t *pl = vm.memSpan(plBase, (iMask + 1) * 8);
         for (std::int64_t n = 0; n <= iMask; ++n)
-            vm.writeMem(plBase + Addr(n) * 8, 8, (n * 16) & xMask);
+            storeWord(pl + n * 8, (n * 16) & xMask);
         fillRandomDoubles(vm, xBase, 0x80000, -10.0, 10.0, 0x4441);
         vm.setIntReg(plb.idx, plBase);
         vm.setIntReg(xb.idx, xBase);

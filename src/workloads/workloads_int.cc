@@ -322,9 +322,10 @@ makeParser()
         // Random cyclic permutation over the node pool.
         linkRandomCycle(vm, nodeBase, nodeCount, 64, 0x9711);
         Rng rng(0x9712);
+        std::uint8_t *node = vm.memSpan(nodeBase, nodeCount * 64);
         for (std::size_t n = 0; n < nodeCount; ++n) {
-            vm.writeMem(nodeBase + n * 64 + 8, 8, rng.next() & 0xffff);
-            vm.writeMem(nodeBase + n * 64 + 16, 8, rng.below(100));
+            storeWord(node + n * 64 + 8, rng.next() & 0xffff);
+            storeWord(node + n * 64 + 16, rng.below(100));
         }
         fillRandomWords(vm, dictBase, 0x2000, 50, 0x9713);
         vm.setIntReg(p.idx, nodeBase);
@@ -398,11 +399,12 @@ makeVortex()
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
         Rng rng(0x2551);
+        std::uint8_t *rec = vm.memSpan(recBase, (recMask + 1) * 64);
         for (std::size_t n = 0; n <= recMask; ++n) {
             // 90% even field values.
             const RegVal v = rng.below(1000) * 2 + (rng.chance(0.1) ? 1 : 0);
-            vm.writeMem(recBase + n * 64, 8, v);
-            vm.writeMem(recBase + n * 64 + 8, 8, rng.below(1000));
+            storeWord(rec + n * 64, v);
+            storeWord(rec + n * 64 + 8, rng.below(1000));
         }
         vm.setIntReg(rbase.idx, recBase);
     };
@@ -462,13 +464,14 @@ makeBzip2()
         // fresh bytes are drawn low-biased (75% below 128).
         Rng rng(0x4011);
         std::uint8_t prev = 0;
+        std::uint8_t *in = vm.memSpan(inBase, inMask + 1);
         for (std::size_t n = 0; n <= inMask; ++n) {
             if (!rng.chance(0.7)) {
                 prev = static_cast<std::uint8_t>(
                     rng.chance(0.75) ? rng.below(128)
                                      : 128 + rng.below(128));
             }
-            vm.writeMem(inBase + n, 1, prev);
+            in[n] = prev;
         }
         vm.setIntReg(ibase.idx, inBase);
         vm.setIntReg(cbase.idx, cntBase);

@@ -112,12 +112,13 @@ makeGcc()
         // Skewed opcode stream with short runs: 55/20/15/10 mix.
         Rng rng(0x4031);
         std::uint8_t cur = 0;
+        std::uint8_t *code = vm.memSpan(codeBufBase, codeMask + 1);
         for (std::size_t n = 0; n <= codeMask; ++n) {
             if (!rng.chance(0.4)) {
                 const double r = rng.uniform();
                 cur = r < 0.55 ? 0 : r < 0.75 ? 1 : r < 0.90 ? 2 : 3;
             }
-            vm.writeMem(codeBufBase + n, 1, cur);
+            code[n] = cur;
         }
         fillRandomWords(vm, dataBase, 0x2000, 1000, 0x4032);
         vm.setIntReg(cstream.idx, codeBufBase);
@@ -167,38 +168,28 @@ makeMcf()
     w.memBytes = nodeCount * nodeBytes;
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
-        // Two disjoint random cycles: even nodes and odd nodes.
-        std::size_t half = nodeCount / 2;
-        {
-            // Even-node cycle built over a strided "virtual" pool.
-            Rng rng(0x4291);
+        // Two disjoint random cycles, even nodes and odd nodes, are
+        // scattered into next[] first; the pool is then written once,
+        // in address order, with each node's link and cost.
+        const std::size_t half = nodeCount / 2;
+        std::vector<std::uint32_t> next(nodeCount);
+        for (std::uint32_t parity = 0; parity < 2; ++parity) {
+            Rng rng(0x4291 + parity);
             std::vector<std::uint32_t> order(half);
             for (std::size_t k = 0; k < half; ++k)
-                order[k] = static_cast<std::uint32_t>(2 * k);
+                order[k] = static_cast<std::uint32_t>(2 * k + parity);
             for (std::size_t k = half - 1; k > 0; --k)
                 std::swap(order[k], order[rng.below(k + 1)]);
-            for (std::size_t k = 0; k < half; ++k) {
-                vm.writeMem(nodeBase + Addr(order[k]) * nodeBytes, 8,
-                            nodeBase + Addr(order[(k + 1) % half])
-                                * nodeBytes);
-            }
-        }
-        {
-            Rng rng(0x4292);
-            std::vector<std::uint32_t> order(half);
             for (std::size_t k = 0; k < half; ++k)
-                order[k] = static_cast<std::uint32_t>(2 * k + 1);
-            for (std::size_t k = half - 1; k > 0; --k)
-                std::swap(order[k], order[rng.below(k + 1)]);
-            for (std::size_t k = 0; k < half; ++k) {
-                vm.writeMem(nodeBase + Addr(order[k]) * nodeBytes, 8,
-                            nodeBase + Addr(order[(k + 1) % half])
-                                * nodeBytes);
-            }
+                next[order[k]] = order[(k + 1) % half];
         }
         Rng rng(0x4293);
-        for (std::size_t n = 0; n < nodeCount; ++n)
-            vm.writeMem(nodeBase + n * nodeBytes + 8, 8, rng.below(1000));
+        std::uint8_t *pool = vm.memSpan(nodeBase, nodeCount * nodeBytes);
+        for (std::size_t n = 0; n < nodeCount; ++n) {
+            std::uint8_t *node = pool + n * nodeBytes;
+            storeWord(node, nodeBase + Addr(next[n]) * nodeBytes);
+            storeWord(node + 8, rng.below(1000));
+        }
         vm.setIntReg(p.idx, nodeBase);
         vm.setIntReg(q.idx, nodeBase + nodeBytes);
         vm.setIntReg(klim.idx, 700);
@@ -278,8 +269,9 @@ makeGobmk()
     w.init = [=](KernelVM &vm) {
         // Board byte values 0..3 uniform.
         Rng rng(0x4451);
+        std::uint8_t *board = vm.memSpan(boardBase, boardMask + 2);
         for (std::size_t n = 0; n <= boardMask + 1; ++n)
-            vm.writeMem(boardBase + n, 1, rng.below(4));
+            board[n] = static_cast<std::uint8_t>(rng.below(4));
         vm.setIntReg(seed.idx, 0x2545f4914f6cdd1dULL);
         vm.setIntReg(bbase.idx, boardBase);
         vm.setIntReg(lcgMul.idx, 6364136223846793005LL);
@@ -512,17 +504,19 @@ makeH264ref()
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
         Rng rng(0x4641);
+        std::uint8_t *cur_blk = vm.memSpan(curBase, 16);
         for (int n = 0; n < 16; ++n)
-            vm.writeMem(curBase + n, 1, 100 + rng.below(56));
+            cur_blk[n] = static_cast<std::uint8_t>(100 + rng.below(56));
         // Reference: runs of 2048 identical bytes (flat background
         // regions), long enough for FPC confidence to saturate on the
         // reference loads and rare enough that run-boundary squashes
         // stay cheap.
         std::uint8_t cur = 128;
+        std::uint8_t *ref = vm.memSpan(refBase, refMask + 5);
         for (std::size_t n = 0; n <= refMask + 4; ++n) {
             if (n % 2048 == 0)
                 cur = static_cast<std::uint8_t>(96 + rng.below(64));
-            vm.writeMem(refBase + n, 1, cur);
+            ref[n] = cur;
         }
         vm.setIntReg(cb.idx, curBase);
         vm.setIntReg(rb.idx, refBase);

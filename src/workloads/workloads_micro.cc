@@ -125,8 +125,9 @@ stridedLoads()
     w.memBytes = 0x10000;
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
+        std::uint8_t *arr = vm.memSpan(0, (mask / 8 + 1) * 8);
         for (std::int64_t n = 0; n * 8 <= mask; ++n)
-            vm.writeMem(Addr(n) * 8, 8, static_cast<RegVal>(n * 3));
+            storeWord(arr + n * 8, static_cast<RegVal>(n * 3));
         vm.setIntReg(base.idx, 0);
     };
     return w;
@@ -184,8 +185,9 @@ randomBranch(std::uint64_t seed)
     w.program = a.finish();
     w.init = [=](KernelVM &vm) {
         Rng rng(seed);
+        std::uint8_t *bits = vm.memSpan(0, mask + 1);
         for (std::int64_t n = 0; n <= mask; ++n)
-            vm.writeMem(Addr(n), 1, rng.below(2));
+            bits[n] = static_cast<std::uint8_t>(rng.below(2));
         vm.setIntReg(base.idx, 0);
     };
     return w;

@@ -299,6 +299,24 @@ TEST(KernelVM, OutOfBoundsAccessDies)
     TraceUop u;
     vm.step(u);
     EXPECT_DEATH(vm.step(u), "out of bounds");
+
+    // A negative offset from r0 names address 2^64 - 8: the bounds
+    // check must not wrap around to the bytes before the memory.
+    Assembler ld_neg;
+    ld_neg.ld(IntReg(2), IntReg(0), -8);
+    ld_neg.halt();
+    const Program pl = ld_neg.finish();
+    KernelVM vl(pl, 0x100);
+    EXPECT_DEATH(vl.step(u), "out of bounds");
+
+    Assembler st_neg;
+    st_neg.movi(IntReg(1), 0x111);
+    st_neg.st(IntReg(1), IntReg(0), -8);
+    st_neg.halt();
+    const Program ps = st_neg.finish();
+    KernelVM vs(ps, 0x100);
+    vs.step(u);
+    EXPECT_DEATH(vs.step(u), "out of bounds");
 }
 
 // ----------------------------- TraceSource ------------------------------
