@@ -95,13 +95,6 @@ class KernelVM
         return mem + addr;
     }
 
-    const std::uint8_t *
-    memSpan(Addr addr, std::size_t len) const
-    {
-        checkBounds(addr, len, "span");
-        return mem + addr;
-    }
-
     std::size_t memSize() const { return memBytes; }
 
     /** Current program counter, as a static instruction index. */
@@ -120,7 +113,7 @@ class KernelVM
 
     const Program &prog;
     std::uint8_t *mem = nullptr;
-    std::size_t memBytes;
+    const std::size_t memBytes;
     RegVal intRegs[numArchIntRegs] = {};
     RegVal fpRegs[numArchFpRegs] = {};
     std::size_t pc = 0;
