@@ -61,15 +61,18 @@
 #                  not silent re-warming, produced the numbers);
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer), test_slab, the memory model (test_mem) and
+#                  fuzzer), test_slab, the memory model (test_mem),
 #                  the disk-boundary suites (test_common's SHA-256,
-#                  test_trace incl. the trace-file fuzzer) under
-#                  AddressSanitizer (-DEOLE_ASAN=ON, build-asan/);
+#                  test_trace incl. the trace-file fuzzer) and the VM,
+#                  workload and value-predictor suites (test_isa,
+#                  test_workloads, test_vpred) under AddressSanitizer
+#                  (-DEOLE_ASAN=ON, build-asan/);
 #                  (4) the by-value checkpoint, sampling and sweep
 #                  engine suites (test_ckpt_state, test_sample,
-#                  test_experiment), test_mem, test_common and
-#                  test_trace under UndefinedBehaviorSanitizer
-#                  (-DEOLE_UBSAN=ON, build-ubsan/; any finding fails).
+#                  test_experiment), test_mem, test_common,
+#                  test_trace, test_isa, test_workloads and test_vpred
+#                  under UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
+#                  build-ubsan/; any finding fails).
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
@@ -257,27 +260,32 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     # drives the caches' in-flight heaps far past their MSHR count.
     # test_trace reads fuzzed files through the mapped trace view whose
     # bounds the header checks set; test_common hashes split and
-    # unaligned buffers.
+    # unaligned buffers. test_isa and test_workloads drive the VM's
+    # bounds checks and the memSpan image writers; test_vpred (and
+    # test_torture, on all four fig12 configs) the flat VpLookup.
     cmake -B build-asan -S . -DEOLE_ASAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-asan -j "$JOBS" \
           --target test_sample test_ckpt_state test_torture test_slab \
-                   test_mem test_common test_trace
+                   test_mem test_common test_trace test_isa \
+                   test_workloads test_vpred
     run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem|test_common|test_trace)$'
+        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem|test_common|test_trace|test_isa|test_workloads|test_vpred)$'
 
     echo "check.sh: UndefinedBehaviorSanitizer pass" \
          "(checkpoint/sampling/sweep engine/memory-model/disk-boundary" \
          "suites)"
     # test_common runs the SHA-256 block functions (intrinsics) and the
-    # partial-block logic; test_trace the trace header arithmetic.
+    # partial-block logic; test_trace the trace header arithmetic;
+    # test_isa the VM's wrap-free bounds check.
     cmake -B build-ubsan -S . -DEOLE_UBSAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-ubsan -j "$JOBS" \
           --target test_ckpt_state test_sample test_experiment test_mem \
-                   test_common test_trace
+                   test_common test_trace test_isa test_workloads \
+                   test_vpred
     run_ctest build-ubsan \
-        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem|test_common|test_trace)$'
+        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem|test_common|test_trace|test_isa|test_workloads|test_vpred)$'
 fi
 
 if [[ "$WITH_OBS" == 1 ]]; then
