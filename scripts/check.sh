@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # CI entrypoint: tier-1 verify (configure + build + ctest) with short
-# run lengths so the experiment grids finish in CI time, plus a
-# plan-file smoke lane (a tiny grid via `--plan` + `--set`, verified
-# byte-identical to the equivalent compiled-in plan). The run-length
+# run lengths so the experiment grids finish in CI time. The run-length
 # env overrides are honoured by the sweep engine (see DESIGN.md §5/§7);
 # tests that pin golden values use their own explicit run lengths and
 # are unaffected.
 #
 # Usage: scripts/check.sh [--with-bench] [--bench] [--tsan] [--sample]
-#                         [--obs] [--trace]
 #   --with-bench   also run the fig13 modularity bench (stage-swap
 #                  self-check + the EOLE/OLE/EOE grid) on the short
 #                  run lengths.
@@ -24,25 +21,6 @@
 #                  to a warning (set EOLE_BENCH_BASELINE to a
 #                  locally-recorded artifact for a hard gate
 #                  anywhere).
-#   --obs          observability lane: pipetrace smoke (Kanata header
-#                  + retire records on a real cell), proof that
-#                  attaching --telemetry leaves the artifact
-#                  byte-identical, an exit-2 run whose telemetry
-#                  stream must terminate with run_aborted, and a
-#                  3-shard sweep whose merged telemetry must summarize
-#                  to the full cell set. The zero-cost-off speed claim
-#                  is the --bench lane's job: tracer/profiler/telemetry
-#                  hooks are compiled into the hot loop, so any
-#                  disabled-path cost shows up there as a geomean
-#                  regression.
-#   --trace        on-disk trace lane: record a workload to an
-#                  eole-trace-v1 file, validate it with `trace info`,
-#                  run the same smoke cell from `file:` and from the
-#                  live generator and require byte-identical
-#                  artifacts; ingest a checked-in RV64I log and run a
-#                  sweep over the resulting trace; and require the
-#                  missing-`file:` path to exit 2 with a did-you-mean
-#                  suggestion.
 #   --tsan         additionally build with ThreadSanitizer
 #                  (-DEOLE_TSAN=ON, build-tsan/) and run the sweep
 #                  engine + torture + sampling suites under it, plus
@@ -76,8 +54,11 @@
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
-# The sharded-sweep, store and `ckpt save` CLI contracts run in every
-# ctest pass (tests/cli_contracts.sh).
+# The CLI contracts run in every ctest pass (tests/cli_contracts.sh):
+# store cold/warm, the shard merge, exit 2 with run_aborted telemetry,
+# flag bounds, unwritable outputs, the plan-file `--set` equivalence,
+# observers leaving artifacts byte-identical, and trace record / info /
+# `file:` replay / RV64I ingestion.
 #
 # Every ctest invocation runs with --timeout (EOLE_TEST_TIMEOUT,
 # default 600 s per suite) so a hung worker thread fails CI instead of
@@ -97,16 +78,12 @@ WITH_BENCH=0
 WITH_SPEED_GATE=0
 WITH_TSAN=0
 WITH_SAMPLE=0
-WITH_OBS=0
-WITH_TRACE=0
 for arg in "$@"; do
     case "$arg" in
       --with-bench) WITH_BENCH=1 ;;
       --bench) WITH_SPEED_GATE=1 ;;
       --tsan) WITH_TSAN=1 ;;
       --sample) WITH_SAMPLE=1 ;;
-      --obs) WITH_OBS=1 ;;
-      --trace) WITH_TRACE=1 ;;
       *)
         echo "check.sh: unknown option '$arg'" >&2
         exit 2
@@ -131,34 +108,6 @@ run_ctest() {
 cmake -B build -S . -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
 cmake --build build -j "$JOBS"
 run_ctest build
-
-# Plan-file smoke lane: a tiny grid driven through `--plan` + `--set`
-# must be byte-identical to the equivalent compiled-in plan with the
-# same `--set` — the reflective-registry contract (DESIGN.md §9) that
-# plan files and ad-hoc overrides are the same configs as compiled C++.
-echo "check.sh: plan-file smoke lane"
-cat > build/smoke.plan <<'EOF'
-# The compiled-in smoke plan, expressed as data (examples/README.md).
-plan = smoke
-description = tiny 2x2 grid for CI, demos and determinism tests
-configs = Baseline_6_64, EOLE_4_64
-workloads = 164.gzip, 186.crafty
-EOF
-if ! ./build/eole run --plan build/smoke.plan --set bp.rasEntries=16 \
-         --quiet --no-tables --out build/smoke.planfile.json; then
-    echo "check.sh: plan-file run FAILED" >&2
-    exit 1
-fi
-if ! ./build/eole run smoke --set bp.rasEntries=16 \
-         --quiet --no-tables --out build/smoke.compiled.json; then
-    echo "check.sh: compiled smoke run FAILED" >&2
-    exit 1
-fi
-if ! cmp build/smoke.planfile.json build/smoke.compiled.json; then
-    echo "check.sh: plan-file artifact differs from compiled plan" >&2
-    exit 1
-fi
-echo "check.sh: plan-file artifact byte-identical to compiled plan"
 
 if [[ "$WITH_BENCH" == 1 ]]; then
     ./build/fig13_modularity
@@ -286,182 +235,6 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
                    test_vpred
     run_ctest build-ubsan \
         -R '^(test_ckpt_state|test_sample|test_experiment|test_mem|test_common|test_trace|test_isa|test_workloads|test_vpred)$'
-fi
-
-if [[ "$WITH_OBS" == 1 ]]; then
-    echo "check.sh: observability lane (pipetrace + telemetry)"
-    rm -rf build/obslane
-    mkdir -p build/obslane
-
-    # Pipetrace smoke: a real cell traced in Kanata form must carry the
-    # format header and at least one retired record (Konata loads
-    # exactly this shape).
-    if ! ./build/eole run smoke --filter "EOLE_4_64/164.gzip" --quiet \
-         --no-tables --pipetrace build/obslane/trace.kanata \
-         --out build/obslane/traced.json; then
-        echo "check.sh: --pipetrace run FAILED" >&2
-        exit 1
-    fi
-    if ! head -1 build/obslane/trace.kanata | grep -q $'^Kanata\t0004$' \
-       || ! grep -q $'^R\t' build/obslane/trace.kanata; then
-        echo "check.sh: Kanata trace malformed (header or retire" \
-             "records missing)" >&2
-        exit 1
-    fi
-
-    # Observers never perturb results: the same cell without any
-    # observer attached must produce a byte-identical artifact.
-    if ! ./build/eole run smoke --filter "EOLE_4_64/164.gzip" --quiet \
-         --no-tables --out build/obslane/plain.json; then
-        echo "check.sh: plain comparison run FAILED" >&2
-        exit 1
-    fi
-    if ! cmp build/obslane/traced.json build/obslane/plain.json; then
-        echo "check.sh: --pipetrace changed the artifact" >&2
-        exit 1
-    fi
-    if ! ./build/eole run smoke --quiet --no-tables \
-         --telemetry build/obslane/run.jsonl \
-         --out build/obslane/telem.json \
-       || ! ./build/eole run smoke --quiet --no-tables \
-            --out build/obslane/notelem.json \
-       || ! cmp build/obslane/telem.json build/obslane/notelem.json; then
-        echo "check.sh: --telemetry changed the artifact (or a run" \
-             "FAILED)" >&2
-        exit 1
-    fi
-    if ! tail -1 build/obslane/run.jsonl \
-         | grep -q '"ev":"run_finish"'; then
-        echo "check.sh: telemetry stream does not end with run_finish" >&2
-        exit 1
-    fi
-    echo "check.sh: observers leave artifacts byte-identical"
-
-    # Exit-2 paths must terminate the stream: a run that bails before
-    # simulating still ends its telemetry with run_aborted.
-    if ./build/eole run smoke --filter no_such_cell --quiet --no-tables \
-         --telemetry build/obslane/aborted.jsonl 2>/dev/null; then
-        echo "check.sh: filter-no-match run unexpectedly succeeded" >&2
-        exit 1
-    fi
-    if ! tail -1 build/obslane/aborted.jsonl \
-         | grep -q '"ev":"run_aborted"'; then
-        echo "check.sh: exit-2 telemetry stream does not end with" \
-             "run_aborted" >&2
-        exit 1
-    fi
-
-    # Sharded telemetry: three per-shard streams summarize to the full
-    # smoke cell set (2 configs x 2 workloads).
-    for i in 0 1 2; do
-        if ! ./build/eole shard smoke --hosts 3 --host "$i" --quiet \
-             --telemetry "build/obslane/shard$i.jsonl" \
-             --out build/obslane; then
-            echo "check.sh: telemetry shard --host $i FAILED" >&2
-            exit 1
-        fi
-    done
-    ./build/eole telemetry summarize build/obslane/shard?.jsonl \
-        > build/obslane/summary.txt
-    for cell in Baseline_6_64/164.gzip Baseline_6_64/186.crafty \
-                EOLE_4_64/164.gzip EOLE_4_64/186.crafty; do
-        if ! grep -q "$cell" build/obslane/summary.txt; then
-            cat build/obslane/summary.txt >&2
-            echo "check.sh: merged telemetry summary is missing $cell" >&2
-            exit 1
-        fi
-    done
-    if ! grep -q 'cells (4)' build/obslane/summary.txt; then
-        cat build/obslane/summary.txt >&2
-        echo "check.sh: merged telemetry summary does not show 4" \
-             "distinct cells" >&2
-        exit 1
-    fi
-    echo "check.sh: 3-shard telemetry summarizes to the full cell set"
-fi
-
-if [[ "$WITH_TRACE" == 1 ]]; then
-    echo "check.sh: on-disk trace lane (record / info / replay / ingest)"
-    rm -rf build/tracelane
-    mkdir -p build/tracelane
-
-    # Record -> validate: the writer and the reader must agree on the
-    # whole file (layout hash + SHA-256 footer), surfaced as the
-    # info command's "checksum ok".
-    if ! ./build/eole trace record torture:7 \
-         --out build/tracelane/t7.trace --quiet; then
-        echo "check.sh: eole trace record FAILED" >&2
-        exit 1
-    fi
-    if ! ./build/eole trace info build/tracelane/t7.trace \
-         | grep -Eq 'checksum +ok'; then
-        echo "check.sh: eole trace info did not validate the recording" >&2
-        exit 1
-    fi
-
-    # Replay guarantee: the same smoke grid over the file-backed
-    # workload must produce the byte-identical artifact the live
-    # generator does.
-    if ! ./build/eole run smoke \
-         --workloads file:build/tracelane/t7.trace --quiet --no-tables \
-         --out build/tracelane/replayed.json; then
-        echo "check.sh: file-backed smoke run FAILED" >&2
-        exit 1
-    fi
-    if ! ./build/eole run smoke --workloads torture:7 --quiet \
-         --no-tables --out build/tracelane/generated.json; then
-        echo "check.sh: generated smoke run FAILED" >&2
-        exit 1
-    fi
-    if ! cmp build/tracelane/replayed.json build/tracelane/generated.json;
-    then
-        echo "check.sh: file-backed artifact differs from the live" \
-             "generator's" >&2
-        exit 1
-    fi
-    echo "check.sh: trace replay byte-identical to the live generator"
-
-    # RV64I ingestion: a checked-in committed-instruction log converts
-    # into a runnable trace, and a sweep over it completes.
-    if ! ./build/eole trace ingest tests/data/rv64/fib.rvlog \
-         --out build/tracelane/fib.trace --quiet; then
-        echo "check.sh: eole trace ingest FAILED" >&2
-        exit 1
-    fi
-    if ! ./build/eole run smoke \
-         --workloads file:build/tracelane/fib.trace --quiet --no-tables \
-         --out build/tracelane/fib.json; then
-        echo "check.sh: sweep over the ingested RV64I trace FAILED" >&2
-        exit 1
-    fi
-    if ! grep -q '"rv64:fib"' build/tracelane/fib.json; then
-        echo "check.sh: ingested-trace artifact does not carry the" \
-             "embedded workload name" >&2
-        exit 1
-    fi
-    echo "check.sh: RV64I log ingested and swept (rv64:fib)"
-
-    # Missing-file diagnostics: a bad `file:` spec exits 2 and
-    # suggests the sibling .trace files that do exist.
-    set +e
-    ./build/eole run smoke \
-        --workloads file:build/tracelane/t8.trace --quiet --no-tables \
-        2> build/tracelane/missing.err
-    missing_rc=$?
-    set -e
-    if [[ "$missing_rc" != 2 ]]; then
-        cat build/tracelane/missing.err >&2
-        echo "check.sh: missing file: workload exited $missing_rc" \
-             "(want 2)" >&2
-        exit 1
-    fi
-    if ! grep -q 'did you mean' build/tracelane/missing.err; then
-        cat build/tracelane/missing.err >&2
-        echo "check.sh: missing file: diagnostic lacks a did-you-mean" \
-             "suggestion" >&2
-        exit 1
-    fi
-    echo "check.sh: missing file: workload exits 2 with a suggestion"
 fi
 
 if [[ "$WITH_TSAN" == 1 ]]; then

@@ -10,9 +10,10 @@
  * and deterministic string escaping.
  *
  * Reading side: a minimal recursive-descent parser for the artifact
- * subset of JSON (objects, arrays, strings, numbers; booleans/null
- * accepted and ignored where a number is not required). Errors are
- * fatal: artifacts are machine-written, so a malformed one is an
+ * subset of JSON (objects, arrays, strings, numbers, booleans; null
+ * accepted and ignored where a number is not required). It reads every
+ * escape jsonWriteEscaped writes. Errors are fatal: artifacts and
+ * telemetry streams are machine-written, so a malformed one is an
  * operator mistake worth stopping on.
  */
 
@@ -91,6 +92,29 @@ class JsonParser
             ++pos;
             return true;
         }
+        return false;
+    }
+
+    /** The next character after any whitespace; '\0' at the end. */
+    char
+    peek()
+    {
+        skipWs();
+        return pos < s.size() ? s[pos] : '\0';
+    }
+
+    bool
+    parseBool()
+    {
+        skipWs();
+        if (s.compare(pos, 4, "true") == 0) {
+            pos += 4;
+            return true;
+        }
+        fatal_if(s.compare(pos, 5, "false") != 0,
+                 "%s parse error at offset %zu: expected true or false",
+                 kind, pos);
+        pos += 5;
         return false;
     }
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -182,98 +181,6 @@ TelemetryEvent::str(const std::string &key) const
     return it == strs.end() ? std::string() : it->second;
 }
 
-namespace {
-
-/** One flat JSONL line: {"k":v,...} with string/number/bool values
- *  (bools land in nums as 0/1). The writer above only emits this
- *  shape; anything else is a malformed stream worth stopping on. */
-TelemetryEvent
-parseLine(const std::string &line, std::size_t lineno)
-{
-    TelemetryEvent ev;
-    std::size_t pos = 0;
-    const auto skipWs = [&] {
-        while (pos < line.size()
-               && std::isspace(static_cast<unsigned char>(line[pos])))
-            ++pos;
-    };
-    const auto expect = [&](char c) {
-        skipWs();
-        fatal_if(pos >= line.size() || line[pos] != c,
-                 "telemetry line %zu: expected '%c' at offset %zu", lineno,
-                 c, pos);
-        ++pos;
-    };
-    const auto parseStr = [&] {
-        expect('"');
-        std::string out;
-        while (pos < line.size() && line[pos] != '"') {
-            char c = line[pos++];
-            if (c == '\\') {
-                fatal_if(pos >= line.size(),
-                         "telemetry line %zu: truncated escape", lineno);
-                const char e = line[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  default:
-                    fatal("telemetry line %zu: unsupported escape \\%c",
-                          lineno, e);
-                }
-            } else {
-                out += c;
-            }
-        }
-        expect('"');
-        return out;
-    };
-
-    expect('{');
-    while (true) {
-        const std::string key = parseStr();
-        expect(':');
-        skipWs();
-        fatal_if(pos >= line.size(), "telemetry line %zu: truncated",
-                 lineno);
-        const char c = line[pos];
-        if (c == '"') {
-            const std::string v = parseStr();
-            if (key == "ev")
-                ev.ev = v;
-            else
-                ev.strs[key] = v;
-        } else if (c == 't' || c == 'f') {
-            const bool v = c == 't';
-            while (pos < line.size()
-                   && std::isalpha(static_cast<unsigned char>(line[pos])))
-                ++pos;
-            ev.nums[key] = v ? 1 : 0;
-        } else {
-            char *end = nullptr;
-            const double v = std::strtod(line.c_str() + pos, &end);
-            fatal_if(end == line.c_str() + pos,
-                     "telemetry line %zu: expected value for \"%s\"",
-                     lineno, key.c_str());
-            pos = static_cast<std::size_t>(end - line.c_str());
-            ev.nums[key] = v;
-        }
-        skipWs();
-        if (pos < line.size() && line[pos] == ',') {
-            ++pos;
-            continue;
-        }
-        break;
-    }
-    expect('}');
-    fatal_if(ev.ev.empty(), "telemetry line %zu: missing \"ev\" tag",
-             lineno);
-    return ev;
-}
-
-} // namespace
-
 std::vector<TelemetryEvent>
 readTelemetry(const std::string &path)
 {
@@ -281,12 +188,34 @@ readTelemetry(const std::string &path)
     fatal_if(!in, "cannot open telemetry file %s", path.c_str());
     std::vector<TelemetryEvent> out;
     std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
+    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
         if (line.empty())
             continue;
-        out.push_back(parseLine(line, lineno));
+        // One flat object per line, {"k":v,...} with string, number
+        // and boolean values (booleans land in nums as 0/1): the only
+        // shape the sink writes. Anything else is a malformed stream
+        // worth stopping on.
+        const std::string where = csprintf("telemetry line %zu", lineno);
+        JsonParser p(line, where.c_str());
+        TelemetryEvent ev;
+        p.expect('{');
+        do {
+            const std::string key = p.parseString();
+            p.expect(':');
+            const char c = p.peek();
+            if (c == '"' && key == "ev")
+                ev.ev = p.parseString();
+            else if (c == '"')
+                ev.strs[key] = p.parseString();
+            else if (c == 't' || c == 'f')
+                ev.nums[key] = p.parseBool() ? 1 : 0;
+            else
+                ev.nums[key] = p.parseNumber();
+        } while (p.tryConsume(','));
+        p.expect('}');
+        p.finish();
+        fatal_if(ev.ev.empty(), "%s: missing \"ev\" tag", where.c_str());
+        out.push_back(std::move(ev));
     }
     return out;
 }

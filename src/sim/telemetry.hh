@@ -14,7 +14,8 @@
  * The stream is observability, not an artifact: timestamps and event
  * interleaving vary run to run, and nothing in the engine ever reads
  * it back to make decisions. Artifact byte-identity contracts are
- * unaffected by `--telemetry` (check.sh --obs pins this).
+ * unaffected by `--telemetry` (tests/cli_contracts.sh pins
+ * this).
  *
  * Every write happens under one mutex and is flushed line-atomically,
  * so a crash mid-run leaves a prefix of whole lines. `eole telemetry

@@ -3,6 +3,8 @@
  * `eole` — the unified sweep driver.
  *
  *   eole list [--workloads]           show plans (or workloads)
+ *   eole describe <config>|--params   dump a config (or every
+ *                                     parameter key)
  *   eole run <plan> [options]         execute a plan on a worker pool
  *   eole shard <plan> --hosts N --host I   run one host's slice of a
  *                                     plan (coordinator-free split)
@@ -16,6 +18,13 @@
  *                                     (--compare diffs two artifacts)
  *   eole ckpt save|info               write / inspect eole-ckpt-v2
  *                                     warm-state checkpoint files
+ *   eole trace record|info|ingest     write / inspect eole-trace-v1
+ *                                     on-disk µ-op traces
+ *   eole telemetry summarize <f>...   summarize --telemetry streams
+ *
+ * Every command parses its argv through one flag table (Flags) and
+ * writes every output file through one checked writer (writeOutput);
+ * a command-line error exits 2 with one `eole: ...` diagnostic.
  *
  * Each figure of the paper is a named plan (sim/plans.hh) that `eole
  * run` reproduces, with parallel execution
@@ -34,14 +43,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/build_info.hh"
@@ -199,7 +210,7 @@ usage(FILE *to, int exit_code)
         "  eole ckpt save <plan>|--plan <file.plan> --out <dir>\n"
         "            [--sample N:W:D[:B]] [--filter S] [--jobs N]\n"
         "            [--seed N] [--warmup N] [--insts N] [--set K=V]\n"
-        "            [--store DIR] [--quiet]\n"
+        "            [--store DIR] [--telemetry F] [--quiet]\n"
         "      One continuous warming pass per matched (config,\n"
         "      workload) cell, writing an eole-ckpt-v2 checkpoint\n"
         "      file (architectural registers + serialized predictor/\n"
@@ -297,41 +308,165 @@ usage(FILE *to, int exit_code)
     return exit_code;
 }
 
-bool
-takeValue(int argc, char **argv, int &i, const char *flag, std::string &out)
+/** A command-line error: one `eole: ...` line on stderr, exit code 2. */
+int
+fail(const std::string &err)
 {
-    if (std::strcmp(argv[i], flag) != 0)
-        return false;
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "eole: %s needs a value\n", flag);
-        std::exit(2);
-    }
-    out = argv[++i];
-    return true;
+    std::fprintf(stderr, "eole: %s\n", err.c_str());
+    return 2;
 }
 
-std::uint64_t
-parseU64(const std::string &s, const char *what, std::uint64_t max = ~0ULL)
+/** "a,b,c" -> {"a", "b", "c"}; empty segments rejected upstream by the
+ *  registries' own unknown-name diagnostics. */
+std::vector<std::string>
+splitCommaList(const std::string &s)
 {
-    std::uint64_t v = 0;
-    if (!parseU64Strict(s, &v) || v > max) {
-        std::fprintf(stderr, "eole: bad %s \"%s\"\n", what, s.c_str());
-        std::exit(2);
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= s.size()) {
+        const std::size_t comma = s.find(',', start);
+        const std::size_t end =
+            comma == std::string::npos ? s.size() : comma;
+        if (end > start)
+            out.push_back(s.substr(start, end - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
     }
-    return v;
+    return out;
 }
 
-/** A tolerance flag: a finite decimal >= 0, else exit 2. */
-double
-parseTolerance(const std::string &s, const char *what)
+/**
+ * One entry of a command's flag table: the flag, whether it takes a
+ * value, and the setter that stores the value in its target — false
+ * when the value breaks its kind's rule (`bad --flag "value"`). The
+ * factories below make the five kinds.
+ */
+struct Flag
 {
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end || !std::isfinite(v) || v < 0.0) {
-        std::fprintf(stderr, "eole: bad %s \"%s\"\n", what, s.c_str());
-        std::exit(2);
+    const char *name;
+    bool takesValue;
+    std::function<bool(const std::string &)> set;
+};
+using Flags = std::vector<Flag>;
+
+/** A switch. */
+Flag
+on(const char *name, bool *to)
+{
+    return {name, false, [to](const std::string &) { return *to = true; }};
+}
+
+/** Text: the last value wins (@p to is a std::string or a std::optional
+ *  of one), or a vector target keeps every value in order. */
+template <typename T>
+Flag
+text(const char *name, T *to)
+{
+    return {name, true, [to](const std::string &v) {
+        if constexpr (std::is_same_v<T, std::vector<std::string>>)
+            to->push_back(v);
+        else
+            *to = v;
+        return true;
+    }};
+}
+
+/** A comma list: every item of every value, in order. */
+Flag
+list(const char *name, std::vector<std::string> *to)
+{
+    return {name, true, [to](const std::string &v) {
+        for (std::string &item : splitCommaList(v))
+            to->push_back(std::move(item));
+        return true;
+    }};
+}
+
+/** A decimal count in [@p min, @p max] (parseU64Strict); @p to is an
+ *  integer wide enough for @p max, or a std::optional of one. */
+template <typename T>
+Flag
+count(const char *name, T *to, std::uint64_t min, std::uint64_t max)
+{
+    return {name, true, [=](const std::string &v) {
+        std::uint64_t n = 0;
+        if (!parseU64Strict(v, &n) || n < min || n > max)
+            return false;
+        *to = static_cast<T>(n);
+        return true;
+    }};
+}
+
+/** A finite decimal of at least @p min; @p to is a double or a
+ *  std::optional of one. */
+template <typename T>
+Flag
+real(const char *name, T *to, double min)
+{
+    return {name, true, [=](const std::string &v) {
+        char *end = nullptr;
+        const double x = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() || *end || !std::isfinite(x) || x < min)
+            return false;
+        *to = x;
+        return true;
+    }};
+}
+
+/**
+ * Walk @p argv once: fill the targets of the flags it names, append
+ * every argument that is not a flag to @p args, and return the first
+ * error ("" when there is none). It reads on past an error, so a flag
+ * after it still takes effect: a later --telemetry still opens the
+ * stream that reports the error.
+ */
+std::string
+parseFlags(const Flags &flags, int argc, char **argv,
+           std::vector<std::string> *args)
+{
+    std::string first;
+    const auto note = [&first](const std::string &err) {
+        if (first.empty())
+            first = err;
+    };
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.empty() || arg[0] != '-') {
+            args->push_back(arg);
+            continue;
+        }
+        const auto flag = std::find_if(flags.begin(), flags.end(),
+            [&arg](const Flag &f) { return arg == f.name; });
+        if (flag == flags.end())
+            note("unknown option " + arg);
+        else if (!flag->takesValue)
+            flag->set("");
+        else if (i + 1 >= argc)
+            note(arg + " needs a value");
+        else if (!flag->set(argv[++i]))
+            note(csprintf("bad %s \"%s\"", flag->name, argv[i]));
     }
-    return v;
+    return first;
+}
+
+/**
+ * Every output file of a command is written here: open @p path, let
+ * @p fill write it, close it, and check both ends — the open ("cannot
+ * write PATH") and the close that flushes the last bytes ("write
+ * failure on PATH"; a full disk shows only there). Returns "" or the
+ * diagnostic.
+ */
+std::string
+writeOutput(const std::string &path,
+            const std::function<void(std::ostream &)> &fill)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        return "cannot write " + path;
+    fill(os);
+    os.close();
+    return os.fail() ? "write failure on " + path : "";
 }
 
 bool resolveWorkloadSpec(const std::string &spec, std::string *resolved,
@@ -349,10 +484,8 @@ cmdListWorkloads(const std::vector<std::string> &specs)
     } else {
         for (const std::string &spec : specs) {
             std::string resolved, err;
-            if (!resolveWorkloadSpec(spec, &resolved, &err)) {
-                std::fprintf(stderr, "eole: %s\n", err.c_str());
-                return 2;
-            }
+            if (!resolveWorkloadSpec(spec, &resolved, &err))
+                return fail(err);
             names.push_back(resolved);
         }
     }
@@ -399,22 +532,16 @@ cmdListWorkloads(const std::vector<std::string> &specs)
 int
 cmdList(int argc, char **argv)
 {
-    if (argc >= 1 && std::strcmp(argv[0], "--workloads") == 0) {
-        std::vector<std::string> specs;
-        for (int i = 1; i < argc; ++i) {
-            if (argv[i][0] == '-') {
-                std::fprintf(stderr, "eole: unknown option %s\n",
-                             argv[i]);
-                return usage(stderr, 2);
-            }
-            specs.emplace_back(argv[i]);
-        }
+    bool list_workloads = false;
+    std::vector<std::string> specs;
+    std::string err = parseFlags({on("--workloads", &list_workloads)},
+                                 argc, argv, &specs);
+    if (err.empty() && !list_workloads && !specs.empty())
+        err = "unexpected argument " + specs[0] + " (use --workloads)";
+    if (!err.empty())
+        return fail(err);
+    if (list_workloads)
         return cmdListWorkloads(specs);
-    }
-    if (argc > 0) {
-        std::fprintf(stderr, "eole: unknown option %s\n", argv[0]);
-        return usage(stderr, 2);
-    }
     std::printf("%-16s %10s %9s %9s  %s\n", "plan", "grid", "warmup",
                 "measure", "description");
     for (const std::string &name : plans::allNames()) {
@@ -442,14 +569,17 @@ cmdList(int argc, char **argv)
 int
 cmdDescribe(int argc, char **argv)
 {
-    if (argc != 1) {
-        std::fprintf(stderr,
-                     "eole: describe needs a config name or --params\n");
-        return usage(stderr, 2);
-    }
+    bool params = false;
+    std::vector<std::string> names;
+    const std::string err =
+        parseFlags({on("--params", &params)}, argc, argv, &names);
+    if (!err.empty())
+        return fail(err);
+    if (names.size() != (params ? 0u : 1u))
+        return fail("describe needs a config name or --params");
     const ParamRegistry &reg = ParamRegistry::instance();
 
-    if (std::strcmp(argv[0], "--params") == 0) {
+    if (params) {
         std::printf("%-28s %-11s %-22s %s\n", "key", "type",
                     "default", "doc");
         for (const ParamInfo &p : reg.params()) {
@@ -479,7 +609,7 @@ cmdDescribe(int argc, char **argv)
         return 0;
     }
 
-    const std::string name = argv[0];
+    const std::string &name = names[0];
     SimConfig c;
     if (!configs::findNamed(name, &c)) {
         std::fprintf(stderr, "eole: unknown config \"%s\"%s\n",
@@ -512,26 +642,6 @@ cmdDescribe(int argc, char **argv)
                 "(marked '#')\n", c.name.c_str(), reg.params().size(),
                 overrides);
     return 0;
-}
-
-/** "a,b,c" -> {"a", "b", "c"}; empty segments rejected upstream by the
- *  registries' own unknown-name diagnostics. */
-std::vector<std::string>
-splitCommaList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        const std::size_t comma = s.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? s.size() : comma;
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
 }
 
 /**
@@ -577,24 +687,28 @@ resolveWorkloadSpec(const std::string &spec, std::string *resolved,
     return false;
 }
 
+
 /**
  * The front door `run`, `shard` and `ckpt save` share: the plan (a
  * registered name or --plan FILE), --set, --seed, --filter with its
  * "matches no cell" diagnostic, --jobs, --warmup, --insts, --sample,
- * --store, --telemetry and --quiet, plus the exit-2 bail that ends the
- * telemetry stream with run_aborted. A malformed number among these
- * flags, or a run length over maxRunLengthUops from a flag, the
- * environment or the plan file, takes the same bail. A command's own
- * flags go through the callback it hands to parse().
+ * --store, --telemetry and --quiet, declared into the flag table that
+ * each command extends with its own flags, plus the exit-2 bail that
+ * ends the telemetry stream with run_aborted. Every error on the
+ * command line (an unknown option, a missing or malformed value, a run
+ * length over maxRunLengthUops from a flag, the environment or the plan
+ * file) takes the same bail.
  */
 struct RunRequest
 {
-    RunRequest(const char *verb, const char *command)
-        : verb(verb), command(command)
-    {}
+    RunRequest(const char *verb, const char *command);
+    // The flag table points into this object.
+    RunRequest(const RunRequest &) = delete;
+    RunRequest &operator=(const RunRequest &) = delete;
 
     const char *verb;     //!< in diagnostics: "run", "ckpt save", ...
     const char *command;  //!< in the telemetry manifest
+    Flags flags;          //!< the shared flags; the command adds its own
     ExperimentPlan plan;
     SweepOptions opt;
     SampleSpec sample;    //!< the effective spec once expand() ran
@@ -604,11 +718,10 @@ struct RunRequest
     std::unique_ptr<TelemetrySink> telem;
     std::unique_ptr<Store> store;
 
-    /** Exit code of a usage error, else 0. */
-    int parse(int argc, char **argv, const std::function<bool(int &)> &own);
-    /** Open the telemetry sink, then load the plan and apply --seed,
-     *  --workloads and --set. */
-    int open();
+    /** Parse @p argv through flags and open the telemetry sink, then
+     *  report the first command-line error, or load the plan and apply
+     *  --seed, --workloads and --set. Exit code of an error, else 0. */
+    int open(int argc, char **argv);
     /** Expand the plan (after the shard slice is set) and resolve the
      *  sampling spec. */
     int expand();
@@ -619,78 +732,41 @@ struct RunRequest
     int finish(std::size_t done) const;
 
   private:
-    std::string namedPlan, planFile, telemetryPath, storeDir;
-    std::string badFlag;  //!< parse(): the first malformed number
+    std::string planFile, telemetryPath, storeDir;
+    std::optional<std::string> sampleText;
     std::vector<std::string> sets;
-    std::uint64_t seed = 0;
-    bool haveSeed = false;
+    std::optional<std::uint64_t> seed;
 };
 
-int
-RunRequest::parse(int argc, char **argv,
-                  const std::function<bool(int &)> &own)
+RunRequest::RunRequest(const char *verb, const char *command)
+    : verb(verb), command(command)
 {
-    int i = 0;
-    if (argc >= 1 && argv[0][0] != '-') {
-        // Resolved after the telemetry sink opens, so an unknown name
-        // still terminates the stream with run_aborted.
-        namedPlan = argv[0];
-        i = 1;
-    }
-    std::string value;
-    // A malformed number is reported once the telemetry stream is open
-    // (open()), so it ends the stream like every other exit-2 path.
-    const auto number = [&](const char *what, std::uint64_t max) {
-        std::uint64_t v = 0;
-        if (parseU64Strict(value, &v) && v <= max)
-            return v;
-        if (badFlag.empty())
-            badFlag = csprintf("bad %s \"%s\"", what, value.c_str());
-        return std::uint64_t{0};
-    };
-    for (; i < argc; ++i) {
-        if (own(i) || takeValue(argc, argv, i, "--plan", planFile)
-            || takeValue(argc, argv, i, "--filter", opt.filter)
-            || takeValue(argc, argv, i, "--store", storeDir)
-            || takeValue(argc, argv, i, "--telemetry", telemetryPath))
-            continue;
-        if (takeValue(argc, argv, i, "--set", value)) {
-            sets.push_back(value);
-        } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = number("--seed", ~0ULL);
-            haveSeed = true;
-        } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(number("--jobs", INT_MAX));
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = number("--warmup", maxRunLengthUops);
-        } else if (takeValue(argc, argv, i, "--insts", value)) {
-            opt.measure = number("--insts", maxRunLengthUops);
-        } else if (takeValue(argc, argv, i, "--sample", value)) {
-            std::string err;
-            if (!tryParseSampleSpec(value, &sample, &err) && badFlag.empty())
-                badFlag = err;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-    }
-    return 0;
+    flags = {text("--plan", &planFile),
+             text("--filter", &opt.filter),
+             text("--store", &storeDir),
+             text("--telemetry", &telemetryPath),
+             text("--sample", &sampleText),
+             text("--set", &sets),
+             count("--seed", &seed, 0, ~0ULL),
+             count("--jobs", &opt.jobs, 0, INT_MAX),
+             count("--warmup", &opt.warmup, 0, maxRunLengthUops),
+             count("--insts", &opt.measure, 0, maxRunLengthUops),
+             on("--quiet", &quiet)};
 }
 
 int
 RunRequest::bail(const std::string &reason) const
 {
-    std::fprintf(stderr, "eole: %s\n", reason.c_str());
     if (telem)
         telem->runAborted(reason);
-    return 2;
+    return fail(reason);
 }
 
 int
-RunRequest::open()
+RunRequest::open(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    std::string err = parseFlags(flags, argc, argv, &args);
     if (quiet)
         setLogLevel(LogLevel::Quiet);
     // The telemetry stream opens before any validation below, and
@@ -698,39 +774,41 @@ RunRequest::open()
     // a consumer never sees a silently truncated stream.
     if (!telemetryPath.empty())
         telem = std::make_unique<TelemetrySink>(telemetryPath);
-    if (!badFlag.empty())
-        return bail(badFlag);
+    if (err.empty() && args.size() > 1)
+        err = csprintf("%s takes one plan name, not also \"%s\"", verb,
+                       args[1].c_str());
+    if (!err.empty())
+        return bail(err);
+    if (sampleText && !tryParseSampleSpec(*sampleText, &sample, &err))
+        return bail(err);
     // The run lengths the environment may supply, checked before an
     // engine reads them so that a bad one ends the stream here.
     for (const char *env : {"EOLE_WARMUP", "EOLE_INSTS"}) {
         std::uint64_t v = 0;
-        const std::string err = tryEnvU64(env, 0, maxRunLengthUops, &v);
+        err = tryEnvU64(env, 0, maxRunLengthUops, &v);
         if (!err.empty())
             return bail(err);
     }
-    if (!namedPlan.empty() && !plans::exists(namedPlan)) {
+    const std::string named_plan = args.empty() ? "" : args[0];
+    if (!named_plan.empty() && !plans::exists(named_plan)) {
         return bail(csprintf("unknown plan \"%s\"%s (try `eole list`)",
-                             namedPlan.c_str(),
+                             named_plan.c_str(),
                              didYouMean(closestMatches(
-                                 namedPlan, plans::allNames())).c_str()));
+                                 named_plan, plans::allNames())).c_str()));
     }
-    if (!namedPlan.empty() && !planFile.empty())
+    if (!named_plan.empty() && !planFile.empty())
         return bail("give either a registered plan name or --plan, not both");
-    if (!namedPlan.empty()) {
-        plan = plans::get(namedPlan);
+    if (!named_plan.empty()) {
+        plan = plans::get(named_plan);
     } else if (!planFile.empty()) {
-        std::string err;
         if (!loadPlanFile(planFile, &plan, &err))
             return bail(err);
     } else {
-        std::fprintf(stderr, "eole: %s needs a plan name or --plan "
-                     "<file>\n", verb);
-        if (telem)
-            telem->runAborted("no plan given");
-        return usage(stderr, 2);
+        return bail(csprintf("%s needs a plan name or --plan <file>",
+                             verb));
     }
-    if (haveSeed)
-        plan.seed = seed;
+    if (seed)
+        plan.seed = *seed;
 
     // Workload override: replace the plan's workload axis. Plain
     // registry/torture names pass through; file:<path> specs bind
@@ -739,9 +817,9 @@ RunRequest::open()
     if (!workloads.empty()) {
         std::vector<std::string> resolved_names;
         for (const std::string &spec : splitCommaList(workloads)) {
-            std::string resolved, werr;
-            if (!resolveWorkloadSpec(spec, &resolved, &werr))
-                return bail(werr);
+            std::string resolved;
+            if (!resolveWorkloadSpec(spec, &resolved, &err))
+                return bail(err);
             resolved_names.push_back(std::move(resolved));
         }
         if (resolved_names.empty())
@@ -760,8 +838,7 @@ RunRequest::open()
                                  kv.c_str()));
         }
         for (SimConfig &c : plan.configs) {
-            const std::string err =
-                reg.trySet(c, kv.substr(0, eq), kv.substr(eq + 1));
+            err = reg.trySet(c, kv.substr(0, eq), kv.substr(eq + 1));
             if (!err.empty())
                 return bail("--set: " + err);
         }
@@ -837,55 +914,41 @@ RunRequest::finish(std::size_t done) const
  *  adds --hosts/--host, drops the tables and --pipetrace, and writes an
  *  "eole-shard-v1" partial instead of a JSON artifact. */
 int
-cmdRun(int argc, char **argv, bool shard_mode)
+runOrShard(int argc, char **argv, bool shard_mode)
 {
     RunRequest req(shard_mode ? "shard" : "run",
                    shard_mode ? "shard" : "run");
-    std::string out_path, csv_path, value, pipetrace_path;
+    std::string out_path, csv_path, pipetrace_path;
     std::string pipetrace_format = "kanata", pipetrace_range;
-    std::uint64_t shard_hosts = 0, shard_host = 0;
-    bool have_host = false, tables = true, progress_flag = false;
-    int rc = req.parse(argc, argv, [&](int &i) {
-        if (takeValue(argc, argv, i, "--workloads", req.workloads)
-            || takeValue(argc, argv, i, "--out", out_path)
-            || takeValue(argc, argv, i, "--csv", csv_path))
-            return true;
-        if (std::strcmp(argv[i], "--progress") == 0) {
-            progress_flag = true;
-            return true;
-        }
-        if (shard_mode) {
-            if (takeValue(argc, argv, i, "--hosts", value)) {
-                shard_hosts = parseU64(value, "--hosts");
-                return true;
-            }
-            if (takeValue(argc, argv, i, "--host", value)) {
-                shard_host = parseU64(value, "--host");
-                have_host = true;
-                return true;
-            }
-            return false;
-        }
-        if (std::strcmp(argv[i], "--no-tables") == 0) {
-            tables = false;
-            return true;
-        }
-        return takeValue(argc, argv, i, "--pipetrace", pipetrace_path)
-            || takeValue(argc, argv, i, "--pipetrace-format",
-                         pipetrace_format)
-            || takeValue(argc, argv, i, "--pipetrace-range",
-                         pipetrace_range);
-    });
-    if (rc || (rc = req.open()))
+    std::uint64_t shard_hosts = 0;
+    std::optional<std::uint64_t> shard_host;
+    bool no_tables = false, progress_flag = false;
+    req.flags.insert(req.flags.end(),
+                     {text("--workloads", &req.workloads),
+                      text("--out", &out_path), text("--csv", &csv_path),
+                      on("--progress", &progress_flag)});
+    if (shard_mode) {
+        req.flags.insert(req.flags.end(),
+                         {count("--hosts", &shard_hosts, 0, ~0ULL),
+                          count("--host", &shard_host, 0, ~0ULL)});
+    } else {
+        req.flags.insert(req.flags.end(),
+                         {on("--no-tables", &no_tables),
+                          text("--pipetrace", &pipetrace_path),
+                          text("--pipetrace-format", &pipetrace_format),
+                          text("--pipetrace-range", &pipetrace_range)});
+    }
+    int rc = req.open(argc, argv);
+    if (rc)
         return rc;
     if (shard_mode) {
-        if (shard_hosts == 0 || !have_host)
+        if (shard_hosts == 0 || !shard_host)
             return req.bail("shard needs --hosts N and --host I");
-        if (shard_host >= shard_hosts) {
+        if (*shard_host >= shard_hosts) {
             return req.bail(csprintf(
                 "--host %llu out of range for --hosts %llu (hosts are "
                 "numbered from 0)",
-                (unsigned long long)shard_host,
+                (unsigned long long)*shard_host,
                 (unsigned long long)shard_hosts));
         }
         if (!csv_path.empty()) {
@@ -893,7 +956,7 @@ cmdRun(int argc, char **argv, bool shard_mode)
                             "it on the merged artifact");
         }
         req.opt.shard.hosts = shard_hosts;
-        req.opt.shard.host = shard_host;
+        req.opt.shard.host = *shard_host;
     }
     if ((rc = req.expand()))
         return rc;
@@ -901,8 +964,8 @@ cmdRun(int argc, char **argv, bool shard_mode)
     const SampleSpec &sample = req.sample;
     SweepOptions &opt = req.opt;
 
-    std::ofstream trace_os;
-    std::unique_ptr<PipeTracer> tracer;
+    PipeTracer::Format fmt = PipeTracer::Format::Kanata;
+    SeqNum lo = 0, hi = ~SeqNum{0};
     if (!pipetrace_path.empty()) {
         if (sample.enabled())
             return req.bail("--pipetrace needs an unsampled run");
@@ -911,17 +974,13 @@ cmdRun(int argc, char **argv, bool shard_mode)
                 "--pipetrace needs exactly one cell, but %zu match; "
                 "narrow with --filter", req.cells.cells.size()));
         }
-        PipeTracer::Format fmt;
-        if (pipetrace_format == "kanata") {
-            fmt = PipeTracer::Format::Kanata;
-        } else if (pipetrace_format == "canonical") {
+        if (pipetrace_format == "canonical") {
             fmt = PipeTracer::Format::Canonical;
-        } else {
+        } else if (pipetrace_format != "kanata") {
             return req.bail(csprintf(
                 "bad --pipetrace-format \"%s\" (kanata or canonical)",
                 pipetrace_format.c_str()));
         }
-        SeqNum lo = 0, hi = ~SeqNum{0};
         if (!pipetrace_range.empty()) {
             const std::size_t colon = pipetrace_range.find(':');
             bool ok = colon != std::string::npos;
@@ -938,13 +997,6 @@ cmdRun(int argc, char **argv, bool shard_mode)
                     pipetrace_range.c_str()));
             }
         }
-        trace_os.open(pipetrace_path);
-        if (!trace_os) {
-            return req.bail(csprintf("cannot write %s",
-                                     pipetrace_path.c_str()));
-        }
-        tracer = std::make_unique<PipeTracer>(trace_os, fmt, lo, hi);
-        opt.tracer = tracer.get();
     }
 
     req.start();
@@ -987,52 +1039,62 @@ cmdRun(int argc, char **argv, bool shard_mode)
 
         std::string path = out_path;
         const std::string default_name = sanitizeForPath(plan.name)
-            + ".shard" + std::to_string(shard_host) + "of"
+            + ".shard" + std::to_string(*shard_host) + "of"
             + std::to_string(shard_hosts) + ".eoleshard";
         if (path.empty())
             path = default_name;
         else if (std::filesystem::is_directory(path))
             path += "/" + default_name;
-        std::ofstream os(path, std::ios::binary);
-        fatal_if(!os, "cannot write %s", path.c_str());
-        writeShardArtifact(os, shard);
-        os.close();
-        fatal_if(os.fail(), "write failure on %s", path.c_str());
+        if (const std::string err = writeOutput(path, [&](std::ostream &os) {
+                writeShardArtifact(os, shard);
+            }); !err.empty())
+            return req.bail(err);
         inform("wrote %s (host %llu of %llu: %zu of %llu cells)",
-               path.c_str(), (unsigned long long)shard_host,
+               path.c_str(), (unsigned long long)*shard_host,
                (unsigned long long)shard_hosts, shard.cells.size(),
                (unsigned long long)shard.cellsTotal);
         return req.finish(shard.cells.size());
     }
 
-    const PlanResult result = sample.enabled()
-        ? runSampledPlan(plan, sample, opt)
-        : runPlan(plan, opt);
+    PlanResult result;
+    const auto run = [&] {
+        result = sample.enabled() ? runSampledPlan(plan, sample, opt)
+                                  : runPlan(plan, opt);
+    };
+    if (pipetrace_path.empty()) {
+        run();
+    } else if (const std::string err = writeOutput(pipetrace_path,
+                   [&](std::ostream &os) {
+                       PipeTracer tracer(os, fmt, lo, hi);
+                       opt.tracer = &tracer;
+                       run();
+                       tracer.finish();
+                   });
+               !err.empty()) {
+        return req.bail(err);
+    }
     req.storeSummary(result.storeHits, result.storeComputed);
-
-    if (tracer) {
-        tracer->finish();
-        trace_os.close();
-        fatal_if(trace_os.fail(), "write failure on %s",
-                 pipetrace_path.c_str());
+    if (!pipetrace_path.empty()) {
         inform("wrote %s (pipetrace, %s format)", pipetrace_path.c_str(),
                pipetrace_format.c_str());
     }
 
-    if (tables)
+    if (!no_tables)
         printPlanTables(plan, result);
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot write %s", out_path.c_str());
-        writeJsonArtifact(os, result);
+        if (const std::string err = writeOutput(out_path,
+                [&](std::ostream &os) { writeJsonArtifact(os, result); });
+            !err.empty())
+            return req.bail(err);
         inform("wrote %s (%zu cells)", out_path.c_str(),
                result.cells.size());
     }
     if (!csv_path.empty()) {
-        std::ofstream os(csv_path);
-        fatal_if(!os, "cannot write %s", csv_path.c_str());
-        writeCsvArtifact(os, result);
+        if (const std::string err = writeOutput(csv_path,
+                [&](std::ostream &os) { writeCsvArtifact(os, result); });
+            !err.empty())
+            return req.bail(err);
         inform("wrote %s", csv_path.c_str());
     }
     return req.finish(result.cells.size());
@@ -1042,61 +1104,39 @@ int
 cmdMerge(int argc, char **argv)
 {
     std::vector<std::string> paths;
-    std::string out_path, value;
+    std::string out_path;
     bool quiet = false;
-    for (int i = 0; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--out", value)) {
-            out_path = value;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        } else {
-            paths.emplace_back(argv[i]);
-        }
-    }
-    if (paths.empty()) {
-        std::fprintf(stderr,
-                     "eole: merge needs shard partial file(s)\n");
-        return usage(stderr, 2);
-    }
-    if (out_path.empty()) {
-        std::fprintf(stderr,
-                     "eole: merge needs --out <artifact.json>\n");
-        return 2;
-    }
+    std::string err = parseFlags(
+        {text("--out", &out_path), on("--quiet", &quiet)}, argc, argv,
+        &paths);
+    if (!err.empty())
+        return fail(err);
+    if (paths.empty())
+        return fail("merge needs shard partial file(s)");
+    if (out_path.empty())
+        return fail("merge needs --out <artifact.json>");
 
     std::vector<ShardArtifact> shards;
     shards.reserve(paths.size());
     for (const std::string &p : paths) {
         std::ifstream is(p, std::ios::binary);
-        if (!is) {
-            std::fprintf(stderr, "eole: cannot read %s\n", p.c_str());
-            return 2;
-        }
+        if (!is)
+            return fail("cannot read " + p);
         ShardArtifact shard;
-        std::string err;
-        if (!tryReadShardArtifact(is, &shard, &err)) {
-            std::fprintf(stderr, "eole: %s: %s\n", p.c_str(),
-                         err.c_str());
-            return 2;
-        }
+        if (!tryReadShardArtifact(is, &shard, &err))
+            return fail(p + ": " + err);
         shards.push_back(std::move(shard));
     }
 
     PlanResult merged;
-    std::string err;
-    if (!tryMergeShardArtifacts(shards, &merged, &err)) {
-        std::fprintf(stderr, "eole: %s\n", err.c_str());
-        return 2;
-    }
+    if (!tryMergeShardArtifacts(shards, &merged, &err))
+        return fail(err);
 
-    std::ofstream os(out_path);
-    fatal_if(!os, "cannot write %s", out_path.c_str());
-    writeJsonArtifact(os, merged);
-    os.close();
-    fatal_if(os.fail(), "write failure on %s", out_path.c_str());
+    err = writeOutput(out_path, [&](std::ostream &os) {
+        writeJsonArtifact(os, merged);
+    });
+    if (!err.empty())
+        return fail(err);
     if (!quiet) {
         std::fprintf(stderr,
                      "wrote %s (%zu cells from %zu of %llu shard "
@@ -1107,66 +1147,60 @@ cmdMerge(int argc, char **argv)
     return 0;
 }
 
-int
-cmdStore(int argc, char **argv)
+/** The one argument of `store ls|gc`: "" when @p args is a store
+ *  directory, else the diagnostic. */
+std::string
+checkStoreDir(const std::vector<std::string> &args)
 {
-    if (argc < 2) {
-        std::fprintf(stderr, "eole: store needs ls|gc and a store "
-                     "directory\n");
-        return usage(stderr, 2);
-    }
-    const std::string sub = argv[0];
-    const std::string dir = argv[1];
-    if (sub != "ls" && sub != "gc") {
-        std::fprintf(stderr, "eole: unknown store subcommand \"%s\"\n",
-                     sub.c_str());
-        return usage(stderr, 2);
-    }
-    if (!std::filesystem::exists(dir + "/index")) {
-        std::fprintf(stderr, "eole: %s is not a store directory (no "
-                     "index file)\n", dir.c_str());
-        return 2;
-    }
+    if (args.size() != 1)
+        return "store ls|gc needs one store directory";
+    if (!std::filesystem::exists(args[0] + "/index"))
+        return args[0] + " is not a store directory (no index file)";
+    return "";
+}
 
-    if (sub == "ls") {
-        if (argc > 2) {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[2]);
-            return usage(stderr, 2);
-        }
-        Store store(dir);
-        std::printf("%-14s %-5s %10s %6s  %s\n", "hash", "kind",
-                    "bytes", "tick", "cell");
-        for (const Store::Entry &e : store.entries()) {
-            std::printf("%-14s %-5s %10llu %6llu  %s/%s\n",
-                        e.hash.substr(0, 12).c_str(), e.kind.c_str(),
-                        (unsigned long long)e.bytes,
-                        (unsigned long long)e.tick, e.config.c_str(),
-                        e.workload.c_str());
-        }
-        std::printf("%zu object(s), %llu payload byte(s) in %s\n",
-                    store.entries().size(),
-                    (unsigned long long)store.totalPayloadBytes(),
-                    dir.c_str());
-        return 0;
+int
+cmdStoreLs(int argc, char **argv)
+{
+    std::vector<std::string> args;
+    std::string err = parseFlags({}, argc, argv, &args);
+    if (err.empty())
+        err = checkStoreDir(args);
+    if (!err.empty())
+        return fail(err);
+    const std::string &dir = args[0];
+    Store store(dir);
+    std::printf("%-14s %-5s %10s %6s  %s\n", "hash", "kind",
+                "bytes", "tick", "cell");
+    for (const Store::Entry &e : store.entries()) {
+        std::printf("%-14s %-5s %10llu %6llu  %s/%s\n",
+                    e.hash.substr(0, 12).c_str(), e.kind.c_str(),
+                    (unsigned long long)e.bytes,
+                    (unsigned long long)e.tick, e.config.c_str(),
+                    e.workload.c_str());
     }
+    std::printf("%zu object(s), %llu payload byte(s) in %s\n",
+                store.entries().size(),
+                (unsigned long long)store.totalPayloadBytes(),
+                dir.c_str());
+    return 0;
+}
 
+int
+cmdStoreGc(int argc, char **argv)
+{
     std::uint64_t max_objects = ~0ULL, max_bytes = ~0ULL;
-    std::string value;
-    for (int i = 2; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--max-objects", value)) {
-            max_objects = parseU64(value, "--max-objects");
-        } else if (takeValue(argc, argv, i, "--max-bytes", value)) {
-            max_bytes = parseU64(value, "--max-bytes");
-        } else {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-    }
-    if (max_objects == ~0ULL && max_bytes == ~0ULL) {
-        std::fprintf(stderr, "eole: store gc needs --max-objects "
-                     "and/or --max-bytes\n");
-        return 2;
-    }
+    std::vector<std::string> args;
+    std::string err = parseFlags(
+        {count("--max-objects", &max_objects, 0, ~0ULL),
+         count("--max-bytes", &max_bytes, 0, ~0ULL)}, argc, argv, &args);
+    if (err.empty())
+        err = checkStoreDir(args);
+    if (err.empty() && max_objects == ~0ULL && max_bytes == ~0ULL)
+        err = "store gc needs --max-objects and/or --max-bytes";
+    if (!err.empty())
+        return fail(err);
+    const std::string &dir = args[0];
     Store store(dir);
     std::vector<Store::Entry> evicted;
     store.gc(max_objects, max_bytes, &evicted);
@@ -1190,10 +1224,9 @@ cmdCkptSave(int argc, char **argv)
 {
     RunRequest req("ckpt save", "ckpt-save");
     std::string out_dir;
-    int rc = req.parse(argc, argv, [&](int &i) {
-        return takeValue(argc, argv, i, "--out", out_dir);
-    });
-    if (rc || (rc = req.open()))
+    req.flags.push_back(text("--out", &out_dir));
+    int rc = req.open(argc, argv);
+    if (rc)
         return rc;
     if (out_dir.empty())
         return req.bail("ckpt save needs --out <directory>");
@@ -1226,28 +1259,26 @@ cmdCkptSave(int argc, char **argv)
 int
 cmdCkptInfo(int argc, char **argv)
 {
-    if (argc < 1) {
-        std::fprintf(stderr,
-                     "eole: ckpt info needs checkpoint file(s)\n");
-        return 2;
-    }
+    std::vector<std::string> paths;
+    const std::string err = parseFlags({}, argc, argv, &paths);
+    if (!err.empty())
+        return fail(err);
+    if (paths.empty())
+        return fail("ckpt info needs checkpoint file(s)");
     int rc = 0;
-    for (int i = 0; i < argc; ++i) {
-        std::ifstream is(argv[i], std::ios::binary);
+    for (const std::string &path : paths) {
+        std::ifstream is(path, std::ios::binary);
         if (!is) {
-            std::fprintf(stderr, "eole: cannot read %s\n", argv[i]);
-            rc = 2;
+            rc = fail("cannot read " + path);
             continue;
         }
         Checkpoint ckpt;
-        std::string err;
-        if (!tryDeserializeCheckpoint(is, &ckpt, &err)) {
-            std::fprintf(stderr, "eole: %s: %s\n", argv[i],
-                         err.c_str());
-            rc = 2;
+        std::string cerr;
+        if (!tryDeserializeCheckpoint(is, &ckpt, &cerr)) {
+            rc = fail(path + ": " + cerr);
             continue;
         }
-        std::printf("%s: %s workload \"%s\" uop %llu", argv[i],
+        std::printf("%s: %s workload \"%s\" uop %llu", path.c_str(),
                     checkpointSchemaName(ckpt), ckpt.workload.c_str(),
                     (unsigned long long)ckpt.uopIndex);
         if (!ckpt.config.empty())
@@ -1265,106 +1296,60 @@ cmdCkptInfo(int argc, char **argv)
 }
 
 int
-cmdCkpt(int argc, char **argv)
-{
-    if (argc < 1) {
-        std::fprintf(stderr, "eole: ckpt needs save|info\n");
-        return usage(stderr, 2);
-    }
-    const std::string sub = argv[0];
-    if (sub == "save")
-        return cmdCkptSave(argc - 1, argv + 1);
-    if (sub == "info")
-        return cmdCkptInfo(argc - 1, argv + 1);
-    std::fprintf(stderr, "eole: unknown ckpt subcommand \"%s\"\n",
-                 sub.c_str());
-    return usage(stderr, 2);
-}
-
-int
 cmdBench(int argc, char **argv)
 {
     BenchOptions opt;
-    std::string out_path, value;
+    std::string out_path;
     std::vector<std::string> compare_paths;
-    double fail_below = 0.0;
-    bool have_fail_below = false;
-    for (int i = 0; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--configs", value)) {
-            for (std::string &n : splitCommaList(value))
-                opt.configs.push_back(std::move(n));
-        } else if (takeValue(argc, argv, i, "--workloads", value)) {
-            for (std::string &n : splitCommaList(value))
-                opt.workloads.push_back(std::move(n));
-        } else if (takeValue(argc, argv, i, "--budget", value)) {
-            opt.budget = parseU64(value, "--budget", maxRunLengthUops);
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup", maxRunLengthUops);
-        } else if (takeValue(argc, argv, i, "--reps", value)) {
-            opt.reps = static_cast<int>(parseU64(value, "--reps", INT_MAX));
-        } else if (takeValue(argc, argv, i, "--label", value)) {
-            opt.label = value;
-        } else if (takeValue(argc, argv, i, "--out", value)) {
-            out_path = value;
-        } else if (std::strcmp(argv[i], "--compare") == 0) {
-            if (i + 2 >= argc) {
-                std::fprintf(stderr,
-                             "eole: --compare needs two bench files\n");
-                return 2;
-            }
-            compare_paths.emplace_back(argv[++i]);
-            compare_paths.emplace_back(argv[++i]);
-        } else if (takeValue(argc, argv, i, "--fail-below", value)) {
-            char *end = nullptr;
-            fail_below = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end || fail_below <= 0.0) {
-                std::fprintf(stderr,
-                             "eole: bad --fail-below \"%s\"\n",
-                             value.c_str());
-                return 2;
-            }
-            have_fail_below = true;
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
-            opt.profile = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-    }
+    std::optional<double> fail_below;
+    bool compare = false;
+    std::string err = parseFlags(
+        {list("--configs", &opt.configs),
+         list("--workloads", &opt.workloads),
+         count("--budget", &opt.budget, 1, maxRunLengthUops),
+         count("--warmup", &opt.warmup, 0, maxRunLengthUops),
+         count("--reps", &opt.reps, 1, INT_MAX),
+         text("--label", &opt.label), text("--out", &out_path),
+         on("--compare", &compare),
+         // The least positive double: a threshold must be above 0.
+         real("--fail-below", &fail_below,
+              std::numeric_limits<double>::denorm_min()),
+         on("--profile", &opt.profile), on("--quiet", &opt.quiet)},
+        argc, argv, &compare_paths);
+    if (err.empty() && compare && compare_paths.size() != 2)
+        err = "--compare needs two bench files";
+    if (err.empty() && !compare && !compare_paths.empty())
+        err = "unexpected argument " + compare_paths[0]
+            + " (bench files follow --compare)";
+    if (err.empty() && fail_below && !compare)
+        err = "--fail-below only applies to --compare";
+    if (!err.empty())
+        return fail(err);
     if (opt.quiet)
         setLogLevel(LogLevel::Quiet);
 
-    if (!compare_paths.empty()) {
+    if (compare) {
         const BenchResult a = readBenchJsonFile(compare_paths[0]);
         const BenchResult b = readBenchJsonFile(compare_paths[1]);
         std::printf("bench compare: a=%s (%s), b=%s (%s)\n",
                     compare_paths[0].c_str(), a.label.c_str(),
                     compare_paths[1].c_str(), b.label.c_str());
         const double g = compareBench(a, b, std::cout);
-        if (have_fail_below && g < fail_below) {
+        if (fail_below && g < *fail_below) {
             std::fprintf(stderr,
                          "eole: bench: geomean speedup %.3f below "
-                         "threshold %.3f\n", g, fail_below);
+                         "threshold %.3f\n", g, *fail_below);
             return 1;
         }
         return 0;
-    }
-    if (have_fail_below) {
-        std::fprintf(stderr,
-                     "eole: --fail-below only applies to --compare\n");
-        return 2;
     }
 
     // file:<path> workload specs: bind the trace and bench under its
     // canonical name, timing replay-from-mmap instead of a generator.
     for (std::string &spec : opt.workloads) {
-        std::string resolved, err;
-        if (!resolveWorkloadSpec(spec, &resolved, &err)) {
-            std::fprintf(stderr, "eole: %s\n", err.c_str());
-            return 2;
-        }
+        std::string resolved;
+        if (!resolveWorkloadSpec(spec, &resolved, &err))
+            return fail(err);
         spec = std::move(resolved);
     }
 
@@ -1377,239 +1362,163 @@ cmdBench(int argc, char **argv)
                 (unsigned long long)result.budget,
                 (unsigned long long)result.warmup, result.reps);
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot write %s", out_path.c_str());
-        writeBenchJson(os, result);
+        err = writeOutput(out_path, [&](std::ostream &os) {
+            writeBenchJson(os, result);
+        });
+        if (!err.empty())
+            return fail(err);
         inform("wrote %s (%zu cells)", out_path.c_str(),
                result.cells.size());
     }
     return 0;
 }
 
-/**
- * `eole trace` — the on-disk trace subsystem's CLI:
- *   record <workload> --out F [--uops N] [--store DIR]
- *   info <file.trace>...
- *   ingest <log.rvlog> --out F [--name N]
- */
+/** `eole trace record <workload> --out F [--uops N] [--store DIR]`. */
 int
-cmdTrace(int argc, char **argv)
+cmdTraceRecord(int argc, char **argv)
 {
-    if (argc < 1) {
-        std::fprintf(stderr, "eole: trace needs: record | info | "
-                     "ingest\n");
-        return usage(stderr, 2);
+    std::string out_path, store_dir;
+    std::uint64_t uops = 0;
+    bool quiet = false;
+    std::vector<std::string> args;
+    std::string err = parseFlags(
+        {text("--out", &out_path),
+         count("--uops", &uops, 0, maxRunLengthUops),
+         text("--store", &store_dir), on("--quiet", &quiet)},
+        argc, argv, &args);
+    if (err.empty() && (args.size() != 1 || out_path.empty()))
+        err = "trace record needs one workload and --out <file>";
+    if (!err.empty())
+        return fail(err);
+    if (quiet)
+        setLogLevel(LogLevel::Quiet);
+    if (uops == 0) {
+        // Cover a default-length run of any stock config with
+        // generous in-flight slack; replaying a too-short
+        // incomplete trace is a loud error, not silent drift.
+        uops = warmupUops() + measureUops() + 65536;
     }
-    const std::string sub = argv[0];
-    --argc;
-    ++argv;
-
-    if (sub == "record") {
-        std::string workload_spec, out_path, store_dir, value;
-        std::uint64_t uops = 0;
-        for (int i = 0; i < argc; ++i) {
-            if (takeValue(argc, argv, i, "--out", value)) {
-                out_path = value;
-            } else if (takeValue(argc, argv, i, "--uops", value)) {
-                uops = parseU64(value, "--uops");
-            } else if (takeValue(argc, argv, i, "--store", value)) {
-                store_dir = value;
-            } else if (std::strcmp(argv[i], "--quiet") == 0) {
-                setLogLevel(LogLevel::Quiet);
-            } else if (argv[i][0] == '-') {
-                std::fprintf(stderr, "eole: unknown option %s\n",
-                             argv[i]);
-                return usage(stderr, 2);
-            } else if (workload_spec.empty()) {
-                workload_spec = argv[i];
-            } else {
-                std::fprintf(stderr,
-                             "eole: trace record takes one workload\n");
-                return 2;
-            }
-        }
-        if (workload_spec.empty() || out_path.empty()) {
-            std::fprintf(stderr, "eole: trace record needs a workload "
-                         "and --out <file>\n");
-            return 2;
-        }
-        if (uops == 0) {
-            // Cover a default-length run of any stock config with
-            // generous in-flight slack; replaying a too-short
-            // incomplete trace is a loud error, not silent drift.
-            uops = warmupUops() + measureUops() + 65536;
-        }
-        std::string resolved, err;
-        if (!resolveWorkloadSpec(workload_spec, &resolved, &err)) {
-            std::fprintf(stderr, "eole: %s\n", err.c_str());
-            return 2;
-        }
-        const Workload w = workloads::build(resolved);
-        if (w.name.size() >= traceFileNameBytes) {
-            std::fprintf(stderr, "eole: workload name \"%s\" is too "
-                         "long for the trace header (max %zu bytes)\n",
-                         w.name.c_str(), traceFileNameBytes - 1);
-            return 2;
-        }
-        const auto trace = w.freeze(uops);
-        if (!writeTraceFile(*trace, out_path, "generated", &err)) {
-            std::fprintf(stderr, "eole: %s\n", err.c_str());
-            return 2;
-        }
-        std::uint64_t file_bytes = 0;
-        {
-            std::error_code ec;
-            file_bytes = std::filesystem::file_size(out_path, ec);
-        }
-        std::printf("wrote %s: workload %s, %zu µ-ops (%s), %llu "
-                    "bytes\n", out_path.c_str(), trace->name.c_str(),
-                    trace->uops.size(),
-                    trace->complete ? "complete" : "prefix",
-                    (unsigned long long)file_bytes);
-        if (!store_dir.empty()) {
-            // A trace is a content-addressed store object: the key is
-            // its own bytes' hash, so identical recordings dedupe and
-            // a changed recording is a new object, never a mutation.
-            std::ifstream is(out_path, std::ios::binary);
-            std::ostringstream buf;
-            buf << is.rdbuf();
-            const std::string payload = buf.str();
-            fatal_if(!is || payload.size() != file_bytes,
-                     "cannot re-read %s for --store", out_path.c_str());
-            StoreKey key;
-            key.kind = "trace";
-            key.workload = trace->name;
-            key.content = sha256Hex(payload);
-            Store store(store_dir);
-            store.put(key, payload);
-            store.flush();
-            std::printf("stored as %s (kind=trace) in %s\n",
-                        storeKeyHash(key).substr(0, 12).c_str(),
-                        store_dir.c_str());
-        }
-        return 0;
+    std::string resolved;
+    if (!resolveWorkloadSpec(args[0], &resolved, &err))
+        return fail(err);
+    const Workload w = workloads::build(resolved);
+    if (w.name.size() >= traceFileNameBytes) {
+        return fail(csprintf("workload name \"%s\" is too long for the "
+                             "trace header (max %zu bytes)",
+                             w.name.c_str(), traceFileNameBytes - 1));
     }
-
-    if (sub == "info") {
-        std::vector<std::string> paths;
-        for (int i = 0; i < argc; ++i) {
-            if (argv[i][0] == '-') {
-                std::fprintf(stderr, "eole: unknown option %s\n",
-                             argv[i]);
-                return usage(stderr, 2);
-            }
-            paths.emplace_back(argv[i]);
-        }
-        if (paths.empty()) {
-            std::fprintf(stderr,
-                         "eole: trace info needs file(s)\n");
-            return 2;
-        }
-        for (const std::string &path : paths) {
-            TraceFileInfo info;
-            std::string err;
-            if (!readTraceFileInfo(path, &info, &err)) {
-                std::fprintf(stderr, "eole: %s: %s\n", path.c_str(),
-                             err.c_str());
-                return 2;
-            }
-            std::printf("%s:\n", path.c_str());
-            std::printf("  workload  %s\n", info.name.c_str());
-            std::printf("  source    %s\n", info.source.c_str());
-            std::printf("  µ-ops     %llu (%s)\n",
-                        (unsigned long long)info.uopCount,
-                        info.complete ? "complete" : "prefix");
-            std::printf("  suite     %s\n", info.isFp ? "FP" : "INT");
-            std::printf("  bytes     %llu\n",
-                        (unsigned long long)info.fileBytes);
-            std::printf("  checksum  ok\n");
-        }
-        return 0;
+    const auto trace = w.freeze(uops);
+    if (!writeTraceFile(*trace, out_path, "generated", &err))
+        return fail(err);
+    std::uint64_t file_bytes = 0;
+    {
+        std::error_code ec;
+        file_bytes = std::filesystem::file_size(out_path, ec);
     }
-
-    if (sub == "ingest") {
-        std::string log_path, out_path, name, value;
-        for (int i = 0; i < argc; ++i) {
-            if (takeValue(argc, argv, i, "--out", value)) {
-                out_path = value;
-            } else if (takeValue(argc, argv, i, "--name", value)) {
-                name = value;
-            } else if (std::strcmp(argv[i], "--quiet") == 0) {
-                setLogLevel(LogLevel::Quiet);
-            } else if (argv[i][0] == '-') {
-                std::fprintf(stderr, "eole: unknown option %s\n",
-                             argv[i]);
-                return usage(stderr, 2);
-            } else if (log_path.empty()) {
-                log_path = argv[i];
-            } else {
-                std::fprintf(stderr,
-                             "eole: trace ingest takes one log file\n");
-                return 2;
-            }
-        }
-        if (log_path.empty() || out_path.empty()) {
-            std::fprintf(stderr, "eole: trace ingest needs a log file "
-                         "and --out <file>\n");
-            return 2;
-        }
-        if (name.empty()) {
-            // Canonical name defaults to the log's stem under an rv64:
-            // prefix — addressable like torture:<seed>, and it cannot
-            // shadow a registry benchmark by accident.
-            name = "rv64:"
-                + std::filesystem::path(log_path).stem().string();
-        }
-        if (name.size() >= traceFileNameBytes) {
-            std::fprintf(stderr, "eole: --name \"%s\" is too long for "
-                         "the trace header (max %zu bytes)\n",
-                         name.c_str(), traceFileNameBytes - 1);
-            return 2;
-        }
-        std::string err;
-        const auto trace = ingestRv64LogFile(log_path, name, &err);
-        if (!trace) {
-            std::fprintf(stderr, "eole: %s: %s\n", log_path.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        if (!writeTraceFile(*trace, out_path, "rv64i", &err)) {
-            std::fprintf(stderr, "eole: %s\n", err.c_str());
-            return 2;
-        }
-        std::printf("wrote %s: workload %s, %zu µ-ops ingested from "
-                    "%s\n", out_path.c_str(), name.c_str(),
-                    trace->uops.size(), log_path.c_str());
-        return 0;
+    std::printf("wrote %s: workload %s, %zu µ-ops (%s), %llu "
+                "bytes\n", out_path.c_str(), trace->name.c_str(),
+                trace->uops.size(),
+                trace->complete ? "complete" : "prefix",
+                (unsigned long long)file_bytes);
+    if (!store_dir.empty()) {
+        // A trace is a content-addressed store object: the key is
+        // its own bytes' hash, so identical recordings dedupe and
+        // a changed recording is a new object, never a mutation.
+        std::ifstream is(out_path, std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        const std::string payload = buf.str();
+        fatal_if(!is || payload.size() != file_bytes,
+                 "cannot re-read %s for --store", out_path.c_str());
+        StoreKey key;
+        key.kind = "trace";
+        key.workload = trace->name;
+        key.content = sha256Hex(payload);
+        Store store(store_dir);
+        store.put(key, payload);
+        store.flush();
+        std::printf("stored as %s (kind=trace) in %s\n",
+                    storeKeyHash(key).substr(0, 12).c_str(),
+                    store_dir.c_str());
     }
-
-    std::fprintf(stderr, "eole: unknown trace subcommand \"%s\" "
-                 "(record | info | ingest)\n", sub.c_str());
-    return usage(stderr, 2);
+    return 0;
 }
 
 int
-cmdTelemetry(int argc, char **argv)
+cmdTraceInfo(int argc, char **argv)
 {
-    if (argc < 1 || std::strcmp(argv[0], "summarize") != 0) {
-        std::fprintf(stderr,
-                     "eole: telemetry needs: summarize <file.jsonl>"
-                     "...\n");
-        return usage(stderr, 2);
-    }
     std::vector<std::string> paths;
-    for (int i = 1; i < argc; ++i) {
-        if (argv[i][0] == '-') {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-        paths.emplace_back(argv[i]);
+    std::string err = parseFlags({}, argc, argv, &paths);
+    if (err.empty() && paths.empty())
+        err = "trace info needs file(s)";
+    if (!err.empty())
+        return fail(err);
+    for (const std::string &path : paths) {
+        TraceFileInfo info;
+        if (!readTraceFileInfo(path, &info, &err))
+            return fail(path + ": " + err);
+        std::printf("%s:\n", path.c_str());
+        std::printf("  workload  %s\n", info.name.c_str());
+        std::printf("  source    %s\n", info.source.c_str());
+        std::printf("  µ-ops     %llu (%s)\n",
+                    (unsigned long long)info.uopCount,
+                    info.complete ? "complete" : "prefix");
+        std::printf("  suite     %s\n", info.isFp ? "FP" : "INT");
+        std::printf("  bytes     %llu\n",
+                    (unsigned long long)info.fileBytes);
+        std::printf("  checksum  ok\n");
     }
-    if (paths.empty()) {
-        std::fprintf(stderr,
-                     "eole: telemetry summarize needs file(s)\n");
-        return 2;
+    return 0;
+}
+
+/** `eole trace ingest <log.rvlog> --out F [--name N]`. */
+int
+cmdTraceIngest(int argc, char **argv)
+{
+    std::string out_path, name;
+    bool quiet = false;
+    std::vector<std::string> args;
+    std::string err = parseFlags(
+        {text("--out", &out_path), text("--name", &name),
+         on("--quiet", &quiet)}, argc, argv, &args);
+    if (err.empty() && (args.size() != 1 || out_path.empty()))
+        err = "trace ingest needs one log file and --out <file>";
+    if (!err.empty())
+        return fail(err);
+    if (quiet)
+        setLogLevel(LogLevel::Quiet);
+    const std::string &log_path = args[0];
+    if (name.empty()) {
+        // Canonical name defaults to the log's stem under an rv64:
+        // prefix — addressable like torture:<seed>, and it cannot
+        // shadow a registry benchmark by accident.
+        name = "rv64:" + std::filesystem::path(log_path).stem().string();
     }
+    if (name.size() >= traceFileNameBytes) {
+        return fail(csprintf("--name \"%s\" is too long for the trace "
+                             "header (max %zu bytes)", name.c_str(),
+                             traceFileNameBytes - 1));
+    }
+    const auto trace = ingestRv64LogFile(log_path, name, &err);
+    if (!trace)
+        return fail(log_path + ": " + err);
+    if (!writeTraceFile(*trace, out_path, "rv64i", &err))
+        return fail(err);
+    std::printf("wrote %s: workload %s, %zu µ-ops ingested from "
+                "%s\n", out_path.c_str(), name.c_str(),
+                trace->uops.size(), log_path.c_str());
+    return 0;
+}
+
+int
+cmdTelemetrySummarize(int argc, char **argv)
+{
+    std::vector<std::string> paths;
+    std::string err = parseFlags({}, argc, argv, &paths);
+    if (err.empty() && paths.empty())
+        err = "telemetry summarize needs file(s)";
+    if (!err.empty())
+        return fail(err);
     summarizeTelemetry(paths, std::cout);
     return 0;
 }
@@ -1619,23 +1528,14 @@ cmdDiff(int argc, char **argv)
 {
     std::vector<std::string> paths;
     DiffOptions opt;
-    std::string value;
-    for (int i = 0; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--rel-tol", value)) {
-            opt.relTol = parseTolerance(value, "--rel-tol");
-        } else if (takeValue(argc, argv, i, "--abs-tol", value)) {
-            opt.absTol = parseTolerance(value, "--abs-tol");
-        } else if (std::strcmp(argv[i], "--ci") == 0) {
-            opt.ciOverlap = true;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        } else {
-            paths.emplace_back(argv[i]);
-        }
-    }
-    if (paths.size() != 2)
-        return usage(stderr, 2);
+    std::string err = parseFlags(
+        {real("--rel-tol", &opt.relTol, 0.0),
+         real("--abs-tol", &opt.absTol, 0.0), on("--ci", &opt.ciOverlap)},
+        argc, argv, &paths);
+    if (err.empty() && paths.size() != 2)
+        err = "diff needs two artifacts";
+    if (!err.empty())
+        return fail(err);
 
     const PlanResult a = readJsonArtifactFile(paths[0]);
     const PlanResult b = readJsonArtifactFile(paths[1]);
@@ -1650,6 +1550,44 @@ cmdDiff(int argc, char **argv)
     return 1;
 }
 
+int
+cmdVersion(int, char **)
+{
+    std::printf("eole %s\n", buildInfoString().c_str());
+    return 0;
+}
+
+/** Every command, by its words; a handler gets the arguments after
+ *  them. */
+const struct
+{
+    const char *words;
+    int (*run)(int argc, char **argv);
+} commands[] = {
+    {"list", cmdList},
+    {"describe", cmdDescribe},
+    {"run",
+     [](int argc, char **argv) { return runOrShard(argc, argv, false); }},
+    {"shard",
+     [](int argc, char **argv) { return runOrShard(argc, argv, true); }},
+    {"merge", cmdMerge},
+    {"store ls", cmdStoreLs},
+    {"store gc", cmdStoreGc},
+    {"ckpt save", cmdCkptSave},
+    {"ckpt info", cmdCkptInfo},
+    {"trace record", cmdTraceRecord},
+    {"trace info", cmdTraceInfo},
+    {"trace ingest", cmdTraceIngest},
+    {"telemetry summarize", cmdTelemetrySummarize},
+    {"bench", cmdBench},
+    {"diff", cmdDiff},
+    {"version", cmdVersion},
+    {"--version", cmdVersion},
+    {"help", [](int, char **) { return usage(stdout, 0); }},
+    {"--help", [](int, char **) { return usage(stdout, 0); }},
+    {"-h", [](int, char **) { return usage(stdout, 0); }},
+};
+
 } // namespace
 
 int
@@ -1657,35 +1595,14 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage(stderr, 2);
-    const std::string cmd = argv[1];
-    if (cmd == "list")
-        return cmdList(argc - 2, argv + 2);
-    if (cmd == "describe")
-        return cmdDescribe(argc - 2, argv + 2);
-    if (cmd == "run")
-        return cmdRun(argc - 2, argv + 2, /*shard_mode=*/false);
-    if (cmd == "shard")
-        return cmdRun(argc - 2, argv + 2, /*shard_mode=*/true);
-    if (cmd == "merge")
-        return cmdMerge(argc - 2, argv + 2);
-    if (cmd == "store")
-        return cmdStore(argc - 2, argv + 2);
-    if (cmd == "bench")
-        return cmdBench(argc - 2, argv + 2);
-    if (cmd == "diff")
-        return cmdDiff(argc - 2, argv + 2);
-    if (cmd == "ckpt")
-        return cmdCkpt(argc - 2, argv + 2);
-    if (cmd == "trace")
-        return cmdTrace(argc - 2, argv + 2);
-    if (cmd == "telemetry")
-        return cmdTelemetry(argc - 2, argv + 2);
-    if (cmd == "--version" || cmd == "version") {
-        std::printf("eole %s\n", buildInfoString().c_str());
-        return 0;
+    const std::string one = argv[1];
+    const std::string two = argc > 2 ? one + " " + argv[2] : one;
+    for (const auto &c : commands) {
+        if (c.words == one)
+            return c.run(argc - 2, argv + 2);
+        if (argc > 2 && c.words == two)
+            return c.run(argc - 3, argv + 3);
     }
-    if (cmd == "help" || cmd == "--help" || cmd == "-h")
-        return usage(stdout, 0);
-    std::fprintf(stderr, "eole: unknown command \"%s\"\n", cmd.c_str());
+    std::fprintf(stderr, "eole: unknown command \"%s\"\n", two.c_str());
     return usage(stderr, 2);
 }

@@ -18,7 +18,20 @@
 #    above INT_MAX) exit 2 instead of running, and so do run lengths
 #    over the 2^40-µ-op bound or malformed, from a flag, the
 #    environment, a plan file or a sample spec (`run` also ends its
-#    telemetry with run_aborted).
+#    telemetry with run_aborted);
+#  - every command-line error of `run`, `shard` and `ckpt save` (an
+#    unknown option, a missing or malformed value) ends the telemetry
+#    stream with run_aborted, and a bench threshold, count or trace
+#    length outside its bound exits 2;
+#  - an output file that cannot be written (/dev/full) exits 2;
+#  - a plan file with --set gives the compiled plan's artifact;
+#  - observers do not perturb artifacts: --pipetrace (a Kanata trace
+#    with a retire record) and --telemetry (ending with run_finish)
+#    leave them byte-identical, and three shard streams summarize to
+#    the four smoke cells;
+#  - `trace record` writes a file `trace info` accepts, `file:` replay
+#    equals the live generator, an ingested RV64I log sweeps, and a
+#    missing `file:` exits 2 with a suggestion.
 set -uo pipefail
 
 if [[ $# != 1 ]]; then
@@ -26,6 +39,7 @@ if [[ $# != 1 ]]; then
     exit 2
 fi
 EOLE="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+DATA="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/data"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/eole_cli_contracts.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 2
@@ -48,6 +62,12 @@ expect_exit2() {
     [[ $rc == 2 ]] || fail "$label: exit $rc (want 2)"
 }
 
+# ends_aborted LABEL: the stream in aborted.jsonl ends with run_aborted.
+ends_aborted() {
+    tail -n 1 aborted.jsonl 2> /dev/null | grep -q '"ev":"run_aborted"' \
+        || fail "$1: telemetry does not end with run_aborted"
+}
+
 # expect_aborted LABEL COMMAND...: exit 2, and the --telemetry stream
 # the command writes must end with run_aborted.
 expect_aborted() {
@@ -55,8 +75,7 @@ expect_aborted() {
     shift
     rm -f aborted.jsonl
     expect_exit2 "$label" "$@" --telemetry aborted.jsonl
-    tail -n 1 aborted.jsonl 2> /dev/null | grep -q '"ev":"run_aborted"' \
-        || fail "$label: telemetry does not end with run_aborted"
+    ends_aborted "$label"
 }
 
 # --- ckpt save against a store: cold, then warm
@@ -90,15 +109,76 @@ cmp -s single.json run_cold.json || fail "run: store changed the artifact"
 "$EOLE" store ls run_store | grep -q '^4 object(s)' \
     || fail "store ls: want 4 objects"
 
-# --- three shards merge to the single-host artifact
+# --- three shards merge to the single-host artifact, and their
+# telemetry streams summarize to the four smoke cells
 for host in 0 1 2; do
     "$EOLE" shard smoke --hosts 3 --host "$host" "${LEN[@]}" --out . \
-        || fail "shard --host $host exited $?"
+        --telemetry "shard$host.jsonl" || fail "shard --host $host exited $?"
 done
 "$EOLE" merge smoke.shard*of3.eoleshard --out merged.json --quiet \
     || fail "merge exited $?"
 cmp -s single.json merged.json \
     || fail "merge of 3 shards differs from the single-host artifact"
+"$EOLE" telemetry summarize shard?.jsonl > summary.txt \
+    || fail "telemetry summarize exited $?"
+for cell in Baseline_6_64/164.gzip Baseline_6_64/186.crafty \
+            EOLE_4_64/164.gzip EOLE_4_64/186.crafty; do
+    grep -q "$cell" summary.txt || fail "shard telemetry lacks $cell"
+done
+grep -q 'cells (4)' summary.txt \
+    || fail "shard telemetry does not summarize to 4 cells"
+
+# --- a plan file with --set is the compiled plan with the same --set
+printf '%s\n' 'plan = smoke' \
+    'description = tiny 2x2 grid for CI, demos and determinism tests' \
+    'configs = Baseline_6_64, EOLE_4_64' 'workloads = 164.gzip, 186.crafty' \
+    > smoke.plan
+"$EOLE" run --plan smoke.plan --set bp.rasEntries=16 "${LEN[@]}" \
+    --no-tables --out planfile.json || fail "plan-file run exited $?"
+"$EOLE" run smoke --set bp.rasEntries=16 "${LEN[@]}" --no-tables \
+    --out compiled.json || fail "compiled --set run exited $?"
+cmp -s planfile.json compiled.json \
+    || fail "plan-file artifact differs from the compiled plan's"
+
+# --- observers leave artifacts byte-identical
+"$EOLE" run smoke --filter EOLE_4_64/164.gzip "${LEN[@]}" --no-tables \
+    --pipetrace trace.kanata --out traced.json \
+    || fail "--pipetrace run exited $?"
+head -n 1 trace.kanata | grep -q $'^Kanata\t0004$' \
+    || fail "pipetrace lacks the Kanata header"
+grep -q $'^R\t' trace.kanata || fail "pipetrace has no retire record"
+"$EOLE" run smoke --filter EOLE_4_64/164.gzip "${LEN[@]}" --no-tables \
+    --out plain.json || fail "plain one-cell run exited $?"
+cmp -s traced.json plain.json || fail "--pipetrace changed the artifact"
+"$EOLE" run smoke "${LEN[@]}" --no-tables --telemetry run.jsonl \
+    --out telem.json || fail "--telemetry run exited $?"
+cmp -s telem.json single.json || fail "--telemetry changed the artifact"
+tail -n 1 run.jsonl | grep -q '"ev":"run_finish"' \
+    || fail "telemetry does not end with run_finish"
+
+# --- on-disk traces: record, validate, replay, ingest
+"$EOLE" trace record torture:7 --out t7.trace --quiet > /dev/null \
+    || fail "trace record exited $?"
+"$EOLE" trace info t7.trace | grep -Eq 'checksum +ok' \
+    || fail "trace info does not validate the recording"
+"$EOLE" run smoke --workloads file:t7.trace "${LEN[@]}" --no-tables \
+    --out replayed.json || fail "file: run exited $?"
+"$EOLE" run smoke --workloads torture:7 "${LEN[@]}" --no-tables \
+    --out generated.json || fail "torture:7 run exited $?"
+cmp -s replayed.json generated.json \
+    || fail "file: replay differs from the live generator"
+"$EOLE" trace ingest "$DATA/rv64/fib.rvlog" --out fib.trace --quiet \
+    > /dev/null || fail "trace ingest exited $?"
+"$EOLE" run smoke --workloads file:fib.trace "${LEN[@]}" --no-tables \
+    --out fib.json || fail "sweep over the ingested trace exited $?"
+grep -q '"rv64:fib"' fib.json \
+    || fail "ingested-trace artifact lacks its workload name"
+"$EOLE" run smoke --workloads file:t8.trace "${LEN[@]}" --no-tables \
+    2> missing.err
+rc=$?
+[[ $rc == 2 ]] || fail "missing file: workload: exit $rc (want 2)"
+grep -q 'did you mean' missing.err \
+    || fail "missing file: workload: no did-you-mean suggestion"
 
 # --- every exit-2 path ends the telemetry stream with run_aborted
 for verb in run shard ckpt; do
@@ -115,7 +195,18 @@ for verb in run shard ckpt; do
     expect_aborted "$verb: --filter matching nothing" \
         "$EOLE" "${cmd[@]}" smoke --filter no_such_cell "${extra[@]}" \
         "${LEN[@]}"
+    expect_aborted "$verb: unknown option" \
+        "$EOLE" "${cmd[@]}" smoke --no-such-flag "${extra[@]}" "${LEN[@]}"
+    expect_aborted "$verb: --jobs abc" \
+        "$EOLE" "${cmd[@]}" smoke --jobs abc "${extra[@]}" "${LEN[@]}"
+    rm -f aborted.jsonl
+    expect_exit2 "$verb: --seed without a value" \
+        "$EOLE" "${cmd[@]}" smoke "${extra[@]}" "${LEN[@]}" \
+        --telemetry aborted.jsonl --seed
+    ends_aborted "$verb: --seed without a value"
 done
+expect_aborted "shard --hosts abc" \
+    "$EOLE" shard smoke --hosts abc --host 0 "${LEN[@]}"
 
 # A checkpoint that cannot be written (a directory squats its name)
 # fails the save the same way when the store serves the cell.
@@ -157,6 +248,37 @@ expect_aborted "run EOLE_INSTS=abc" \
 expect_exit2 "bench --budget 18446744073709551000" \
     "$EOLE" bench --workloads 164.gzip --configs Baseline_6_64 --reps 1 \
     --quiet --budget 18446744073709551000
+BENCH=(bench --workloads 164.gzip --configs Baseline_6_64 --quiet)
+"$EOLE" "${BENCH[@]}" --budget 2000 --warmup 1000 --reps 1 \
+    --out bench.json > /dev/null || fail "bench --out exited $?"
+for x in nan inf 0; do
+    expect_exit2 "bench --fail-below $x" \
+        "$EOLE" bench --compare bench.json bench.json --fail-below "$x"
+done
+expect_exit2 "bench --reps 0" "$EOLE" "${BENCH[@]}" --budget 2000 --reps 0
+expect_exit2 "bench --budget 0" "$EOLE" "${BENCH[@]}" --budget 0 --reps 1
+# torture:7 halts after 674 µ-ops, so the check cannot record for long
+# even where the bound is missing.
+expect_exit2 "trace record --uops 2^40+1" \
+    "$EOLE" trace record torture:7 --uops 1099511627777 --out over.trace
+
+# --- an output file that cannot be written fails the command
+if [[ -w /dev/full ]]; then
+    expect_aborted "run --out /dev/full" \
+        "$EOLE" run smoke "${LEN[@]}" --no-tables --out /dev/full
+    expect_aborted "run --csv /dev/full" \
+        "$EOLE" run smoke "${LEN[@]}" --no-tables --csv /dev/full
+    expect_aborted "run --pipetrace /dev/full" \
+        "$EOLE" run smoke --filter EOLE_4_64/164.gzip "${LEN[@]}" \
+        --no-tables --pipetrace /dev/full
+    expect_aborted "shard --out /dev/full" \
+        "$EOLE" shard smoke --hosts 3 --host 0 "${LEN[@]}" --out /dev/full
+    expect_exit2 "merge --out /dev/full" \
+        "$EOLE" merge smoke.shard*of3.eoleshard --out /dev/full --quiet
+    expect_exit2 "bench --out /dev/full" \
+        "$EOLE" "${BENCH[@]}" --budget 2000 --warmup 1000 --reps 1 \
+        --out /dev/full
+fi
 
 if ((failures)); then
     echo "cli_contracts: $failures check(s) failed" >&2

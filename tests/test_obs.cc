@@ -340,6 +340,32 @@ TEST(Telemetry, RoundTripWithInjectedFailure)
     std::filesystem::remove(path);
 }
 
+TEST(Telemetry, StringsRoundTripEveryEscapeTheSinkWrites)
+{
+    // The sink escapes a control character as \u00XX; the reader must
+    // decode it, like a quote, a backslash and a tab, instead of
+    // rejecting the stream its own writer produced.
+    const std::string filter = std::string("zz\x01\"q\\b\tt");
+    const std::string reason = "bad --filter \"" + filter + "\"";
+    const std::string path = scratchFile("escapes");
+    {
+        TelemetrySink sink(path);
+        sink.runStart("run", "smoke", 1, 1000, 5000, filter, "", 1, 0,
+                      -1, -1);
+        sink.runAborted(reason);
+    }
+    const std::vector<TelemetryEvent> evs = readTelemetry(path);
+    ASSERT_EQ(evs.size(), 2u);
+    EXPECT_EQ(evs[0].str("filter"), filter);
+    EXPECT_EQ(evs[1].ev, "run_aborted");
+    EXPECT_EQ(evs[1].str("reason"), reason);
+
+    std::ostringstream sum;
+    summarizeTelemetry({path}, sum);
+    EXPECT_NE(sum.str().find("1 aborted"), std::string::npos) << sum.str();
+    std::filesystem::remove(path);
+}
+
 TEST(Telemetry, SummaryCriticalPathSumsEachCellsLongestJobPerKind)
 {
     // A hand-written stream: one sampled cell (a 100 ms warm job, then
