@@ -138,6 +138,19 @@ KernelVM::step(TraceUop &out)
 }
 
 std::string
+describe(const TraceUop &u)
+{
+    return csprintf("%#llx %u %s %u %u %u %lld %u %u %u %u %#llx %#llx %d "
+                    "%#llx",
+                    (unsigned long long)u.pc, u.sidx, opcodeName(u.opc),
+                    u.dst, u.src1, u.src2, (long long)u.imm, u.memSize,
+                    unsigned(u.dstClass), unsigned(u.srcClass[0]),
+                    unsigned(u.srcClass[1]), (unsigned long long)u.result,
+                    (unsigned long long)u.effAddr, int(u.taken),
+                    (unsigned long long)u.nextPc);
+}
+
+std::string
 disassemble(const StaticInst &inst)
 {
     std::string s = opcodeName(inst.opc);

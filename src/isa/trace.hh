@@ -9,6 +9,7 @@
 #define EOLE_ISA_TRACE_HH
 
 #include <cstdint>
+#include <string>
 
 #include "common/types.hh"
 #include "isa/opcodes.hh"
@@ -80,6 +81,13 @@ struct TraceUop
         return (src1 != invalidReg ? 1 : 0) + (src2 != invalidReg ? 1 : 0);
     }
 };
+
+/**
+ * One line of text naming every field of @p u the simulator reads (for
+ * debugging and tests). A digest of these lines pins a µ-op stream
+ * whatever layout its recording has in memory or on disk.
+ */
+std::string describe(const TraceUop &u);
 
 } // namespace eole
 

@@ -541,6 +541,101 @@ TEST(TraceFile, FuzzedFilesAreRejectedNotCrashed)
     EXPECT_NE(loadTraceFile(path, &err), nullptr) << err;
 }
 
+// ------------------------- decoded µ-op streams --------------------------
+
+namespace {
+
+/** SHA-256 over describe() of every µ-op of @p trace, one per line. */
+std::string
+streamDigest(const FrozenTrace &trace)
+{
+    Sha256 sha;
+    for (std::size_t i = 0; i < trace.uops.size(); ++i)
+        sha.update(describe(trace.uops[i]) + "\n");
+    return sha.hexDigest();
+}
+
+} // namespace
+
+TEST(TraceStream, DecodedStreamsArePinned)
+{
+    // What the simulator reads of a recording, µ-op by µ-op: a torture
+    // program at 50k µ-ops, every registry workload at 20k and each
+    // RV64I ingest. How a recording is laid out may change; these
+    // digests may not.
+    const auto digestOf = [](const std::string &workload,
+                             std::uint64_t uops) {
+        return streamDigest(*workloads::build(workload).freeze(uops));
+    };
+    EXPECT_EQ(digestOf("torture:9", 50000),
+              "1e32a91d02ae2f8c845f2ccfd2e6b545"
+              "5843499ab73881cd9edaa1f562b7d19a");
+
+    const std::vector<std::pair<std::string, std::string>> registry = {
+        {"164.gzip", "1c795e579ebdc2b0109e8567ab335eab"
+                     "b1ba6f2eb260b749975848799dcb2e79"},
+        {"168.wupwise", "6a136ea8f39fd6ec5483edd16467e22b"
+                        "ad69149639ac8cfab1b7f5461104226b"},
+        {"173.applu", "386feeb2fb25af46460777d95697b706"
+                      "cf72db40762583614d7cdc1f9557dcad"},
+        {"175.vpr", "a71271f9a0eb51179883547ea0d5e41c"
+                    "ae826ec7481ee4491731f66859fc99a1"},
+        {"179.art", "9da9ad35cee3bd64524f6ac0d418cbe2"
+                    "5bc46a321db4c3e95412f26365a0355c"},
+        {"186.crafty", "161b7b3c68aabab122b3c49f0470abf8"
+                       "96bd037ea7a2c02b66093a0b921aa19e"},
+        {"197.parser", "ee80ee7615453d4fefa32a7c1169eb80"
+                       "a97c4effa87b799d61dda64b18296e1e"},
+        {"255.vortex", "2bd3e8e385f846a1d52ad8c4fcc1333f"
+                       "698374925941520610aafd670d09605e"},
+        {"401.bzip2", "ccfee587f16099919d8164c47f99a9ac"
+                      "3454ce2148747bbb1871e90ee9f14ecd"},
+        {"403.gcc", "c1fe7bd9c2818ed5d2a54d40a192f981"
+                    "80be07dfdf93f263ca73fff9c33ebb10"},
+        {"416.gamess", "24cff74cc6aeb78f481c1fb846cef769"
+                       "88f0828847cefa620ff41f638293337a"},
+        {"429.mcf", "ecc43a9ebe6950b8f8f48ecf48c40a63"
+                    "5174e7b9b5b6c73e741d4e7c4c283967"},
+        {"433.milc", "ef2b01699936a63b2b2fa6bdb9fefe7d"
+                     "faa8bcbf88a90a6c83052c8230684edc"},
+        {"444.namd", "86f582f4112044de89b6dc2a365b5453"
+                     "133720e0388a5bc9af4880d64390627e"},
+        {"445.gobmk", "56e4c9a809e9d6d4441c11cdb94e197b"
+                      "bcc5bbc3ac809b465ec6e88eee0e8dfd"},
+        {"456.hmmer", "71b91084ef6030ce50d4ac5ee093db7d"
+                      "295dcd95c165bfec1e1b124fa8dfb413"},
+        {"458.sjeng", "77512f8f93855820baa66763f1b36077"
+                      "f93a0b1496f7746faf681411a3b8d495"},
+        {"464.h264ref", "695330714beeb1801d1801d41914f2b5"
+                        "0cd0014a6fad4f89de0867b4ef645a05"},
+        {"470.lbm", "45a7dc05540f6c71093568537ef5805c"
+                    "4b92cc227f6ac3ccb07afea6c5c7ebdc"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[name, digest] : registry) {
+        EXPECT_EQ(digestOf(name, 20000), digest) << name;
+        covered.push_back(name);
+    }
+    EXPECT_EQ(covered, workloads::allNames()) << "pin every workload";
+
+    const std::vector<std::pair<std::string, std::string>> rv64 = {
+        {"bitops", "36d21b7083b43f5466e6492ecd5e470b"
+                   "71f01b283beb3a630d9a538aae37c3df"},
+        {"fib", "6d7231ae30b2e6f836fbd30f0c5bce44"
+                "ed1e7ecd6be8bd72269dcb97a6c13fd3"},
+        {"memsum", "47f13f4dd3263ae05e967ad0a73a24d0"
+                   "d1a526b1ba3deba4882c002abddb2162"},
+    };
+    for (const auto &[log, digest] : rv64) {
+        std::string err;
+        const auto trace = ingestRv64LogFile(
+            std::string(EOLE_TEST_DATA_DIR) + "/rv64/" + log + ".rvlog",
+            "rv64:" + log, &err);
+        ASSERT_NE(trace, nullptr) << err;
+        EXPECT_EQ(streamDigest(*trace), digest) << log;
+    }
+}
+
 // ------------------------- store objects ---------------------------------
 
 TEST(TraceFile, StoreRoundTripsTraceObjects)
