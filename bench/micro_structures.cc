@@ -141,9 +141,9 @@ BM_KernelVmStep(benchmark::State &state)
     KernelVM vm(w.program, w.memBytes);
     if (w.init)
         w.init(vm);
-    TraceUop u;
+    UopRecord rec;
     for (auto _ : state)
-        benchmark::DoNotOptimize(vm.step(u));
+        benchmark::DoNotOptimize(vm.step(rec));
 }
 BENCHMARK(BM_KernelVmStep);
 

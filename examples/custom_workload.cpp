@@ -88,7 +88,7 @@ main()
         std::uint64_t alu = 0, loads = 0, total = 100000;
         for (std::uint64_t n = 0; n < total; ++n) {
             const TraceUop &u = w.frozen->uops[n];
-            alu += isSingleCycleAlu(u.opc);
+            alu += isSingleCycleAlu(u.opc());
             loads += u.isLoad();
         }
         std::printf("functional mix: %.1f%% single-cycle ALU, %.1f%% "

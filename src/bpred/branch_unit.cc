@@ -54,7 +54,7 @@ BranchUnit::speculativeApply(const TraceUop &uop, bool taken, Addr target)
     if (uop.isCondBr())
         hist.push(taken);
     if (uop.isCall())
-        ras.push(uop.pc + uopBytes);
+        ras.push(uop.pc() + uopBytes);
     else if (uop.isRet())
         (void)ras.pop();
     (void)target;
@@ -68,39 +68,39 @@ BranchUnit::predictBranch(const TraceUop &uop, SnapshotPtr &pre_out)
 
     BranchPrediction bp;
     if (uop.isCondBr()) {
-        bp.predTaken = tage.predict(uop.pc, hist, 0, bp.tage);
+        bp.predTaken = tage.predict(uop.pc(), hist, 0, bp.tage);
         bp.highConf = bp.tage.highConf;
         if (!confTable.empty() && bp.highConf) {
             const std::uint8_t full = (1u << cfg.confBits) - 1;
-            bp.highConf = confSlot(uop.pc) == full;
+            bp.highConf = confSlot(uop.pc()) == full;
         }
         if (bp.predTaken) {
-            bp.predTarget = btb.lookup(uop.pc);
+            bp.predTarget = btb.lookup(uop.pc());
             bp.btbMiss = bp.predTarget == 0;
         } else {
-            bp.predTarget = uop.pc + uopBytes;
+            bp.predTarget = uop.pc() + uopBytes;
         }
     } else if (uop.isRet()) {
         bp.predTaken = true;
         // Peek then re-push so speculativeApply sees a consistent stack.
         bp.predTarget = ras.pop();
         ras.push(bp.predTarget);
-    } else if (uop.opc == Opcode::Jr) {
+    } else if (uop.opc() == Opcode::Jr) {
         bp.predTaken = true;
-        bp.predTarget = btb.lookup(uop.pc);
+        bp.predTarget = btb.lookup(uop.pc());
     } else {
         // Direct jmp/call: target known at decode.
         bp.predTaken = true;
-        bp.predTarget = btb.lookup(uop.pc);
+        bp.predTarget = btb.lookup(uop.pc());
         bp.btbMiss = bp.predTarget == 0;
         if (bp.btbMiss)
-            bp.predTarget = uop.nextPc;  // decode supplies it (bubble)
+            bp.predTarget = uop.nextPc();  // decode supplies it (bubble)
     }
 
     // Oracle comparison (the penalty is applied at resolution time).
-    const bool dir_wrong = bp.predTaken != uop.taken;
-    const bool tgt_wrong = bp.predTaken && uop.taken && !bp.btbMiss
-        && bp.predTarget != uop.nextPc;
+    const bool dir_wrong = bp.predTaken != uop.taken();
+    const bool tgt_wrong = bp.predTaken && uop.taken() && !bp.btbMiss
+        && bp.predTarget != uop.nextPc();
     bp.mispredict = dir_wrong || tgt_wrong;
 
     // Speculative state advances with the *predicted* direction.
@@ -114,7 +114,7 @@ BranchUnit::repairAfterBranch(const TraceUop &uop, const SnapshotPtr &pre)
     hist.restore(pre->hist);
     ras.restore(pre->ras);
     cached.reset();
-    speculativeApply(uop, uop.taken, uop.nextPc);
+    speculativeApply(uop, uop.taken(), uop.nextPc());
 }
 
 void
@@ -138,12 +138,12 @@ BranchUnit::warmUpdate(const TraceUop &uop)
     // outcome".
     BranchPrediction bp;
     if (uop.isCondBr()) {
-        bp.predTaken = tage.predict(uop.pc, hist, 0, bp.tage);
-        hist.push(uop.taken);
+        bp.predTaken = tage.predict(uop.pc(), hist, 0, bp.tage);
+        hist.push(uop.taken());
     }
     commitBranch(uop, bp);  // TAGE + JRS confidence + BTB training
     if (uop.isCall())
-        ras.push(uop.pc + uopBytes);
+        ras.push(uop.pc() + uopBytes);
     else if (uop.isRet())
         (void)ras.pop();
     cached.reset();
@@ -223,11 +223,11 @@ void
 BranchUnit::commitBranch(const TraceUop &uop, const BranchPrediction &bp)
 {
     if (uop.isCondBr()) {
-        tage.update(uop.pc, uop.taken, bp.tage);
+        tage.update(uop.pc(), uop.taken(), bp.tage);
         if (!confTable.empty()) {
-            std::uint8_t &c = confSlot(uop.pc);
+            std::uint8_t &c = confSlot(uop.pc());
             const std::uint8_t full = (1u << cfg.confBits) - 1;
-            if (bp.predTaken == uop.taken) {
+            if (bp.predTaken == uop.taken()) {
                 if (c < full)
                     ++c;
             } else {
@@ -237,8 +237,8 @@ BranchUnit::commitBranch(const TraceUop &uop, const BranchPrediction &bp)
     }
     // Keep targets of taken control transfers in the BTB (returns are
     // served by the RAS).
-    if (uop.taken && !uop.isRet())
-        btb.update(uop.pc, uop.nextPc);
+    if (uop.taken() && !uop.isRet())
+        btb.update(uop.pc(), uop.nextPc());
 }
 
 } // namespace eole

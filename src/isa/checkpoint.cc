@@ -42,17 +42,17 @@ captureAt(const FrozenTrace &trace, const std::string &workload_name,
     for (int r = 0; r < numArchFpRegs; ++r)
         ckpt.fpRegs[r] = from.fpRegs[r];
 
-    // Replay destination writes. TraceUop::result is the architectural
+    // Replay destination writes. TraceUop::result() is the architectural
     // post-write value (already 0 for writes to the int zero register),
     // so a scalar copy per µ-op reproduces the VM state exactly.
     for (std::uint64_t i = from.uopIndex; i < uop_index; ++i) {
         const TraceUop &u = trace.uops[i];
-        if (u.dst == invalidReg)
+        if (u.dst() == invalidReg)
             continue;
-        if (u.dstClass == RegClass::Fp)
-            ckpt.fpRegs[u.dst] = u.result;
+        if (u.dstClass() == RegClass::Fp)
+            ckpt.fpRegs[u.dst()] = u.result();
         else
-            ckpt.intRegs[u.dst] = u.result;
+            ckpt.intRegs[u.dst()] = u.result();
     }
     return ckpt;
 }

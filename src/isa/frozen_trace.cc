@@ -17,7 +17,7 @@ namespace eole {
 
 namespace {
 
-/** µ-op records a spill writes per write(2) call. */
+/** Records a spill writes per write(2) call. */
 constexpr std::size_t spillChunkUops = 4096;
 
 /** The spill sink: an unlinked mkstemp file that takes the records a
@@ -41,10 +41,10 @@ class SpillFile
 
     /** Write @p chunk's records and empty it. */
     void
-    append(std::vector<TraceUop> &chunk)
+    append(std::vector<UopRecord> &chunk)
     {
         const char *p = reinterpret_cast<const char *>(chunk.data());
-        std::size_t left = chunk.size() * sizeof(TraceUop);
+        std::size_t left = chunk.size() * sizeof(UopRecord);
         while (left > 0) {
             const ssize_t n = ::write(fd, p, left);
             if (n < 0 && errno == EINTR)
@@ -57,20 +57,22 @@ class SpillFile
         chunk.clear();
     }
 
-    /** Point @p trace at a read-only mapping of the @p count records
-     *  written (an empty recording maps nothing). */
+    /** Point @p trace at its heap static table and a read-only
+     *  mapping of the @p count records written (an empty recording
+     *  maps nothing). */
     void
     map(FrozenTrace &trace, std::size_t count)
     {
         trace.mmapBacked = true;
+        trace.seal();
         if (count == 0)
             return;
-        const std::size_t len = count * sizeof(TraceUop);
+        const std::size_t len = count * sizeof(UopRecord);
         void *base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
         if (base == MAP_FAILED)
             die("mmap");
-        trace.uops = FrozenTrace::UopView{
-            static_cast<const TraceUop *>(base), count};
+        trace.uops.records = static_cast<const UopRecord *>(base);
+        trace.uops.count = count;
         trace.mapping = std::shared_ptr<const void>(
             base, [len](const void *p) {
                 ::munmap(const_cast<void *>(p), len);
@@ -104,25 +106,29 @@ recordTrace(const Program &program, std::size_t mem_bytes,
     auto trace = std::make_shared<FrozenTrace>();
     trace->name = name;
     trace->isFp = is_fp;
+    trace->staticStorage = vm.staticTable();
     for (int r = 0; r < numArchIntRegs; ++r)
         trace->initIntRegs[r] = vm.readIntReg(static_cast<RegIndex>(r));
     for (int r = 0; r < numArchFpRegs; ++r)
         trace->initFpRegs[r] = vm.readFpReg(static_cast<RegIndex>(r));
 
     // One recording loop, two sinks: the heap vector keeps every
-    // record, a spill file takes them a chunk at a time.
+    // record, a spill file takes them a chunk at a time. The VM writes
+    // each record in place at the end of the sink.
     std::optional<SpillFile> spill;
-    std::vector<TraceUop> chunk;
+    std::vector<UopRecord> chunk;
     if (!spill_dir.empty())
         spill.emplace(spill_dir);
-    std::vector<TraceUop> &sink = spill ? chunk : trace->storage;
+    std::vector<UopRecord> &sink = spill ? chunk : trace->storage;
     sink.reserve(spill ? spillChunkUops
                        : static_cast<std::size_t>(std::min<std::uint64_t>(
                              max_uops, 1u << 22)));
     std::uint64_t recorded = 0;
-    TraceUop u;
-    while (recorded < max_uops && vm.step(u)) {
-        sink.push_back(u);
+    while (recorded < max_uops) {
+        if (!vm.step(sink.emplace_back())) {
+            sink.pop_back();
+            break;
+        }
         ++recorded;
         if (spill && sink.size() == spillChunkUops)
             spill->append(sink);
@@ -144,8 +150,8 @@ clampTrace(std::shared_ptr<const FrozenTrace> trace, std::uint64_t max_uops)
         return trace;
 
     auto view = std::make_shared<FrozenTrace>();
-    view->uops = FrozenTrace::UopView{trace->uops.begin(),
-                                      static_cast<std::size_t>(max_uops)};
+    view->uops = trace->uops;
+    view->uops.count = static_cast<std::size_t>(max_uops);
     // µ-ops were cut off, so the clamped stream does not reach the
     // program's halt — never complete.
     view->complete = false;

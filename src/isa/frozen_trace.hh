@@ -12,16 +12,18 @@
  * also faster than live functional execution: fetch becomes an indexed
  * read with no VM stepping and no replay-window bookkeeping.
  *
- * Two storage backings exist behind one read interface (`uops` is a
- * borrowed span, not a container):
- *  - recorded in memory (`storage` owns the vector; seal() points the
- *    span at it), or
- *  - a read-only file mapping: an eole-trace-v1 file
+ * A recording is a static table and an array of 32-byte dynamic
+ * records (isa/trace.hh); `uops` is a borrowed view of both, not a
+ * container. Two storage backings exist behind it:
+ *  - recorded in memory (`staticStorage` and `storage` own the
+ *    vectors; seal() points the view at them), or
+ *  - a read-only file mapping: an eole-trace-v2 file
  *    (src/trace/trace_file.hh), or a recording spilled to an unlinked
  *    temporary file because it is over the trace cache's RAM budget.
- *    The span points straight into the mapping and `mapping` keeps it
+ *    The view points straight into the mapping and `mapping` keeps it
  *    alive, so a billion-µ-op trace costs address space and page
- *    cache, not resident heap (residentBytes() == 0).
+ *    cache, not resident heap (residentBytes() == 0). A spilled
+ *    recording keeps its small static table on the heap.
  */
 
 #ifndef EOLE_ISA_FROZEN_TRACE_HH
@@ -48,19 +50,44 @@ struct Program;
  */
 struct FrozenTrace
 {
-    /** Borrowed read-only view over the µ-op array. Mimics the vector
-     *  surface consumers use (size/[]/begin/end) so replay code is
-     *  backing-agnostic. */
+    /** Borrowed read-only view of the recording. µ-op i is the pair
+     *  (statics[records[i].staticId], records[i]); operator[] and the
+     *  iterator resolve both halves and return the TraceUop by value,
+     *  so replay code is backing-agnostic. */
     struct UopView
     {
-        const TraceUop *ptr = nullptr;
+        const StaticUop *statics = nullptr;
+        std::size_t staticCount = 0;
+        const UopRecord *records = nullptr;
         std::size_t count = 0;
+
+        class iterator
+        {
+          public:
+            iterator(const StaticUop *statics, const UopRecord *rec)
+                : statics(statics), rec(rec)
+            {}
+            TraceUop operator*() const
+            {
+                return TraceUop(statics + rec->staticId, rec);
+            }
+            iterator &operator++() { ++rec; return *this; }
+            bool operator==(const iterator &o) const { return rec == o.rec; }
+
+          private:
+            const StaticUop *statics;
+            const UopRecord *rec;
+        };
 
         std::size_t size() const { return count; }
         bool empty() const { return count == 0; }
-        const TraceUop &operator[](std::size_t i) const { return ptr[i]; }
-        const TraceUop *begin() const { return ptr; }
-        const TraceUop *end() const { return ptr + count; }
+        TraceUop
+        operator[](std::size_t i) const
+        {
+            return TraceUop(statics + records[i].staticId, records + i);
+        }
+        iterator begin() const { return {statics, records}; }
+        iterator end() const { return {statics, records + count}; }
     };
 
     UopView uops;
@@ -84,21 +111,35 @@ struct FrozenTrace
     /** SPEC-suite flag of the recorded workload (Workload::isFp). */
     bool isFp = false;
 
-    /** The µ-op array lives in a read-only file mapping instead of
+    /** The record array lives in a read-only file mapping instead of
      *  `storage`; such a trace is file-backed page cache, not heap. */
     bool mmapBacked = false;
 
-    /** Heap backing (in-memory recordings). */
-    std::vector<TraceUop> storage;
+    /** Heap backing: the static table (in-memory and spilled
+     *  recordings) and the records (in-memory recordings). */
+    std::vector<StaticUop> staticStorage;
+    std::vector<UopRecord> storage;
 
     /** Keep-alive for non-heap backings: the mmap (unmapped by the
      *  deleter) or a parent trace a clamped view borrows from. */
     std::shared_ptr<const void> mapping;
 
-    /** Point the view at `storage` after filling it. */
-    void seal() { uops = UopView{storage.data(), storage.size()}; }
+    /** Point the view at `staticStorage` and `storage` after filling
+     *  them. */
+    void
+    seal()
+    {
+        uops = UopView{staticStorage.data(), staticStorage.size(),
+                       storage.data(), storage.size()};
+    }
 
-    std::size_t bytes() const { return uops.size() * sizeof(TraceUop); }
+    /** The static table plus the records. */
+    std::size_t
+    bytes() const
+    {
+        return uops.staticCount * sizeof(StaticUop)
+            + uops.size() * sizeof(UopRecord);
+    }
 
     /** Bytes held in RAM against the trace-cache budget: mmap-backed
      *  pages are evictable file cache and count as zero. */
@@ -118,9 +159,10 @@ struct FrozenTrace
  * @param is_fp the workload's SPEC-suite flag, stamped into the trace
  * @param spill_dir empty: record to the heap. Otherwise write the
  *        records to an unlinked temporary file in this directory and
- *        map it read-only (mmapBacked). The spill is scratch, not a
- *        format: no header, no checksum, no reader outside this
- *        process. A failed write or map is fatal.
+ *        map it read-only (mmapBacked); the static table stays on the
+ *        heap. The spill is scratch, not a format: no header, no
+ *        checksum, no reader outside this process. A failed write or
+ *        map is fatal.
  */
 std::shared_ptr<const FrozenTrace>
 recordTrace(const Program &program, std::size_t mem_bytes,

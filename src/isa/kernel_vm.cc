@@ -13,6 +13,10 @@ KernelVM::KernelVM(const Program &program, std::size_t mem_bytes)
     : prog(program), memBytes(mem_bytes)
 {
     fatal_if(prog.code.empty(), "KernelVM: empty program");
+    statics.reserve(prog.code.size());
+    for (std::size_t i = 0; i < prog.code.size(); ++i)
+        statics.push_back(staticUopOf(prog.code[i],
+                                      static_cast<std::uint32_t>(i)));
     if (memBytes == 0)
         return;
     void *base = ::mmap(nullptr, memBytes, PROT_READ | PROT_WRITE,
@@ -29,7 +33,7 @@ KernelVM::~KernelVM()
 }
 
 bool
-KernelVM::step(TraceUop &out)
+KernelVM::step(UopRecord &out)
 {
     if (isHalted)
         return false;
@@ -39,18 +43,8 @@ KernelVM::step(TraceUop &out)
 
     const StaticInst &si = prog.code[pc];
 
-    out = TraceUop{};
-    out.pc = Program::pcOf(pc);
-    out.sidx = static_cast<std::uint32_t>(pc);
-    out.opc = si.opc;
-    out.dst = si.dst;
-    out.src1 = si.src1;
-    out.src2 = si.src2;
-    out.imm = si.imm;
-    out.memSize = si.memSize;
-    out.dstClass = si.dstRegClass();
-    out.srcClass[0] = si.srcRegClass(0);
-    out.srcClass[1] = si.srcRegClass(1);
+    out = UopRecord{};
+    out.staticId = static_cast<std::uint32_t>(pc);
 
     auto read_src = [&](RegIndex r, RegClass cls) -> RegVal {
         if (r == invalidReg)
@@ -60,8 +54,6 @@ KernelVM::step(TraceUop &out)
 
     const RegVal a = read_src(si.src1, si.srcRegClass(0));
     const RegVal b = read_src(si.src2, si.srcRegClass(1));
-    out.srcVals[0] = a;
-    out.srcVals[1] = b;
 
     std::size_t next_pc = pc + 1;
 
@@ -137,17 +129,36 @@ KernelVM::step(TraceUop &out)
     return true;
 }
 
+StaticUop
+staticUopOf(const StaticInst &inst, std::uint32_t sidx)
+{
+    StaticUop s;
+    s.pc = Program::pcOf(sidx);
+    s.imm = inst.imm;
+    s.sidx = sidx;
+    s.dst = inst.dst;
+    s.src1 = inst.src1;
+    s.src2 = inst.src2;
+    s.opc = inst.opc;
+    s.memSize = inst.memSize;
+    s.dstClass = inst.dstRegClass();
+    s.srcClass[0] = inst.srcRegClass(0);
+    s.srcClass[1] = inst.srcRegClass(1);
+    return s;
+}
+
 std::string
 describe(const TraceUop &u)
 {
     return csprintf("%#llx %u %s %u %u %u %lld %u %u %u %u %#llx %#llx %d "
                     "%#llx",
-                    (unsigned long long)u.pc, u.sidx, opcodeName(u.opc),
-                    u.dst, u.src1, u.src2, (long long)u.imm, u.memSize,
-                    unsigned(u.dstClass), unsigned(u.srcClass[0]),
-                    unsigned(u.srcClass[1]), (unsigned long long)u.result,
-                    (unsigned long long)u.effAddr, int(u.taken),
-                    (unsigned long long)u.nextPc);
+                    (unsigned long long)u.pc(), u.sidx(), opcodeName(u.opc()),
+                    u.dst(), u.src1(), u.src2(), (long long)u.imm(),
+                    u.memSize(), unsigned(u.dstClass()),
+                    unsigned(u.srcClass(0)), unsigned(u.srcClass(1)),
+                    (unsigned long long)u.result(),
+                    (unsigned long long)u.effAddr(), int(u.taken()),
+                    (unsigned long long)u.nextPc());
 }
 
 std::string

@@ -4,7 +4,9 @@
  *
  * The VM owns the simulated architectural state (integer/FP registers
  * and a flat byte-addressed memory) and executes a Program one µ-op at
- * a time, emitting TraceUop records that the timing simulator consumes.
+ * a time, emitting the UopRecords the timing simulator consumes. The
+ * static id of each record is its static instruction index, so the
+ * VM's static table is the program's code, entry for entry.
  */
 
 #ifndef EOLE_ISA_KERNEL_VM_HH
@@ -12,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -47,7 +50,18 @@ class KernelVM
      * @param out filled with the dynamic record of the executed µ-op
      * @retval false if the machine has halted (out is not filled)
      */
-    bool step(TraceUop &out);
+    bool step(UopRecord &out);
+
+    /** The static table step()'s records index: entry i describes
+     *  static instruction i of the program. */
+    const std::vector<StaticUop> &staticTable() const { return statics; }
+
+    /** The µ-op @p rec (a record of this VM) describes. */
+    TraceUop
+    uopOf(const UopRecord &rec) const
+    {
+        return TraceUop(&statics[rec.staticId], &rec);
+    }
 
     bool halted() const { return isHalted; }
     std::uint64_t executedUops() const { return uopCount; }
@@ -112,6 +126,7 @@ class KernelVM
     }
 
     const Program &prog;
+    std::vector<StaticUop> statics;
     std::uint8_t *mem = nullptr;
     const std::size_t memBytes;
     RegVal intRegs[numArchIntRegs] = {};

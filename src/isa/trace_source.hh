@@ -10,7 +10,7 @@
  *
  * The stream is always a shared immutable FrozenTrace — recorded to the
  * heap or a mapped spill file by the trace cache (sim/trace_cache.hh),
- * loaded from an eole-trace-v1 file, or recorded by the caller with
+ * loaded from an eole-trace-v2 file, or recorded by the caller with
  * Workload::freeze — replayed by any number of concurrently running
  * cores. The source keeps no window of its own: fetch, rewind and
  * retire are index arithmetic over the shared array.
@@ -90,7 +90,7 @@ class TraceSource
     SeqNum nextSeq() const { return cursor + 1; }
 
     /** Peek the µ-op at the cursor without consuming it. */
-    const TraceUop &
+    TraceUop
     peek() const
     {
         panic_if(!hasNext(), "peek past end of trace");
@@ -98,11 +98,11 @@ class TraceSource
     }
 
     /** Consume and return the µ-op at the cursor. */
-    const TraceUop &
+    TraceUop
     fetch()
     {
         panic_if(!hasNext(), "fetch past end of trace");
-        const TraceUop &u = uops[cursor];
+        const TraceUop u = uops[cursor];
         ++cursor;
         if (cursor > highWater)
             highWater = cursor;
@@ -141,7 +141,7 @@ class TraceSource
 
   private:
     std::shared_ptr<const FrozenTrace> frozen;  //!< keeps `uops` alive
-    FrozenTrace::UopView uops;  //!< the recording's array, by value
+    FrozenTrace::UopView uops;  //!< the recording's view, by value
     std::size_t cursor = 0;     //!< 0-based index of the next fetch
     std::size_t highWater = 0;  //!< max cursor ever reached
     SeqNum retiredSeq = 0;      //!< all seq <= this retired

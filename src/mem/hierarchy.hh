@@ -112,15 +112,15 @@ class MemHierarchy : public WarmableComponent
     warmUpdate(const TraceUop &uop) override
     {
         ++warmClock;
-        const Addr line = uop.pc & fetchLineMask;
+        const Addr line = uop.pc() & fetchLineMask;
         if (line != warmFetchLine) {
             warmFetchLine = line;
-            (void)fetchAccess(uop.pc, warmClock);
+            (void)fetchAccess(uop.pc(), warmClock);
         }
         if (uop.isLoad())
-            (void)loadAccess(uop.pc, uop.effAddr, warmClock);
+            (void)loadAccess(uop.pc(), uop.effAddr(), warmClock);
         else if (uop.isStore())
-            (void)storeAccess(uop.pc, uop.effAddr, warmClock);
+            (void)storeAccess(uop.pc(), uop.effAddr(), warmClock);
     }
 
     /** Advance the warming pseudo-clock past @p now so a detailed run

@@ -22,14 +22,14 @@ namespace eole {
 struct DynInst
 {
     // --- Fetch ---
-    /** The trace µ-op this in-flight instance executes. A pointer into
-     *  the immutable recording the TraceSource replays (a heap vector
-     *  or a read-only mapping, kept alive by the source for the core's
-     *  whole life), not a copy: replay never moves or frees an entry,
-     *  so the pointee outlives every handle, squashed or not. Dropping
-     *  the ~100-byte copy per µ-op is a measurable win on the fetch
-     *  path and shrinks DynInst across every queue scan. */
-    const TraceUop *uopP = nullptr;
+    /** The trace µ-op this in-flight instance executes: its static
+     *  entry and dynamic record, both resolved once at fetch. Two
+     *  pointers into the immutable recording the TraceSource replays
+     *  (heap vectors or a read-only mapping, kept alive by the source
+     *  for the core's whole life), not a copy: replay never moves or
+     *  frees an entry, so both outlive every handle, squashed or not.
+     *  No stage looks an entry up by static id. */
+    TraceUop uopRef;
     SeqNum seq = 0;
     Cycle fetchCycle = 0;
     /** Front-end speculative state after this µ-op (for squash repair). */
@@ -58,7 +58,6 @@ struct DynInst
 
     // --- Execution ---
     bool dispatched = false;
-    bool inIQ = false;
     /** Both source operands have been seen ready by the issue scan.
      *  Monotone while the entry waits in the IQ — a source physical
      *  register cannot be reclaimed while its reader is in flight —
@@ -92,11 +91,11 @@ struct DynInst
     // --- Lifecycle ---
     bool squashed = false;
 
-    const TraceUop &uop() const { return *uopP; }
+    const TraceUop &uop() const { return uopRef; }
 
     /** Does this µ-op produce a register result after rename? False
      *  for zero-register writes rename dropped. */
-    bool hasDst() const { return !dstDropped && uopP->hasDst(); }
+    bool hasDst() const { return !dstDropped && uopRef.hasDst(); }
 
     bool isLoad() const { return uop().isLoad(); }
     bool isStore() const { return uop().isStore(); }

@@ -86,23 +86,10 @@ PipelineState::bankOfReg(RegClass cls, RegIndex phys) const
 RegVal
 PipelineState::readOperand(const DynInst &di, int idx) const
 {
-    const RegIndex src = idx == 0 ? di.uop().src1 : di.uop().src2;
+    const RegIndex src = idx == 0 ? di.uop().src1() : di.uop().src2();
     if (src == invalidReg)
         return 0;
-    return prf[int(di.uop().srcClass[idx])]->read(di.physSrc[idx]);
-}
-
-bool
-PipelineState::operandsReady(const DynInst &di) const
-{
-    for (int i = 0; i < 2; ++i) {
-        const RegIndex src = i == 0 ? di.uop().src1 : di.uop().src2;
-        if (src == invalidReg)
-            continue;
-        if (!prf[int(di.uop().srcClass[i])]->isReady(di.physSrc[i], now))
-            return false;
-    }
-    return true;
+    return prf[int(di.uop().srcClass(idx))]->read(di.physSrc[idx]);
 }
 
 bool
@@ -117,17 +104,16 @@ PipelineState::operandsReadyCaching(DynInst &di) const
         di.opsReady = true;
         return true;
     }
-    // Equivalent to operandsReady: all sources ready iff the max of
-    // their readyAt cycles is <= now (an unscheduled producer has
-    // readyAt == invalidCycle, which also dominates the max and
-    // correctly blocks caching).
+    // All sources are ready iff the max of their readyAt cycles is
+    // <= now (an unscheduled producer has readyAt == invalidCycle,
+    // which also dominates the max and correctly blocks caching).
     Cycle latest = 0;
     for (int i = 0; i < 2; ++i) {
-        const RegIndex src = i == 0 ? di.uop().src1 : di.uop().src2;
+        const RegIndex src = i == 0 ? di.uop().src1() : di.uop().src2();
         if (src == invalidReg)
             continue;
         const Cycle r =
-            prf[int(di.uop().srcClass[i])]->readyCycle(di.physSrc[i]);
+            prf[int(di.uop().srcClass(i))]->readyCycle(di.physSrc[i]);
         if (r > latest)
             latest = r;
     }
@@ -148,18 +134,18 @@ PipelineState::markSquashed(const DynInstPtr &di)
         tracer->squash(now, di->seq);
     if (di->vpLookupValid && vp) {
         prof::ScopedTimer vp_timer(prof::ModelVpred);
-        vp->squash(di->uop().pc, di->vp);
+        vp->squash(di->uop().pc(), di->vp);
     }
     if (di->isStore())
-        ssets.storeResolved(di->uop().pc, di->seq);
+        ssets.storeResolved(di->uop().pc(), di->seq);
 }
 
 void
 PipelineState::undoRename(const DynInstPtr &di)
 {
     if (di->physDst != invalidReg) {
-        mapOf(di->uop().dstClass).restore(di->uop().dst, di->oldPhysDst);
-        prfOf(di->uop().dstClass).freeReg(di->physDst);
+        mapOf(di->uop().dstClass()).restore(di->uop().dst(), di->oldPhysDst);
+        prfOf(di->uop().dstClass()).freeReg(di->physDst);
     }
 }
 

@@ -124,13 +124,12 @@ struct PipelineState
 
     int bankOfReg(RegClass cls, RegIndex phys) const;
     RegVal readOperand(const DynInst &di, int idx) const;
-    bool operandsReady(const DynInst &di) const;
 
-    /** operandsReady plus memoization: when every producer has already
-     *  scheduled its writeback, the combined ready cycle is final and
-     *  is cached in @p di.srcReadyAt so later polls compare a field the
-     *  issue scan already has in cache instead of re-reading the
-     *  register file. */
+    /** Are both source operands of @p di ready? Memoized: when every
+     *  producer has already scheduled its writeback, the combined
+     *  ready cycle is final and is cached in @p di.srcReadyAt so later
+     *  polls compare a field the issue scan already has in cache
+     *  instead of re-reading the register file. */
     bool operandsReadyCaching(DynInst &di) const;
 
     // --- Recovery ---

@@ -52,17 +52,17 @@ CommitStage::tick(PipelineState &st)
 
         // --- Lockstep oracle check (self-verification) ---
         if (di->hasDst()) {
-            panic_if(di->computedValue != di->uop().result,
+            panic_if(di->computedValue != di->uop().result(),
                      "oracle mismatch @%llu pc=%#llx %s: got %#llx "
                      "expected %#llx",
                      (unsigned long long)di->seq,
-                     (unsigned long long)di->uop().pc,
-                     opcodeName(di->uop().opc),
+                     (unsigned long long)di->uop().pc(),
+                     opcodeName(di->uop().opc()),
                      (unsigned long long)di->computedValue,
-                     (unsigned long long)di->uop().result);
+                     (unsigned long long)di->uop().result());
         } else if (di->isStore()) {
-            panic_if(di->storeData != di->uop().result
-                         || di->effAddr != di->uop().effAddr,
+            panic_if(di->storeData != di->uop().result()
+                         || di->effAddr != di->uop().effAddr(),
                      "store oracle mismatch @%llu",
                      (unsigned long long)di->seq);
         }
@@ -79,7 +79,7 @@ CommitStage::tick(PipelineState &st)
         }
         if (di->isStore()) {
             prof::ScopedTimer mem_timer(prof::ModelMem);
-            st.mem->storeAccess(di->uop().pc, di->effAddr, st.now);
+            st.mem->storeAccess(di->uop().pc(), di->effAddr, st.now);
         }
 
         // --- Statistics ---
@@ -108,7 +108,7 @@ CommitStage::tick(PipelineState &st)
 
         // --- Retire ---
         if (di->oldPhysDst != invalidReg)
-            st.prfOf(di->uop().dstClass).freeReg(di->oldPhysDst);
+            st.prfOf(di->uop().dstClass()).freeReg(di->oldPhysDst);
         const DynInstPtr done = st.rob.popFront();  // `di` dangles now
         if (done->isLoad())
             st.lq.popFront();

@@ -40,14 +40,15 @@ DispatchStage::tick(PipelineState &st)
         // dispatch, consuming constrained write ports (§6.3).
         if (head->physDst != invalidReg
             && (head->earlyExecuted || head->predictionUsed)) {
-            const int bank = st.bankOfReg(head->uop().dstClass, head->physDst);
+            const int bank =
+                st.bankOfReg(head->uop().dstClass(), head->physDst);
             if (!st.ports.tryEeWrite(bank)) {
                 ++s.dispatchPortStalls;
                 break;
             }
             const RegVal v = head->earlyExecuted ? head->computedValue
                                                  : head->predictedValue;
-            st.prfOf(head->uop().dstClass).write(head->physDst, v, st.now);
+            st.prfOf(head->uop().dstClass()).write(head->physDst, v, st.now);
             ++st.iqWakeEpoch;  // a queued consumer may now be ready
         }
 
@@ -71,7 +72,6 @@ DispatchStage::tick(PipelineState &st)
         } else if (di->lateExecutable()) {
             di->completeCycle = st.now;  // LE gating base (see commit)
         } else {
-            di->inIQ = true;
             st.iq.push_back(std::move(di));
             ++st.iqWakeEpoch;
             ++s.dispatchedToIQ;

@@ -28,11 +28,11 @@ FetchStage::tick(PipelineState &st)
 
     while (fetched < fetchWidth && st.ts.hasNext()
            && st.frontPipe.canPush(st.now)) {
-        const TraceUop &peek = st.ts.peek();
-        const Addr line = st.mem->fetchLine(peek.pc);
+        const Addr pc = st.ts.peek().pc();
+        const Addr line = st.mem->fetchLine(pc);
         if (line != cur_line) {
             prof::ScopedTimer mem_timer(prof::ModelMem);
-            const Cycle ready = st.mem->fetchAccess(peek.pc, st.now);
+            const Cycle ready = st.mem->fetchAccess(pc, st.now);
             const Cycle hit_time = st.now + l1iHitLatency;
             if (ready > hit_time) {
                 // I-cache miss: stall fetch until the line arrives.
@@ -44,14 +44,14 @@ FetchStage::tick(PipelineState &st)
 
         DynInstPtr di = st.dynInstPool.allocate();
         di->seq = st.ts.nextSeq();
-        di->uopP = &st.ts.fetch();
+        di->uopRef = st.ts.fetch();
         di->fetchCycle = st.now;
 
         // Value prediction at fetch (§4.2). Writes to the int zero
         // register are architecturally dropped and not predicted.
         if (st.vp && di->uop().vpPredictable()) {
             prof::ScopedTimer vp_timer(prof::ModelVpred);
-            di->vp = st.vp->predict(di->uop().pc);
+            di->vp = st.vp->predict(di->uop().pc());
             di->vpLookupValid = true;
             if (di->vp.confident) {
                 di->predictionUsed = true;
@@ -80,8 +80,8 @@ FetchStage::tick(PipelineState &st)
         di->postSnap = st.bu->currentSnapshot();
 
         if (st.tracer && st.tracer->wants(di->seq)) {
-            st.tracer->fetch(st.now, di->seq, di->uop().pc,
-                             opcodeName(di->uop().opc),
+            st.tracer->fetch(st.now, di->seq, di->uop().pc(),
+                             opcodeName(di->uop().opc()),
                              di->vpLookupValid ? vpLookupAnnot(di->vp) : "");
         }
 

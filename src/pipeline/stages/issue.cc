@@ -105,7 +105,6 @@ IssueStage::tick(PipelineState &st)
                         || storeExecuted(st, di->dependsOnStore))
                     && executeInst(st, di)) {
                     di->issued = true;
-                    di->inIQ = false;
                     if (st.tracer && st.tracer->wants(di->seq)) {
                         st.tracer->event(st.now, di->seq, PipeEvent::Issue);
                         st.tracer->event(st.now, di->seq, PipeEvent::Exec);
@@ -171,7 +170,7 @@ IssueStage::finishExec(PipelineState &st, const DynInstPtr &di, RegVal value,
     di->computedValue = value;
     di->hasComputedValue = true;
     if (di->physDst != invalidReg) {
-        PhysRegFile &f = st.prfOf(di->uop().dstClass);
+        PhysRegFile &f = st.prfOf(di->uop().dstClass());
         if (di->predictionUsed) {
             // The prediction was written (and made ready) at dispatch;
             // writeback replaces the value, as in the paper's baseline.
@@ -195,8 +194,8 @@ IssueStage::checkStoreViolation(PipelineState &st, const DynInstPtr &store)
             continue;
         if (!ld->issued && !ld->completed)
             continue;
-        if (!rangesOverlap(ld->effAddr, ld->uop().memSize, store->effAddr,
-                           store->uop().memSize)) {
+        if (!rangesOverlap(ld->effAddr, ld->uop().memSize(), store->effAddr,
+                           store->uop().memSize())) {
             continue;
         }
         victim = ld;
@@ -206,7 +205,7 @@ IssueStage::checkStoreViolation(PipelineState &st, const DynInstPtr &store)
         return;
 
     ++s.memOrderViolations;
-    st.ssets.violation(victim->uop().pc, store->uop().pc);
+    st.ssets.violation(victim->uop().pc(), store->uop().pc());
     // Squash from the violating load (it re-executes after the store).
     st.squashAfter(victim->seq - 1, victim->postSnap, st.now + 1);
 }
@@ -225,7 +224,7 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
       case OpClass::FpDiv: {
         const RegVal a = st.readOperand(*di, 0);
         const RegVal b = st.readOperand(*di, 1);
-        const RegVal val = execAlu(di->uop().opc, a, b, di->uop().imm);
+        const RegVal val = execAlu(di->uop().opc(), a, b, di->uop().imm());
         finishExec(st, di, val, st.now + opLatency(cls));
         return true;
       }
@@ -233,13 +232,14 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
       case OpClass::Branch: {
         // Branches resolve one cycle after issue on an ALU. Calls
         // produce the link value.
-        const RegVal val = di->uop().isCall() ? di->uop().pc + uopBytes : 0;
+        const RegVal val = di->uop().isCall() ? di->uop().pc() + uopBytes : 0;
         finishExec(st, di, val, st.now + 1);
         return true;
       }
 
       case OpClass::MemRead: {
-        const Addr addr = effectiveAddr(st.readOperand(*di, 0), di->uop().imm);
+        const Addr addr =
+            effectiveAddr(st.readOperand(*di, 0), di->uop().imm());
         di->effAddr = addr;
         di->effAddrValid = true;
 
@@ -255,11 +255,12 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
                 // (Store Sets vouched); violations are caught later.
                 continue;
             }
-            if (!rangesOverlap(addr, di->uop().memSize, stq->effAddr,
-                               stq->uop().memSize)) {
+            if (!rangesOverlap(addr, di->uop().memSize(), stq->effAddr,
+                               stq->uop().memSize())) {
                 continue;
             }
-            if (stq->effAddr == addr && di->uop().memSize <= stq->uop().memSize)
+            if (stq->effAddr == addr
+                && di->uop().memSize() <= stq->uop().memSize())
                 match = stq;
             else
                 partial = true;
@@ -274,29 +275,30 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
         RegVal val;
         Cycle ready;
         if (match) {
-            val = sliceValue(match->storeData, di->uop().memSize);
+            val = sliceValue(match->storeData, di->uop().memSize());
             ready = st.now + 2;  // forwarding at L1-hit-like latency
             ++s.storeToLoadForwards;
         } else {
             // Architecturally correct value when the address is right;
             // deterministic garbage when executing with mispredicted
             // operands (will be squashed).
-            val = addr == di->uop().effAddr ? di->uop().result
+            val = addr == di->uop().effAddr() ? di->uop().result()
                                           : sliceValue(garbageValue(addr),
-                                                       di->uop().memSize);
+                                                       di->uop().memSize());
             prof::ScopedTimer mem_timer(prof::ModelMem);
-            ready = st.mem->loadAccess(di->uop().pc, addr, st.now + 1);
+            ready = st.mem->loadAccess(di->uop().pc(), addr, st.now + 1);
         }
         finishExec(st, di, val, ready);
         return true;
       }
 
       case OpClass::MemWrite: {
-        const Addr addr = effectiveAddr(st.readOperand(*di, 0), di->uop().imm);
+        const Addr addr =
+            effectiveAddr(st.readOperand(*di, 0), di->uop().imm());
         di->effAddr = addr;
         di->effAddrValid = true;
         di->storeData = st.readOperand(*di, 1);
-        st.ssets.storeResolved(di->uop().pc, di->seq);
+        st.ssets.storeResolved(di->uop().pc(), di->seq);
         // Violation check first: the squash (if any) only removes µ-ops
         // younger than the violating load; this store survives it.
         checkStoreViolation(st, di);

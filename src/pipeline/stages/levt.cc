@@ -27,14 +27,14 @@ LevtStage::readNeeds(const PipelineState &st, const DynInst &di,
     if (di.lateExecutable()) {
         // Operand reads for Late Execution.
         for (int i = 0; i < 2; ++i) {
-            const RegIndex src = i == 0 ? di.uop().src1 : di.uop().src2;
+            const RegIndex src = i == 0 ? di.uop().src1() : di.uop().src2();
             if (src == invalidReg)
                 continue;
-            banks_out[n++] = st.bankOfReg(di.uop().srcClass[i], di.physSrc[i]);
+            banks_out[n++] = st.bankOfReg(di.uop().srcClass(i), di.physSrc[i]);
         }
     } else if (di.uop().vpEligible() && vpEnabled) {
         // Validation (predicted) / training (all eligible) result read.
-        banks_out[n++] = st.bankOfReg(di.uop().dstClass, di.physDst);
+        banks_out[n++] = st.bankOfReg(di.uop().dstClass(), di.physDst);
     }
     return n;
 }
@@ -57,7 +57,7 @@ LevtStage::lateExecute(PipelineState &st, const DynInstPtr &di)
     if (di->lateExecAlu) {
         const RegVal a = st.readOperand(*di, 0);
         const RegVal b = st.readOperand(*di, 1);
-        di->computedValue = execAlu(di->uop().opc, a, b, di->uop().imm);
+        di->computedValue = execAlu(di->uop().opc(), a, b, di->uop().imm());
         di->hasComputedValue = true;
         di->completed = true;
         ++s.lateExecutedAlu;
@@ -87,7 +87,7 @@ LevtStage::validate(PipelineState &st, const DynInstPtr &di)
     } else {
         ++s.vpMispredictSquashes;
         // Fix the PRF if the prediction was still live there.
-        st.prfOf(di->uop().dstClass).overwriteValue(di->physDst,
+        st.prfOf(di->uop().dstClass()).overwriteValue(di->physDst,
                                                   di->computedValue);
     }
     return mispredict;
@@ -98,7 +98,7 @@ LevtStage::train(PipelineState &st, const DynInstPtr &di)
 {
     if (vpEnabled && di->vpLookupValid) {
         prof::ScopedTimer vp_timer(prof::ModelVpred);
-        st.vp->commit(di->uop().pc, di->uop().result, di->vp);
+        st.vp->commit(di->uop().pc(), di->uop().result(), di->vp);
     }
 }
 

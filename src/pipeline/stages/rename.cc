@@ -26,11 +26,12 @@ RenameStage::tick(PipelineState &st)
 
         // Banked free-list check before consuming the µ-op.
         const bool has_dst = peek->uop().hasDst()
-            && !(peek->uop().dstClass == RegClass::Int && peek->uop().dst == 0);
+            && !(peek->uop().dstClass() == RegClass::Int
+                 && peek->uop().dst() == 0);
         int bank = 0;
         if (has_dst) {
             bank = st.bankCursor % prfBanks;
-            if (!st.prfOf(peek->uop().dstClass).bankHasFree(bank)) {
+            if (!st.prfOf(peek->uop().dstClass()).bankHasFree(bank)) {
                 ++s.renameBankStalls;
                 break;
             }
@@ -42,19 +43,19 @@ RenameStage::tick(PipelineState &st)
 
         // Rename sources.
         for (int i = 0; i < 2; ++i) {
-            const RegIndex src = i == 0 ? di->uop().src1 : di->uop().src2;
+            const RegIndex src = i == 0 ? di->uop().src1() : di->uop().src2();
             if (src == invalidReg)
                 continue;
-            di->physSrc[i] = st.mapOf(di->uop().srcClass[i]).lookup(src);
+            di->physSrc[i] = st.mapOf(di->uop().srcClass(i)).lookup(src);
         }
 
         // Rename destination (bank-aware round-robin allocation).
         if (has_dst) {
-            PhysRegFile &f = st.prfOf(di->uop().dstClass);
+            PhysRegFile &f = st.prfOf(di->uop().dstClass());
             const RegIndex phys = f.allocFromBank(bank);
             di->physDst = phys;
-            di->oldPhysDst = st.mapOf(di->uop().dstClass).rename(di->uop().dst,
-                                                               phys);
+            di->oldPhysDst = st.mapOf(di->uop().dstClass())
+                                 .rename(di->uop().dst(), phys);
             f.markPending(phys);
             ++st.bankCursor;
         } else if (di->uop().hasDst()) {
@@ -70,17 +71,17 @@ RenameStage::tick(PipelineState &st)
         // Publish bypass/prediction operands for EE consumers.
         if (di->physDst != invalidReg) {
             if (di->earlyExecuted) {
-                ee.publish(di->uop().dstClass, di->physDst,
+                ee.publish(di->uop().dstClass(), di->physDst,
                            di->computedValue);
             } else if (di->predictionUsed) {
-                ee.publish(di->uop().dstClass, di->physDst,
+                ee.publish(di->uop().dstClass(), di->physDst,
                            di->predictedValue);
             }
         }
 
         // --- Late Execution routing (§3.3) ---
         if (lateExec && !di->earlyExecuted && di->predictionUsed
-            && isSingleCycleAlu(di->uop().opc)) {
+            && isSingleCycleAlu(di->uop().opc())) {
             di->lateExecAlu = true;
         }
         if (lateExec && lateExecBranches && di->uop().isCondBr()
@@ -90,9 +91,9 @@ RenameStage::tick(PipelineState &st)
 
         // Store Sets bookkeeping (rename order = program order).
         if (di->isLoad() || di->isStore())
-            di->dependsOnStore = st.ssets.lookupDependence(di->uop().pc);
+            di->dependsOnStore = st.ssets.lookupDependence(di->uop().pc());
         if (di->isStore())
-            st.ssets.insertStore(di->uop().pc, di->seq);
+            st.ssets.insertStore(di->uop().pc(), di->seq);
 
         renameGroup.push_back(di.get());
         st.renameOut.push_back(std::move(di));
@@ -105,7 +106,7 @@ RenameStage::tick(PipelineState &st)
             if (di->earlyExecuted)
                 continue;
             if (tryEarlyExecute(*di)) {
-                ee.publish(di->uop().dstClass, di->physDst,
+                ee.publish(di->uop().dstClass(), di->physDst,
                            di->computedValue);
                 di->lateExecAlu = false;
             }
@@ -129,22 +130,23 @@ RenameStage::tick(PipelineState &st)
 bool
 RenameStage::tryEarlyExecute(DynInst &di)
 {
-    if (!isSingleCycleAlu(di.uop().opc) || di.physDst == invalidReg)
+    if (!isSingleCycleAlu(di.uop().opc()) || di.physDst == invalidReg)
         return false;
 
     RegVal vals[2] = {0, 0};
     for (int i = 0; i < 2; ++i) {
-        const RegIndex src = i == 0 ? di.uop().src1 : di.uop().src2;
+        const RegIndex src = i == 0 ? di.uop().src1() : di.uop().src2();
         if (src == invalidReg)
             continue;
         // The int zero register is a constant (like an immediate).
-        if (di.uop().srcClass[i] == RegClass::Int && src == 0)
+        if (di.uop().srcClass(i) == RegClass::Int && src == 0)
             continue;
-        if (!ee.available(di.uop().srcClass[i], di.physSrc[i], vals[i]))
+        if (!ee.available(di.uop().srcClass(i), di.physSrc[i], vals[i]))
             return false;
     }
 
-    di.computedValue = execAlu(di.uop().opc, vals[0], vals[1], di.uop().imm);
+    di.computedValue =
+        execAlu(di.uop().opc(), vals[0], vals[1], di.uop().imm());
     di.hasComputedValue = true;
     di.earlyExecuted = true;
     return true;

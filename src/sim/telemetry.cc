@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -40,9 +42,19 @@ jms(double ms)
 } // namespace
 
 TelemetrySink::TelemetrySink(const std::string &path)
-    : os(path), start(std::chrono::steady_clock::now())
+    : path(path), os(path), start(std::chrono::steady_clock::now())
 {
-    fatal_if(!os, "cannot open telemetry file %s", path.c_str());
+    if (!os) {
+        failure = csprintf("cannot open telemetry file %s: %s",
+                           path.c_str(), std::strerror(errno));
+    }
+}
+
+std::string
+TelemetrySink::error() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return failure;
 }
 
 double
@@ -56,8 +68,14 @@ void
 TelemetrySink::emit(const std::string &body)
 {
     std::lock_guard<std::mutex> lock(mu);
+    if (!failure.empty())
+        return;
     os << "{\"ev\":" << body << "}\n";
     os.flush();
+    if (!os) {
+        failure = csprintf("write failure on telemetry file %s: %s",
+                           path.c_str(), std::strerror(errno));
+    }
 }
 
 void

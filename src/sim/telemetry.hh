@@ -18,7 +18,10 @@
  * this).
  *
  * Every write happens under one mutex and is flushed line-atomically,
- * so a crash mid-run leaves a prefix of whole lines. `eole telemetry
+ * so a crash mid-run leaves a prefix of whole lines. A sink that
+ * cannot open its file, or fails a write or a flush, records the
+ * first failure in error() and drops later events; the CLI checks it
+ * before it exits and exits 2. `eole telemetry
  * summarize FILE...` merges one or more streams (e.g. the three files
  * of a 3-shard sweep) into per-worker utilization, the critical-path
  * cell, and the distinct cell set.
@@ -41,8 +44,11 @@ namespace eole {
 class TelemetrySink
 {
   public:
-    /** Opens @p path for writing (fatal on failure). */
+    /** Opens @p path for writing; a failure shows in error(). */
     explicit TelemetrySink(const std::string &path);
+
+    /** The first failure to open, write or flush the file, or empty. */
+    std::string error() const;
 
     /** Run manifest. @p command is the CLI verb ("run", "shard",
      *  "ckpt-save"); @p shard_host/@p shard_hosts are -1 when the run
@@ -89,8 +95,10 @@ class TelemetrySink
   private:
     void emit(const std::string &body);
 
+    std::string path;
     std::ofstream os;
-    std::mutex mu;
+    std::string failure;
+    mutable std::mutex mu;
     std::chrono::steady_clock::time_point start;
 };
 

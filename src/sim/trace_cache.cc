@@ -22,9 +22,12 @@ std::shared_ptr<const FrozenTrace>
 TraceCache::record(const Workload &workload, std::uint64_t min_uops)
 {
     // The one place that chooses heap or file: a recording over the
-    // budget spills to the temp directory instead of the heap.
+    // budget (its records plus its static table, as bytes() counts
+    // them) spills to the temp directory instead of the heap.
     std::string spillDir;
-    if (!workload.fileBacked && min_uops * sizeof(TraceUop) > byteBudget()) {
+    const std::uint64_t bytes = min_uops * sizeof(UopRecord)
+        + workload.program.size() * sizeof(StaticUop);
+    if (!workload.fileBacked && bytes > byteBudget()) {
         std::error_code ec;
         spillDir = std::filesystem::temp_directory_path(ec).string();
         fatal_if(ec, "trace spill: no temporary directory: %s",

@@ -508,8 +508,8 @@ cmdListWorkloads(const std::vector<std::string> &specs)
         KernelVM vm(w.program, w.memBytes);
         if (w.init)
             w.init(vm);
-        TraceUop u;
-        while (vm.executedUops() < horizon && vm.step(u)) {
+        UopRecord rec;
+        while (vm.executedUops() < horizon && vm.step(rec)) {
         }
         if (vm.halted()) {
             std::printf("%-14s %5s %12llu\n", name.c_str(),
@@ -729,6 +729,8 @@ struct RunRequest
     void start();
     void storeSummary(std::size_t hits, std::size_t computed) const;
     int bail(const std::string &reason) const;
+    /** End the telemetry stream with run_finish. Exit code: 2 if the
+     *  sink failed to write any of it, else 0. */
     int finish(std::size_t done) const;
 
   private:
@@ -772,8 +774,13 @@ RunRequest::open(int argc, char **argv)
     // The telemetry stream opens before any validation below, and
     // every exit-2 path from here on terminates it with run_aborted —
     // a consumer never sees a silently truncated stream.
-    if (!telemetryPath.empty())
+    if (!telemetryPath.empty()) {
         telem = std::make_unique<TelemetrySink>(telemetryPath);
+        if (const std::string e = telem->error(); !e.empty()) {
+            telem.reset();
+            return fail(e);
+        }
+    }
     if (err.empty() && args.size() > 1)
         err = csprintf("%s takes one plan name, not also \"%s\"", verb,
                        args[1].c_str());
@@ -905,8 +912,11 @@ RunRequest::storeSummary(std::size_t hits, std::size_t computed) const
 int
 RunRequest::finish(std::size_t done) const
 {
-    if (telem)
+    if (telem) {
         telem->runFinish(done);
+        if (const std::string e = telem->error(); !e.empty())
+            return fail(e);
+    }
     return 0;
 }
 
@@ -1460,9 +1470,13 @@ cmdTraceInfo(int argc, char **argv)
         std::printf("%s:\n", path.c_str());
         std::printf("  workload  %s\n", info.name.c_str());
         std::printf("  source    %s\n", info.source.c_str());
-        std::printf("  µ-ops     %llu (%s)\n",
+        std::printf("  µ-ops     %llu (%s), %zu bytes each\n",
                     (unsigned long long)info.uopCount,
-                    info.complete ? "complete" : "prefix");
+                    info.complete ? "complete" : "prefix",
+                    sizeof(UopRecord));
+        std::printf("  statics   %llu entries, %zu bytes each\n",
+                    (unsigned long long)info.staticCount,
+                    sizeof(StaticUop));
         std::printf("  suite     %s\n", info.isFp ? "FP" : "INT");
         std::printf("  bytes     %llu\n",
                     (unsigned long long)info.fileBytes);

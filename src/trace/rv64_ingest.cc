@@ -5,6 +5,7 @@
 #include <istream>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -210,12 +211,36 @@ decode(std::uint64_t pc, std::uint32_t insn, RvInst *d, std::string *err)
 /** Architectural x-registers plus a sparse byte memory: just enough
  *  state to re-execute the committed stream and fill in the oracle
  *  fields (the exact mirror of KernelVM::step, minus the VM's dense
- *  bounded memory). */
+ *  bounded memory), and the recording it emits.
+ *
+ *  The static table is keyed by shape, not by sidx: a register
+ *  W-shift folds its dynamic shift amount into the immediate and
+ *  picks Shri or Sari from it, so one sidx can execute several
+ *  shapes. Each distinct shape gets one entry, in order of first
+ *  execution, and a record carries its entry's index. */
 struct Machine
 {
     RegVal x[32] = {};
     std::unordered_map<std::uint64_t, std::uint8_t> mem;
-    std::vector<TraceUop> out;
+    std::vector<StaticUop> statics;
+    std::vector<UopRecord> out;
+
+    using Shape = std::tuple<std::uint32_t, Opcode, RegIndex, RegIndex,
+                             RegIndex, std::int64_t, std::uint8_t>;
+    std::map<Shape, std::uint32_t> ids;
+
+    /** The static id of @p st, added to the table if new. */
+    std::uint32_t
+    intern(const StaticUop &st)
+    {
+        const Shape shape{st.sidx, st.opc, st.dst, st.src1, st.src2,
+                          st.imm, st.memSize};
+        const auto [it, added] = ids.try_emplace(
+            shape, static_cast<std::uint32_t>(statics.size()));
+        if (added)
+            statics.push_back(st);
+        return it->second;
+    }
 
     RegVal read(int r) const { return r == 0 ? 0 : x[r]; }
 
@@ -246,24 +271,25 @@ struct Machine
     }
 };
 
-/** Append a µ-op with operands read from the machine; oracle result /
- *  effAddr / control flow are filled in by the caller *before* the
- *  next emit (push_back invalidates the reference). */
-TraceUop &
+/** Append a µ-op: its static shape to the table, its record to the
+ *  stream. The oracle result / effAddr / control flow are filled in
+ *  by the caller *before* the next emit (push_back invalidates the
+ *  reference), from operands read before any write of this µ-op. */
+UopRecord &
 emitUop(Machine &m, std::uint32_t sidx, Opcode opc, int dst, int s1,
         int s2, std::int64_t imm, std::uint8_t mem_size = 8)
 {
-    TraceUop u{};
-    u.pc = Program::pcOf(sidx);
-    u.sidx = sidx;
-    u.opc = opc;
-    u.dst = dst < 0 ? invalidReg : static_cast<RegIndex>(dst);
-    u.src1 = s1 < 0 ? invalidReg : static_cast<RegIndex>(s1);
-    u.src2 = s2 < 0 ? invalidReg : static_cast<RegIndex>(s2);
-    u.imm = imm;
-    u.memSize = mem_size;
-    u.srcVals[0] = s1 < 0 ? 0 : m.read(s1);
-    u.srcVals[1] = s2 < 0 ? 0 : m.read(s2);
+    StaticUop st;
+    st.pc = Program::pcOf(sidx);
+    st.imm = imm;
+    st.sidx = sidx;
+    st.dst = dst < 0 ? invalidReg : static_cast<RegIndex>(dst);
+    st.src1 = s1 < 0 ? invalidReg : static_cast<RegIndex>(s1);
+    st.src2 = s2 < 0 ? invalidReg : static_cast<RegIndex>(s2);
+    st.opc = opc;
+    st.memSize = mem_size;
+    UopRecord u;
+    u.staticId = m.intern(st);
     u.nextPc = Program::pcOf(sidx + 1);
     m.out.push_back(u);
     return m.out.back();
@@ -275,8 +301,10 @@ void
 aluUop(Machine &m, std::uint32_t sidx, Opcode opc, int dst, int s1,
        int s2, std::int64_t imm)
 {
-    TraceUop &u = emitUop(m, sidx, opc, dst, s1, s2, imm);
-    u.result = execAlu(opc, u.srcVals[0], u.srcVals[1], imm);
+    const RegVal a = s1 < 0 ? 0 : m.read(s1);
+    const RegVal b = s2 < 0 ? 0 : m.read(s2);
+    UopRecord &u = emitUop(m, sidx, opc, dst, s1, s2, imm);
+    u.result = execAlu(opc, a, b, imm);
     m.write(dst, u.result);
     if (dst == 0)
         u.result = 0; // int zero register: architectural result
@@ -413,9 +441,10 @@ emitInst(Machine &m, const RvInst &d,
         }
       case 0x03: { // LOAD
         const unsigned size = 1u << (d.funct3 & 3);
-        TraceUop &u = emitUop(m, base, Opcode::Ld, rd, rs1, -1, d.imm,
-                              static_cast<std::uint8_t>(size));
-        u.effAddr = effectiveAddr(u.srcVals[0], d.imm);
+        const Addr ea = effectiveAddr(m.read(rs1), d.imm);
+        UopRecord &u = emitUop(m, base, Opcode::Ld, rd, rs1, -1, d.imm,
+                               static_cast<std::uint8_t>(size));
+        u.effAddr = ea;
         u.result = m.load(u.effAddr, size);
         m.write(rd, u.result);
         if (rd == 0)
@@ -429,11 +458,11 @@ emitInst(Machine &m, const RvInst &d,
       }
       case 0x23: { // STORE
         const unsigned size = 1u << d.funct3;
-        TraceUop &u = emitUop(m, base, Opcode::St, -1, rs1, rs2, d.imm,
-                              static_cast<std::uint8_t>(size));
-        u.effAddr = effectiveAddr(u.srcVals[0], d.imm);
-        u.result = u.srcVals[1]; // full register, like the VM
-        m.store(u.effAddr, size, u.srcVals[1]);
+        UopRecord &u = emitUop(m, base, Opcode::St, -1, rs1, rs2, d.imm,
+                               static_cast<std::uint8_t>(size));
+        u.effAddr = effectiveAddr(m.read(rs1), d.imm);
+        u.result = m.read(rs2); // full register, like the VM
+        m.store(u.effAddr, size, u.result);
         return true;
       }
       case 0x63: { // BRANCH
@@ -441,18 +470,18 @@ emitInst(Machine &m, const RvInst &d,
             Opcode::Beq, Opcode::Bne, Opcode::Nop, Opcode::Nop,
             Opcode::Blt, Opcode::Bge, Opcode::Bltu, Opcode::Bgeu};
         const Opcode opc = byF3[d.funct3];
-        TraceUop &u = emitUop(m, base, opc, -1, rs1, rs2, 0);
-        u.taken = evalCondBranch(opc, u.srcVals[0], u.srcVals[1]);
+        UopRecord &u = emitUop(m, base, opc, -1, rs1, rs2, 0);
+        u.taken = evalCondBranch(opc, m.read(rs1), m.read(rs2));
         if (u.taken)
             *next_pc = d.pc + static_cast<std::uint64_t>(d.imm);
         return true;
       }
       case 0x6f: { // JAL
         if (rd == 0) {
-            TraceUop &u = emitUop(m, base, Opcode::Jmp, -1, -1, -1, 0);
+            UopRecord &u = emitUop(m, base, Opcode::Jmp, -1, -1, -1, 0);
             u.taken = true;
         } else {
-            TraceUop &u = emitUop(m, base, Opcode::Call, rd, -1, -1, 0);
+            UopRecord &u = emitUop(m, base, Opcode::Call, rd, -1, -1, 0);
             u.taken = true;
             // Link value in synthetic µ-op space: the timing core
             // recomputes a call's link as pc + uopBytes.
@@ -473,9 +502,10 @@ emitInst(Machine &m, const RvInst &d,
         const Opcode opc =
             (rd == 0 && (rs1 == 1 || rs1 == 5)) ? Opcode::Ret
                                                 : Opcode::Jr;
-        TraceUop &u = emitUop(m, base + (rd ? 1 : 0), opc, -1, rs1, -1, 0);
+        UopRecord &u = emitUop(m, base + (rd ? 1 : 0), opc, -1, rs1, -1,
+                               0);
         u.taken = true;
-        const RegVal tv = u.srcVals[0];
+        const RegVal tv = m.read(rs1);
         if (tv < codeBase || (tv - codeBase) % uopBytes != 0) {
             *err = csprintf("indirect target %#llx is not a synthetic "
                             "µ-op address (code address computed as "
@@ -686,6 +716,7 @@ ingestRv64Log(std::istream &in, const std::string &name, std::string *err)
     }
 
     auto trace = std::make_shared<FrozenTrace>();
+    trace->staticStorage = std::move(m.statics);
     trace->storage = std::move(m.out);
     trace->complete = true;
     trace->name = name;

@@ -3,7 +3,7 @@
  * RV64I → µ-op ingestion: turn a committed-instruction log from a real
  * RISC-V functional simulator (spike / QEMU style) into a FrozenTrace
  * in the internal µ-op vocabulary, ready to be written out as
- * eole-trace-v1 and replayed by the timing model.
+ * eole-trace-v2 and replayed by the timing model.
  *
  * Input: a text log, one committed instruction per line, in program
  * (commit) order. Accepted line shapes:

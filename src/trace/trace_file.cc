@@ -1,10 +1,12 @@
 #include "trace/trace_file.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include <fcntl.h>
@@ -28,23 +30,30 @@ constexpr std::size_t offFlags = 20;
 constexpr std::size_t offUopCount = 24;
 constexpr std::size_t offLayoutHash = 32;
 constexpr std::size_t offEndian = 40;
+constexpr std::size_t offStaticBytes = 44;
 constexpr std::size_t offName = 48;
 constexpr std::size_t offSource = 112;
 constexpr std::size_t offIntRegs = 128;
 constexpr std::size_t offFpRegs = 384;
+constexpr std::size_t offStaticCount = 640;
 
-/** µ-op records the writer packs per hash update and fwrite. */
+/** Records the writer packs per hash update and fwrite. */
 constexpr std::size_t chunkUops = 4096;
 
 constexpr std::uint32_t flagComplete = 1u << 0;
 constexpr std::uint32_t flagIsFp = 1u << 1;
 constexpr std::uint32_t endianTag = 0x01020304u;
 
-static_assert(offFpRegs + numArchFpRegs * sizeof(RegVal)
+/** The first format's magic: recognized only to say what to do. */
+constexpr char traceFileMagicV1[8] =
+    {'E', 'O', 'L', 'E', 'T', 'R', 'C', '1'};
+
+static_assert(offStaticCount + sizeof(std::uint64_t)
               == traceFileHeaderBytes,
               "header layout out of sync with traceFileHeaderBytes");
-static_assert(traceFileHeaderBytes % alignof(TraceUop) == 0,
-              "µ-op array must start 8-byte aligned in the mapping");
+static_assert(traceFileHeaderBytes % alignof(StaticUop) == 0
+              && sizeof(StaticUop) % alignof(UopRecord) == 0,
+              "both arrays must start 8-byte aligned in the mapping");
 
 template <typename T>
 void
@@ -62,29 +71,79 @@ unpackAt(const unsigned char *buf, std::size_t off)
     return v;
 }
 
-/** Serialize one TraceUop field-by-field into a zeroed buffer: the
- *  on-disk record matches the in-memory layout with every padding
- *  byte pinned to zero (struct assignment would copy indeterminate
- *  padding and break byte-stability). */
+/** Serialize one static entry / record field-by-field into a zeroed
+ *  buffer: the on-disk bytes match the in-memory layout with every
+ *  padding byte pinned to zero (struct assignment would copy
+ *  indeterminate padding and break byte-stability). */
 void
-packUop(unsigned char *buf, const TraceUop &u)
+packStatic(unsigned char *buf, const StaticUop &s)
 {
-    std::memset(buf, 0, sizeof(TraceUop));
-    packAt(buf, offsetof(TraceUop, pc), u.pc);
-    packAt(buf, offsetof(TraceUop, sidx), u.sidx);
-    packAt(buf, offsetof(TraceUop, opc), u.opc);
-    packAt(buf, offsetof(TraceUop, dst), u.dst);
-    packAt(buf, offsetof(TraceUop, src1), u.src1);
-    packAt(buf, offsetof(TraceUop, src2), u.src2);
-    packAt(buf, offsetof(TraceUop, imm), u.imm);
-    packAt(buf, offsetof(TraceUop, memSize), u.memSize);
-    packAt(buf, offsetof(TraceUop, srcVals), u.srcVals);
-    packAt(buf, offsetof(TraceUop, result), u.result);
-    packAt(buf, offsetof(TraceUop, effAddr), u.effAddr);
-    packAt(buf, offsetof(TraceUop, taken), u.taken);
-    packAt(buf, offsetof(TraceUop, nextPc), u.nextPc);
-    packAt(buf, offsetof(TraceUop, dstClass), u.dstClass);
-    packAt(buf, offsetof(TraceUop, srcClass), u.srcClass);
+    std::memset(buf, 0, sizeof(StaticUop));
+    packAt(buf, offsetof(StaticUop, pc), s.pc);
+    packAt(buf, offsetof(StaticUop, imm), s.imm);
+    packAt(buf, offsetof(StaticUop, sidx), s.sidx);
+    packAt(buf, offsetof(StaticUop, dst), s.dst);
+    packAt(buf, offsetof(StaticUop, src1), s.src1);
+    packAt(buf, offsetof(StaticUop, src2), s.src2);
+    packAt(buf, offsetof(StaticUop, opc), s.opc);
+    packAt(buf, offsetof(StaticUop, memSize), s.memSize);
+    packAt(buf, offsetof(StaticUop, dstClass), s.dstClass);
+    packAt(buf, offsetof(StaticUop, srcClass), s.srcClass);
+}
+
+void
+packRecord(unsigned char *buf, const UopRecord &r)
+{
+    std::memset(buf, 0, sizeof(UopRecord));
+    packAt(buf, offsetof(UopRecord, result), r.result);
+    packAt(buf, offsetof(UopRecord, effAddr), r.effAddr);
+    packAt(buf, offsetof(UopRecord, nextPc), r.nextPc);
+    packAt(buf, offsetof(UopRecord, staticId), r.staticId);
+    packAt(buf, offsetof(UopRecord, taken), r.taken);
+}
+
+/** Is @p reg a register number of class @p cls, or no register? */
+bool
+validReg(RegIndex reg, RegClass cls)
+{
+    return reg == invalidReg
+        || reg < (cls == RegClass::Fp ? numArchFpRegs : numArchIntRegs);
+}
+
+bool
+validClass(RegClass cls)
+{
+    return cls == RegClass::Int || cls == RegClass::Fp;
+}
+
+/** Empty when the static entry at @p p is one this build can replay,
+ *  else what is wrong with it. Reads the raw bytes: a field's stored
+ *  value may not be one its type can hold. */
+std::string
+staticEntryError(const unsigned char *p)
+{
+    const auto opc = unpackAt<std::uint8_t>(p, offsetof(StaticUop, opc));
+    if (opc >= static_cast<std::uint8_t>(Opcode::NumOpcodes))
+        return csprintf("opcode %u", opc);
+    const auto mem = unpackAt<std::uint8_t>(p, offsetof(StaticUop, memSize));
+    if (mem != 1 && mem != 2 && mem != 4 && mem != 8)
+        return csprintf("memory size %u", mem);
+    const std::size_t classOff[3] = {offsetof(StaticUop, dstClass),
+                                     offsetof(StaticUop, srcClass),
+                                     offsetof(StaticUop, srcClass) + 1};
+    const std::size_t regOff[3] = {offsetof(StaticUop, dst),
+                                   offsetof(StaticUop, src1),
+                                   offsetof(StaticUop, src2)};
+    for (int i = 0; i < 3; ++i) {
+        const auto cls = static_cast<RegClass>(
+            unpackAt<std::uint8_t>(p, classOff[i]));
+        if (!validClass(cls))
+            return csprintf("register class %u", unsigned(cls));
+        const auto reg = unpackAt<RegIndex>(p, regOff[i]);
+        if (!validReg(reg, cls))
+            return csprintf("register %u", reg);
+    }
+    return "";
 }
 
 struct Mapping
@@ -99,13 +158,38 @@ struct Mapping
     }
 };
 
+/** Open the file writeTraceFile's bytes go to (see trace_file.hh).
+ *  Sets @p tmp to the temporary path to rename over @p path, or
+ *  leaves it empty to write in place. -1 with errno on failure. */
+int
+openForWrite(const std::string &path, std::string *tmp)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
+        return ::open(path.c_str(), O_WRONLY | O_TRUNC | O_CLOEXEC);
+
+    static std::atomic<unsigned> serial{0};
+    const std::filesystem::path p(path);
+    const std::filesystem::path dir =
+        p.has_parent_path() ? p.parent_path() : ".";
+    for (;;) {
+        *tmp = (dir / ("." + p.filename().string() + ".tmp"
+                       + std::to_string(::getpid()) + "."
+                       + std::to_string(serial.fetch_add(1)))).string();
+        const int fd = ::open(tmp->c_str(),
+                              O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+        if (fd >= 0 || errno != EEXIST)
+            return fd;
+    }
+}
+
 } // namespace
 
 std::uint64_t
-traceUopLayoutHash()
+traceLayoutHash()
 {
     // FNV-1a over the (offset, size) of every field plus the struct
-    // size: any reorder, retype, insertion or ABI drift changes it.
+    // sizes: any reorder, retype, insertion or ABI drift changes it.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {
@@ -113,28 +197,29 @@ traceUopLayoutHash()
             h *= 0x100000001b3ULL;
         }
     };
-#define EOLE_MIX_FIELD(f) \
+#define EOLE_MIX_FIELD(T, f) \
     do { \
-        mix(offsetof(TraceUop, f)); \
-        mix(sizeof(TraceUop{}.f)); \
+        mix(offsetof(T, f)); \
+        mix(sizeof(T{}.f)); \
     } while (0)
-    EOLE_MIX_FIELD(pc);
-    EOLE_MIX_FIELD(sidx);
-    EOLE_MIX_FIELD(opc);
-    EOLE_MIX_FIELD(dst);
-    EOLE_MIX_FIELD(src1);
-    EOLE_MIX_FIELD(src2);
-    EOLE_MIX_FIELD(imm);
-    EOLE_MIX_FIELD(memSize);
-    EOLE_MIX_FIELD(srcVals);
-    EOLE_MIX_FIELD(result);
-    EOLE_MIX_FIELD(effAddr);
-    EOLE_MIX_FIELD(taken);
-    EOLE_MIX_FIELD(nextPc);
-    EOLE_MIX_FIELD(dstClass);
-    EOLE_MIX_FIELD(srcClass);
+    EOLE_MIX_FIELD(StaticUop, pc);
+    EOLE_MIX_FIELD(StaticUop, imm);
+    EOLE_MIX_FIELD(StaticUop, sidx);
+    EOLE_MIX_FIELD(StaticUop, dst);
+    EOLE_MIX_FIELD(StaticUop, src1);
+    EOLE_MIX_FIELD(StaticUop, src2);
+    EOLE_MIX_FIELD(StaticUop, opc);
+    EOLE_MIX_FIELD(StaticUop, memSize);
+    EOLE_MIX_FIELD(StaticUop, dstClass);
+    EOLE_MIX_FIELD(StaticUop, srcClass);
+    mix(sizeof(StaticUop));
+    EOLE_MIX_FIELD(UopRecord, result);
+    EOLE_MIX_FIELD(UopRecord, effAddr);
+    EOLE_MIX_FIELD(UopRecord, nextPc);
+    EOLE_MIX_FIELD(UopRecord, staticId);
+    EOLE_MIX_FIELD(UopRecord, taken);
+    mix(sizeof(UopRecord));
 #undef EOLE_MIX_FIELD
-    mix(sizeof(TraceUop));
     // The opcode numbering is part of the record semantics: renumber
     // the enum and old files silently decode to different µ-ops.
     mix(static_cast<std::uint64_t>(Opcode::NumOpcodes));
@@ -148,7 +233,6 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
     const auto fail = [&](const std::string &msg) {
         if (err)
             *err = path + ": " + msg;
-        std::remove(path.c_str());
         return false;
     };
     if (trace.name.size() >= traceFileNameBytes) {
@@ -158,13 +242,20 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
     if (source.size() >= traceFileSourceBytes)
         return fail("source kind \"" + source + "\" too long");
 
-    std::FILE *f = std::fopen(path.c_str(), "wb");
+    std::string tmp;
+    const int fd = openForWrite(path, &tmp);
+    if (fd < 0)
+        return fail(std::strerror(errno));
+    std::FILE *f = ::fdopen(fd, "wb");
     if (!f) {
-        if (err)
-            *err = path + ": " + std::strerror(errno);
-        return false;
+        const int e = errno;
+        ::close(fd);
+        if (!tmp.empty())
+            ::unlink(tmp.c_str());
+        return fail(std::strerror(e));
     }
 
+    const FrozenTrace::UopView &v = trace.uops;
     unsigned char header[traceFileHeaderBytes];
     std::memset(header, 0, sizeof(header));
     std::memcpy(header + offMagic, traceFileMagic, 8);
@@ -172,17 +263,18 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
            static_cast<std::uint32_t>(traceFileHeaderBytes));
     packAt(header, offVersion, traceFileVersion);
     packAt(header, offRecordBytes,
-           static_cast<std::uint32_t>(sizeof(TraceUop)));
+           static_cast<std::uint32_t>(sizeof(UopRecord)));
     std::uint32_t flags = 0;
     if (trace.complete)
         flags |= flagComplete;
     if (trace.isFp)
         flags |= flagIsFp;
     packAt(header, offFlags, flags);
-    packAt(header, offUopCount,
-           static_cast<std::uint64_t>(trace.uops.size()));
-    packAt(header, offLayoutHash, traceUopLayoutHash());
+    packAt(header, offUopCount, static_cast<std::uint64_t>(v.count));
+    packAt(header, offLayoutHash, traceLayoutHash());
     packAt(header, offEndian, endianTag);
+    packAt(header, offStaticBytes,
+           static_cast<std::uint32_t>(sizeof(StaticUop)));
     std::memcpy(header + offName, trace.name.data(), trace.name.size());
     std::memcpy(header + offSource, source.data(), source.size());
     for (int r = 0; r < numArchIntRegs; ++r)
@@ -191,6 +283,7 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
     for (int r = 0; r < numArchFpRegs; ++r)
         packAt(header, offFpRegs + r * sizeof(RegVal),
                trace.initFpRegs[r]);
+    packAt(header, offStaticCount, static_cast<std::uint64_t>(v.staticCount));
 
     Sha256 sha;
     const auto put = [&](const void *data, std::size_t len) {
@@ -198,32 +291,47 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
         return std::fwrite(data, 1, len, f) == len;
     };
 
-    // Records are packed into a chunk, then hashed and written a chunk
-    // at a time: the hash takes whole blocks straight from the buffer
-    // and stdio sees one large write instead of one per record.
+    // The table and the records are packed into a chunk, then hashed
+    // and written a chunk at a time: the hash takes whole blocks
+    // straight from the buffer and stdio sees one large write instead
+    // of one per record.
     bool ok = put(header, sizeof(header));
-    std::vector<unsigned char> chunk(chunkUops * sizeof(TraceUop));
-    for (std::size_t i = 0; ok && i < trace.uops.size(); i += chunkUops) {
-        const std::size_t n = std::min(chunkUops, trace.uops.size() - i);
+    static_assert(sizeof(StaticUop) == sizeof(UopRecord));
+    std::vector<unsigned char> chunk(chunkUops * sizeof(UopRecord));
+    for (std::size_t i = 0; ok && i < v.staticCount; i += chunkUops) {
+        const std::size_t n = std::min(chunkUops, v.staticCount - i);
         for (std::size_t j = 0; j < n; ++j)
-            packUop(chunk.data() + j * sizeof(TraceUop), trace.uops[i + j]);
-        ok = put(chunk.data(), n * sizeof(TraceUop));
+            packStatic(chunk.data() + j * sizeof(StaticUop), v.statics[i + j]);
+        ok = put(chunk.data(), n * sizeof(StaticUop));
+    }
+    for (std::size_t i = 0; ok && i < v.count; i += chunkUops) {
+        const std::size_t n = std::min(chunkUops, v.count - i);
+        for (std::size_t j = 0; j < n; ++j)
+            packRecord(chunk.data() + j * sizeof(UopRecord), v.records[i + j]);
+        ok = put(chunk.data(), n * sizeof(UopRecord));
     }
 
     if (ok) {
         unsigned char footer[traceFileFooterBytes];
         std::memset(footer, 0, sizeof(footer));
         std::memcpy(footer, traceFileFooterMagic, 8);
-        packAt(footer, std::size_t{8},
-               static_cast<std::uint64_t>(trace.uops.size()));
+        packAt(footer, std::size_t{8}, static_cast<std::uint64_t>(v.count));
         const std::string hex = sha.hexDigest();
         std::memcpy(footer + 16, hex.data(), 64);
         ok = std::fwrite(footer, 1, sizeof(footer), f) == sizeof(footer);
     }
 
     ok = std::fclose(f) == 0 && ok;
-    if (!ok)
+    if (ok && !tmp.empty() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int e = errno;
+        ::unlink(tmp.c_str());
+        return fail(std::string("rename: ") + std::strerror(e));
+    }
+    if (!ok) {
+        if (!tmp.empty())
+            ::unlink(tmp.c_str());
         return fail("write failure");
+    }
     return true;
 }
 
@@ -256,7 +364,7 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
     if (fileBytes < minBytes) {
         ::close(fd);
         return fail(csprintf("truncated: %llu bytes, but an empty "
-                             "eole-trace-v1 file needs %llu",
+                             "eole-trace-v2 file needs %llu",
                              (unsigned long long)fileBytes,
                              (unsigned long long)minBytes));
     }
@@ -270,8 +378,12 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
     m->base = base;
     const auto *p = static_cast<const unsigned char *>(base);
 
+    if (std::memcmp(p + offMagic, traceFileMagicV1, 8) == 0) {
+        return fail("an eole-trace-v1 file (96-byte records); this build "
+                    "reads eole-trace-v2 only — re-record it");
+    }
     if (std::memcmp(p + offMagic, traceFileMagic, 8) != 0)
-        return fail("bad magic at byte 0 (not an eole-trace-v1 file)");
+        return fail("bad magic at byte 0 (not an eole-trace-v2 file)");
     const auto headerBytes = unpackAt<std::uint32_t>(p, offHeaderBytes);
     if (headerBytes != traceFileHeaderBytes) {
         return fail(csprintf("header size %u at byte %zu (expected %zu)",
@@ -285,20 +397,27 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
                              version, offVersion, traceFileVersion));
     }
     const auto recordBytes = unpackAt<std::uint32_t>(p, offRecordBytes);
-    if (recordBytes != sizeof(TraceUop)) {
+    if (recordBytes != sizeof(UopRecord)) {
         return fail(csprintf("record size %u at byte %zu differs from "
-                             "this build's TraceUop (%zu bytes)",
+                             "this build's UopRecord (%zu bytes)",
                              recordBytes, offRecordBytes,
-                             sizeof(TraceUop)));
+                             sizeof(UopRecord)));
+    }
+    const auto staticBytes = unpackAt<std::uint32_t>(p, offStaticBytes);
+    if (staticBytes != sizeof(StaticUop)) {
+        return fail(csprintf("static entry size %u at byte %zu differs "
+                             "from this build's StaticUop (%zu bytes)",
+                             staticBytes, offStaticBytes,
+                             sizeof(StaticUop)));
     }
     const auto layout = unpackAt<std::uint64_t>(p, offLayoutHash);
-    if (layout != traceUopLayoutHash()) {
-        return fail(csprintf("TraceUop layout hash %#llx at byte %zu "
+    if (layout != traceLayoutHash()) {
+        return fail(csprintf("record layout hash %#llx at byte %zu "
                              "does not match this build (%#llx) — the "
                              "file was written by an incompatible "
                              "binary; re-record it",
                              (unsigned long long)layout, offLayoutHash,
-                             (unsigned long long)traceUopLayoutHash()));
+                             (unsigned long long)traceLayoutHash()));
     }
     const auto endian = unpackAt<std::uint32_t>(p, offEndian);
     if (endian != endianTag) {
@@ -306,30 +425,45 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
                              "written on an incompatible host)",
                              endian, offEndian));
     }
-    // Bound the count by what the file can hold before multiplying:
-    // a count near 2^64 / sizeof(TraceUop) would wrap the size check.
+    // Bound each count by what the file can hold before multiplying:
+    // a count near 2^64 / 32 would wrap the size check.
+    const std::uint64_t room = fileBytes - minBytes;
+    const auto nStatic = unpackAt<std::uint64_t>(p, offStaticCount);
+    if (nStatic > room / sizeof(StaticUop)) {
+        return fail(csprintf("static entry count %llu at byte %zu "
+                             "exceeds the %llu entries a %llu-byte file "
+                             "can hold (truncated, or a corrupt count)",
+                             (unsigned long long)nStatic, offStaticCount,
+                             (unsigned long long)(room / sizeof(StaticUop)),
+                             (unsigned long long)fileBytes));
+    }
+    const std::uint64_t recordRoom = room - nStatic * sizeof(StaticUop);
     const auto count = unpackAt<std::uint64_t>(p, offUopCount);
-    const std::uint64_t fits = (fileBytes - minBytes) / sizeof(TraceUop);
-    if (count > fits) {
+    if (count > recordRoom / sizeof(UopRecord)) {
         return fail(csprintf("µ-op count %llu at byte %zu exceeds the "
                              "%llu records a %llu-byte file can hold "
                              "(truncated, or a corrupt count)",
                              (unsigned long long)count, offUopCount,
-                             (unsigned long long)fits,
+                             (unsigned long long)(recordRoom
+                                                  / sizeof(UopRecord)),
                              (unsigned long long)fileBytes));
     }
-    const std::uint64_t want = traceFileHeaderBytes
-        + count * sizeof(TraceUop) + traceFileFooterBytes;
+    const std::uint64_t recordsOff =
+        traceFileHeaderBytes + nStatic * sizeof(StaticUop);
+    const std::uint64_t want =
+        recordsOff + count * sizeof(UopRecord) + traceFileFooterBytes;
     if (fileBytes != want) {
-        return fail(csprintf("%llu µ-ops need %llu bytes but the file "
-                             "has %llu (truncated or trailing garbage)",
+        return fail(csprintf("%llu static entries and %llu µ-ops need "
+                             "%llu bytes but the file has %llu "
+                             "(truncated or trailing garbage)",
+                             (unsigned long long)nStatic,
                              (unsigned long long)count,
                              (unsigned long long)want,
                              (unsigned long long)fileBytes));
     }
 
     const std::size_t footerOff = static_cast<std::size_t>(
-        traceFileHeaderBytes + count * sizeof(TraceUop));
+        recordsOff + count * sizeof(UopRecord));
     if (std::memcmp(p + footerOff, traceFileFooterMagic, 8) != 0) {
         return fail(csprintf("bad footer magic at byte %zu", footerOff));
     }
@@ -346,6 +480,36 @@ mapAndValidate(const std::string &path, std::shared_ptr<Mapping> *map,
     if (std::memcmp(p + footerOff + 16, hex.data(), 64) != 0) {
         return fail(csprintf("checksum mismatch over bytes [0, %zu) — "
                              "the file is corrupted", footerOff));
+    }
+
+    // Content: every entry replayable, every record naming an entry.
+    for (std::uint64_t i = 0; i < nStatic; ++i) {
+        const std::size_t off =
+            traceFileHeaderBytes + i * sizeof(StaticUop);
+        const std::string bad = staticEntryError(p + off);
+        if (!bad.empty()) {
+            return fail(csprintf("static entry %llu at byte %zu has an "
+                                 "invalid %s",
+                                 (unsigned long long)i, off, bad.c_str()));
+        }
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t off = recordsOff + i * sizeof(UopRecord);
+        const auto id =
+            unpackAt<std::uint32_t>(p, off + offsetof(UopRecord, staticId));
+        if (id >= nStatic) {
+            return fail(csprintf("µ-op %llu at byte %zu names static "
+                                 "entry %u of %llu",
+                                 (unsigned long long)i, off, id,
+                                 (unsigned long long)nStatic));
+        }
+        const auto taken =
+            unpackAt<std::uint8_t>(p, off + offsetof(UopRecord, taken));
+        if (taken > 1) {
+            return fail(csprintf("µ-op %llu at byte %zu has branch "
+                                 "outcome %u", (unsigned long long)i,
+                                 off, taken));
+        }
     }
 
     *map = std::move(m);
@@ -382,9 +546,13 @@ loadTraceFile(const std::string &path, std::string *err)
         trace->initFpRegs[r] =
             unpackAt<RegVal>(p, offFpRegs + r * sizeof(RegVal));
 
+    const auto nStatic = unpackAt<std::uint64_t>(p, offStaticCount);
     const auto count = unpackAt<std::uint64_t>(p, offUopCount);
+    const auto *statics =
+        reinterpret_cast<const StaticUop *>(p + traceFileHeaderBytes);
     trace->uops = FrozenTrace::UopView{
-        reinterpret_cast<const TraceUop *>(p + traceFileHeaderBytes),
+        statics, static_cast<std::size_t>(nStatic),
+        reinterpret_cast<const UopRecord *>(statics + nStatic),
         static_cast<std::size_t>(count)};
     trace->mmapBacked = true;
     trace->mapping = std::move(map);
@@ -403,6 +571,7 @@ readTraceFileInfo(const std::string &path, TraceFileInfo *out,
     out->name = fixedString(p, offName, traceFileNameBytes);
     out->source = fixedString(p, offSource, traceFileSourceBytes);
     out->uopCount = unpackAt<std::uint64_t>(p, offUopCount);
+    out->staticCount = unpackAt<std::uint64_t>(p, offStaticCount);
     out->complete = (flags & flagComplete) != 0;
     out->isFp = (flags & flagIsFp) != 0;
     out->fileBytes = map->len;

@@ -172,8 +172,8 @@ class ValuePredictor : public WarmableComponent
     {
         if (!uop.vpPredictable())
             return;
-        const VpLookup lookup = predict(uop.pc);
-        commit(uop.pc, uop.result, lookup);
+        const VpLookup lookup = predict(uop.pc());
+        commit(uop.pc(), uop.result(), lookup);
     }
 
     virtual const char *name() const = 0;

@@ -23,7 +23,9 @@
 #    unknown option, a missing or malformed value) ends the telemetry
 #    stream with run_aborted, and a bench threshold, count or trace
 #    length outside its bound exits 2;
-#  - an output file that cannot be written (/dev/full) exits 2;
+#  - an output file that cannot be written (/dev/full) exits 2, and a
+#    trace written there leaves the device node in place;
+#  - a telemetry stream that cannot be opened or written exits 2;
 #  - a plan file with --set gives the compiled plan's artifact;
 #  - observers do not perturb artifacts: --pipetrace (a Kanata trace
 #    with a retire record) and --telemetry (ending with run_finish)
@@ -278,7 +280,15 @@ if [[ -w /dev/full ]]; then
     expect_exit2 "bench --out /dev/full" \
         "$EOLE" "${BENCH[@]}" --budget 2000 --warmup 1000 --reps 1 \
         --out /dev/full
+    expect_exit2 "trace record --out /dev/full" \
+        "$EOLE" trace record torture:7 --out /dev/full --quiet
+    [[ -c /dev/full ]] || fail "trace record --out /dev/full removed it"
+    expect_exit2 "run --telemetry /dev/full" \
+        "$EOLE" run smoke "${LEN[@]}" --no-tables --telemetry /dev/full
 fi
+expect_exit2 "run --telemetry in a missing directory" \
+    "$EOLE" run smoke "${LEN[@]}" --no-tables \
+    --telemetry "$WORK/no/such/dir/t.jsonl"
 
 if ((failures)); then
     echo "cli_contracts: $failures check(s) failed" >&2

@@ -16,35 +16,42 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
-#include "isa/trace.hh"
+#include "isa/frozen_trace.hh"
 
 namespace eole::test {
 
-inline std::vector<TraceUop>
+inline std::shared_ptr<const FrozenTrace>
 missStream(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<TraceUop> uops(n);
+    auto trace = std::make_shared<FrozenTrace>();
+    // Eight static µ-ops in one I-cache line: the stream stays on the
+    // D-side.
+    for (std::uint32_t slot = 0; slot < 8; ++slot) {
+        StaticUop &s = trace->staticStorage.emplace_back();
+        s.pc = 0x400000 + 4 * slot;
+        s.sidx = slot;
+        s.opc = slot == 1 ? Opcode::St : Opcode::Ld;
+    }
+    trace->storage.resize(n);
     Addr strided = 0x2000000;
-    for (TraceUop &u : uops) {
-        // Eight static µ-ops in one I-cache line: the stream stays on
-        // the D-side.
-        const std::uint64_t slot = rng.below(8);
-        u.pc = 0x400000 + 4 * slot;
-        u.opc = slot == 1 ? Opcode::St : Opcode::Ld;
-        if (slot == 0) {
+    for (UopRecord &u : trace->storage) {
+        u.staticId = static_cast<std::uint32_t>(rng.below(8));
+        if (u.staticId == 0) {
             u.effAddr = strided;
             strided += 64;
         } else {
             u.effAddr = rng.below(64ULL << 20) & ~Addr{7};
         }
     }
-    return uops;
+    trace->seal();
+    return trace;
 }
 
 /** In-flight fill count per cache level, read from the "cache" header

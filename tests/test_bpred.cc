@@ -266,16 +266,16 @@ TEST(Ras, SnapshotRestore)
 
 namespace {
 
-TraceUop
+OwnedUop
 makeCondUop(Addr pc, bool taken, Addr target)
 {
-    TraceUop u;
-    u.pc = pc;
-    u.opc = Opcode::Bne;
-    u.src1 = 1;
-    u.src2 = 2;
-    u.taken = taken;
-    u.nextPc = taken ? target : pc + uopBytes;
+    OwnedUop u;
+    u.st.pc = pc;
+    u.st.opc = Opcode::Bne;
+    u.st.src1 = 1;
+    u.st.src2 = 2;
+    u.rec.taken = taken;
+    u.rec.nextPc = taken ? target : pc + uopBytes;
     return u;
 }
 
@@ -289,7 +289,7 @@ TEST(BranchUnit, LearnsLoopBranchAndBecomesConfident)
     int mispredicts = 0, high_conf_late = 0;
     for (int i = 0; i < 4000; ++i) {
         BranchUnit::SnapshotPtr pre;
-        TraceUop u = makeCondUop(pc, true, tgt);
+        const OwnedUop u = makeCondUop(pc, true, tgt);
         BranchPrediction bp = bu.predictBranch(u, pre);
         if (bp.mispredict) {
             ++mispredicts;
@@ -313,7 +313,7 @@ TEST(BranchUnit, ConfidenceFilterBlocksMidBiasBranch)
     for (int i = 0; i < 8000; ++i) {
         BranchUnit::SnapshotPtr pre;
         // 85%-taken, direction random (unlearnable beyond the bias).
-        TraceUop u = makeCondUop(pc, rng.chance(0.85), tgt);
+        const OwnedUop u = makeCondUop(pc, rng.chance(0.85), tgt);
         BranchPrediction bp = bu.predictBranch(u, pre);
         if (bp.mispredict)
             bu.repairAfterBranch(u, pre);
@@ -331,19 +331,19 @@ TEST(BranchUnit, ReturnPredictedThroughRas)
     BpConfig cfg;
     BranchUnit bu(cfg, {});
     // call at 0x400000 -> 0x400100; ret at 0x400104 -> 0x400004.
-    TraceUop call;
-    call.pc = 0x400000;
-    call.opc = Opcode::Call;
-    call.dst = linkReg;
-    call.taken = true;
-    call.nextPc = 0x400100;
+    OwnedUop call;
+    call.st.pc = 0x400000;
+    call.st.opc = Opcode::Call;
+    call.st.dst = linkReg;
+    call.rec.taken = true;
+    call.rec.nextPc = 0x400100;
 
-    TraceUop ret;
-    ret.pc = 0x400104;
-    ret.opc = Opcode::Ret;
-    ret.src1 = linkReg;
-    ret.taken = true;
-    ret.nextPc = 0x400004;
+    OwnedUop ret;
+    ret.st.pc = 0x400104;
+    ret.st.opc = Opcode::Ret;
+    ret.st.src1 = linkReg;
+    ret.rec.taken = true;
+    ret.rec.nextPc = 0x400004;
 
     BranchUnit::SnapshotPtr pre;
     BranchPrediction bp = bu.predictBranch(call, pre);
@@ -361,7 +361,8 @@ TEST(BranchUnit, RestoreToRepairsSpeculativeState)
     // Speculate through a few branches.
     for (int i = 0; i < 5; ++i) {
         BranchUnit::SnapshotPtr pre;
-        TraceUop u = makeCondUop(0x400300 + i * 4, i % 2 == 0, 0x400000);
+        const OwnedUop u =
+            makeCondUop(0x400300 + i * 4, i % 2 == 0, 0x400000);
         bu.predictBranch(u, pre);
     }
     bu.restoreTo(before);

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -221,16 +220,16 @@ TEST(CkptState, ValuePredictorRoundTripsEveryKind)
                 if (!u.vpPredictable())
                     continue;
                 ++compared;
-                const VpLookup a = ref->predict(u.pc);
-                const VpLookup b = fresh->predict(u.pc);
+                const VpLookup a = ref->predict(u.pc());
+                const VpLookup b = fresh->predict(u.pc());
                 ASSERT_EQ(a.predictionMade, b.predictionMade)
                     << ref->name() << " µ-op " << i;
                 ASSERT_EQ(a.value, b.value)
                     << ref->name() << " µ-op " << i;
                 ASSERT_EQ(a.confident, b.confident)
                     << ref->name() << " µ-op " << i;
-                ref->commit(u.pc, u.result, a);
-                fresh->commit(u.pc, u.result, b);
+                ref->commit(u.pc(), u.result(), a);
+                fresh->commit(u.pc(), u.result(), b);
             }
             EXPECT_GT(compared, 100u) << ref->name();
 
@@ -249,13 +248,13 @@ TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
     // (test::missStream), so a list past the cap crosses both transfers.
     const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 5000;
     const MemConfig mcfg;
-    const std::vector<TraceUop> misses = test::missStream(30000, base);
+    const auto misses = test::missStream(30000, base);
     for (const Transfer how : transfers) {
         SCOPED_TRACE(transferName(how));
         std::size_t compared = 0;
         // Warms on half of @p uops, transfers, then pairs up to 10k
         // demand accesses (counted into @p paired).
-        const auto check = [&](std::span<const TraceUop> uops,
+        const auto check = [&](const FrozenTrace::UopView &uops,
                                bool past_cap, std::size_t &paired) {
             MemHierarchy ref(mcfg);
             const std::size_t warm_len = uops.size() / 2;
@@ -282,17 +281,17 @@ TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
                  i < uops.size() && paired < 10000; ++i) {
                 const TraceUop &u = uops[i];
                 ++now;
-                ASSERT_EQ(ref.fetchAccess(u.pc, now),
-                          fresh.fetchAccess(u.pc, now)) << "µ-op " << i;
+                ASSERT_EQ(ref.fetchAccess(u.pc(), now),
+                          fresh.fetchAccess(u.pc(), now)) << "µ-op " << i;
                 if (u.isLoad()) {
                     ++paired;
-                    ASSERT_EQ(ref.loadAccess(u.pc, u.effAddr, now),
-                              fresh.loadAccess(u.pc, u.effAddr, now))
+                    ASSERT_EQ(ref.loadAccess(u.pc(), u.effAddr(), now),
+                              fresh.loadAccess(u.pc(), u.effAddr(), now))
                         << "µ-op " << i;
                 } else if (u.isStore()) {
                     ++paired;
-                    ASSERT_EQ(ref.storeAccess(u.pc, u.effAddr, now),
-                              fresh.storeAccess(u.pc, u.effAddr, now))
+                    ASSERT_EQ(ref.storeAccess(u.pc(), u.effAddr(), now),
+                              fresh.storeAccess(u.pc(), u.effAddr(), now))
                         << "µ-op " << i;
                 }
             }
@@ -300,14 +299,13 @@ TEST(CkptState, MemHierarchyRoundTripIsDecisionIdentical)
         };
         for (std::uint64_t r = 0; r < 10 && compared < 10000; ++r) {
             const auto trace = tortureTrace(base + r);
-            check({trace->uops.begin(), trace->uops.size()}, false,
-                  compared);
+            check(trace->uops, false, compared);
             ASSERT_FALSE(HasFatalFailure());
         }
         EXPECT_GT(compared, 500u);
         SCOPED_TRACE("miss stream");
         std::size_t paired = 0;
-        check(misses, true, paired);
+        check(misses->uops, true, paired);
         ASSERT_FALSE(HasFatalFailure());
         EXPECT_EQ(paired, 10000u);
     }

@@ -259,8 +259,8 @@ TEST(TraceCacheT, RefcountedEvictionOrder)
     // Both recordings replay the same functional stream.
     ASSERT_GE(fresh->uops.size(), 4000u);
     for (std::size_t i = 0; i < 4000; ++i) {
-        ASSERT_EQ(fresh->uops[i].pc, held->uops[i].pc);
-        ASSERT_EQ(fresh->uops[i].result, held->uops[i].result);
+        ASSERT_EQ(fresh->uops[i].pc(), held->uops[i].pc());
+        ASSERT_EQ(fresh->uops[i].result(), held->uops[i].result());
     }
 
     // Dropping with no trace present is a no-op, as is dropping twice.

@@ -185,7 +185,7 @@ TEST(KernelVM, ExecutesAndHalts)
 {
     Program p = tinyProgram();
     KernelVM vm(p, 0x1000);
-    TraceUop u;
+    UopRecord u;
     int steps = 0;
     while (vm.step(u))
         ++steps;
@@ -200,22 +200,22 @@ TEST(KernelVM, TraceRecordsOracleValues)
 {
     Program p = tinyProgram();
     KernelVM vm(p, 0x1000);
-    TraceUop u;
+    UopRecord u;
     vm.step(u);
-    EXPECT_EQ(u.opc, Opcode::Movi);
+    EXPECT_EQ(vm.uopOf(u).opc(), Opcode::Movi);
     EXPECT_EQ(u.result, 5u);
     EXPECT_EQ(u.nextPc, Program::pcOf(1));
     vm.step(u);
     vm.step(u);
-    EXPECT_EQ(u.opc, Opcode::Addi);
-    EXPECT_EQ(u.srcVals[0], 5u);
+    EXPECT_EQ(vm.uopOf(u).opc(), Opcode::Addi);
+    EXPECT_EQ(u.result, vm.readIntReg(1) + 10);  // its source plus imm
     EXPECT_EQ(u.result, 15u);
     vm.step(u);
-    EXPECT_EQ(u.opc, Opcode::St);
+    EXPECT_EQ(vm.uopOf(u).opc(), Opcode::St);
     EXPECT_EQ(u.effAddr, 0x108u);
     EXPECT_EQ(u.result, 15u);
     vm.step(u);
-    EXPECT_EQ(u.opc, Opcode::Ld);
+    EXPECT_EQ(vm.uopOf(u).opc(), Opcode::Ld);
     EXPECT_EQ(u.result, 15u);
 }
 
@@ -227,7 +227,7 @@ TEST(KernelVM, ZeroRegisterReadsAsZero)
     a.halt();
     Program p = a.finish();
     KernelVM vm(p, 0x100);
-    TraceUop u;
+    UopRecord u;
     vm.step(u);
     EXPECT_EQ(vm.readIntReg(0), 0u);
     vm.step(u);
@@ -248,7 +248,7 @@ TEST(KernelVM, SubWordMemoryAccess)
     a.halt();
     Program p = a.finish();
     KernelVM vm(p, 0x100);
-    TraceUop u;
+    UopRecord u;
     vm.step(u);
     vm.step(u);
     vm.step(u);
@@ -275,14 +275,14 @@ TEST(KernelVM, CallAndReturn)
     a.ret();             // 4
     Program p = a.finish();
     KernelVM vm(p, 0x100);
-    TraceUop u;
+    UopRecord u;
     vm.step(u);
-    EXPECT_TRUE(u.isCall());
+    EXPECT_TRUE(vm.uopOf(u).isCall());
     EXPECT_EQ(u.result, Program::pcOf(1));  // link value
     EXPECT_EQ(u.nextPc, Program::pcOf(3));
     vm.step(u);
     vm.step(u);
-    EXPECT_TRUE(u.isRet());
+    EXPECT_TRUE(vm.uopOf(u).isRet());
     EXPECT_EQ(u.nextPc, Program::pcOf(1));
     vm.step(u);
     EXPECT_EQ(u.result, 101u);
@@ -296,7 +296,7 @@ TEST(KernelVM, OutOfBoundsAccessDies)
     a.halt();
     Program p = a.finish();
     KernelVM vm(p, 0x100);
-    TraceUop u;
+    UopRecord u;
     vm.step(u);
     EXPECT_DEATH(vm.step(u), "out of bounds");
 
@@ -371,8 +371,8 @@ TEST(TraceSource, RewindReplaysSameUops)
     for (int i = 5; i < 20; ++i) {
         ASSERT_TRUE(ts.hasNext());
         const TraceUop &u = ts.fetch();
-        EXPECT_EQ(u.pc, first[i].pc);
-        EXPECT_EQ(u.result, first[i].result);
+        EXPECT_EQ(u.pc(), first[i].pc());
+        EXPECT_EQ(u.result(), first[i].result());
     }
 }
 
@@ -398,7 +398,7 @@ TEST(TraceSource, InitHookRuns)
         vm.setIntReg(20, 0x40);
         vm.writeMem(0x40, 8, 0xdead);
     }));
-    EXPECT_EQ(ts.fetch().result, 0xdeadu);
+    EXPECT_EQ(ts.fetch().result(), 0xdeadu);
 }
 
 TEST(TraceSource, ResumedReplayStartsAtTheCheckpoint)
@@ -415,7 +415,7 @@ TEST(TraceSource, ResumedReplayStartsAtTheCheckpoint)
     for (int r = 0; r < numArchFpRegs; ++r)
         EXPECT_EQ(ts.initialFpReg(r), ckpt.fpRegs[r]) << r;
 
-    EXPECT_EQ(ts.fetch().pc, trace->uops[41].pc);
+    EXPECT_EQ(ts.fetch().pc(), trace->uops[41].pc());
     ts.rewindTo(ckpt.uopIndex + 1);  // the resume point itself
     // The skipped prefix counts as retired.
     EXPECT_DEATH(ts.rewindTo(ckpt.uopIndex), "outside window");

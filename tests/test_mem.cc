@@ -273,10 +273,11 @@ TEST(Hierarchy, MshrOverflowUnderWarmingShapedMissesIsGolden)
     const MemConfig cfg;
     MemHierarchy mem(cfg);
     Cycle now = 0, sum = 0;
-    for (const TraceUop &u : test::missStream(30000, 0x429)) {
+    const auto misses = test::missStream(30000, 0x429);
+    for (const TraceUop &u : misses->uops) {
         ++now;
-        sum += u.isStore() ? mem.storeAccess(u.pc, u.effAddr, now)
-                           : mem.loadAccess(u.pc, u.effAddr, now);
+        sum += u.isStore() ? mem.storeAccess(u.pc(), u.effAddr(), now)
+                           : mem.loadAccess(u.pc(), u.effAddr(), now);
     }
     std::ostringstream os;
     mem.snapshotState(os);

@@ -72,13 +72,13 @@ recordOf(const DynInst &di)
 {
     CommitRecord r{};
     r.seq = di.seq;
-    r.pc = di.uop().pc;
-    r.opc = di.uop().opc;
+    r.pc = di.uop().pc();
+    r.opc = di.uop().opc();
     r.result = di.hasDst() ? di.computedValue
-                               : (di.uop().isStore() ? di.uop().result : 0);
+                               : (di.uop().isStore() ? di.uop().result() : 0);
     r.effAddr =
-        (di.uop().isLoad() || di.uop().isStore()) ? di.uop().effAddr : 0;
-    r.taken = di.uop().isBranch() ? di.uop().taken : false;
+        (di.uop().isLoad() || di.uop().isStore()) ? di.uop().effAddr() : 0;
+    r.taken = di.uop().isBranch() ? di.uop().taken() : false;
     return r;
 }
 
@@ -169,12 +169,12 @@ TEST(Checkpoint, CaptureAtMatchesLiveVM)
         const std::uint64_t len = trace->uops.size();
 
         KernelVM vm(w.program, w.memBytes);
-        TraceUop u;
+        UopRecord rec;
         Checkpoint resumed = captureAt(*trace, w.name, 0);
         for (const std::uint64_t split :
              {std::uint64_t(0), len / 3, len / 2, len}) {
             while (vm.executedUops() < split)
-                ASSERT_TRUE(vm.step(u)) << reproLine(seed);
+                ASSERT_TRUE(vm.step(rec)) << reproLine(seed);
             const Checkpoint fromVm = captureFromVM(vm, w.name);
             const Checkpoint fromTrace = captureAt(*trace, w.name, split);
             // The warm-once pass resumes each capture from the last.

@@ -71,12 +71,12 @@ CommitRecord
 recordOf(const TraceUop &u)
 {
     CommitRecord r{};
-    r.pc = u.pc;
-    r.opc = u.opc;
-    r.result = (u.hasDst() || u.isStore()) ? u.result : 0;
-    r.effAddr = (u.isLoad() || u.isStore()) ? u.effAddr : 0;
-    r.taken = u.isBranch() ? u.taken : false;
-    r.nextPc = u.isBranch() ? u.nextPc : 0;
+    r.pc = u.pc();
+    r.opc = u.opc();
+    r.result = (u.hasDst() || u.isStore()) ? u.result() : 0;
+    r.effAddr = (u.isLoad() || u.isStore()) ? u.effAddr() : 0;
+    r.taken = u.isBranch() ? u.taken() : false;
+    r.nextPc = u.isBranch() ? u.nextPc() : 0;
     return r;
 }
 
@@ -93,9 +93,9 @@ oracleStream(const Program &prog, std::uint64_t seed)
 {
     KernelVM vm(prog, tortureMemBytes);
     std::vector<CommitRecord> ref;
-    TraceUop u;
-    while (vm.step(u)) {
-        ref.push_back(recordOf(u));
+    UopRecord rec;
+    while (vm.step(rec)) {
+        ref.push_back(recordOf(vm.uopOf(rec)));
         if (ref.size() > 2000000) {
             ADD_FAILURE() << "generated program did not halt; "
                           << reproLine(seed);

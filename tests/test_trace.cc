@@ -11,9 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -101,26 +106,35 @@ writeTortureTrace(const std::string &wl, std::uint64_t max_uops,
     return trace;
 }
 
+/** What a µ-op's source operands produced: a memory µ-op's address, a
+ *  branch's direction, anything else's result. */
+RegVal
+producedBy(const TraceUop &u)
+{
+    if (u.isLoad() || u.isStore())
+        return u.effAddr();
+    return u.isBranch() ? u.taken() : u.result();
+}
+
 void
 expectSameUop(const TraceUop &a, const TraceUop &b, std::size_t i)
 {
-    EXPECT_EQ(a.pc, b.pc) << "µ-op " << i;
-    EXPECT_EQ(a.sidx, b.sidx) << "µ-op " << i;
-    EXPECT_EQ(a.opc, b.opc) << "µ-op " << i;
-    EXPECT_EQ(a.dst, b.dst) << "µ-op " << i;
-    EXPECT_EQ(a.src1, b.src1) << "µ-op " << i;
-    EXPECT_EQ(a.src2, b.src2) << "µ-op " << i;
-    EXPECT_EQ(a.imm, b.imm) << "µ-op " << i;
-    EXPECT_EQ(a.memSize, b.memSize) << "µ-op " << i;
-    EXPECT_EQ(a.srcVals[0], b.srcVals[0]) << "µ-op " << i;
-    EXPECT_EQ(a.srcVals[1], b.srcVals[1]) << "µ-op " << i;
-    EXPECT_EQ(a.result, b.result) << "µ-op " << i;
-    EXPECT_EQ(a.effAddr, b.effAddr) << "µ-op " << i;
-    EXPECT_EQ(a.taken, b.taken) << "µ-op " << i;
-    EXPECT_EQ(a.nextPc, b.nextPc) << "µ-op " << i;
-    EXPECT_EQ(a.dstClass, b.dstClass) << "µ-op " << i;
-    EXPECT_EQ(a.srcClass[0], b.srcClass[0]) << "µ-op " << i;
-    EXPECT_EQ(a.srcClass[1], b.srcClass[1]) << "µ-op " << i;
+    EXPECT_EQ(a.pc(), b.pc()) << "µ-op " << i;
+    EXPECT_EQ(a.sidx(), b.sidx()) << "µ-op " << i;
+    EXPECT_EQ(a.opc(), b.opc()) << "µ-op " << i;
+    EXPECT_EQ(a.dst(), b.dst()) << "µ-op " << i;
+    EXPECT_EQ(a.src1(), b.src1()) << "µ-op " << i;
+    EXPECT_EQ(a.src2(), b.src2()) << "µ-op " << i;
+    EXPECT_EQ(a.imm(), b.imm()) << "µ-op " << i;
+    EXPECT_EQ(a.memSize(), b.memSize()) << "µ-op " << i;
+    EXPECT_EQ(producedBy(a), producedBy(b)) << "µ-op " << i;
+    EXPECT_EQ(a.result(), b.result()) << "µ-op " << i;
+    EXPECT_EQ(a.effAddr(), b.effAddr()) << "µ-op " << i;
+    EXPECT_EQ(a.taken(), b.taken()) << "µ-op " << i;
+    EXPECT_EQ(a.nextPc(), b.nextPc()) << "µ-op " << i;
+    EXPECT_EQ(a.dstClass(), b.dstClass()) << "µ-op " << i;
+    EXPECT_EQ(a.srcClass(0), b.srcClass(0)) << "µ-op " << i;
+    EXPECT_EQ(a.srcClass(1), b.srcClass(1)) << "µ-op " << i;
 }
 
 } // namespace
@@ -170,8 +184,8 @@ TEST(TraceFile, WritesAreByteStable)
     EXPECT_EQ(a, slurp(tmp.path("b.trace")));
     // Pinned: how the writer packs, hashes and writes may change, the
     // bytes of the file (footer digest included) may not.
-    EXPECT_EQ(sha256Hex(a), "1287c43a18850ac1d70841466cea049b"
-                            "c6054f1562f0e00f09bf99a5059e90c9");
+    EXPECT_EQ(sha256Hex(a), "3ad4631b349d0ff80082c26f282d464a"
+                            "ef9bef1dec971c26222e57fe9cb8c3c4");
 }
 
 TEST(TraceFile, InfoMatchesTheHeader)
@@ -207,6 +221,75 @@ TEST(TraceFile, WriterRejectsAnOverlongName)
                                 &err));
     EXPECT_FALSE(err.empty());
     EXPECT_FALSE(fs::exists(tmp.path("bad.trace")));
+}
+
+// ------------------------- failed writes ---------------------------------
+
+namespace {
+
+/** Run writeTraceFile(@p trace, @p path) in a forked child whose files
+ *  may not grow past 64 KiB: with @p killed the child dies of SIGXFSZ
+ *  mid-write, otherwise the write fails with EFBIG. The wait status. */
+int
+writeUnderSizeLimit(const FrozenTrace &trace, const std::string &path,
+                    bool killed)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        if (!killed)
+            std::signal(SIGXFSZ, SIG_IGN);
+        const struct rlimit cap = {64 * 1024, 64 * 1024};
+        ::setrlimit(RLIMIT_FSIZE, &cap);
+        std::string err;
+        ::_exit(writeTraceFile(trace, path, "generated", &err) ? 0 : 3);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return status;
+}
+
+} // namespace
+
+TEST(TraceFile, KilledWriterLeavesNoTruncatedFile)
+{
+    TempDir tmp("killed");
+    const auto trace = workloads::build("164.gzip").freeze(50000);
+    const std::string path = tmp.path("t.trace");
+    const int status = writeUnderSizeLimit(*trace, path, true);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGXFSZ)
+        << "status " << status;
+    EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(TraceFile, FailedRewriteKeepsTheOldFile)
+{
+    TempDir tmp("rewrite");
+    const std::string path = tmp.path("t.trace");
+    writeTortureTrace("torture:7", 1000, path);
+    const std::string before = slurp(path);
+
+    // A write error on the way (the file size limit).
+    const auto big = workloads::build("164.gzip").freeze(50000);
+    const int status = writeUnderSizeLimit(*big, path, false);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 3)
+        << "status " << status;
+    EXPECT_EQ(slurp(path), before);
+
+    // A rewrite rejected before any byte is written.
+    FrozenTrace named;
+    named.name = std::string(traceFileNameBytes, 'x');
+    named.seal();
+    std::string err;
+    EXPECT_FALSE(writeTraceFile(named, path, "generated", &err));
+    EXPECT_EQ(slurp(path), before);
+
+    // Only the file itself is left in its directory.
+    std::size_t entries = 0;
+    for ([[maybe_unused]] const auto &e : fs::directory_iterator(tmp.dir))
+        ++entries;
+    EXPECT_EQ(entries, 1u);
+    err.clear();
+    EXPECT_NE(loadTraceFile(path, &err), nullptr) << err;
 }
 
 // ------------------------- clamped views ---------------------------------
@@ -377,8 +460,8 @@ TEST(TraceCacheT, ByteBudgetEnforcedUnderPressure)
     TraceCache cache;
     const Workload w = workloads::build("164.gzip");
 
-    const std::uint64_t fits = (512 * 1024) / sizeof(TraceUop);
-    const std::uint64_t toobig = (2 * 1024 * 1024) / sizeof(TraceUop);
+    const std::uint64_t fits = (512 * 1024) / sizeof(UopRecord);
+    const std::uint64_t toobig = (2 * 1024 * 1024) / sizeof(UopRecord);
     const auto small = cache.get(w, fits);
     ASSERT_NE(small, nullptr);
     EXPECT_FALSE(small->mmapBacked);
@@ -514,27 +597,80 @@ TEST(TraceFile, FuzzedFilesAreRejectedNotCrashed)
 
     // A µ-op count that wraps when multiplied by the record size:
     // 1000 records on disk, 1000 + 2^59 in the header and the footer
-    // (96 · 2^59 = 3 · 2^64, so the size equation still balances) and
+    // (32 · 2^59 = 2^64, so the size equation still balances) and
     // a consistent checksum. The count must be bounded by the file
     // size before any arithmetic with it.
+    const std::string small = tmp.path("gzip1000.trace");
+    const std::size_t statics =
+        writeTortureTrace("164.gzip", 1000, small)->uops.staticCount;
+    const std::string small_good = slurp(small);
+    ASSERT_EQ(small_good.size(),
+              traceFileHeaderBytes + statics * sizeof(StaticUop)
+                  + 1000 * sizeof(UopRecord) + traceFileFooterBytes);
+    const std::size_t footer = small_good.size() - traceFileFooterBytes;
+    // Overwrite the u64 at @p off and recompute the checksum.
+    const auto forged = [&](std::size_t off, std::uint64_t v) {
+        std::string bad = small_good;
+        bad.replace(off, 8, reinterpret_cast<const char *>(&v), 8);
+        bad.replace(bad.size() - 64, 64, sha256Hex(bad.substr(0, footer)));
+        return bad;
+    };
     {
-        const std::string small = tmp.path("gzip1000.trace");
-        writeTortureTrace("164.gzip", 1000, small);
-        std::string bad = slurp(small);
-        ASSERT_EQ(bad.size(), traceFileHeaderBytes + 1000 * sizeof(TraceUop)
-                                  + traceFileFooterBytes);
         const std::uint64_t wrapped = 1000 + (1ULL << 59);
-        const std::size_t footer = bad.size() - traceFileFooterBytes;
-        bad.replace(24, 8, reinterpret_cast<const char *>(&wrapped), 8);
+        std::string bad = forged(24, wrapped);
         bad.replace(footer + 8, 8, reinterpret_cast<const char *>(&wrapped),
                     8);
-        bad.replace(bad.size() - 64, 64, sha256Hex(bad.substr(0, footer)));
         spit(mut, bad);
         err.clear();
         EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
         EXPECT_NE(err.find("at byte 24"), std::string::npos) << err;
         TraceFileInfo info;
         EXPECT_FALSE(readTraceFileInfo(mut, &info, &err));
+    }
+
+    // The same wrap in the static-entry count (32 · 2^59 = 2^64).
+    {
+        spit(mut, forged(traceFileHeaderBytes - 8, statics + (1ULL << 59)));
+        err.clear();
+        EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
+        EXPECT_NE(err.find("static entry count"), std::string::npos) << err;
+    }
+
+    // A record naming a static entry past the table, and a static
+    // entry with an opcode past the enum, each under a consistent
+    // checksum: content errors, not out-of-bounds reads.
+    {
+        const std::size_t records =
+            traceFileHeaderBytes + statics * sizeof(StaticUop);
+        const std::size_t id_at = records + sizeof(UopRecord)
+            + offsetof(UopRecord, staticId);
+        std::uint64_t word = 0;
+        std::memcpy(&word, small_good.data() + id_at, 8);
+        word = (word & ~0xffffffffULL) | statics;
+        spit(mut, forged(id_at, word));
+        err.clear();
+        EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
+        EXPECT_NE(err.find("µ-op 1 at byte"), std::string::npos) << err;
+
+        const std::size_t opc_at = traceFileHeaderBytes + sizeof(StaticUop)
+            + offsetof(StaticUop, opc);
+        std::memcpy(&word, small_good.data() + opc_at, 8);
+        word = (word & ~0xffULL) | 0xff;
+        spit(mut, forged(opc_at, word));
+        err.clear();
+        EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
+        EXPECT_NE(err.find("static entry 1 at byte"), std::string::npos)
+            << err;
+    }
+
+    // A file of the first format is named as such, not as noise.
+    {
+        std::string v1 = small_good;
+        v1[7] = '1';
+        spit(mut, v1);
+        err.clear();
+        EXPECT_EQ(loadTraceFile(mut, &err), nullptr);
+        EXPECT_NE(err.find("re-record"), std::string::npos) << err;
     }
 
     // The original is still pristine (fuzzing wrote copies only).
@@ -722,70 +858,71 @@ TEST(Rv64Ingest, GoldenUopStream)
     ASSERT_EQ(t->uops.size(), 9u);
 
     const TraceUop &addi = t->uops[0];
-    EXPECT_EQ(addi.opc, Opcode::Addi);
-    EXPECT_EQ(addi.pc, pc(0));
-    EXPECT_EQ(addi.dst, 7);
-    EXPECT_EQ(addi.src1, 5);
-    EXPECT_EQ(addi.imm, 3);
-    EXPECT_EQ(addi.srcVals[0], 7u);
-    EXPECT_EQ(addi.result, 10u);
-    EXPECT_EQ(addi.nextPc, pc(1));
+    EXPECT_EQ(addi.opc(), Opcode::Addi);
+    EXPECT_EQ(addi.pc(), pc(0));
+    EXPECT_EQ(addi.dst(), 7);
+    EXPECT_EQ(addi.src1(), 5);
+    EXPECT_EQ(addi.imm(), 3);
+    EXPECT_EQ(addi.result(), 7u + 3);  // x5 plus the immediate
+    EXPECT_EQ(addi.result(), 10u);
+    EXPECT_EQ(addi.nextPc(), pc(1));
 
     const TraceUop &lui = t->uops[1];
-    EXPECT_EQ(lui.opc, Opcode::Movi);
-    EXPECT_EQ(lui.result, 0x12345000u);
-    EXPECT_EQ(lui.nextPc, pc(2));
+    EXPECT_EQ(lui.opc(), Opcode::Movi);
+    EXPECT_EQ(lui.result(), 0x12345000u);
+    EXPECT_EQ(lui.nextPc(), pc(2));
 
     const TraceUop &ld = t->uops[2];
-    EXPECT_EQ(ld.opc, Opcode::Ld);
-    EXPECT_EQ(ld.dst, 10);
-    EXPECT_EQ(ld.src1, 11);
-    EXPECT_EQ(ld.imm, 2);
-    EXPECT_EQ(ld.memSize, 2);
-    EXPECT_EQ(ld.effAddr, 0x102u);
-    EXPECT_EQ(ld.result, 0x0403u);  // zero-extended raw load
+    EXPECT_EQ(ld.opc(), Opcode::Ld);
+    EXPECT_EQ(ld.dst(), 10);
+    EXPECT_EQ(ld.src1(), 11);
+    EXPECT_EQ(ld.imm(), 2);
+    EXPECT_EQ(ld.memSize(), 2);
+    EXPECT_EQ(ld.effAddr(), 0x102u);
+    EXPECT_EQ(ld.result(), 0x0403u);  // zero-extended raw load
     const TraceUop &shl = t->uops[3];
-    EXPECT_EQ(shl.opc, Opcode::Shli);
-    EXPECT_EQ(shl.imm, 48);
-    EXPECT_EQ(shl.result, 0x0403ULL << 48);
+    EXPECT_EQ(shl.opc(), Opcode::Shli);
+    EXPECT_EQ(shl.imm(), 48);
+    EXPECT_EQ(shl.result(), 0x0403ULL << 48);
     const TraceUop &sar = t->uops[4];
-    EXPECT_EQ(sar.opc, Opcode::Sari);
-    EXPECT_EQ(sar.imm, 48);
-    EXPECT_EQ(sar.result, 0x0403u);  // positive half: sext is identity
+    EXPECT_EQ(sar.opc(), Opcode::Sari);
+    EXPECT_EQ(sar.imm(), 48);
+    EXPECT_EQ(sar.result(), 0x0403u);  // positive half: sext is identity
 
     const TraceUop &st = t->uops[5];
-    EXPECT_EQ(st.opc, Opcode::St);
-    EXPECT_EQ(st.src1, 11);
-    EXPECT_EQ(st.src2, 10);
-    EXPECT_EQ(st.imm, 8);
-    EXPECT_EQ(st.memSize, 4);
-    EXPECT_EQ(st.effAddr, 0x108u);
-    EXPECT_EQ(st.result, 0x0403u);  // full register, commit-check form
-    EXPECT_EQ(st.nextPc, pc(6));
+    EXPECT_EQ(st.opc(), Opcode::St);
+    EXPECT_EQ(st.src1(), 11);
+    EXPECT_EQ(st.src2(), 10);
+    EXPECT_EQ(st.imm(), 8);
+    EXPECT_EQ(st.memSize(), 4);
+    EXPECT_EQ(st.effAddr(), 0x108u);
+    EXPECT_EQ(st.result(), 0x0403u);  // full register, commit-check form
+    EXPECT_EQ(st.nextPc(), pc(6));
 
     const TraceUop &call = t->uops[6];
-    EXPECT_EQ(call.opc, Opcode::Call);
-    EXPECT_EQ(call.pc, pc(6));
-    EXPECT_EQ(call.dst, 1);
-    EXPECT_TRUE(call.taken);
-    EXPECT_EQ(call.result, pc(7));  // synthetic link: µ-op after me
-    EXPECT_EQ(call.nextPc, pc(8));
+    EXPECT_EQ(call.opc(), Opcode::Call);
+    EXPECT_EQ(call.pc(), pc(6));
+    EXPECT_EQ(call.dst(), 1);
+    EXPECT_TRUE(call.taken());
+    EXPECT_EQ(call.result(), pc(7));  // synthetic link: µ-op after me
+    EXPECT_EQ(call.nextPc(), pc(8));
 
     const TraceUop &ret = t->uops[7];
-    EXPECT_EQ(ret.opc, Opcode::Ret);
-    EXPECT_EQ(ret.pc, pc(8));
-    EXPECT_EQ(ret.src1, 1);
-    EXPECT_EQ(ret.srcVals[0], pc(7));
-    EXPECT_TRUE(ret.taken);
-    EXPECT_EQ(ret.nextPc, pc(7));
+    EXPECT_EQ(ret.opc(), Opcode::Ret);
+    EXPECT_EQ(ret.pc(), pc(8));
+    EXPECT_EQ(ret.src1(), 1);
+    EXPECT_EQ(ret.nextPc(), call.result());  // the link x1 holds
+    EXPECT_TRUE(ret.taken());
+    EXPECT_EQ(ret.nextPc(), pc(7));
 
     const TraceUop &sub = t->uops[8];
-    EXPECT_EQ(sub.opc, Opcode::Sub);
-    EXPECT_EQ(sub.pc, pc(7));
-    EXPECT_EQ(sub.dst, 12);
-    EXPECT_EQ(sub.srcVals[0], 10u);
-    EXPECT_EQ(sub.srcVals[1], 0x0403u);
-    EXPECT_EQ(sub.result, static_cast<RegVal>(10 - 0x0403));
+    EXPECT_EQ(sub.opc(), Opcode::Sub);
+    EXPECT_EQ(sub.pc(), pc(7));
+    EXPECT_EQ(sub.dst(), 12);
+    // x7 and x10: what the addi and the sign-extension produced.
+    EXPECT_EQ(sub.result(), addi.result() - sar.result());
+    EXPECT_EQ(sub.result() + 0x0403u, 10u);
+    EXPECT_EQ(sub.result(), static_cast<RegVal>(10 - 0x0403));
 }
 
 TEST(Rv64Ingest, GoldenStreamSurvivesAFileRoundTrip)

@@ -37,10 +37,10 @@ measureMix(const Workload &w, std::uint64_t n)
     std::uint64_t br = 0, taken = 0, ld = 0, st = 0, alu = 0, fp = 0;
     for (const TraceUop &u : trace->uops) {
         br += u.isBranch();
-        taken += u.isBranch() && u.taken;
+        taken += u.isBranch() && u.taken();
         ld += u.isLoad();
         st += u.isStore();
-        alu += isSingleCycleAlu(u.opc);
+        alu += isSingleCycleAlu(u.opc());
         const OpClass c = u.opClass();
         fp += c == OpClass::FpAlu || c == OpClass::FpMul
             || c == OpClass::FpDiv;
@@ -84,8 +84,8 @@ TEST(WorkloadRegistry, TracesAreDeterministic)
         ASSERT_EQ(a->uops.size(), 5000u) << name;
         ASSERT_EQ(b->uops.size(), 5000u) << name;
         for (std::size_t i = 0; i < 5000; ++i) {
-            ASSERT_EQ(a->uops[i].pc, b->uops[i].pc) << name;
-            ASSERT_EQ(a->uops[i].result, b->uops[i].result) << name;
+            ASSERT_EQ(a->uops[i].pc(), b->uops[i].pc()) << name;
+            ASSERT_EQ(a->uops[i].result(), b->uops[i].result()) << name;
         }
     }
 }
@@ -267,11 +267,11 @@ TEST(WorkloadTraits, StridedLoadValuesAreStrided)
     for (std::size_t i = 0; i < trace->uops.size() && checked < 500; ++i) {
         const TraceUop &u = trace->uops[i];
         if (u.isLoad()) {
-            if (have_prev && u.result > prev) {
-                EXPECT_EQ(u.result - prev, 3u);
+            if (have_prev && u.result() > prev) {
+                EXPECT_EQ(u.result() - prev, 3u);
                 ++checked;
             }
-            prev = u.result;
+            prev = u.result();
             have_prev = true;
         }
     }
