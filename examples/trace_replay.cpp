@@ -1,7 +1,7 @@
 /**
  * @file
  * On-disk traces end to end through the library API: record a workload
- * to an eole-trace-v1 file, mmap it back, bind it into the workload
+ * to an eole-trace-v2 file, mmap it back, bind it into the workload
  * registry, and show that a sweep over the file-backed workload
  * produces the byte-identical artifact a live-generated run does.
  *

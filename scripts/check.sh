@@ -22,11 +22,11 @@
 #                  locally-recorded artifact for a hard gate
 #                  anywhere).
 #   --tsan         additionally build with ThreadSanitizer
-#                  (-DEOLE_TSAN=ON, build-tsan/) and run the sweep
-#                  engine + torture + sampling suites under it, plus
-#                  a checkpoint round-trip smoke (the warm-once
-#                  differential test) exercising snapshot/restore on
-#                  the worker pool.
+#                  (-DEOLE_TSAN=ON, build-tsan/) and run the suites
+#                  the `tsan` test preset selects: the sweep engine,
+#                  torture and sampling suites, plus the checkpoint
+#                  round-trips (the warm-once differential test)
+#                  exercising snapshot/restore on the worker pool.
 #   --sample       additionally run the sampling lanes:
 #                  (1) the sample_validation bench at a 1M-µop
 #                  measure — full vs re-warm vs warm-once-restore,
@@ -37,20 +37,24 @@
 #                  artifact must carry nonzero
 #                  sample_restored_intervals (proof the restore path,
 #                  not silent re-warming, produced the numbers);
-#                  (3) the checkpoint/state suites (test_sample,
-#                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer), test_slab, the memory model (test_mem),
-#                  the disk-boundary suites (test_common's SHA-256,
-#                  test_trace incl. the trace-file fuzzer) and the VM,
-#                  workload and value-predictor suites (test_isa,
-#                  test_workloads, test_vpred) under AddressSanitizer
-#                  (-DEOLE_ASAN=ON, build-asan/);
-#                  (4) the by-value checkpoint, sampling and sweep
-#                  engine suites (test_ckpt_state, test_sample,
-#                  test_experiment), test_mem, test_common,
-#                  test_trace, test_isa, test_workloads and test_vpred
+#                  (3) the suites the `asan` test preset of
+#                  CMakePresets.json selects, under AddressSanitizer
+#                  (-DEOLE_ASAN=ON, build-asan/): the checkpoint/state
+#                  suites (test_sample, test_ckpt_state, test_torture
+#                  incl. the checkpoint fuzzer), test_slab, the memory
+#                  model (test_mem), the disk-boundary suites
+#                  (test_common's SHA-256, test_trace incl. the
+#                  trace-file fuzzer) and the VM, workload and
+#                  value-predictor suites (test_isa, test_workloads,
+#                  test_vpred);
+#                  (4) the suites the `ubsan` test preset selects,
 #                  under UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
-#                  build-ubsan/; any finding fails).
+#                  build-ubsan/; any finding fails): the by-value
+#                  checkpoint, sampling and sweep engine suites
+#                  (test_ckpt_state, test_sample, test_experiment),
+#                  test_mem, test_common, test_trace, test_isa,
+#                  test_workloads and test_vpred.
+#                  The presets are the one list of each lane's suites.
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
@@ -101,6 +105,26 @@ run_ctest() {
     if ! (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" "$@");
     then
         echo "check.sh: ctest FAILED in $build_dir" >&2
+        exit 1
+    fi
+}
+
+# sanitizer_lane PRESET: configure the preset's build directory, build
+# the suites its test preset selects (ctest lists them without running
+# anything) and run them.
+sanitizer_lane() {
+    local preset="$1"
+    cmake --preset "$preset" -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
+    local suites
+    suites="$(ctest --preset "$preset" -N | sed -n 's/^ *Test *#[0-9]*: *//p')"
+    if [[ -z "$suites" ]]; then
+        echo "check.sh: test preset $preset selects no suite" >&2
+        exit 1
+    fi
+    # shellcheck disable=SC2086  # one target per suite name
+    cmake --build --preset "$preset" -j "$JOBS" --target $suites
+    if ! ctest --preset "$preset" -j "$JOBS"; then
+        echo "check.sh: ctest FAILED under preset $preset" >&2
         exit 1
     fi
 }
@@ -212,14 +236,7 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     # unaligned buffers. test_isa and test_workloads drive the VM's
     # bounds checks and the memSpan image writers; test_vpred (and
     # test_torture, on all four fig12 configs) the flat VpLookup.
-    cmake -B build-asan -S . -DEOLE_ASAN=ON \
-          -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
-    cmake --build build-asan -j "$JOBS" \
-          --target test_sample test_ckpt_state test_torture test_slab \
-                   test_mem test_common test_trace test_isa \
-                   test_workloads test_vpred
-    run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_mem|test_common|test_trace|test_isa|test_workloads|test_vpred)$'
+    sanitizer_lane asan
 
     echo "check.sh: UndefinedBehaviorSanitizer pass" \
          "(checkpoint/sampling/sweep engine/memory-model/disk-boundary" \
@@ -227,25 +244,12 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     # test_common runs the SHA-256 block functions (intrinsics) and the
     # partial-block logic; test_trace the trace header arithmetic;
     # test_isa the VM's wrap-free bounds check.
-    cmake -B build-ubsan -S . -DEOLE_UBSAN=ON \
-          -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
-    cmake --build build-ubsan -j "$JOBS" \
-          --target test_ckpt_state test_sample test_experiment test_mem \
-                   test_common test_trace test_isa test_workloads \
-                   test_vpred
-    run_ctest build-ubsan \
-        -R '^(test_ckpt_state|test_sample|test_experiment|test_mem|test_common|test_trace|test_isa|test_workloads|test_vpred)$'
+    sanitizer_lane ubsan
 fi
 
 if [[ "$WITH_TSAN" == 1 ]]; then
     echo "check.sh: ThreadSanitizer pass (sweep engine + torture + ckpt)"
-    cmake -B build-tsan -S . -DEOLE_TSAN=ON \
-          -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
-    cmake --build build-tsan -j "$JOBS" \
-          --target test_experiment test_torture test_sample \
-                   test_ckpt_state
-    run_ctest build-tsan \
-        -R '^(test_experiment|test_torture|test_sample|test_ckpt_state)$'
+    sanitizer_lane tsan
 fi
 
 echo "check.sh: OK (warmup=$EOLE_WARMUP, insts=$EOLE_INSTS," \

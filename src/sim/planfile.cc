@@ -187,7 +187,7 @@ parsePlanText(const std::string &text, const std::string &origin,
                 workloads_all = true;
             } else {
                 for (const std::string &name : splitList(value)) {
-                    // "file:<path>": bind an on-disk eole-trace-v1
+                    // "file:<path>": bind an on-disk eole-trace-v2
                     // file and address it by the canonical workload
                     // name embedded in its header, so every seed,
                     // shard and store key matches a live-generated

@@ -18,7 +18,7 @@
  *                                     (--compare diffs two artifacts)
  *   eole ckpt save|info               write / inspect eole-ckpt-v2
  *                                     warm-state checkpoint files
- *   eole trace record|info|ingest     write / inspect eole-trace-v1
+ *   eole trace record|info|ingest     write / inspect eole-trace-v2
  *                                     on-disk µ-op traces
  *   eole telemetry summarize <f>...   summarize --telemetry streams
  *
@@ -231,7 +231,7 @@ usage(FILE *to, int exit_code)
         "  eole trace record <workload> --out <file.trace>\n"
         "            [--uops N] [--store DIR] [--quiet]\n"
         "      Record a workload's functional µ-op trace into an\n"
-        "      eole-trace-v1 file (mmap-ready packed records +\n"
+        "      eole-trace-v2 file (mmap-ready packed records +\n"
         "      SHA-256 footer). A trace that ends before its program\n"
         "      halts must hold every µ-op a run fetches: warmup +\n"
         "      measure plus the plan's in-flight look-ahead\n"
@@ -254,7 +254,7 @@ usage(FILE *to, int exit_code)
         "      Translate an RV64I committed-instruction log (spike/\n"
         "      QEMU style `pc insn` lines, with optional reg/mem seed\n"
         "      directives) into the internal µ-op vocabulary and write\n"
-        "      it as eole-trace-v1. The workload name defaults to\n"
+        "      it as eole-trace-v2. The workload name defaults to\n"
         "      rv64:<log stem>. See DESIGN.md §13 for the cracking\n"
         "      table and the unsupported-instruction list.\n"
         "\n"

@@ -49,7 +49,7 @@ struct Workload
      *  start measurement intervals mid-workload. */
     std::shared_ptr<const Checkpoint> start;
 
-    /** The workload IS its frozen trace (loaded from an eole-trace-v1
+    /** The workload IS its frozen trace (loaded from an eole-trace-v2
      *  file; see workloads::bindTraceFile): there is no program to
      *  re-record from, so freeze() serves clamped views of `frozen`
      *  instead of running a VM. */
@@ -103,7 +103,7 @@ const std::vector<std::string> &allNames();
 Workload build(const std::string &name);
 
 /**
- * Load the eole-trace-v1 file at @p path (mmap-backed, see
+ * Load the eole-trace-v2 file at @p path (mmap-backed, see
  * src/trace/trace_file.hh) and register its embedded workload name:
  * from then on build() of that name returns the file-backed workload.
  * This is how `file:<path>` specs become plan-addressable — the

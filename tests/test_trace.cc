@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the on-disk trace subsystem (src/trace/): eole-trace-v1
+ * Tests for the on-disk trace subsystem (src/trace/): eole-trace-v2
  * write/load round-trips, clamped prefix views, the bound-registry
  * `file:` workload path and its byte-identical sweep artifacts, the
  * trace cache's budget-exempt file accounting and its spill of
@@ -275,21 +275,29 @@ TEST(TraceFile, FailedRewriteKeepsTheOldFile)
         << "status " << status;
     EXPECT_EQ(slurp(path), before);
 
-    // A rewrite rejected before any byte is written.
-    FrozenTrace named;
-    named.name = std::string(traceFileNameBytes, 'x');
-    named.seal();
-    std::string err;
-    EXPECT_FALSE(writeTraceFile(named, path, "generated", &err));
-    EXPECT_EQ(slurp(path), before);
-
     // Only the file itself is left in its directory.
     std::size_t entries = 0;
     for ([[maybe_unused]] const auto &e : fs::directory_iterator(tmp.dir))
         ++entries;
     EXPECT_EQ(entries, 1u);
-    err.clear();
+    std::string err;
     EXPECT_NE(loadTraceFile(path, &err), nullptr) << err;
+}
+
+TEST(TraceFile, RejectedRewriteKeepsTheOldFile)
+{
+    // A rewrite rejected before any byte is written.
+    TempDir tmp("rejected");
+    const std::string path = tmp.path("t.trace");
+    writeTortureTrace("torture:7", 1000, path);
+    const std::string before = slurp(path);
+    FrozenTrace named;
+    named.name = std::string(traceFileNameBytes, 'x');
+    named.seal();
+    std::string err;
+    EXPECT_FALSE(writeTraceFile(named, path, "generated", &err));
+    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(slurp(path), before);
 }
 
 // ------------------------- clamped views ---------------------------------
@@ -378,7 +386,7 @@ TEST(Sweep, FileBackedArtifactsAreByteIdentical)
 {
     // The tentpole guarantee: the same 2x2 grid produces cmp-equal
     // JSON whether the workloads run from the generator registry or
-    // from recorded eole-trace-v1 files.
+    // from recorded eole-trace-v2 files.
     TempDir tmp("bytes");
     BoundTraceGuard guard;
 
