@@ -9,6 +9,29 @@
 
 namespace eole {
 
+namespace {
+
+/** The static entry of @p inst at static index @p sidx. */
+StaticUop
+staticUopOf(const StaticInst &inst, std::uint32_t sidx)
+{
+    StaticUop s;
+    s.pc = Program::pcOf(sidx);
+    s.imm = inst.imm;
+    s.sidx = sidx;
+    s.dst = inst.dst;
+    s.src1 = inst.src1;
+    s.src2 = inst.src2;
+    s.opc = inst.opc;
+    s.memSize = inst.memSize;
+    s.dstClass = inst.dstRegClass();
+    s.srcClass[0] = inst.srcRegClass(0);
+    s.srcClass[1] = inst.srcRegClass(1);
+    return s;
+}
+
+} // namespace
+
 KernelVM::KernelVM(const Program &program, std::size_t mem_bytes)
     : prog(program), memBytes(mem_bytes)
 {
@@ -127,24 +150,6 @@ KernelVM::step(UopRecord &out)
     out.nextPc = Program::pcOf(next_pc);
     ++uopCount;
     return true;
-}
-
-StaticUop
-staticUopOf(const StaticInst &inst, std::uint32_t sidx)
-{
-    StaticUop s;
-    s.pc = Program::pcOf(sidx);
-    s.imm = inst.imm;
-    s.sidx = sidx;
-    s.dst = inst.dst;
-    s.src1 = inst.src1;
-    s.src2 = inst.src2;
-    s.opc = inst.opc;
-    s.memSize = inst.memSize;
-    s.dstClass = inst.dstRegClass();
-    s.srcClass[0] = inst.srcRegClass(0);
-    s.srcClass[1] = inst.srcRegClass(1);
-    return s;
 }
 
 std::string

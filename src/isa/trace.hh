@@ -88,7 +88,6 @@ class TraceUop
     Addr effAddr() const { return rec->effAddr; }
     bool taken() const { return rec->taken; }
     Addr nextPc() const { return rec->nextPc; }
-    std::uint32_t staticId() const { return rec->staticId; }
 
     OpClass opClass() const { return opClassOf(opc()); }
     bool isLoad() const { return isLoadOp(opc()); }
@@ -131,20 +130,6 @@ class TraceUop
     const StaticUop *st = nullptr;
     const UopRecord *rec = nullptr;
 };
-
-/** A µ-op that owns both of its parts, for code that builds µ-ops one
- *  at a time outside a recording (directed tests, micro-benchmarks).
- *  It converts to the view, which borrows from it. */
-struct OwnedUop
-{
-    StaticUop st;
-    UopRecord rec;
-
-    operator TraceUop() const { return TraceUop(&st, &rec); }
-};
-
-/** The static entry of @p inst at static index @p sidx. */
-StaticUop staticUopOf(const StaticInst &inst, std::uint32_t sidx);
 
 /**
  * One line of text naming every field of @p u the simulator reads (for

@@ -94,12 +94,6 @@ class PhysRegFile
         values[reg] = value;
     }
 
-    bool
-    isReady(RegIndex reg, Cycle now) const
-    {
-        return readyAt[reg] <= now;
-    }
-
     Cycle readyCycle(RegIndex reg) const { return readyAt[reg]; }
 
     /** Mark not-ready (allocation). */

@@ -266,6 +266,15 @@ TEST(Ras, SnapshotRestore)
 
 namespace {
 
+/** A µ-op outside any recording: both parts, and the view of them. */
+struct OwnedUop
+{
+    StaticUop st;
+    UopRecord rec;
+
+    operator TraceUop() const { return TraceUop(&st, &rec); }
+};
+
 OwnedUop
 makeCondUop(Addr pc, bool taken, Addr target)
 {
