@@ -676,7 +676,10 @@ resolveWorkloadSpec(const std::string &spec, std::string *resolved,
     if (fs::is_directory(abs.parent_path(), ec)) {
         for (const auto &e : fs::directory_iterator(abs.parent_path(),
                                                     ec)) {
-            if (e.path().extension() == ".trace")
+            // A file that exists but does not load (an eole-trace-v1
+            // file, say) is no suggestion for itself.
+            if (e.path().extension() == ".trace"
+                && e.path().filename() != abs.filename())
                 siblings.push_back(e.path().filename().string());
         }
         std::sort(siblings.begin(), siblings.end());
@@ -1466,7 +1469,7 @@ cmdTraceInfo(int argc, char **argv)
     for (const std::string &path : paths) {
         TraceFileInfo info;
         if (!readTraceFileInfo(path, &info, &err))
-            return fail(path + ": " + err);
+            return fail(err);  // err names the path
         std::printf("%s:\n", path.c_str());
         std::printf("  workload  %s\n", info.name.c_str());
         std::printf("  source    %s\n", info.source.c_str());
