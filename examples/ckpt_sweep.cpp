@@ -92,9 +92,9 @@ main(int argc, char **argv)
     //    anywhere.
     const std::string bytes = checkpointString(*ckpts[0]);
     const Checkpoint back = checkpointFromString(bytes);
+    const bool round_trip = checkpointString(back) == bytes;
     std::printf("round trip: %zu bytes, byte-identical: %s\n",
-                bytes.size(),
-                checkpointString(back) == bytes ? "yes" : "NO");
+                bytes.size(), round_trip ? "yes" : "NO");
 
     // 4. Same measurements, less warming: run the sampled cell both
     //    ways and compare. A warming bound B no shorter than the
@@ -121,10 +121,8 @@ main(int argc, char **argv)
     std::printf("%-22s %11.2fs %11.2fs\n", "wall clock",
                 std::chrono::duration<double>(t1 - t0).count(),
                 std::chrono::duration<double>(t2 - t1).count());
-    std::printf("\nidentical measurements: %s\n",
-                a.stats.get("ipc") == b.stats.get("ipc")
-                        && a.stats.get("cycles") == b.stats.get("cycles")
-                    ? "yes"
-                    : "NO");
-    return 0;
+    const bool identical = a.stats.get("ipc") == b.stats.get("ipc")
+        && a.stats.get("cycles") == b.stats.get("cycles");
+    std::printf("\nidentical measurements: %s\n", identical ? "yes" : "NO");
+    return round_trip && identical ? 0 : 1;
 }

@@ -7,10 +7,13 @@
  *  - stride-predictable index arithmetic  -> Late Execution
  *  - immediate-operand mask computations  -> Early Execution
  *  - data-dependent accumulation          -> stays in the OoO engine
+ *
+ *   ./build/custom_workload [uops]
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/random.hh"
 #include "isa/assembler.hh"
@@ -69,8 +72,10 @@ makeChecksumKernel()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const std::uint64_t uops = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
+                                        : 1000000;
     Workload w = makeChecksumKernel();
     const SimConfig cfgs[] = {configs::baselineVp(6, 64),
                               configs::eole(4, 64)};
@@ -81,11 +86,13 @@ main()
     std::uint64_t inflight = 0;
     for (const SimConfig &cfg : cfgs)
         inflight = std::max(inflight, maxInflightUops(cfg));
-    w.frozen = w.freeze(200000 + 1000000 + inflight);
+    w.frozen = w.freeze(uops / 5 + uops + inflight);
 
     // The functional mix of the first 100k µ-ops of the recording.
     {
-        std::uint64_t alu = 0, loads = 0, total = 100000;
+        std::uint64_t alu = 0, loads = 0;
+        const std::uint64_t total =
+            std::min<std::uint64_t>(100000, w.frozen->uops.size());
         for (std::uint64_t n = 0; n < total; ++n) {
             const TraceUop &u = w.frozen->uops[n];
             alu += isSingleCycleAlu(u.opc());
@@ -99,9 +106,9 @@ main()
     // Now measure on the paper's machines.
     for (const SimConfig &cfg : cfgs) {
         Core core(cfg, w);
-        core.run(200000, 40000000);
+        core.run(uops / 5, uops * 40);
         core.resetStats();
-        core.run(1000000, 200000000);
+        core.run(uops, uops * 200);
         const StatRecord r = core.record();
         std::printf("%-18s ipc=%.3f  early-executed=%.1f%%  "
                     "late-executed=%.1f%%  in-OoO=%.1f%%\n",

@@ -5,11 +5,12 @@
  * EOLE design, printing IPC and complexity-relevant stats at each
  * step.
  *
- *   ./build/examples/design_space [benchmark]
+ *   ./build/design_space [benchmark] [uops]
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,8 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "179.art";
+    const std::uint64_t uops = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
+                                        : 1500000;
 
     struct Step
     {
@@ -53,14 +56,14 @@ main(int argc, char **argv)
     std::uint64_t inflight = 0;
     for (const Step &s : steps)
         inflight = std::max(inflight, maxInflightUops(s.cfg));
-    w.frozen = w.freeze(300000 + 1500000 + inflight);
+    w.frozen = w.freeze(uops / 5 + uops + inflight);
 
     double base_vp_ipc = 0.0;
     for (const Step &s : steps) {
         Core core(s.cfg, w);
-        core.run(300000, 60000000);
+        core.run(uops / 5, uops * 40);  // warm predictors and caches
         core.resetStats();
-        core.run(1500000, 300000000);
+        core.run(uops, uops * 200);
         const StatRecord r = core.record();
         if (s.cfg.name == "Baseline_VP_6_64")
             base_vp_ipc = r.get("ipc");

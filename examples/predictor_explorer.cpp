@@ -4,7 +4,7 @@
  * value streams to each predictor family and watch coverage/accuracy,
  * including the FPC confidence build-up the paper relies on.
  *
- *   ./build/examples/predictor_explorer
+ *   ./build/predictor_explorer
  */
 
 #include <cstdio>

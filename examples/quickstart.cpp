@@ -3,7 +3,7 @@
  * Quickstart: build a named paper configuration, run one benchmark,
  * and read the statistics the EOLE paper is about.
  *
- *   ./build/examples/quickstart [benchmark] [uops]
+ *   ./build/quickstart [benchmark] [uops]
  */
 
 #include <algorithm>

@@ -1,8 +1,7 @@
 /**
  * @file
  * Run a plan in checkpointed-sampling mode — the C++ twin of
- * `eole run <plan> --sample N:W:D[:B]` and the sampled sibling of
- * examples/sweep_plan.cpp.
+ * `eole run <plan> --sample N:W:D[:B]`.
  *
  *   ./build/sampled_sweep [jobs]
  *

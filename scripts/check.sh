@@ -5,10 +5,7 @@
 # tests that pin golden values use their own explicit run lengths and
 # are unaffected.
 #
-# Usage: scripts/check.sh [--with-bench] [--bench] [--tsan] [--sample]
-#   --with-bench   also run the fig13 modularity bench (stage-swap
-#                  self-check + the EOLE/OLE/EOE grid) on the short
-#                  run lengths.
+# Usage: scripts/check.sh [--bench] [--tsan] [--sample]
 #   --bench        simulator-speed regression gate: run `eole bench`
 #                  on a reduced budget and `--compare` against the
 #                  newest committed BENCH_*.json trajectory file
@@ -46,14 +43,17 @@
 #                  (test_common's SHA-256, test_trace incl. the
 #                  trace-file fuzzer) and the VM, workload and
 #                  value-predictor suites (test_isa, test_workloads,
-#                  test_vpred);
+#                  test_vpred) and two example programs, trace_replay
+#                  (maps and binds a trace file) and ckpt_sweep
+#                  (round-trips checkpoint text);
 #                  (4) the suites the `ubsan` test preset selects,
 #                  under UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
 #                  build-ubsan/; any finding fails): the by-value
 #                  checkpoint, sampling and sweep engine suites
 #                  (test_ckpt_state, test_sample, test_experiment),
 #                  test_mem, test_common, test_trace, test_isa,
-#                  test_workloads and test_vpred.
+#                  test_workloads, test_vpred, trace_replay and
+#                  ckpt_sweep.
 #                  The presets are the one list of each lane's suites.
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
@@ -61,8 +61,11 @@
 # The CLI contracts run in every ctest pass (tests/cli_contracts.sh):
 # store cold/warm, the shard merge, exit 2 with run_aborted telemetry,
 # flag bounds, unwritable outputs, the plan-file `--set` equivalence,
-# observers leaving artifacts byte-identical, and trace record / info /
-# `file:` replay / RV64I ingestion.
+# observers leaving artifacts byte-identical, trace record / info /
+# `file:` replay / RV64I ingestion, one output line of every other
+# command, and exit 2 on an unreadable diff, bench or telemetry input.
+# So does every example program, at tiny run lengths
+# (tests/run_example.sh).
 #
 # Every ctest invocation runs with --timeout (EOLE_TEST_TIMEOUT,
 # default 600 s per suite) so a hung worker thread fails CI instead of
@@ -78,13 +81,11 @@ export EOLE_INSTS="${EOLE_INSTS:-100000}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 TEST_TIMEOUT="${EOLE_TEST_TIMEOUT:-600}"
 
-WITH_BENCH=0
 WITH_SPEED_GATE=0
 WITH_TSAN=0
 WITH_SAMPLE=0
 for arg in "$@"; do
     case "$arg" in
-      --with-bench) WITH_BENCH=1 ;;
       --bench) WITH_SPEED_GATE=1 ;;
       --tsan) WITH_TSAN=1 ;;
       --sample) WITH_SAMPLE=1 ;;
@@ -132,10 +133,6 @@ sanitizer_lane() {
 cmake -B build -S . -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
 cmake --build build -j "$JOBS"
 run_ctest build
-
-if [[ "$WITH_BENCH" == 1 ]]; then
-    ./build/fig13_modularity
-fi
 
 if [[ "$WITH_SPEED_GATE" == 1 ]]; then
     echo "check.sh: simulator-speed regression gate"

@@ -17,18 +17,6 @@
 
 namespace eole {
 
-const BuildInfo &
-buildInfo()
-{
-    static const BuildInfo info{
-        EOLE_GIT_DESCRIBE,
-        EOLE_COMPILER_ID,
-        EOLE_COMPILER_VERSION,
-        EOLE_BUILD_TYPE,
-    };
-    return info;
-}
-
 const std::string &
 buildInfoString()
 {

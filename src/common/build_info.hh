@@ -23,16 +23,6 @@
 
 namespace eole {
 
-struct BuildInfo {
-    const char *gitDescribe;     ///< `git describe --always --dirty`
-    const char *compilerId;      ///< e.g. "GNU", "Clang"
-    const char *compilerVersion; ///< e.g. "13.2.0"
-    const char *buildType;       ///< e.g. "RelWithDebInfo"
-};
-
-/** The provenance of this binary. */
-const BuildInfo &buildInfo();
-
 /** One-line human/artifact form: "g1a2b3c4 GNU-13.2.0 RelWithDebInfo". */
 const std::string &buildInfoString();
 

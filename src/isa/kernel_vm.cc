@@ -166,21 +166,4 @@ describe(const TraceUop &u)
                     (unsigned long long)u.nextPc());
 }
 
-std::string
-disassemble(const StaticInst &inst)
-{
-    std::string s = opcodeName(inst.opc);
-    if (inst.dst != invalidReg)
-        s += csprintf(" d%u", inst.dst);
-    if (inst.src1 != invalidReg)
-        s += csprintf(" s%u", inst.src1);
-    if (inst.src2 != invalidReg)
-        s += csprintf(" s%u", inst.src2);
-    if (hasImmOperand(inst.opc))
-        s += csprintf(" #%lld", static_cast<long long>(inst.imm));
-    if (inst.target >= 0)
-        s += csprintf(" @%d", inst.target);
-    return s;
-}
-
 } // namespace eole

@@ -154,23 +154,6 @@ isSingleCycleAlu(Opcode op)
     return opClassOf(op) == OpClass::IntAlu;
 }
 
-/** Does this µ-op use an immediate operand? */
-constexpr bool
-hasImmOperand(Opcode op)
-{
-    switch (op) {
-      case Opcode::Addi: case Opcode::Andi: case Opcode::Ori:
-      case Opcode::Xori: case Opcode::Shli: case Opcode::Shri:
-      case Opcode::Sari: case Opcode::Slti: case Opcode::Sltiu:
-      case Opcode::Movi:
-      case Opcode::Ld: case Opcode::Lfd: case Opcode::St:
-      case Opcode::Sfd:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Execution latency (cycles) per FU class; memory excluded. */
 constexpr unsigned
 opLatency(OpClass cls)

@@ -7,7 +7,6 @@
 #define EOLE_ISA_STATIC_INST_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -90,9 +89,6 @@ struct Program
 
     std::size_t size() const { return code.size(); }
 };
-
-/** Render one instruction as text (for debugging and tests). */
-std::string disassemble(const StaticInst &inst);
 
 } // namespace eole
 

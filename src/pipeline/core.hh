@@ -56,8 +56,8 @@ class Core
   public:
     Core(const SimConfig &config, const Workload &workload);
 
-    /** Construct with a custom stage pipeline (benches/experiments
-     *  swap or instrument individual stages this way). */
+    /** Construct with a custom stage pipeline (swap or instrument
+     *  individual stages this way; test_eole's StageSeam tests do). */
     Core(const SimConfig &config, const Workload &workload,
          StagePipeline pipeline);
 

@@ -10,9 +10,9 @@
  *
  * buildDefaultPipeline() instantiates stages from the SimConfig: the
  * LE/VT pre-commit stage exists only when value prediction or Late
- * Execution is configured. Benches and experiments can swap in custom
- * Stage implementations with replace() to instrument or vary a single
- * stage without touching the rest of the pipeline.
+ * Execution is configured. replace() swaps in a custom Stage
+ * implementation to instrument or vary a single stage without touching
+ * the rest of the pipeline (tests/test_eole.cc does).
  */
 
 #ifndef EOLE_PIPELINE_STAGES_PIPELINE_BUILDER_HH

@@ -143,8 +143,12 @@ writeCsvArtifact(std::ostream &os, const PlanResult &result)
     }
 }
 
-PlanResult
-readJsonArtifact(std::istream &is)
+namespace {
+
+/** Parse an artifact from @p is into @p out: "" on success, else the
+ *  first error. */
+std::string
+parseArtifact(std::istream &is, PlanResult *out)
 {
     std::ostringstream buf;
     buf << is.rdbuf();
@@ -202,21 +206,39 @@ readJsonArtifact(std::istream &is)
     } while (p.tryConsume(','));
     p.expect('}');
     p.finish();
+    if (!p.error().empty())
+        return p.error();
+    if (schema != "eole-sweep-v2")
+        return "unsupported artifact schema \"" + schema + "\"";
+    *out = std::move(result);
+    return "";
+}
 
-    // v1 artifacts predate embedded config maps; their cells read back
-    // with empty params (diff treats a wholly-absent map as one
-    // difference per cell, not one per key).
-    fatal_if(schema != "eole-sweep-v2" && schema != "eole-sweep-v1",
-             "unsupported artifact schema \"%s\"", schema.c_str());
+} // namespace
+
+PlanResult
+readJsonArtifact(std::istream &is)
+{
+    PlanResult result;
+    const std::string err = parseArtifact(is, &result);
+    fatal_if(!err.empty(), "%s", err.c_str());
     return result;
 }
 
-PlanResult
-readJsonArtifactFile(const std::string &path)
+bool
+readJsonArtifactFile(const std::string &path, PlanResult *out,
+                     std::string *err)
 {
     std::ifstream is(path);
-    fatal_if(!is, "cannot read artifact %s", path.c_str());
-    return readJsonArtifact(is);
+    if (!is) {
+        *err = "cannot read artifact " + path;
+        return false;
+    }
+    *err = parseArtifact(is, out);
+    if (err->empty())
+        return true;
+    *err = path + ": " + *err;
+    return false;
 }
 
 std::size_t
@@ -276,29 +298,19 @@ diffArtifacts(const PlanResult &a, const PlanResult &b,
             report("cell " + id + " missing from b");
             continue;
         }
-        if (ca.params.empty() != cb->params.empty()) {
-            // One side is a legacy v1 artifact: one difference per
-            // cell, not one per key.
-            report(id + ": config map missing from "
-                   + (ca.params.empty() ? "a" : "b"));
-        } else {
-            for (const auto &[key, va] : ca.params) {
-                const std::string *vb = paramOf(*cb, key);
-                if (!vb) {
-                    report(id + ": config key " + key
-                           + " missing from b");
-                } else if (*vb != va) {
-                    report(id + ": config drift: " + key + " a=" + va
-                           + " b=" + *vb);
-                }
+        for (const auto &[key, va] : ca.params) {
+            const std::string *vb = paramOf(*cb, key);
+            if (!vb) {
+                report(id + ": config key " + key + " missing from b");
+            } else if (*vb != va) {
+                report(id + ": config drift: " + key + " a=" + va + " b="
+                       + *vb);
             }
-            for (const auto &[key, vb] : cb->params) {
-                (void)vb;
-                if (!paramOf(ca, key)) {
-                    report(id + ": config key " + key
-                           + " missing from a");
-                }
-            }
+        }
+        for (const auto &[key, vb] : cb->params) {
+            (void)vb;
+            if (!paramOf(ca, key))
+                report(id + ": config key " + key + " missing from a");
         }
         for (const auto &[stat, va] : ca.stats.all()) {
             if (!cb->stats.has(stat)) {

@@ -13,8 +13,7 @@
  * Schema v2 embeds each cell's complete canonical configuration map
  * ("params": registry keys -> canonical value text, sim/params.hh), so
  * an artifact records what a config *was*, not just its name, and
- * diffArtifacts reports config drift alongside stat drift. v1
- * artifacts (no params) still read; their cells carry empty maps.
+ * diffArtifacts reports config drift alongside stat drift.
  */
 
 #ifndef EOLE_SIM_ARTIFACT_HH
@@ -40,8 +39,11 @@ void writeCsvArtifact(std::ostream &os, const PlanResult &result);
  *  malformed document or wrong schema). */
 PlanResult readJsonArtifact(std::istream &is);
 
-/** Convenience: read an artifact file (fatal if unreadable). */
-PlanResult readJsonArtifactFile(const std::string &path);
+/** Read the artifact file @p path into @p out. False with the reason
+ *  in @p err when the file cannot be read, is malformed or carries
+ *  another schema. */
+bool readJsonArtifactFile(const std::string &path, PlanResult *out,
+                          std::string *err);
 
 struct DiffOptions
 {

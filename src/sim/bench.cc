@@ -253,8 +253,12 @@ writeBenchProfileTable(std::ostream &os, const BenchResult &result)
     }
 }
 
-BenchResult
-readBenchJson(std::istream &is)
+namespace {
+
+/** Parse a bench file from @p is into @p out: "" on success, else the
+ *  first error. */
+std::string
+parseBench(std::istream &is, BenchResult *out)
 {
     std::ostringstream buf;
     buf << is.rdbuf();
@@ -327,18 +331,39 @@ readBenchJson(std::istream &is)
     } while (p.tryConsume(','));
     p.expect('}');
     p.finish();
+    if (!p.error().empty())
+        return p.error();
+    if (schema != "eole-bench-v1")
+        return "unsupported bench schema \"" + schema + "\"";
+    *out = std::move(result);
+    return "";
+}
 
-    fatal_if(schema != "eole-bench-v1",
-             "unsupported bench schema \"%s\"", schema.c_str());
+} // namespace
+
+BenchResult
+readBenchJson(std::istream &is)
+{
+    BenchResult result;
+    const std::string err = parseBench(is, &result);
+    fatal_if(!err.empty(), "%s", err.c_str());
     return result;
 }
 
-BenchResult
-readBenchJsonFile(const std::string &path)
+bool
+readBenchJsonFile(const std::string &path, BenchResult *out,
+                  std::string *err)
 {
     std::ifstream is(path);
-    fatal_if(!is, "cannot read bench file %s", path.c_str());
-    return readBenchJson(is);
+    if (!is) {
+        *err = "cannot read bench file " + path;
+        return false;
+    }
+    *err = parseBench(is, out);
+    if (err->empty())
+        return true;
+    *err = path + ": " + *err;
+    return false;
 }
 
 double

@@ -112,8 +112,11 @@ void writeBenchProfileTable(std::ostream &os, const BenchResult &result);
 /** Parse a bench artifact (fatal on malformed input / wrong schema). */
 BenchResult readBenchJson(std::istream &is);
 
-/** Convenience: read a bench file (fatal if unreadable). */
-BenchResult readBenchJsonFile(const std::string &path);
+/** Read the bench file @p path into @p out. False with the reason in
+ *  @p err when the file cannot be read, is malformed or carries
+ *  another schema. */
+bool readBenchJsonFile(const std::string &path, BenchResult *out,
+                       std::string *err);
 
 /**
  * Per-cell speedup report of @p b over @p a (cells matched by

@@ -36,8 +36,7 @@ struct RunResult
      * (sim/params.hh configKeyValues of the plan's config, before the
      * per-job seed override), embedded so artifacts record what a
      * config *was*, not just its name — `eole diff` reports config
-     * drift from it. Empty only for artifacts read from the legacy
-     * v1 schema.
+     * drift from it.
      */
     std::vector<std::pair<std::string, std::string>> params;
 

@@ -12,9 +12,9 @@
  * Reading side: a minimal recursive-descent parser for the artifact
  * subset of JSON (objects, arrays, strings, numbers, booleans; null
  * accepted and ignored where a number is not required). It reads every
- * escape jsonWriteEscaped writes. Errors are fatal: artifacts and
- * telemetry streams are machine-written, so a malformed one is an
- * operator mistake worth stopping on.
+ * escape jsonWriteEscaped writes. The parser keeps its first error
+ * instead of stopping the program, so a reader can hand a missing or
+ * malformed input back to its caller (the CLI exits 2 on one).
  */
 
 #ifndef EOLE_SIM_JSON_HH
@@ -74,13 +74,20 @@ class JsonParser
     {
     }
 
+    /** The first error, "" while the document parses. After an error
+     *  the parser sits at the end of the text and every call returns
+     *  a default value, so the caller's parse loops end at once. */
+    const std::string &error() const { return err; }
+
     void
     expect(char c)
     {
         skipWs();
-        fatal_if(pos >= s.size() || s[pos] != c,
-                 "%s parse error at offset %zu: expected '%c'", kind,
-                 pos, c);
+        if (pos >= s.size() || s[pos] != c) {
+            fail(csprintf("%s parse error at offset %zu: expected '%c'",
+                          kind, pos, c));
+            return;
+        }
         ++pos;
     }
 
@@ -111,9 +118,11 @@ class JsonParser
             pos += 4;
             return true;
         }
-        fatal_if(s.compare(pos, 5, "false") != 0,
-                 "%s parse error at offset %zu: expected true or false",
-                 kind, pos);
+        if (s.compare(pos, 5, "false") != 0) {
+            fail(csprintf("%s parse error at offset %zu: expected true "
+                          "or false", kind, pos));
+            return false;
+        }
         pos += 5;
         return false;
     }
@@ -126,7 +135,10 @@ class JsonParser
         while (pos < s.size() && s[pos] != '"') {
             char c = s[pos++];
             if (c == '\\') {
-                fatal_if(pos >= s.size(), "%s: truncated escape", kind);
+                if (pos >= s.size()) {
+                    fail(csprintf("%s: truncated escape", kind));
+                    break;
+                }
                 const char e = s[pos++];
                 switch (e) {
                   case '"': out += '"'; break;
@@ -135,7 +147,10 @@ class JsonParser
                   case 'n': out += '\n'; break;
                   case 't': out += '\t'; break;
                   case 'u': {
-                    fatal_if(pos + 4 > s.size(), "%s: bad \\u", kind);
+                    if (pos + 4 > s.size()) {
+                        fail(csprintf("%s: bad \\u", kind));
+                        break;
+                    }
                     const std::string hex = s.substr(pos, 4);
                     pos += 4;
                     out += static_cast<char>(
@@ -143,7 +158,7 @@ class JsonParser
                     break;
                   }
                   default:
-                    fatal("%s: unsupported escape \\%c", kind, e);
+                    fail(csprintf("%s: unsupported escape \\%c", kind, e));
                 }
             } else {
                 out += c;
@@ -159,9 +174,11 @@ class JsonParser
         skipWs();
         char *end = nullptr;
         const double v = std::strtod(s.c_str() + pos, &end);
-        fatal_if(end == s.c_str() + pos,
-                 "%s parse error at offset %zu: expected number", kind,
-                 pos);
+        if (end == s.c_str() + pos) {
+            fail(csprintf("%s parse error at offset %zu: expected number",
+                          kind, pos));
+            return 0;
+        }
         pos = static_cast<std::size_t>(end - s.c_str());
         return v;
     }
@@ -173,9 +190,11 @@ class JsonParser
         skipWs();
         char *end = nullptr;
         const std::uint64_t v = std::strtoull(s.c_str() + pos, &end, 10);
-        fatal_if(end == s.c_str() + pos,
-                 "%s parse error at offset %zu: expected integer", kind,
-                 pos);
+        if (end == s.c_str() + pos) {
+            fail(csprintf("%s parse error at offset %zu: expected "
+                          "integer", kind, pos));
+            return 0;
+        }
         pos = static_cast<std::size_t>(end - s.c_str());
         return v;
     }
@@ -185,7 +204,10 @@ class JsonParser
     skipValue()
     {
         skipWs();
-        fatal_if(pos >= s.size(), "%s: truncated document", kind);
+        if (pos >= s.size()) {
+            fail(csprintf("%s: truncated document", kind));
+            return;
+        }
         const char c = s[pos];
         if (c == '"') {
             parseString();
@@ -220,11 +242,20 @@ class JsonParser
     finish()
     {
         skipWs();
-        fatal_if(pos != s.size(), "%s: trailing garbage at %zu", kind,
-                 pos);
+        if (pos != s.size())
+            fail(csprintf("%s: trailing garbage at %zu", kind, pos));
     }
 
   private:
+    /** Keep the first error and move to the end of the text. */
+    void
+    fail(const std::string &msg)
+    {
+        if (err.empty())
+            err = msg;
+        pos = s.size();
+    }
+
     void
     skipWs()
     {
@@ -236,6 +267,7 @@ class JsonParser
     const std::string &s;
     const char *kind;
     std::size_t pos = 0;
+    std::string err;
 };
 
 } // namespace eole

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/whole_file.hh"
 #include "pipeline/core.hh"
 #include "sim/artifact.hh"
 #include "sim/executor.hh"
@@ -437,12 +437,12 @@ saveCheckpoints(const ExperimentPlan &plan, const SampleSpec &spec,
         const std::string file = out_dir + "/" + sanitizeForPath(cell.config)
             + "__" + sanitizeForPath(cell.workload) + "__u"
             + std::to_string(slot.uop) + ".ckpt";
-        std::ofstream os(file, std::ios::binary);
-        os << text;
-        // Close before judging success: buffered bytes only hit disk
-        // here, and ENOSPC at close must not report the file written.
-        os.close();
-        if (os.fail()) {
+        const auto writeText = [&](std::FILE *f) {
+            return std::fwrite(text.data(), 1, text.size(), f)
+                == text.size();
+        };
+        std::string err;
+        if (!writeWholeFile(file, writeText, &err)) {
             failed = true;
             return false;
         }

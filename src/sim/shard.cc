@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/env.hh"
@@ -260,18 +259,6 @@ tryReadShardArtifact(std::istream &is, ShardArtifact *out,
 
     *out = std::move(shard);
     return true;
-}
-
-ShardArtifact
-readShardArtifactFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    fatal_if(!is, "cannot open shard artifact %s", path.c_str());
-    ShardArtifact shard;
-    std::string err;
-    fatal_if(!tryReadShardArtifact(is, &shard, &err), "%s: %s",
-             path.c_str(), err.c_str());
-    return shard;
 }
 
 bool

@@ -86,10 +86,6 @@ std::string shardArtifactString(const ShardArtifact &shard);
 bool tryReadShardArtifact(std::istream &is, ShardArtifact *out,
                           std::string *err);
 
-/** Convenience: fatal (with the line-numbered diagnostic) when @p path
- *  is unreadable or malformed. */
-ShardArtifact readShardArtifactFile(const std::string &path);
-
 /**
  * Merge partials into the PlanResult the single-host run would have
  * produced. False + diagnostic in @p err when the partials disagree

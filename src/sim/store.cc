@@ -8,6 +8,7 @@
 #include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/whole_file.hh"
 #include "sim/json.hh"
 
 namespace eole {
@@ -237,13 +238,18 @@ Store::put(const StoreKey &key, const std::string &payload)
     const std::string text = storeKeyText(key);
     const std::string hash = sha256Hex(text);
 
-    std::ofstream os(objectPath(hash), std::ios::binary);
-    fatal_if(!os, "store %s: cannot write object %s", dir.c_str(),
-             hash.c_str());
-    os << text << "payload " << payload.size() << "\n" << payload;
-    os.close();
-    fatal_if(os.fail(), "store %s: write failure on object %s",
-             dir.c_str(), hash.c_str());
+    // The key document, the payload separator, then the payload.
+    const std::string head =
+        text + "payload " + std::to_string(payload.size()) + "\n";
+    const auto writeObject = [&](std::FILE *f) {
+        return std::fwrite(head.data(), 1, head.size(), f) == head.size()
+            && std::fwrite(payload.data(), 1, payload.size(), f)
+                   == payload.size();
+    };
+    std::string err;
+    fatal_if(!writeWholeFile(objectPath(hash), writeObject, &err),
+             "store %s: cannot write object %s: %s", dir.c_str(),
+             hash.c_str(), err.c_str());
 
     for (Entry &e : index) {
         if (e.hash == hash) {
@@ -325,19 +331,19 @@ Store::flush()
 {
     if (!dirty)
         return;
-    std::ofstream os(dir + "/index.tmp", std::ios::binary);
-    fatal_if(!os, "store %s: cannot write index", dir.c_str());
+    std::ostringstream os;
     os << "eole-store-v1 " << nextTick << "\n";
     for (const Entry &e : index) {
         os << e.hash << ' ' << e.kind << ' ' << e.bytes << ' ' << e.tick
            << ' ' << e.workload << ' ' << e.config << "\n";
     }
-    os.close();
-    fatal_if(os.fail(), "store %s: index write failure", dir.c_str());
-    std::error_code ec;
-    std::filesystem::rename(dir + "/index.tmp", dir + "/index", ec);
-    fatal_if(ec, "store %s: cannot replace index: %s", dir.c_str(),
-             ec.message().c_str());
+    const std::string text = os.str();
+    const auto writeIndex = [&](std::FILE *f) {
+        return std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    };
+    std::string err;
+    fatal_if(!writeWholeFile(dir + "/index", writeIndex, &err),
+             "store %s: cannot write index: %s", dir.c_str(), err.c_str());
     dirty = false;
 }
 

@@ -199,20 +199,23 @@ TelemetryEvent::str(const std::string &key) const
     return it == strs.end() ? std::string() : it->second;
 }
 
-std::vector<TelemetryEvent>
-readTelemetry(const std::string &path)
+namespace {
+
+/** Read the stream @p path into @p out: "" on success, else the first
+ *  error. */
+std::string
+parseTelemetry(const std::string &path, std::vector<TelemetryEvent> *out)
 {
     std::ifstream in(path);
-    fatal_if(!in, "cannot open telemetry file %s", path.c_str());
-    std::vector<TelemetryEvent> out;
+    if (!in)
+        return "cannot open telemetry file " + path;
     std::string line;
     for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
         if (line.empty())
             continue;
         // One flat object per line, {"k":v,...} with string, number
         // and boolean values (booleans land in nums as 0/1): the only
-        // shape the sink writes. Anything else is a malformed stream
-        // worth stopping on.
+        // shape the sink writes. Anything else is a malformed stream.
         const std::string where = csprintf("telemetry line %zu", lineno);
         JsonParser p(line, where.c_str());
         TelemetryEvent ev;
@@ -232,13 +235,27 @@ readTelemetry(const std::string &path)
         } while (p.tryConsume(','));
         p.expect('}');
         p.finish();
-        fatal_if(ev.ev.empty(), "%s: missing \"ev\" tag", where.c_str());
-        out.push_back(std::move(ev));
+        if (!p.error().empty())
+            return path + ": " + p.error();
+        if (ev.ev.empty())
+            return path + ": " + where + ": missing \"ev\" tag";
+        out->push_back(std::move(ev));
     }
+    return "";
+}
+
+} // namespace
+
+std::vector<TelemetryEvent>
+readTelemetry(const std::string &path)
+{
+    std::vector<TelemetryEvent> out;
+    const std::string err = parseTelemetry(path, &out);
+    fatal_if(!err.empty(), "%s", err.c_str());
     return out;
 }
 
-void
+std::string
 summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
 {
     struct WorkerAgg { std::size_t jobs = 0; double busyMs = 0; };
@@ -268,8 +285,12 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
              std::map<std::string, double>> longestByKind;
 
     for (std::size_t f = 0; f < paths.size(); ++f) {
+        std::vector<TelemetryEvent> events;
+        if (std::string err = parseTelemetry(paths[f], &events);
+            !err.empty())
+            return err;
         double first = -1, last = 0;
-        for (const TelemetryEvent &ev : readTelemetry(paths[f])) {
+        for (const TelemetryEvent &ev : events) {
             const double t = ev.num("t_ms");
             if (first < 0)
                 first = t;
@@ -379,6 +400,7 @@ summarizeTelemetry(const std::vector<std::string> &paths, std::ostream &out)
     out << "  cells (" << cells.size() << "):\n";
     for (const std::string &cell : cells)
         out << "    " << cell << "\n";
+    return "";
 }
 
 } // namespace eole

@@ -124,9 +124,11 @@ std::vector<TelemetryEvent> readTelemetry(const std::string &path);
  *  whose longest job of each kind sums highest — a cell's kinds run
  *  in sequence, its jobs of one kind in parallel), the slowest single
  *  job, counters (the trace cache's with its recording time), and
- *  the sorted distinct cell set. */
-void summarizeTelemetry(const std::vector<std::string> &paths,
-                        std::ostream &out);
+ *  the sorted distinct cell set. Returns "" on success; for a stream
+ *  that cannot be opened or has a malformed line, the reason, with
+ *  nothing written to @p out. */
+std::string summarizeTelemetry(const std::vector<std::string> &paths,
+                               std::ostream &out);
 
 } // namespace eole
 

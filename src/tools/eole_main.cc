@@ -280,7 +280,8 @@ usage(FILE *to, int exit_code)
         "      Per-cell speedup report of b over a from two bench\n"
         "      artifacts, plus the geomean over common cells. With\n"
         "      --fail-below, exit 1 when that geomean is below X\n"
-        "      (e.g. 0.8 = fail on a >20%% regression).\n"
+        "      (e.g. 0.8 = fail on a >20%% regression); exit 2 when\n"
+        "      a file cannot be read.\n"
         "\n"
         "  eole diff <a.json> <b.json> [--rel-tol X] [--abs-tol X]\n"
         "            [--ci]\n"
@@ -292,7 +293,7 @@ usage(FILE *to, int exit_code)
         "      skips sample_* bookkeeping stats (for sampled\n"
         "      artifacts; combine with --rel-tol for raw totals). A\n"
         "      stat key present on only one side is always a\n"
-        "      difference.\n"
+        "      difference. Exit 2 when an artifact cannot be read.\n"
         "\n"
         "  eole telemetry summarize <file.jsonl>...\n"
         "      Merge one or more --telemetry streams (e.g. the three\n"
@@ -1342,8 +1343,10 @@ cmdBench(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     if (compare) {
-        const BenchResult a = readBenchJsonFile(compare_paths[0]);
-        const BenchResult b = readBenchJsonFile(compare_paths[1]);
+        BenchResult a, b;
+        if (!readBenchJsonFile(compare_paths[0], &a, &err)
+            || !readBenchJsonFile(compare_paths[1], &b, &err))
+            return fail(err);
         std::printf("bench compare: a=%s (%s), b=%s (%s)\n",
                     compare_paths[0].c_str(), a.label.c_str(),
                     compare_paths[1].c_str(), b.label.c_str());
@@ -1534,9 +1537,10 @@ cmdTelemetrySummarize(int argc, char **argv)
     std::string err = parseFlags({}, argc, argv, &paths);
     if (err.empty() && paths.empty())
         err = "telemetry summarize needs file(s)";
+    if (err.empty())
+        err = summarizeTelemetry(paths, std::cout);
     if (!err.empty())
         return fail(err);
-    summarizeTelemetry(paths, std::cout);
     return 0;
 }
 
@@ -1554,8 +1558,10 @@ cmdDiff(int argc, char **argv)
     if (!err.empty())
         return fail(err);
 
-    const PlanResult a = readJsonArtifactFile(paths[0]);
-    const PlanResult b = readJsonArtifactFile(paths[1]);
+    PlanResult a, b;
+    if (!readJsonArtifactFile(paths[0], &a, &err)
+        || !readJsonArtifactFile(paths[1], &b, &err))
+        return fail(err);
     const std::size_t diffs = diffArtifacts(a, b, opt, std::cout);
     if (diffs == 0) {
         std::printf("artifacts agree: %zu cells (%s vs %s)\n",

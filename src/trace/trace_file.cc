@@ -1,12 +1,10 @@
 #include "trace/trace_file.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <vector>
 
 #include <fcntl.h>
@@ -16,6 +14,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/whole_file.hh"
 
 namespace eole {
 
@@ -158,31 +157,6 @@ struct Mapping
     }
 };
 
-/** Open the file writeTraceFile's bytes go to (see trace_file.hh).
- *  Sets @p tmp to the temporary path to rename over @p path, or
- *  leaves it empty to write in place. -1 with errno on failure. */
-int
-openForWrite(const std::string &path, std::string *tmp)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
-        return ::open(path.c_str(), O_WRONLY | O_TRUNC | O_CLOEXEC);
-
-    static std::atomic<unsigned> serial{0};
-    const std::filesystem::path p(path);
-    const std::filesystem::path dir =
-        p.has_parent_path() ? p.parent_path() : ".";
-    for (;;) {
-        *tmp = (dir / ("." + p.filename().string() + ".tmp"
-                       + std::to_string(::getpid()) + "."
-                       + std::to_string(serial.fetch_add(1)))).string();
-        const int fd = ::open(tmp->c_str(),
-                              O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-        if (fd >= 0 || errno != EEXIST)
-            return fd;
-    }
-}
-
 } // namespace
 
 std::uint64_t
@@ -242,19 +216,6 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
     if (source.size() >= traceFileSourceBytes)
         return fail("source kind \"" + source + "\" too long");
 
-    std::string tmp;
-    const int fd = openForWrite(path, &tmp);
-    if (fd < 0)
-        return fail(std::strerror(errno));
-    std::FILE *f = ::fdopen(fd, "wb");
-    if (!f) {
-        const int e = errno;
-        ::close(fd);
-        if (!tmp.empty())
-            ::unlink(tmp.c_str());
-        return fail(std::strerror(e));
-    }
-
     const FrozenTrace::UopView &v = trace.uops;
     unsigned char header[traceFileHeaderBytes];
     std::memset(header, 0, sizeof(header));
@@ -285,54 +246,46 @@ writeTraceFile(const FrozenTrace &trace, const std::string &path,
                trace.initFpRegs[r]);
     packAt(header, offStaticCount, static_cast<std::uint64_t>(v.staticCount));
 
-    Sha256 sha;
-    const auto put = [&](const void *data, std::size_t len) {
-        sha.update(data, len);
-        return std::fwrite(data, 1, len, f) == len;
-    };
-
     // The table and the records are packed into a chunk, then hashed
     // and written a chunk at a time: the hash takes whole blocks
     // straight from the buffer and stdio sees one large write instead
     // of one per record.
-    bool ok = put(header, sizeof(header));
-    static_assert(sizeof(StaticUop) == sizeof(UopRecord));
-    std::vector<unsigned char> chunk(chunkUops * sizeof(UopRecord));
-    for (std::size_t i = 0; ok && i < v.staticCount; i += chunkUops) {
-        const std::size_t n = std::min(chunkUops, v.staticCount - i);
-        for (std::size_t j = 0; j < n; ++j)
-            packStatic(chunk.data() + j * sizeof(StaticUop), v.statics[i + j]);
-        ok = put(chunk.data(), n * sizeof(StaticUop));
-    }
-    for (std::size_t i = 0; ok && i < v.count; i += chunkUops) {
-        const std::size_t n = std::min(chunkUops, v.count - i);
-        for (std::size_t j = 0; j < n; ++j)
-            packRecord(chunk.data() + j * sizeof(UopRecord), v.records[i + j]);
-        ok = put(chunk.data(), n * sizeof(UopRecord));
-    }
+    const auto writeAll = [&](std::FILE *f) {
+        Sha256 sha;
+        const auto put = [&](const void *data, std::size_t len) {
+            sha.update(data, len);
+            return std::fwrite(data, 1, len, f) == len;
+        };
+        bool ok = put(header, sizeof(header));
+        static_assert(sizeof(StaticUop) == sizeof(UopRecord));
+        std::vector<unsigned char> chunk(chunkUops * sizeof(UopRecord));
+        for (std::size_t i = 0; ok && i < v.staticCount; i += chunkUops) {
+            const std::size_t n = std::min(chunkUops, v.staticCount - i);
+            for (std::size_t j = 0; j < n; ++j)
+                packStatic(chunk.data() + j * sizeof(StaticUop),
+                           v.statics[i + j]);
+            ok = put(chunk.data(), n * sizeof(StaticUop));
+        }
+        for (std::size_t i = 0; ok && i < v.count; i += chunkUops) {
+            const std::size_t n = std::min(chunkUops, v.count - i);
+            for (std::size_t j = 0; j < n; ++j)
+                packRecord(chunk.data() + j * sizeof(UopRecord),
+                           v.records[i + j]);
+            ok = put(chunk.data(), n * sizeof(UopRecord));
+        }
+        if (!ok)
+            return false;
 
-    if (ok) {
         unsigned char footer[traceFileFooterBytes];
         std::memset(footer, 0, sizeof(footer));
         std::memcpy(footer, traceFileFooterMagic, 8);
         packAt(footer, std::size_t{8}, static_cast<std::uint64_t>(v.count));
         const std::string hex = sha.hexDigest();
         std::memcpy(footer + 16, hex.data(), 64);
-        ok = std::fwrite(footer, 1, sizeof(footer), f) == sizeof(footer);
-    }
-
-    ok = std::fclose(f) == 0 && ok;
-    if (ok && !tmp.empty() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int e = errno;
-        ::unlink(tmp.c_str());
-        return fail(std::string("rename: ") + std::strerror(e));
-    }
-    if (!ok) {
-        if (!tmp.empty())
-            ::unlink(tmp.c_str());
-        return fail("write failure");
-    }
-    return true;
+        return std::fwrite(footer, 1, sizeof(footer), f) == sizeof(footer);
+    };
+    std::string why;
+    return writeWholeFile(path, writeAll, &why) || fail(why);
 }
 
 namespace {

@@ -90,13 +90,10 @@ constexpr std::size_t traceFileSourceBytes = 16;
 std::uint64_t traceLayoutHash();
 
 /**
- * Write @p trace to @p path as eole-trace-v2.
- *
- * When @p path is a regular file or does not exist, the bytes go to a
- * temporary file in its directory that is renamed over @p path once
- * complete: a failed or killed writer leaves @p path as it was. When
- * @p path exists and is not a regular file (a device, a FIFO), it is
- * written in place and never removed or renamed.
+ * Write @p trace to @p path as eole-trace-v2, whole or not at all
+ * (writeWholeFile, common/whole_file.hh): a regular or absent @p path
+ * is replaced by a rename once the file is complete, and any other
+ * file (a device, a FIFO) is written in place.
  *
  * @param source provenance tag for the header ("generated", "rv64i")
  * @param err diagnostic on failure

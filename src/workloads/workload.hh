@@ -121,9 +121,6 @@ bool bindTraceFile(const std::string &path, std::string *name_out,
 /** Drop every bindTraceFile() registration (test isolation). */
 void clearBoundTraces();
 
-/** Build every workload. */
-std::vector<Workload> buildAll();
-
 // Individual builders (one per SPEC benchmark analog).
 Workload makeGzip();     //!< 164.gzip: LZ hashing, data-dependent branches
 Workload makeWupwise();  //!< 168.wupwise: predictable-index FP streams

@@ -147,15 +147,5 @@ clearBoundTraces()
     boundTraces.clear();
 }
 
-std::vector<Workload>
-buildAll()
-{
-    std::vector<Workload> v;
-    v.reserve(std::size(registry));
-    for (const auto &e : registry)
-        v.push_back(e.build());
-    return v;
-}
-
 } // namespace workloads
 } // namespace eole

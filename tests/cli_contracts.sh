@@ -33,7 +33,14 @@
 #    the four smoke cells;
 #  - `trace record` writes a file `trace info` accepts, `file:` replay
 #    equals the live generator, an ingested RV64I log sweeps, and a
-#    missing `file:` exits 2 with a suggestion.
+#    missing `file:` exits 2 with a suggestion;
+#  - `list`, `describe`, `version`, `help`, `store gc`, `diff` (equal
+#    and differing artifacts), `bench --compare`, `bench --profile` and
+#    `run --plan examples/bank_width.plan` with its table each print
+#    their line;
+#  - `diff`, `bench --compare` and `telemetry summarize` exit 2 on a
+#    missing or truncated input, and `diff` on an eole-sweep-v1
+#    artifact.
 set -uo pipefail
 
 if [[ $# != 1 ]]; then
@@ -42,6 +49,7 @@ if [[ $# != 1 ]]; then
 fi
 EOLE="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
 DATA="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/data"
+EXAMPLES="$(cd "$(dirname "${BASH_SOURCE[0]}")/../examples" && pwd)"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/eole_cli_contracts.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 2
@@ -53,6 +61,19 @@ failures=0
 fail() {
     echo "cli_contracts: FAIL: $*" >&2
     failures=$((failures + 1))
+}
+
+# expect_line RC PATTERN LABEL COMMAND...: the command must exit RC
+# and print a line matching the extended regular expression PATTERN.
+expect_line() {
+    local want="$1" pattern="$2" label="$3"
+    shift 3
+    local out rc
+    out="$("$@" 2> /dev/null)"
+    rc=$?
+    [[ $rc == "$want" ]] || fail "$label: exit $rc (want $want)"
+    grep -Eq -- "$pattern" <<< "$out" \
+        || fail "$label: no line matches '$pattern'"
 }
 
 # expect_exit2 LABEL COMMAND...: the command must exit 2.
@@ -289,6 +310,53 @@ fi
 expect_exit2 "run --telemetry in a missing directory" \
     "$EOLE" run smoke "${LEN[@]}" --no-tables \
     --telemetry "$WORK/no/such/dir/t.jsonl"
+
+# --- the commands no other check runs print their line
+expect_line 0 '^fig13 +4x19=76 ' "list" "$EOLE" list
+expect_line 0 '^164\.gzip +INT +23024\+$' "list --workloads" \
+    env EOLE_WARMUP=2000 EOLE_INSTS=20000 "$EOLE" list --workloads
+expect_line 0 '^issueWidth +int +6 ' "describe --params" \
+    "$EOLE" describe --params
+expect_line 0 '^issueWidth += 4 +# default: 6$' "describe EOLE_4_64" \
+    "$EOLE" describe EOLE_4_64
+expect_line 0 '^eole [^ ]+ ' "version" "$EOLE" version
+expect_line 0 '^eole [^ ]+ ' "--version" "$EOLE" --version
+expect_line 0 '^usage:$' "help" "$EOLE" help
+cp -r run_store gc_store
+expect_line 0 '^evicted 3 object\(s\); 1 object\(s\)' \
+    "store gc --max-objects 1" "$EOLE" store gc gc_store --max-objects 1
+expect_line 0 '^1 object\(s\)' "store ls after gc" "$EOLE" store ls gc_store
+expect_line 0 '^artifacts agree: 4 cells' "diff of equal artifacts" \
+    "$EOLE" diff single.json merged.json
+expect_line 1 '^[0-9]+ difference\(s\) between single\.json and compiled\.json$' \
+    "diff of differing artifacts" "$EOLE" diff single.json compiled.json
+expect_line 0 '^geomean speedup \(1 common cell\(s\)\): 1\.00x$' \
+    "bench --compare of a file with itself" \
+    "$EOLE" bench --compare bench.json bench.json
+expect_line 0 '^  stage\.issue +[0-9.]+ s' "bench --profile" \
+    "$EOLE" "${BENCH[@]}" --budget 2000 --reps 1 --profile
+expect_line 0 '^mean( +[0-9]+\.[0-9]+){4}$' "run --plan bank_width.plan" \
+    "$EOLE" run --plan "$EXAMPLES/bank_width.plan" "${LEN[@]}"
+
+# --- a JSON input that cannot be read is exit 2, never the exit 1 of
+# "artifacts differ" or "below threshold"
+head -c 100 single.json > truncated.json
+head -c 50 bench.json > truncated_bench.json
+head -c 40 run.jsonl > truncated.jsonl
+sed 's/"eole-sweep-v2"/"eole-sweep-v1"/' single.json > v1.json
+expect_exit2 "diff of a missing artifact" \
+    "$EOLE" diff missing.json single.json
+expect_exit2 "diff of a truncated artifact" \
+    "$EOLE" diff single.json truncated.json
+expect_exit2 "diff of an eole-sweep-v1 artifact" "$EOLE" diff v1.json v1.json
+expect_exit2 "bench --compare of a missing file" \
+    "$EOLE" bench --compare missing.json bench.json
+expect_exit2 "bench --compare of a truncated file" \
+    "$EOLE" bench --compare bench.json truncated_bench.json
+expect_exit2 "telemetry summarize of a missing stream" \
+    "$EOLE" telemetry summarize missing.jsonl
+expect_exit2 "telemetry summarize of a truncated line" \
+    "$EOLE" telemetry summarize run.jsonl truncated.jsonl
 
 if ((failures)); then
     echo "cli_contracts: $failures check(s) failed" >&2

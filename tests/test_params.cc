@@ -764,7 +764,7 @@ TEST(ArtifactParams, SampledCellsEmbedTheConfigMapToo)
     EXPECT_EQ(res.cells[0].params, configKeyValues(plan.configs[0]));
 }
 
-TEST(ArtifactParams, DiffReportsConfigDriftAndLegacyV1)
+TEST(ArtifactParams, DiffReportsConfigDrift)
 {
     ExperimentPlan plan = plans::get("smoke");
     plan.warmup = 500;
@@ -786,26 +786,6 @@ TEST(ArtifactParams, DiffReportsConfigDriftAndLegacyV1)
     EXPECT_EQ(diffArtifacts(a, b, loose, out), 1u);
     EXPECT_NE(out.str().find("config drift: prfBanks a=1 b=2"),
               std::string::npos);
-
-    // A v1 artifact (no params) diffs as one map-missing note per
-    // cell, not one per key.
-    PlanResult v1 = a;
-    for (RunResult &cell : v1.cells)
-        cell.params.clear();
-    std::ostringstream out2;
-    EXPECT_EQ(diffArtifacts(a, v1, DiffOptions{}, out2),
-              a.cells.size());
-    EXPECT_NE(out2.str().find("config map missing from b"),
-              std::string::npos);
-
-    // The v1 schema string still reads (cells get empty maps).
-    std::string legacy = jsonArtifactString(v1);
-    const std::string tag = "\"eole-sweep-v2\"";
-    legacy.replace(legacy.find(tag), tag.size(), "\"eole-sweep-v1\"");
-    std::stringstream ss(legacy);
-    const PlanResult parsed = readJsonArtifact(ss);
-    ASSERT_EQ(parsed.cells.size(), v1.cells.size());
-    EXPECT_TRUE(parsed.cells[0].params.empty());
 }
 
 TEST(ArtifactParams, SetOverrideMatchesCompiledEquivalent)

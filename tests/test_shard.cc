@@ -6,15 +6,19 @@
  * (plain, sampled re-warm and warm-once-checkpointed engines, across
  * --jobs and trace-cache settings), line-numbered rejection of
  * corrupted or inconsistent partials, store key stability, hit/miss/
- * eviction behaviour, and zero-cells-computed warm re-runs.
+ * eviction behaviour, whole-or-nothing object writes, and
+ * zero-cells-computed warm re-runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+
+#include <sys/resource.h>
 
 #include "common/hash.hh"
 #include "sim/artifact.hh"
@@ -384,6 +388,38 @@ TEST(Store, HitMissPersistenceAndLruEviction)
         EXPECT_TRUE(store.get(storeKeyHash(a), &payload));
         EXPECT_EQ(payload, "payload-a");
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Store, FailedRewriteKeepsTheIndexedObject)
+{
+    // A cell that recomputes re-puts its keys, also ones still indexed.
+    // A writer that fails part-way (here at the file size limit, in a
+    // forked child) must leave the indexed object as it was.
+    const std::string dir = scratchDir("rewrite");
+    const StoreKey key = sampleKey();
+    {
+        Store store(dir);
+        store.put(key, "payload-a");
+        const auto putUnderSizeLimit = [&] {
+            std::signal(SIGXFSZ, SIG_IGN);
+            const struct rlimit cap = {64 * 1024, 64 * 1024};
+            ::setrlimit(RLIMIT_FSIZE, &cap);
+            store.put(key, std::string(256 * 1024, 'x'));
+        };
+        EXPECT_EXIT(putUnderSizeLimit(), ::testing::ExitedWithCode(1),
+                    "object");
+
+        std::string payload;
+        EXPECT_TRUE(store.get(storeKeyHash(key), &payload));
+        EXPECT_EQ(payload, "payload-a");
+    }
+    // Only the object itself is left in objects/.
+    std::size_t entries = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir + "/objects"))
+        ++entries;
+    EXPECT_EQ(entries, 1u);
     std::filesystem::remove_all(dir);
 }
 
