@@ -438,3 +438,46 @@ TEST(CkptState, RestoreRejectsACheckpointFromAnotherConfig)
         Core(eole, w).restoreWarmState(*ckpt);
     }
 }
+
+TEST(CkptState, WarmedCheckpointsOfPrefetchAndVpHeavyWorkloadsArePinned)
+{
+    // The torture program above barely trains the stride prefetcher.
+    // These workloads confirm long strides (470.lbm, 173.applu,
+    // 433.milc), miss to DRAM (429.mcf) and keep VTAGE and the stride
+    // predictor busy (164.gzip): how warming and the snapshot writers
+    // run may change, the bytes of what they leave may not.
+    constexpr std::uint64_t warm = 60000;
+    // {workload, EOLE_4_64 digest, Baseline_6_64 digest}
+    const char *const golden[][3] = {
+        {"164.gzip",
+         "ffeea0a8b1e3097cdcb4eb263fd771866030a363577cba469f58ba58188b11ab",
+         "c84daac307e0fd443ea76eb38fab6fc2f5356609479ee33b625c0eeb6757ae4d"},
+        {"173.applu",
+         "4d63400ce03e7678b1565abaafc0127817d183bb3fb93d0e14ddf59486ac35cf",
+         "7cc6675fe31e53a5cdfc815cce1cc7635db256fded9130c1183c83bd096e8385"},
+        {"429.mcf",
+         "4b00bafb25276cec3d87add24cba6306dc45489ef216cdaa1de1b420e8d1cb3a",
+         "4449f514408bdfe19f206e55cf4d81347d6834b645f1998a52f94166326f688a"},
+        {"470.lbm",
+         "c89387d9ac3ce8ff0adadf4e571d17da8d5a2b5b012955fd8af362c022602704",
+         "d301957214e447dc1159b2fe1db5595063910d888f5da3cd6cfaa680bb1a34fc"},
+        {"433.milc",
+         "2f5c389d288dcaf22593fa88f11f952d0c19ac290adf927af3f3d5e813410de7",
+         "c06bd6eb3da37ac6f1b8f854ca38dfd5a409f23b368b9b5511f1fac6eba7dff0"},
+    };
+    const SimConfig cfgs[2] = {configs::eole(4, 64),
+                               configs::baseline(6, 64)};
+    for (const auto &row : golden) {
+        Workload w = workloads::build(row[0]);
+        w.frozen = w.freeze(warm);
+        ASSERT_EQ(w.frozen->uops.size(), warm);
+        for (int c = 0; c < 2; ++c) {
+            SCOPED_TRACE(cfgs[c].name + " on " + w.name);
+            Core core(cfgs[c], w);
+            core.functionalWarm(*w.frozen, 0, warm);
+            Checkpoint ckpt = captureAt(*w.frozen, w.name, warm);
+            core.captureWarmState(ckpt);
+            EXPECT_EQ(sha256Hex(checkpointString(ckpt)), row[c + 1]);
+        }
+    }
+}

@@ -192,6 +192,36 @@ TEST(Prefetcher, StrideChangeResetsConfidence)
     EXPECT_EQ(pf.issuedCount(), 0u);  // needs re-confirmation
 }
 
+TEST(Prefetcher, RepeatIntoASetWhollyMidFillCountsEveryCall)
+{
+    // A one-byte stride sends all eight prefetches of one observation
+    // to the same line. While every way of its set is mid-fill, each
+    // of them is counted and stalls, and none installs the line; once
+    // the fills are back, the first installs it and the others find it.
+    CacheConfig cfg = smallCache();
+    cfg.mshrs = 64;
+    Cache target(cfg, fixedLatency(1000));
+    StridePrefetcher pf;
+    pf.attach(&target);
+    for (Addr way = 0; way < 4; ++way)
+        (void)target.access(way * 0x100, false, 0);  // all of set 0
+    const Addr pc = 0x400300;
+    for (Addr a = 0x410; a < 0x413; ++a)
+        pf.observe(pc, a, 1);
+    EXPECT_EQ(pf.issuedCount(), 0u);
+    pf.observe(pc, 0x413, 10);  // lines 0x414..0x41b: all of 0x400
+    EXPECT_EQ(pf.issuedCount(), 8u);
+    EXPECT_EQ(target.record().get("prefetches"), 8.0);
+    EXPECT_EQ(target.record().get("mshr_stalls"), 8.0);
+    EXPECT_FALSE(target.probe(0x400, 1u << 20));
+
+    pf.observe(pc, 0x414, 5000);
+    EXPECT_EQ(pf.issuedCount(), 16u);
+    EXPECT_EQ(target.record().get("prefetches"), 9.0);
+    EXPECT_EQ(target.record().get("mshr_stalls"), 8.0);
+    EXPECT_TRUE(target.probe(0x400, 1u << 20));
+}
+
 TEST(Dram, RowHitFasterThanRowMiss)
 {
     DramConfig cfg;
