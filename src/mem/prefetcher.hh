@@ -59,9 +59,10 @@ class StridePrefetcher
             e.confidence = 0;
             return;
         }
+        // Strides and offsets are address arithmetic, modulo 2^64: a
+        // stream that crosses 2^63 keeps its stride.
         const std::int64_t stride =
-            static_cast<std::int64_t>(addr) -
-            static_cast<std::int64_t>(e.lastAddr);
+            static_cast<std::int64_t>(addr - e.lastAddr);
         e.lastAddr = addr;
         if (stride == 0)
             return;
@@ -77,8 +78,9 @@ class StridePrefetcher
             return;
         // Confident: prefetch `degree` lines ahead.
         for (int d = 0; d < cfg.degree; ++d) {
-            const std::int64_t delta = e.stride * (cfg.distance + d);
-            const Addr target_addr = addr + static_cast<Addr>(delta);
+            const Addr target_addr = addr
+                + static_cast<Addr>(e.stride)
+                    * static_cast<Addr>(cfg.distance + d);
             target->prefetch(target_addr
                                  & ~static_cast<Addr>(cfg.lineBytes - 1),
                              now);

@@ -222,6 +222,30 @@ TEST(Prefetcher, RepeatIntoASetWhollyMidFillCountsEveryCall)
     EXPECT_TRUE(target.probe(0x400, 1u << 20));
 }
 
+TEST(Prefetcher, StridesAcrossTwoToTheSixtyThirdWrap)
+{
+    // Addresses step by one line from just below 2^63 to above it. The
+    // stride and the prefetch offsets are address arithmetic, modulo
+    // 2^64: the crossing is one more step of +64, not a signed
+    // overflow.
+    CacheConfig cfg = smallCache();
+    cfg.sizeBytes = 64 * 1024;
+    cfg.mshrs = 64;
+    Cache target(cfg, fixedLatency(10));
+    StridePrefetcher pf;
+    pf.attach(&target);
+    const Addr pc = 0x400400;
+    const Addr base = 0x7fffffffffffff80ULL;
+    for (Addr k = 0; k < 4; ++k)
+        pf.observe(pc, base + 64 * k, k);
+    EXPECT_EQ(pf.issuedCount(), 8u);
+    const Addr last = base + 64 * 3;  // 0x8000000000000040
+    for (Addr d = 0; d <= 10; ++d) {
+        EXPECT_EQ(target.probe(last + 64 * d, 1000), d >= 1 && d <= 8)
+            << "line " << d << " past the last access";
+    }
+}
+
 TEST(Dram, RowHitFasterThanRowMiss)
 {
     DramConfig cfg;
