@@ -150,15 +150,15 @@ BranchUnit::warmUpdate(const TraceUop &uop)
 }
 
 void
-BranchUnit::snapshotState(std::ostream &os) const
+BranchUnit::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("branch-unit").u64(1);
     w.end();
-    tage.snapshotState(os);
-    hist.snapshotState(os);
-    btb.snapshotState(os);
-    ras.snapshotState(os);
+    tage.snapshotState(w);
+    hist.snapshotState(w);
+    btb.snapshotState(w);
+    ras.snapshotState(w);
     w.tag("conf").u64(confTable.size());
     w.end();
     w.tag("conf.t");

@@ -147,7 +147,7 @@ class BranchUnit : public WarmableComponent
     /** Serialize TAGE tables, global history (with folds and raw
      *  bits), BTB, RAS and the JRS confidence filter (canonical text;
      *  isa/warmable.hh contract). */
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
 
     /** Restore into a same-geometry unit; subsequent predictions are
      *  decision-identical to the snapshotted unit (pinned by

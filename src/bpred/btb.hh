@@ -76,9 +76,8 @@ class Btb
 
     /** Serialize entries + LRU clock (canonical text). */
     void
-    snapshotState(std::ostream &os) const
+    snapshotState(SnapshotWriter &w) const
     {
-        SnapshotWriter w(os);
         w.tag("btb").u64(entries.size()).u64(lruClock);
         w.end();
         w.tag("btb.e");
@@ -202,9 +201,8 @@ class Ras
 
     /** Serialize the whole stack (canonical text). */
     void
-    snapshotState(std::ostream &os) const
+    snapshotState(SnapshotWriter &w) const
     {
-        SnapshotWriter w(os);
         w.tag("ras").u64(stack.size()).u64(top).u64(depth);
         w.end();
         w.tag("ras.stack");

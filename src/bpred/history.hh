@@ -156,9 +156,8 @@ class GlobalHistory
      *  (canonical text; isa/snapshot.hh). Fold geometry is derived
      *  from construction and not serialized. */
     void
-    snapshotState(std::ostream &os) const
+    snapshotState(SnapshotWriter &w) const
     {
-        SnapshotWriter w(os);
         w.tag("hist").u64(pos).u64(folds.size()).u64(bits.size());
         w.end();
         w.tag("hist.folds");

@@ -205,9 +205,8 @@ Tage::update(Addr pc, bool taken, const TageLookup &lookup)
 }
 
 void
-Tage::snapshotState(std::ostream &os) const
+Tage::snapshotState(SnapshotWriter &w) const
 {
-    SnapshotWriter w(os);
     w.tag("tage")
         .u64(static_cast<std::uint64_t>(cfg.numTagged))
         .u64(compEntries())

@@ -98,7 +98,7 @@ class Tage
 
     /** Serialize tables, meta-predictor, update counter and RNG as
      *  canonical text (isa/snapshot.hh). */
-    void snapshotState(std::ostream &os) const;
+    void snapshotState(SnapshotWriter &w) const;
 
     /** Restore into a same-geometry instance (fatal with section/line
      *  context on mismatch or malformed input). */

@@ -75,9 +75,9 @@ CheckpointSection::payload() const
 {
     if (!state)
         return text;
-    std::ostringstream os;
-    state->snapshotState(os);
-    return os.str();
+    std::string rendered;
+    state->appendSnapshot(rendered);
+    return rendered;
 }
 
 void
@@ -98,7 +98,7 @@ CheckpointSection::operator==(const CheckpointSection &o) const
 }
 
 void
-serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt)
+appendCheckpoint(std::string &out, const Checkpoint &ckpt)
 {
     // Canonical line-oriented text; register values in hex (exact for
     // bit-punned FP). Names are length-prefixed so spaces survive the
@@ -107,39 +107,53 @@ serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt)
     // from earlier releases stay canonical.
     const std::string schema = checkpointSchemaName(ckpt);
     const bool v2 = schema == "eole-ckpt-v2";
-    os << schema << '\n';
-    if (v2) {
-        os << "config " << ckpt.config.size() << ' ' << ckpt.config
-           << '\n';
+    const auto named = [&](const char *tag, const std::string &name) {
+        out += tag;
+        out += ' ' + std::to_string(name.size()) + ' ';
+        out += name;
+        out += '\n';
+    };
+    out += schema + '\n';
+    if (v2)
+        named("config", ckpt.config);
+    named("workload", ckpt.workload);
+    out += "uop " + std::to_string(ckpt.uopIndex) + '\n';
+    {
+        SnapshotWriter w(out);
+        w.tag("int");
+        for (int r = 0; r < numArchIntRegs; ++r)
+            w.u64(ckpt.intRegs[r]);
+        w.end();
+        w.tag("fp");
+        for (int r = 0; r < numArchFpRegs; ++r)
+            w.u64(ckpt.fpRegs[r]);
+        w.end();
     }
-    os << "workload " << ckpt.workload.size() << ' ' << ckpt.workload
-       << '\n';
-    os << "uop " << ckpt.uopIndex << '\n';
-    os << std::hex;
-    os << "int";
-    for (int r = 0; r < numArchIntRegs; ++r)
-        os << ' ' << ckpt.intRegs[r];
-    os << "\nfp";
-    for (int r = 0; r < numArchFpRegs; ++r)
-        os << ' ' << ckpt.fpRegs[r];
-    os << '\n' << std::dec;
     if (v2) {
-        os << "sections " << ckpt.uarch.size() << '\n';
+        out += "sections " + std::to_string(ckpt.uarch.size()) + '\n';
         for (const CheckpointSection &section : ckpt.uarch) {
             // Byte-counted payloads: component text is opaque to the
             // framing, and truncation is detectable without parsing.
-            // A by-value section renders here, the one place its text
-            // is needed.
-            std::string rendered;
+            // A by-value section renders in place, the one place its
+            // text is needed, and its header goes in front once its
+            // size is known.
+            const std::size_t at = out.size();
             if (section.state)
-                rendered = section.payload();
-            const std::string &payload =
-                section.state ? rendered : section.text;
-            os << "section " << section.name << ' ' << payload.size()
-               << '\n' << payload;
+                section.state->appendSnapshot(out);
+            else
+                out += section.text;
+            out.insert(at, "section " + section.name + ' '
+                               + std::to_string(out.size() - at) + '\n');
         }
-        os << "end\n";
+        out += "end\n";
     }
+}
+
+void
+serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt)
+{
+    const std::string text = checkpointString(ckpt);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 namespace {
@@ -359,9 +373,9 @@ deserializeCheckpoint(std::istream &is)
 std::string
 checkpointString(const Checkpoint &ckpt)
 {
-    std::ostringstream oss;
-    serializeCheckpoint(oss, ckpt);
-    return oss.str();
+    std::string text;
+    appendCheckpoint(text, ckpt);
+    return text;
 }
 
 Checkpoint

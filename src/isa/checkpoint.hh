@@ -27,8 +27,8 @@
  * is a by-value copy (WarmableComponent::clone): Core::captureWarmState
  * takes copies and restoreWarmState copies them back, with no text in
  * between. A checkpoint parsed from a file or the store holds each
- * component's snapshotState() text instead. serializeCheckpoint renders
- * a by-value section through the component's snapshotState, so both
+ * component's appendSnapshot() text instead. appendCheckpoint renders
+ * a by-value section through the component's appendSnapshot, so both
  * forms of the same state serialize to the same bytes (pinned by
  * tests/test_sample.cc).
  *
@@ -69,13 +69,13 @@ class KernelVM;
 
 /**
  * One named µarch section: a WarmableComponent's warmed state, held by
- * value (in-process captures) or as its snapshotState() text
+ * value (in-process captures) or as its appendSnapshot() text
  * (checkpoints parsed from a file or the store).
  */
 struct CheckpointSection
 {
     std::string name;   //!< "branch", "vpred" or "mem"
-    std::string text;   //!< snapshotState() document; empty by value
+    std::string text;   //!< appendSnapshot() document; empty by value
     /** The by-value copy (shared, immutable), or null for text. */
     std::shared_ptr<const WarmableComponent> state;
 
@@ -90,7 +90,7 @@ struct CheckpointSection
     {
     }
 
-    /** The snapshotState() document: the text, or rendered from the
+    /** The appendSnapshot() document: the text, or rendered from the
      *  by-value copy. */
     std::string payload() const;
 
@@ -176,8 +176,12 @@ Checkpoint captureFromVM(const KernelVM &vm,
  *  sections or provenance ride along. */
 const char *checkpointSchemaName(const Checkpoint &ckpt);
 
-/** Canonical text serialization (schema per checkpointSchemaName);
- *  by-value sections render through their snapshotState. */
+/** Append the canonical text of @p ckpt (schema per
+ *  checkpointSchemaName) to @p out; by-value sections render straight
+ *  into @p out through their appendSnapshot. */
+void appendCheckpoint(std::string &out, const Checkpoint &ckpt);
+
+/** appendCheckpoint's text, written to @p os. */
 void serializeCheckpoint(std::ostream &os, const Checkpoint &ckpt);
 
 /**

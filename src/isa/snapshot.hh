@@ -19,10 +19,9 @@
 #ifndef EOLE_ISA_SNAPSHOT_HH
 #define EOLE_ISA_SNAPSHOT_HH
 
+#include <bit>
 #include <cstdint>
 #include <istream>
-#include <ostream>
-#include <sstream>
 #include <string>
 
 #include "common/logging.hh"
@@ -53,14 +52,16 @@ snapshotParseHex(const std::string &w, std::uint64_t *out)
 }
 
 /** Line-oriented canonical-text emitter for component snapshots.
- *  Fields append to a line buffer and end() hands the finished line to
- *  the stream in one write: a warmed checkpoint is ~0.7 MB of short
- *  hex fields, and a stream insertion per field would dominate its
- *  render time. The destructor writes a line left unterminated. */
+ *  Fields go into a small staging block with no call per field, and
+ *  the block is appended to the caller's buffer when it fills and at
+ *  each end(): a warmed checkpoint is ~0.7 MB of short hex fields,
+ *  rendered once into the buffer it is written from. Between lines
+ *  the buffer is complete, so a composite may hand it to a part's own
+ *  writer. The destructor appends a line left unterminated. */
 class SnapshotWriter
 {
   public:
-    explicit SnapshotWriter(std::ostream &os_) : os(os_) {}
+    explicit SnapshotWriter(std::string &out_) : out(out_) {}
     ~SnapshotWriter() { flush(); }
     SnapshotWriter(const SnapshotWriter &) = delete;
     SnapshotWriter &operator=(const SnapshotWriter &) = delete;
@@ -69,7 +70,8 @@ class SnapshotWriter
     SnapshotWriter &
     tag(const char *t)
     {
-        line += t;
+        flush();
+        out += t;
         return *this;
     }
 
@@ -77,8 +79,7 @@ class SnapshotWriter
     SnapshotWriter &
     u64(std::uint64_t v)
     {
-        line += ' ';
-        hex(v);
+        field(v, false);
         return *this;
     }
 
@@ -88,8 +89,7 @@ class SnapshotWriter
     {
         if (v >= 0)
             return u64(static_cast<std::uint64_t>(v));
-        line += " -";
-        hex(static_cast<std::uint64_t>(-(v + 1)) + 1);
+        field(static_cast<std::uint64_t>(-(v + 1)) + 1, true);
         return *this;
     }
 
@@ -97,8 +97,9 @@ class SnapshotWriter
     SnapshotWriter &
     str(const std::string &s)
     {
-        line += ' ';
-        line += s;
+        flush();
+        out += ' ';
+        out += s;
         return *this;
     }
 
@@ -106,43 +107,60 @@ class SnapshotWriter
     SnapshotWriter &
     flag(bool b)
     {
-        line += ' ';
-        line += b ? '1' : '0';
+        char *p = room(2);
+        p[0] = ' ';
+        p[1] = b ? '1' : '0';
+        used += 2;
         return *this;
     }
 
-    /** Terminate the current line and write it. */
+    /** Terminate the current line and append it. */
     void
     end()
     {
-        line += '\n';
+        *room(1) = '\n';
+        ++used;
         flush();
     }
 
   private:
+    /** ' ', '-' when @p neg, and @p v in hex. */
     void
-    hex(std::uint64_t v)
+    field(std::uint64_t v, bool neg)
     {
-        char buf[16];
-        char *p = buf + sizeof(buf);
+        const int digits = v ? (std::bit_width(v) + 3) / 4 : 1;
+        char *p = room(static_cast<std::size_t>(digits) + 2);
+        char *const start = p;
+        *p++ = ' ';
+        if (neg)
+            *p++ = '-';
+        p += digits;
+        used += static_cast<std::size_t>(p - start);
         do {
             *--p = "0123456789abcdef"[v & 0xf];
             v >>= 4;
         } while (v);
-        line.append(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
+    }
+
+    /** @p n free bytes at the end of the staging block. */
+    char *
+    room(std::size_t n)
+    {
+        if (used + n > sizeof(block))
+            flush();
+        return block + used;
     }
 
     void
     flush()
     {
-        if (line.empty())
-            return;
-        os.write(line.data(), static_cast<std::streamsize>(line.size()));
-        line.clear();
+        out.append(block, used);
+        used = 0;
     }
 
-    std::ostream &os;
-    std::string line;
+    std::string &out;
+    std::size_t used = 0;
+    char block[4096] = {};
 };
 
 /**

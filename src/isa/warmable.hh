@@ -21,10 +21,11 @@
  *    measurement interval from such copies (isa/checkpoint.hh,
  *    sim/sample/);
  *  - as canonical byte-stable text, wherever state leaves the
- *    process: snapshotState() writes the complete predictive state
+ *    process: appendSnapshot() writes the complete predictive state
  *    (tables, histories, LRU/row/bus state, the warming pseudo-clock
- *    and every RNG) and restoreState() rebuilds it. That is the form
- *    of `eole ckpt save` files and store objects.
+ *    and every RNG) into a buffer, snapshotState() to a stream, and
+ *    restoreState() rebuilds it. That is the form of `eole ckpt save`
+ *    files and store objects.
  * Either way the restored component's future decisions are identical
  * to the original's, and a by-value copy snapshots to the original's
  * exact bytes (both pinned by tests/test_ckpt_state.cc).
@@ -36,8 +37,9 @@
 #ifndef EOLE_ISA_WARMABLE_HH
 #define EOLE_ISA_WARMABLE_HH
 
-#include <iosfwd>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/logging.hh"
 #include "isa/trace.hh"
@@ -58,16 +60,25 @@ class WarmableComponent
     virtual void warmUpdate(const TraceUop &uop) = 0;
 
     /**
-     * Serialize the complete predictive state as canonical text
+     * Append the complete predictive state to @p out as canonical text
      * (isa/snapshot.hh): writing the same state twice yields identical
      * bytes, and statistics counters are excluded (they are
      * measurement state, zeroed by Core::resetTiming before any
      * measured window opens).
      */
-    virtual void snapshotState(std::ostream &os) const = 0;
+    virtual void appendSnapshot(std::string &out) const = 0;
+
+    /** The appendSnapshot() text, written to @p os. */
+    void
+    snapshotState(std::ostream &os) const
+    {
+        std::string text;
+        appendSnapshot(text);
+        os.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
 
     /**
-     * Rebuild state from a snapshotState() document into an instance
+     * Rebuild state from an appendSnapshot() document into an instance
      * of the *same configured geometry* (fatal, with the section name
      * and line number, on geometry mismatch or any malformed/truncated
      * input). Afterwards the component is decision-for-decision
@@ -78,7 +89,7 @@ class WarmableComponent
     /**
      * A by-value copy of the complete predictive state: a new instance
      * of the same kind and geometry holding exactly what
-     * snapshotState() would write. The copy carries state, not wiring:
+     * appendSnapshot() would write. The copy carries state, not wiring:
      * a value predictor's clone is bound to no branch history, so it
      * serves as a snapshot source and a copyStateFrom() source only.
      */

@@ -25,6 +25,7 @@ Cache::Cache(const CacheConfig &config, NextLevelFn next_level)
     lineShift = std::countr_zero(cfg.lineBytes);
     tagShift = lineShift + std::countr_zero(numSets);
     lines.assign(static_cast<std::size_t>(numSets) * cfg.ways, Line{});
+    tags.assign(lines.size(), 0);
 }
 
 std::uint32_t
@@ -48,12 +49,11 @@ Cache::lineAddrOf(Addr addr) const
 Cache::Line *
 Cache::findLine(Addr addr)
 {
-    const std::uint32_t set = setOf(addr);
+    const std::size_t first = static_cast<std::size_t>(setOf(addr)) * cfg.ways;
     const std::uint64_t tag = tagOf(addr);
-    for (int w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[static_cast<std::size_t>(set) * cfg.ways + w];
-        if (l.valid && l.tag == tag)
-            return &l;
+    for (std::size_t i = first; i < first + cfg.ways; ++i) {
+        if (tags[i] == tag && lines[i].valid)
+            return &lines[i];
     }
     return nullptr;
 }
@@ -109,17 +109,18 @@ Cache::fill(Addr addr, bool is_write, Cycle now)
         return earliest + cfg.latency;
     }
 
+    std::uint64_t &victimTag = tags[victim - lines.data()];
     if (victim->valid && victim->dirty) {
         // Write back the victim (consumes next-level/DRAM bandwidth).
         ++statWritebacks;
-        (void)next((victim->tag << tagShift)
+        (void)next((victimTag << tagShift)
                        | (static_cast<Addr>(set) << lineShift),
                    true, now);
     }
 
     const Cycle ready = next(lineAddrOf(addr), false, now + cfg.latency);
     victim->valid = true;
-    victim->tag = tagOf(addr);
+    victimTag = tagOf(addr);
     victim->dirty = is_write;
     victim->lru = ++lruClock;
     victim->readyAt = ready;
@@ -163,28 +164,34 @@ Cache::probe(Addr addr, Cycle now) const
     return l != nullptr && l->readyAt <= now;
 }
 
-Cycle
+bool
 Cache::prefetch(Addr addr, Cycle now)
 {
     if (findLine(addr) != nullptr)
-        return now;
+        return true;
     reapInflight(now);
     if (static_cast<int>(inflight.size()) >= cfg.mshrs)
-        return now;
+        return true;
     ++statPrefetches;
-    return fill(addr, false, now);
+    // fill() counts an MSHR stall only when the whole set is mid-fill,
+    // the one outcome that installs nothing.
+    const std::uint64_t stalls = statMshrStalls;
+    (void)fill(addr, false, now);
+    return statMshrStalls == stalls;
 }
 
 void
-Cache::snapshotState(std::ostream &os) const
+Cache::snapshotState(SnapshotWriter &w) const
 {
-    SnapshotWriter w(os);
     w.tag("cache").str(cfg.name)
         .u64(lines.size()).u64(inflight.size()).u64(lruClock);
     w.end();
     w.tag("cache.lines");
-    for (const Line &l : lines)
-        w.flag(l.valid).u64(l.tag).flag(l.dirty).u64(l.lru).u64(l.readyAt);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Line &l = lines[i];
+        w.flag(l.valid).u64(tags[i]).flag(l.dirty).u64(l.lru)
+            .u64(l.readyAt);
+    }
     w.end();
     // Insertion order, independent of the heap's internal layout.
     std::vector<Fill> fills = inflight;
@@ -214,9 +221,10 @@ Cache::restoreState(SnapshotReader &r)
     lruClock = r.u64("lruClock");
     r.endLine();
     r.line("cache.lines");
-    for (Line &l : lines) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        Line &l = lines[i];
         l.valid = r.flag("valid");
-        l.tag = r.u64("tag");
+        tags[i] = r.u64("tag");
         l.dirty = r.flag("dirty");
         l.lru = r.u64("lru");
         l.readyAt = r.u64("readyAt");
@@ -239,6 +247,7 @@ Cache::copyStateFrom(const Cache &o)
     copyCheck(o.lines.size() == lines.size(), cfg.name.c_str(),
               "cache line-count mismatch");
     lines = o.lines;
+    tags = o.tags;
     inflight = o.inflight;
     fillSeq = o.fillSeq;
     lruClock = o.lruClock;

@@ -59,11 +59,16 @@ class Cache
     bool probe(Addr addr, Cycle now) const;
 
     /**
-     * Install a line without a demand requester (prefetch). Returns the
-     * fill-completion cycle; does nothing if the line is present or
-     * MSHRs are exhausted.
+     * Install a line without a demand requester (prefetch); does
+     * nothing if the line is present or MSHRs are exhausted.
+     *
+     * @return false only when the line's whole set was mid-fill: the
+     *         prefetch was counted and stalled but installed nothing,
+     *         so a repeat at the same cycle would count again. After
+     *         any other outcome a repeat of the same line at the same
+     *         cycle changes nothing, and the prefetcher skips it.
      */
-    Cycle prefetch(Addr addr, Cycle now);
+    bool prefetch(Addr addr, Cycle now);
 
     StatRecord record() const;
 
@@ -76,7 +81,7 @@ class Cache
      * are excluded — they are measurement state, zeroed by
      * Core::resetTiming before any measured window.
      */
-    void snapshotState(std::ostream &os) const;
+    void snapshotState(SnapshotWriter &w) const;
 
     /** Restore into a same-geometry cache (fatal with section/line
      *  context on mismatch). */
@@ -98,10 +103,10 @@ class Cache
     }
 
   private:
-    // Flags after the 64-bit fields keep a line at 32 bytes.
+    /** A line's state but its tag, which lives in `tags`: a set
+     *  scan reads 8 bytes per way, and a line still costs 32 bytes. */
     struct Line
     {
-        std::uint64_t tag = 0;
         std::uint64_t lru = 0;
         Cycle readyAt = 0;   //!< fill completion (MSHR semantics)
         bool valid = false;
@@ -136,6 +141,8 @@ class Cache
     int lineShift;   //!< log2(lineBytes)
     int tagShift;    //!< log2(lineBytes * numSets)
     std::vector<Line> lines;
+    /** Each line's tag, at its index in `lines` (set-major). */
+    std::vector<std::uint64_t> tags;
     /**
      * Outstanding fills, a min-heap on (ready, seq). New misses are
      * refused only while it holds >= mshrs entries, yet the stall path

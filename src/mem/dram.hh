@@ -93,9 +93,8 @@ class Dram
     /** Serialize bank rows/busy times and bus occupancy (canonical
      *  text; access counters are measurement state, excluded). */
     void
-    snapshotState(std::ostream &os) const
+    snapshotState(SnapshotWriter &w) const
     {
-        SnapshotWriter w(os);
         w.tag("dram").u64(banks.size()).u64(busBusyUntil);
         w.end();
         w.tag("dram.banks");

@@ -143,18 +143,18 @@ class MemHierarchy : public WarmableComponent
      * are excluded (measurement state, zeroed by Core::resetTiming).
      */
     void
-    snapshotState(std::ostream &os) const override
+    appendSnapshot(std::string &out) const override
     {
-        SnapshotWriter w(os);
+        SnapshotWriter w(out);
         w.tag("mem-hierarchy").u64(1);
         w.end();
         w.tag("clock").u64(warmClock).u64(warmFetchLine);
         w.end();
-        l1i->snapshotState(os);
-        l1d->snapshotState(os);
-        l2->snapshotState(os);
-        dram->snapshotState(os);
-        prefetcher.snapshotState(os);
+        l1i->snapshotState(w);
+        l1d->snapshotState(w);
+        l2->snapshotState(w);
+        dram->snapshotState(w);
+        prefetcher.snapshotState(w);
     }
 
     /** Restore into a same-geometry hierarchy; subsequent accesses are

@@ -76,14 +76,20 @@ class StridePrefetcher
         }
         if (e.confidence < 2 || target == nullptr)
             return;
-        // Confident: prefetch `degree` lines ahead.
+        // Confident: prefetch `degree` lines ahead. A stride shorter
+        // than a line names one line several times in a row; a repeat
+        // is skipped (but still issued) when the cache says it would
+        // change nothing.
+        Addr prev = 0;
+        bool settled = false;
         for (int d = 0; d < cfg.degree; ++d) {
-            const Addr target_addr = addr
-                + static_cast<Addr>(e.stride)
-                    * static_cast<Addr>(cfg.distance + d);
-            target->prefetch(target_addr
-                                 & ~static_cast<Addr>(cfg.lineBytes - 1),
-                             now);
+            const Addr line = (addr
+                               + static_cast<Addr>(e.stride)
+                                   * static_cast<Addr>(cfg.distance + d))
+                & ~static_cast<Addr>(cfg.lineBytes - 1);
+            if (!settled || line != prev)
+                settled = target->prefetch(line, now);
+            prev = line;
             ++issued;
         }
     }
@@ -96,9 +102,8 @@ class StridePrefetcher
     /** Serialize the stride-training table (canonical text; the issue
      *  counter is measurement state, excluded). */
     void
-    snapshotState(std::ostream &os) const
+    snapshotState(SnapshotWriter &w) const
     {
-        SnapshotWriter w(os);
         w.tag("prefetch").u64(table.size());
         w.end();
         w.tag("prefetch.e");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "isa/checkpoint.hh"
@@ -131,15 +130,20 @@ Core::captureWarmState(Checkpoint &ckpt) const
 }
 
 void
-Core::captureWarmText(Checkpoint &ckpt) const
+Core::appendWarmCheckpoint(std::string &out, const Checkpoint &arch) const
 {
+    // Sections that borrow this core's live components (shared_ptrs
+    // that own nothing) render like by-value ones; the borrowing
+    // checkpoint never leaves this call.
+    Checkpoint ckpt = arch;
     ckpt.config = state->cfg.name;
     ckpt.uarch.clear();
     for (const auto &[name, c] : warmables()) {
-        std::ostringstream os;
-        c->snapshotState(os);
-        ckpt.uarch.emplace_back(name, os.str());
+        ckpt.uarch.emplace_back(
+            name, std::shared_ptr<const WarmableComponent>(
+                      std::shared_ptr<const void>(), c));
     }
+    appendCheckpoint(out, ckpt);
 }
 
 void

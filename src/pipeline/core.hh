@@ -110,12 +110,15 @@ class Core
     void captureWarmState(Checkpoint &ckpt) const;
 
     /**
-     * captureWarmState with each section's snapshotState() text
-     * rendered straight from this core instead of a copy: for a
+     * Append to @p out the text of @p arch (an architectural
+     * checkpoint) with this core's warmed state as its sections: the
+     * bytes checkpointString gives after captureWarmState, with each
+     * component rendered straight into @p out instead of copied. For a
      * checkpoint that only leaves the process (a `ckpt save` file, a
-     * store object). Serializes to the same bytes.
+     * store object).
      */
-    void captureWarmText(Checkpoint &ckpt) const;
+    void appendWarmCheckpoint(std::string &out,
+                              const Checkpoint &arch) const;
 
     /**
      * Restore the µarch sections of @p ckpt into this core's warmable

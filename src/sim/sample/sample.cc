@@ -477,26 +477,28 @@ saveCheckpoints(const ExperimentPlan &plan, const SampleSpec &spec,
             return err;
         });
 
-    // Each checkpoint is rendered straight from the warming core and
-    // written as it is captured: the files and store objects are the
-    // only form it takes, so no by-value copy is ever made.
+    // Each checkpoint is rendered straight from the warming core into
+    // one buffer, reused for each checkpoint of the job, and written as
+    // it is captured: the files and store objects are the only form it
+    // takes, so no by-value copy is ever made.
     ex.run(placedTraceUops(ex, starts),
            {{"warm", false,
              [&](std::size_t i) { return std::size_t{!starts[i].empty()}; },
              [&](SweepJob &job) {
                  const std::size_t i = job.cell;
                  const auto trace = ex.trace(job.workload);
+                 std::string text;
                  warmOncePass(
                      ex.config(i), job.workload, trace,
                      warmCheckpointIndices(starts[i], trace->uops.size(),
                                            spec),
                      [&](std::size_t k, const Core &core, Checkpoint &ckpt) {
-                         core.captureWarmText(ckpt);
                          slots[i][k].uop = ckpt.uopIndex;
-                         std::string text = checkpointString(ckpt);
+                         text.clear();
+                         core.appendWarmCheckpoint(text, ckpt);
                          job.ok = write(i, k, text) && job.ok;
                          if (options.store)
-                             slots[i][k].text = std::move(text);
+                             slots[i][k].text = text;
                      });
              }}});
     ex.saveToStore([&](std::size_t i, std::size_t k) {

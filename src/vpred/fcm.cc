@@ -75,9 +75,9 @@ FcmPredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 }
 
 void
-FcmPredictor::snapshotState(std::ostream &os) const
+FcmPredictor::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("fcm").u64(1).u64(histTable.size()).u64(valueTable.size());
     w.end();
     w.tag("fcm.h");

@@ -35,7 +35,7 @@ class FcmPredictor : public ValuePredictor
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     const char *name() const override { return "FCM"; }
 
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
     void restoreState(std::istream &is) override;
     std::unique_ptr<WarmableComponent> clone() const override;
     void copyStateFrom(const WarmableComponent &src) override;

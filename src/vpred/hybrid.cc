@@ -61,6 +61,13 @@ HybridVtage2DStride::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 }
 
 void
+HybridVtage2DStride::warmUpdate(const TraceUop &uop)
+{
+    vt.warmUpdate(uop);
+    sp.warmUpdate(uop);
+}
+
+void
 HybridVtage2DStride::squash(Addr pc, const VpLookup &lookup)
 {
     // VTAGE tracks no in-flight instances.
@@ -68,13 +75,13 @@ HybridVtage2DStride::squash(Addr pc, const VpLookup &lookup)
 }
 
 void
-HybridVtage2DStride::snapshotState(std::ostream &os) const
+HybridVtage2DStride::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("hybrid").u64(1);
     w.end();
-    vt.snapshotState(os);
-    sp.snapshotState(os);
+    vt.appendSnapshot(out);
+    sp.appendSnapshot(out);
 }
 
 void

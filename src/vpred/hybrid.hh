@@ -31,11 +31,13 @@ class HybridVtage2DStride : public ValuePredictor
     VpLookup predict(Addr pc) override;
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     void squash(Addr pc, const VpLookup &lookup) override;
+    /** Both components' predict -> train, without arbitration. */
+    void warmUpdate(const TraceUop &uop) override;
     const char *name() const override { return "VTAGE-2DStride"; }
 
     /** Concatenated component snapshots (the arbitration chooser is
      *  stateless, so the two sub-predictors are the whole state). */
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
     void restoreState(std::istream &is) override;
     std::unique_ptr<WarmableComponent> clone() const override;
     void copyStateFrom(const WarmableComponent &src) override;

@@ -54,9 +54,9 @@ LastValuePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 }
 
 void
-LastValuePredictor::snapshotState(std::ostream &os) const
+LastValuePredictor::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("lvp").u64(1).u64(table.size());
     w.end();
     w.tag("lvp.e");
@@ -163,6 +163,16 @@ StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 }
 
 void
+StridePredictor::warmUpdate(const TraceUop &uop)
+{
+    if (!uop.vpPredictable())
+        return;
+    VpLookup::TablePart part;
+    predictInto(uop.pc(), part);
+    train(uop.pc(), uop.result(), part);
+}
+
+void
 StridePredictor::train(Addr pc, RegVal actual,
                        const VpLookup::TablePart &l)
 {
@@ -192,9 +202,9 @@ StridePredictor::train(Addr pc, RegVal actual,
 }
 
 void
-StridePredictor::snapshotState(std::ostream &os) const
+StridePredictor::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("stride").u64(1).u64(table.size()).flag(twoDelta);
     w.end();
     w.tag("stride.e");

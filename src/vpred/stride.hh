@@ -32,7 +32,7 @@ class LastValuePredictor : public ValuePredictor
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     const char *name() const override { return "LVP"; }
 
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
     void restoreState(std::istream &is) override;
     std::unique_ptr<WarmableComponent> clone() const override;
     void copyStateFrom(const WarmableComponent &src) override;
@@ -71,6 +71,7 @@ class StridePredictor : public ValuePredictor
     VpLookup predict(Addr pc) override;
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     void squash(Addr pc, const VpLookup &lookup) override;
+    void warmUpdate(const TraceUop &uop) override;
     const char *name() const override
     {
         return twoDelta ? "2D-Stride" : "Stride";
@@ -83,7 +84,7 @@ class StridePredictor : public ValuePredictor
     /** Squash of the instance @p part predicted. */
     void squash(Addr pc, const VpLookup::TablePart &part);
 
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */
     void restoreStateBody(SnapshotReader &r);

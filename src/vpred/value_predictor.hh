@@ -165,7 +165,11 @@ class ValuePredictor : public WarmableComponent
      * fetch-stage eligibility rules (writes to the int zero register
      * are architecturally dropped and not predicted). Confidence and
      * tables evolve as in a detailed run of the same stream with one
-     * in-flight instance per static µ-op (see DESIGN.md §8).
+     * in-flight instance per static µ-op (see DESIGN.md §8). VTAGE,
+     * the stride predictors and the hybrid override it to predict into
+     * and train from each component's own part, skipping the
+     * arbitration that warming never reads; the state they leave is
+     * the literal predict -> commit's (tests/test_sample.cc).
      */
     void
     warmUpdate(const TraceUop &uop) override

@@ -139,6 +139,16 @@ Vtage::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 }
 
 void
+Vtage::warmUpdate(const TraceUop &uop)
+{
+    if (!uop.vpPredictable())
+        return;
+    VpLookup::VtagePart part;
+    predictInto(uop.pc(), part);
+    train(uop.pc(), uop.result(), part);
+}
+
+void
 Vtage::train(Addr pc, RegVal actual, const VpLookup::VtagePart &l)
 {
     const bool correct = l.value == actual;
@@ -198,9 +208,9 @@ Vtage::train(Addr pc, RegVal actual, const VpLookup::VtagePart &l)
 }
 
 void
-Vtage::snapshotState(std::ostream &os) const
+Vtage::appendSnapshot(std::string &out) const
 {
-    SnapshotWriter w(os);
+    SnapshotWriter w(out);
     w.tag("vtage")
         .u64(1)
         .u64(base.size())

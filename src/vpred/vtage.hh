@@ -37,6 +37,7 @@ class Vtage : public ValuePredictor
 
     VpLookup predict(Addr pc) override;
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
+    void warmUpdate(const TraceUop &uop) override;
     const char *name() const override { return "VTAGE"; }
 
     /** Predict into VTAGE's own part (predict() and the hybrid). */
@@ -44,7 +45,7 @@ class Vtage : public ValuePredictor
     /** Retirement-order training from VTAGE's own part. */
     void train(Addr pc, RegVal actual, const VpLookup::VtagePart &part);
 
-    void snapshotState(std::ostream &os) const override;
+    void appendSnapshot(std::string &out) const override;
     void restoreState(std::istream &is) override;
     /** Hybrid embedding: restore from an already-open reader. */
     void restoreStateBody(SnapshotReader &r);

@@ -220,16 +220,15 @@ TEST(Checkpoint, ByValueCaptureSerializesToTheTextBytes)
             core.functionalWarm(*w.frozen, warmed, idx);
             warmed = idx;
             Checkpoint byValue = captureAt(*w.frozen, w.name, idx);
-            Checkpoint text = byValue;
+            std::string bytes;
+            core.appendWarmCheckpoint(bytes, byValue);
             core.captureWarmState(byValue);
-            core.captureWarmText(text);
             ASSERT_EQ(byValue.uarch.size(), cfg.vp.kind == VpKind::None
                                                 ? 2u : 3u);
             for (const CheckpointSection &section : byValue.uarch) {
                 EXPECT_NE(section.state, nullptr) << section.name;
                 EXPECT_TRUE(section.text.empty()) << section.name;
             }
-            const std::string bytes = checkpointString(text);
             EXPECT_EQ(checkpointString(byValue), bytes)
                 << cfg.name << " at " << idx;
             EXPECT_TRUE(checkpointFromString(bytes) == byValue)
