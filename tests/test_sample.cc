@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bpred/branch_unit.hh"
 #include "common/env.hh"
 #include "isa/checkpoint.hh"
 #include "isa/kernel_vm.hh"
@@ -39,6 +40,7 @@
 #include "sim/sample/sample.hh"
 #include "sim/store.hh"
 #include "sim/telemetry.hh"
+#include "vpred/value_predictor.hh"
 #include "workloads/torture_gen.hh"
 #include "workloads/workload.hh"
 
@@ -444,6 +446,56 @@ TEST(Warming, BranchWarmUpdateMatchesPredictRepairCommit)
         }
     }
     EXPECT_GT(branches, 200u);
+}
+
+TEST(Warming, ValueWarmUpdateMatchesPredictCommit)
+{
+    // VTAGE, the stride predictors and the hybrid warm without the
+    // lookup record or arbitration; pin their state to the literal
+    // predict -> commit of the base class by warming two identically
+    // seeded instances on one branch history and requiring identical
+    // snapshot bytes. LVP and FCM warm through the base path itself.
+    const std::uint64_t base = envU64("EOLE_SAMPLE_SEED", 0x5A3) + 950;
+    std::vector<std::shared_ptr<const FrozenTrace>> traces;
+    for (std::uint64_t r = 0; r < 12; ++r) {
+        Workload w;
+        w.memBytes = tortureMemBytes;
+        w.program = generateTortureProgram(base + r);
+        traces.push_back(w.freeze(1u << 21));
+        ASSERT_TRUE(traces.back()->complete);
+    }
+    for (const std::string &name : workloads::allNames())
+        traces.push_back(workloads::build(name).freeze(20000));
+
+    const VpKind kinds[] = {VpKind::Vtage, VpKind::TwoDeltaStride,
+                            VpKind::Stride, VpKind::HybridVtage2DStride};
+    for (const VpKind kind : kinds) {
+        VpConfig vcfg;
+        vcfg.kind = kind;
+        std::size_t predicted = 0;
+        for (const auto &trace : traces) {
+            auto fast = createValuePredictor(vcfg, 0x1234);
+            auto ref = createValuePredictor(vcfg, 0x1234);
+            BranchUnit bu(BpConfig{}, fast->foldSpecs(), 0x4321);
+            fast->bindHistory(bu.history(), bu.extraFoldBase());
+            ref->bindHistory(bu.history(), bu.extraFoldBase());
+            for (const TraceUop &u : trace->uops) {
+                bu.warmUpdate(u);
+                fast->warmUpdate(u);
+                if (!u.vpPredictable())
+                    continue;
+                ++predicted;
+                const VpLookup l = ref->predict(u.pc());
+                ref->commit(u.pc(), u.result(), l);
+            }
+            std::ostringstream a, b;
+            fast->snapshotState(a);
+            ref->snapshotState(b);
+            ASSERT_TRUE(a.str() == b.str())
+                << vpKindName(kind) << " on " << trace->name;
+        }
+        EXPECT_GT(predicted, 100000u) << vpKindName(kind);
+    }
 }
 
 // ======================= Interval placement ==============================
