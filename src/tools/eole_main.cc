@@ -61,6 +61,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
+#include "common/whole_file.hh"
 #include "sim/artifact.hh"
 #include "sim/bench.hh"
 #include "sim/configs.hh"
@@ -451,23 +452,68 @@ parseFlags(const Flags &flags, int argc, char **argv,
     return first;
 }
 
+/** A stream buffer that hands its bytes to a FILE in 64 KB blocks. */
+class FileStreamBuf : public std::streambuf
+{
+  public:
+    explicit FileStreamBuf(std::FILE *f_) : f(f_)
+    {
+        setp(block, block + sizeof(block));
+    }
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (sync() != 0)
+            return traits_type::eof();
+        if (!traits_type::eq_int_type(c, traits_type::eof())) {
+            *pptr() = traits_type::to_char_type(c);
+            pbump(1);
+        }
+        return traits_type::not_eof(c);
+    }
+
+    int
+    sync() override
+    {
+        const auto n = static_cast<std::size_t>(pptr() - pbase());
+        setp(block, block + sizeof(block));
+        return std::fwrite(block, 1, n, f) == n ? 0 : -1;
+    }
+
+  private:
+    std::FILE *f;
+    char block[1 << 16];
+};
+
 /**
- * Every output file of a command is written here: open @p path, let
- * @p fill write it, close it, and check both ends — the open ("cannot
- * write PATH") and the close that flushes the last bytes ("write
- * failure on PATH"; a full disk shows only there). Returns "" or the
- * diagnostic.
+ * Every output file of a command is written here: @p fill streams it
+ * through writeWholeFile, so a run that fails or is killed part-way
+ * leaves the previous file at PATH, never a cut one (a PATH that is
+ * not a regular file, such as /dev/full, is written in place). Checks
+ * both ends — the open ("cannot write PATH") and every write up to the
+ * close that flushes the last bytes ("write failure on PATH"; a full
+ * disk shows only there). Returns "" or the diagnostic.
  */
 std::string
 writeOutput(const std::string &path,
             const std::function<void(std::ostream &)> &fill)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return "cannot write " + path;
-    fill(os);
-    os.close();
-    return os.fail() ? "write failure on " + path : "";
+    bool opened = false;
+    std::string err;
+    if (writeWholeFile(path,
+                       [&](std::FILE *f) {
+                           opened = true;
+                           FileStreamBuf block(f);
+                           std::ostream os(&block);
+                           fill(os);
+                           return static_cast<bool>(os.flush());
+                       },
+                       &err))
+        return "";
+    return opened ? "write failure on " + path
+                  : "cannot write " + path + ": " + err;
 }
 
 bool resolveWorkloadSpec(const std::string &spec, std::string *resolved,
