@@ -356,6 +356,21 @@ BITOPS = [
     ('bne', 20, 0, 'round'),
 ]
 
+# wrap: eight loads from one pc whose address steps by a cache line
+# from just below 2^63 to past it, so stride arithmetic on these
+# addresses must wrap modulo 2^64.
+WRAP = [
+    ('addi', 6, 0, -1),      # x6 = 2^64 - 1
+    ('srli', 6, 6, 1),       # 2^63 - 1
+    ('andi', 6, 6, -128),    # 0x7fffffffffffff80
+    ('addi', 7, 0, 8),       # load count
+    'load',
+    ('ld', 5, 6, 0),
+    ('addi', 6, 6, 64),
+    ('addi', 7, 7, -1),
+    ('bne', 7, 0, 'load'),
+]
+
 SAMPLES = [
     ('fib.rvlog', FIB, [],
      'Iterative Fibonacci, 8 rounds of 40: pure ALU + branch traffic.'),
@@ -365,6 +380,8 @@ SAMPLES = [
     ('bitops.rvlog', BITOPS, [],
      'W-arithmetic, variable shifts, sltiu and sub-word memory over a '
      'scratch buffer.'),
+    ('wrap.rvlog', WRAP, [],
+     'Eight loads from one pc stepping by 64 bytes across 2^63.'),
 ]
 
 

@@ -25,6 +25,8 @@
 #    length outside its bound exits 2;
 #  - an output file that cannot be written (/dev/full) exits 2, and a
 #    trace written there leaves the device node in place;
+#  - a run killed while writing its artifact (ulimit -f) leaves the
+#    previous artifact at that path byte for byte;
 #  - a telemetry stream that cannot be opened or written exits 2;
 #  - a plan file with --set gives the compiled plan's artifact;
 #  - observers do not perturb artifacts: --pipetrace (a Kanata trace
@@ -32,8 +34,9 @@
 #    leave them byte-identical, and three shard streams summarize to
 #    the four smoke cells;
 #  - `trace record` writes a file `trace info` accepts, `file:` replay
-#    equals the live generator, an ingested RV64I log sweeps, and a
-#    missing `file:` exits 2 with a suggestion;
+#    equals the live generator, ingested RV64I logs sweep (one with
+#    loads whose addresses cross 2^63), and a missing `file:` exits 2
+#    with a suggestion;
 #  - `list`, `describe`, `version`, `help`, `store gc`, `diff` (equal
 #    and differing artifacts), `bench --compare`, `bench --profile` and
 #    `run --plan examples/bank_width.plan` with its table each print
@@ -196,6 +199,14 @@ cmp -s replayed.json generated.json \
     --out fib.json || fail "sweep over the ingested trace exited $?"
 grep -q '"rv64:fib"' fib.json \
     || fail "ingested-trace artifact lacks its workload name"
+# Loads whose addresses cross 2^63: the stride prefetcher's arithmetic
+# wraps (the ubsan preset runs this check too).
+"$EOLE" trace ingest "$DATA/rv64/wrap.rvlog" --out wrap.trace --quiet \
+    > /dev/null || fail "trace ingest of wrap.rvlog exited $?"
+"$EOLE" run smoke --workloads file:wrap.trace "${LEN[@]}" --no-tables \
+    --out wrap.json || fail "sweep over loads across 2^63 exited $?"
+grep -q '"mem.prefetches_issued": [1-9]' wrap.json \
+    || fail "loads across 2^63 issued no prefetch"
 "$EOLE" run smoke --workloads file:t8.trace "${LEN[@]}" --no-tables \
     2> missing.err
 rc=$?
@@ -307,6 +318,17 @@ if [[ -w /dev/full ]]; then
     expect_exit2 "run --telemetry /dev/full" \
         "$EOLE" run smoke "${LEN[@]}" --no-tables --telemetry /dev/full
 fi
+# --- a run killed while writing leaves the previous artifact whole
+"$EOLE" run smoke "${LEN[@]}" --no-tables --out kept.json \
+    || fail "run --out kept.json exited $?"
+cp kept.json kept_first.json
+{ (ulimit -f 8; exec "$EOLE" run smoke "${LEN[@]}" --no-tables \
+      --out kept.json); } 2> /dev/null
+rc=$?
+[[ $rc != 0 ]] || fail "run under ulimit -f 8: exit 0 (want it killed)"
+cmp -s kept.json kept_first.json \
+    || fail "a run killed while writing cut the previous artifact"
+
 expect_exit2 "run --telemetry in a missing directory" \
     "$EOLE" run smoke "${LEN[@]}" --no-tables \
     --telemetry "$WORK/no/such/dir/t.jsonl"

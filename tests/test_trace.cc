@@ -769,6 +769,8 @@ TEST(TraceStream, DecodedStreamsArePinned)
                 "ed1e7ecd6be8bd72269dcb97a6c13fd3"},
         {"memsum", "47f13f4dd3263ae05e967ad0a73a24d0"
                    "d1a526b1ba3deba4882c002abddb2162"},
+        {"wrap", "74cf20fc313dbc34bb68e0868ecd02a0"
+                 "81e743d44e7c5ea4fa15289648cb5604"},
     };
     for (const auto &[log, digest] : rv64) {
         std::string err;
