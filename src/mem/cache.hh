@@ -103,8 +103,9 @@ class Cache
     }
 
   private:
-    /** A line's state but its tag, which lives in `tags`: a set
-     *  scan reads 8 bytes per way, and a line still costs 32 bytes. */
+    /** A line's state apart from its tag, which lives in `tags`: a
+     *  set scan reads 8 bytes per way, and a line still costs 32
+     *  bytes. */
     struct Line
     {
         std::uint64_t lru = 0;
