@@ -1,7 +1,7 @@
 /**
  * @file
  * Canonical text helpers for microarchitectural state snapshots
- * (WarmableComponent::snapshotState / restoreState, isa/warmable.hh).
+ * (WarmableComponent::appendSnapshot / restoreState, isa/warmable.hh).
  *
  * Snapshots are byte-stable line-oriented text, like the architectural
  * checkpoint schema (eole-ckpt-v1): every line is a tag word followed
