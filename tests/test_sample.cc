@@ -488,11 +488,10 @@ TEST(Warming, ValueWarmUpdateMatchesPredictCommit)
                 const VpLookup l = ref->predict(u.pc());
                 ref->commit(u.pc(), u.result(), l);
             }
-            std::ostringstream a, b;
-            fast->snapshotState(a);
-            ref->snapshotState(b);
-            ASSERT_TRUE(a.str() == b.str())
-                << vpKindName(kind) << " on " << trace->name;
+            std::string a, b;
+            fast->appendSnapshot(a);
+            ref->appendSnapshot(b);
+            ASSERT_TRUE(a == b) << vpKindName(kind) << " on " << trace->name;
         }
         EXPECT_GT(predicted, 100000u) << vpKindName(kind);
     }
