@@ -52,8 +52,9 @@
 #                  checkpoint, sampling and sweep engine suites
 #                  (test_ckpt_state, test_sample, test_experiment),
 #                  test_mem, test_common, test_trace, test_isa,
-#                  test_workloads, test_vpred, trace_replay and
-#                  ckpt_sweep.
+#                  test_workloads, test_vpred, trace_replay,
+#                  ckpt_sweep and cli_contracts (the `eole` binary,
+#                  including loads whose addresses cross 2^63).
 #                  The presets are the one list of each lane's suites.
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
