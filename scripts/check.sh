@@ -41,18 +41,22 @@
 #                  incl. the checkpoint fuzzer), test_slab, the memory
 #                  model (test_mem), the disk-boundary suites
 #                  (test_common's SHA-256, test_trace incl. the
-#                  trace-file fuzzer) and the VM, workload and
+#                  trace-file fuzzer), the VM, workload and
 #                  value-predictor suites (test_isa, test_workloads,
-#                  test_vpred) and two example programs, trace_replay
-#                  (maps and binds a trace file) and ckpt_sweep
-#                  (round-trips checkpoint text);
+#                  test_vpred), the pipeline suites (test_core,
+#                  test_eole and test_obs: branch, value and
+#                  memory-order squashes, the LE/VT stage and the
+#                  profiled tick loop) and two example programs,
+#                  trace_replay (maps and binds a trace file) and
+#                  ckpt_sweep (round-trips checkpoint text);
 #                  (4) the suites the `ubsan` test preset selects,
 #                  under UndefinedBehaviorSanitizer (-DEOLE_UBSAN=ON,
 #                  build-ubsan/; any finding fails): the by-value
 #                  checkpoint, sampling and sweep engine suites
 #                  (test_ckpt_state, test_sample, test_experiment),
 #                  test_mem, test_common, test_trace, test_isa,
-#                  test_workloads, test_vpred, trace_replay,
+#                  test_workloads, test_vpred, the pipeline suites
+#                  test_core, test_eole and test_obs, trace_replay,
 #                  ckpt_sweep and cli_contracts (the `eole` binary,
 #                  including loads whose addresses cross 2^63).
 #                  The presets are the one list of each lane's suites.
@@ -224,7 +228,8 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     fi
 
     echo "check.sh: AddressSanitizer pass" \
-         "(checkpoint/state/slab/memory-model/disk-boundary suites)"
+         "(checkpoint/state/slab/memory-model/disk-boundary/pipeline" \
+         "suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
     # slots under ASan, so a use-after-release of a pooled DynInst (e.g.
     # a completion-wheel handle dropped early) faults here. test_mem
@@ -234,11 +239,14 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
     # unaligned buffers. test_isa and test_workloads drive the VM's
     # bounds checks and the memSpan image writers; test_vpred (and
     # test_torture, on all four fig12 configs) the flat VpLookup.
+    # test_core, test_eole and test_obs drive the stages the pipeline
+    # state reaches inside its Core: every kind of squash, the LE/VT
+    # stage and the profiled tick loop.
     sanitizer_lane asan
 
     echo "check.sh: UndefinedBehaviorSanitizer pass" \
          "(checkpoint/sampling/sweep engine/memory-model/disk-boundary" \
-         "suites)"
+         "/pipeline suites)"
     # test_common runs the SHA-256 block functions (intrinsics) and the
     # partial-block logic; test_trace the trace header arithmetic;
     # test_isa the VM's wrap-free bounds check.

@@ -1,8 +1,6 @@
 #include "common/profiler.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace eole {
 namespace prof {
@@ -16,14 +14,7 @@ struct Slot {
 
 Slot g_slots[NumSections];
 
-bool
-envEnabled()
-{
-    const char *v = std::getenv("EOLE_PROF");
-    return v && v[0] && std::strcmp(v, "0") != 0;
-}
-
-std::atomic<bool> g_enabled{envEnabled()};
+std::atomic<bool> g_enabled{false};
 
 } // namespace
 
@@ -36,9 +27,7 @@ sectionName(Section s)
       case StageDispatch: return "stage.dispatch";
       case StageIssue: return "stage.issue";
       case StageCompletion: return "stage.completion";
-      case StageLevt: return "stage.levt";
       case StageCommit: return "stage.commit";
-      case StageOther: return "stage.other";
       case ModelVpred: return "model.vpred";
       case ModelBpred: return "model.bpred";
       case ModelMem: return "model.mem";
@@ -46,19 +35,6 @@ sectionName(Section s)
       case WarmRestore: return "warm.restore";
       default: return "unknown";
     }
-}
-
-Section
-stageSection(const char *stage_name)
-{
-    if (!std::strcmp(stage_name, "fetch")) return StageFetch;
-    if (!std::strcmp(stage_name, "rename")) return StageRename;
-    if (!std::strcmp(stage_name, "dispatch")) return StageDispatch;
-    if (!std::strcmp(stage_name, "issue")) return StageIssue;
-    if (!std::strcmp(stage_name, "completion")) return StageCompletion;
-    if (!std::strcmp(stage_name, "levt")) return StageLevt;
-    if (!std::strcmp(stage_name, "commit")) return StageCommit;
-    return StageOther;
 }
 
 bool

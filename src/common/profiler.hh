@@ -1,6 +1,6 @@
 /**
  * @file
- * EOLE_PROF-gated tick-loop profiler.
+ * The tick-loop profiler behind `eole bench --profile`.
  *
  * A fixed set of sections (one per pipeline stage tick, plus the
  * predictor-model, memory-hierarchy, and functional-warming phases)
@@ -15,10 +15,11 @@
  * nested within the Stage* sections and must not be added to them when
  * reconciling against total run time. The self-consistency invariant is
  * over the top-level sections only: sum(Stage*) + sum(Warm*) <= total
- * measured wall time (modulo clock-read overhead).
+ * measured wall time (modulo clock-read overhead). The LE/VT stage's
+ * work runs inside commit's tick and is timed in StageCommit.
  *
- * Enabled via EOLE_PROF=1 in the environment or setEnabled(true)
- * (`eole bench --profile` uses the latter).
+ * Off until setEnabled(true); `eole bench --profile`, the only reader
+ * of the sections, turns it on for its measured runs.
  */
 
 #ifndef EOLE_COMMON_PROFILER_HH
@@ -36,9 +37,7 @@ enum Section : int {
     StageDispatch,
     StageIssue,
     StageCompletion,
-    StageLevt,
     StageCommit,
-    StageOther,      ///< a replaced/experimental stage with an unknown name
     ModelVpred,      ///< value-predictor lookup/train (nested in stages)
     ModelBpred,      ///< branch-predictor lookup/train (nested in stages)
     ModelMem,        ///< memory-hierarchy accesses (nested in stages)
@@ -50,10 +49,7 @@ enum Section : int {
 /** Dotted stable name, e.g. "stage.issue", "model.vpred". */
 const char *sectionName(Section s);
 
-/** Map a Stage::name() string to its section (StageOther if unknown). */
-Section stageSection(const char *stage_name);
-
-/** True when profiling is on (EOLE_PROF=1 at first query, or setEnabled). */
+/** True when profiling is on (setEnabled). */
 bool enabled();
 void setEnabled(bool on);
 

@@ -60,7 +60,10 @@ class Cache
 
     /**
      * Install a line without a demand requester (prefetch); does
-     * nothing if the line is present or MSHRs are exhausted.
+     * nothing if the line is present or MSHRs are exhausted. The
+     * `prefetches` stat counts attempts, not installed lines: a
+     * prefetch into a set whose every way is mid-fill counts in
+     * `prefetches` and `mshr_stalls` yet installs nothing.
      *
      * @return false only when the line's whole set was mid-fill: the
      *         prefetch was counted and stalled but installed nothing,

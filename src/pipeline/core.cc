@@ -4,25 +4,16 @@
 #include <chrono>
 
 #include "common/logging.hh"
+#include "common/profiler.hh"
 #include "isa/checkpoint.hh"
 
 namespace eole {
 
 Core::Core(const SimConfig &config, const Workload &workload)
-    : Core(config, workload, buildDefaultPipeline(config))
-{
-}
-
-Core::Core(const SimConfig &config, const Workload &workload,
-           StagePipeline pipeline)
     : state(std::make_unique<PipelineState>(config, workload)),
-      pipe(std::move(pipeline))
+      stages(config)
 {
-    pipe.wire();
-    state->setSquashOrder(pipe.squashOrder);
-    stageSections.reserve(pipe.stages.size());
-    for (const auto &stage : pipe.stages)
-        stageSections.push_back(prof::stageSection(stage->name()));
+    state->stages = &stages;
 }
 
 Core::~Core() = default;
@@ -32,8 +23,9 @@ Core::tick()
 {
     state->beginCycle();
     if (!prof::enabled()) {
-        for (const auto &stage : pipe.stages)
-            stage->tick(*state);
+        PipelineStages::forEach(stages, [&](auto &stage, prof::Section) {
+            stage.tick(*state);
+        });
     } else {
         // Chained timestamps, not one ScopedTimer per stage: each
         // clock read both ends stage i and starts stage i+1, so the
@@ -43,14 +35,15 @@ Core::tick()
         // which at sub-µs stage ticks is a double-digit share of the
         // profiled run.
         auto t = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < pipe.stages.size(); ++i) {
-            pipe.stages[i]->tick(*state);
-            const auto t2 = std::chrono::steady_clock::now();
-            prof::add(stageSections[i], static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t2 - t).count()));
-            t = t2;
-        }
+        PipelineStages::forEach(
+            stages, [&](auto &stage, prof::Section section) {
+                stage.tick(*state);
+                const auto t2 = std::chrono::steady_clock::now();
+                prof::add(section, static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        t2 - t).count()));
+                t = t2;
+            });
     }
     state->endCycle();
 }
@@ -75,8 +68,8 @@ void
 Core::resetStats()
 {
     state->resetStats();
-    for (const auto &stage : pipe.stages)
-        stage->resetStats();
+    PipelineStages::forEach(
+        stages, [](auto &stage, prof::Section) { stage.resetStats(); });
 }
 
 void
@@ -193,8 +186,9 @@ Core::stats() const
 {
     aggregated = CoreStats{};
     state->addStats(aggregated);
-    for (const auto &stage : pipe.stages)
-        stage->addStats(aggregated);
+    PipelineStages::forEach(stages, [&](const auto &stage, prof::Section) {
+        stage.addStats(aggregated);
+    });
     return aggregated;
 }
 

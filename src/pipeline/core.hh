@@ -19,10 +19,10 @@
  *     VP is enabled
  *   Commit (8-wide, in order)
  *
- * Each stage is a separate Stage object (src/pipeline/stages/)
- * operating on the shared PipelineState substrate; Core is a thin
- * conductor that assembles the stage vector from the SimConfig and
- * ticks it in reverse pipeline order each cycle (see DESIGN.md §2).
+ * Each stage is a separate object (src/pipeline/stages/) operating on
+ * the shared PipelineState substrate; Core owns them by value in one
+ * fixed PipelineStages and ticks them in reverse pipeline order each
+ * cycle (see DESIGN.md §2).
  *
  * Recovery is always full pipeline squash + front-end re-fetch: branch
  * mispredictions at execute (or at LE/VT for high-confidence
@@ -40,11 +40,10 @@
 #include <memory>
 #include <vector>
 
-#include "common/profiler.hh"
 #include "common/stats.hh"
 #include "pipeline/core_stats.hh"
 #include "pipeline/pipeline_state.hh"
-#include "pipeline/stages/pipeline_builder.hh"
+#include "pipeline/stages/pipeline_stages.hh"
 #include "sim/config.hh"
 #include "workloads/workload.hh"
 
@@ -55,13 +54,13 @@ class Core
 {
   public:
     Core(const SimConfig &config, const Workload &workload);
-
-    /** Construct with a custom stage pipeline (swap or instrument
-     *  individual stages this way; test_eole's StageSeam tests do). */
-    Core(const SimConfig &config, const Workload &workload,
-         StagePipeline pipeline);
-
     ~Core();
+
+    /** PipelineState::stages points at this core's `stages` member, so
+     *  a Core is neither copied nor moved (deleting the copy
+     *  operations also removes the implicit moves). */
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
 
     /**
      * Run until @p target_commits more µ-ops commit (or the trace
@@ -159,9 +158,6 @@ class Core
         state->onCommit = std::move(hook);
     }
 
-    /** The assembled stage pipeline. */
-    const StagePipeline &pipeline() const { return pipe; }
-
   private:
     void tick();
 
@@ -170,11 +166,7 @@ class Core
     warmables() const;
 
     std::unique_ptr<PipelineState> state;
-    StagePipeline pipe;
-
-    /** Profiler section per stage, resolved once from Stage::name() so
-     *  the tick loop never does string lookups (common/profiler.hh). */
-    std::vector<prof::Section> stageSections;
+    PipelineStages stages;
 
     mutable CoreStats aggregated;
 };

@@ -5,7 +5,7 @@
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
 #include "common/profiler.hh"
-#include "pipeline/stages/stage.hh"
+#include "pipeline/stages/pipeline_stages.hh"
 
 namespace eole {
 
@@ -57,12 +57,6 @@ PipelineState::PipelineState(const SimConfig &config, const Workload &workload)
 }
 
 PipelineState::~PipelineState() = default;
-
-void
-PipelineState::setSquashOrder(std::vector<Stage *> order)
-{
-    squashOrder = std::move(order);
-}
 
 void
 PipelineState::beginCycle()
@@ -154,14 +148,7 @@ PipelineState::squashAfter(SeqNum keep_seq,
                            const BranchUnit::SnapshotPtr &restore,
                            Cycle resume_fetch_at)
 {
-    // Stage unwind in the registered order. The order matters: rename's
-    // output buffer holds the youngest renamed µ-ops and must restore
-    // its map entries before the ROB walk does (youngest first), and
-    // the IQ prune relies on the ROB walk having marked its squashed
-    // entries.
-    for (Stage *stage : squashOrder)
-        stage->squash(*this, keep_seq, resume_fetch_at);
-
+    stages->squash(*this, keep_seq, resume_fetch_at);
     ts.rewindTo(keep_seq + 1);
     bu->restoreTo(restore);
 }
@@ -172,8 +159,7 @@ PipelineState::resolveMispredictedBranch(const DynInstPtr &di)
     // Nothing younger was fetched (fetch stalls behind a branch known
     // to be mispredicted), so repair state and redirect fetch.
     bu->repairAfterBranch(di->uop(), di->preSnap);
-    for (Stage *stage : squashOrder)
-        stage->onFetchRedirect(*this);
+    stages->rename.onFetchRedirect();
     if (fetchBlockedOnBranch && fetchBlockedOnBranch->seq == di->seq)
         fetchBlockedOnBranch.reset();
     fetchStallUntil = std::max(fetchStallUntil, now + 1);

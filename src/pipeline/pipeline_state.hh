@@ -7,9 +7,9 @@
  * architectural machinery (trace source, predictors, memory hierarchy)
  * that the stage objects read and mutate through their tick() methods.
  * It also implements the cross-stage recovery machinery: a full squash
- * walks the stages in a fixed youngest-first unwind order, and a
- * resolved-branch redirect notifies every stage so front-end
- * speculative state (e.g. the Early Execution bypass) is dropped.
+ * walks the stages in their fixed youngest-first unwind order
+ * (PipelineStages::squash), and a resolved-branch redirect drops the
+ * front end's speculative state (the Early Execution bypass).
  *
  * Stats that no single stage owns (cycles, committed µ-ops, branch
  * mispredictions resolved through the shared recovery path) live here;
@@ -41,7 +41,7 @@
 namespace eole {
 
 class PipeTracer;
-class Stage;
+struct PipelineStages;
 
 struct PipelineState
 {
@@ -101,15 +101,15 @@ struct PipelineState
      *  through Core::setPipeTracer. Non-owning. */
     PipeTracer *tracer = nullptr;
 
+    /** The stages a squash unwinds and a redirect reaches. Set by the
+     *  Core that owns both; non-owning. */
+    PipelineStages *stages = nullptr;
+
     // --- Cross-stage statistics ---
     Cycle cycles = 0;
     std::uint64_t committedUops = 0;
     std::uint64_t branchMispredicts = 0;
     std::uint64_t highConfMispredicts = 0;
-
-    /** Register the squash/redirect unwind order (non-owning; set by
-     *  Core when it assembles the stage pipeline). */
-    void setSquashOrder(std::vector<Stage *> order);
 
     /** Start-of-cycle housekeeping (per-cycle port budgets). */
     void beginCycle();
@@ -136,8 +136,9 @@ struct PipelineState
 
     /**
      * Full squash of everything younger than @p keep_seq: every stage
-     * unwinds its in-flight state (in the registered order), then the
-     * trace source rewinds and the front-end history is restored.
+     * unwinds its in-flight state (in PipelineStages::squash's order),
+     * then the trace source rewinds and the front-end history is
+     * restored.
      *
      * @param keep_seq youngest surviving sequence number
      * @param restore front-end snapshot to restore (state after
@@ -161,9 +162,6 @@ struct PipelineState
 
     /** Zero the cross-stage counters. */
     void resetStats();
-
-  private:
-    std::vector<Stage *> squashOrder;
 };
 
 } // namespace eole

@@ -5,14 +5,14 @@
 #include "common/profiler.hh"
 #include "isa/functional.hh"
 #include "pipeline/pipeline_state.hh"
-#include "pipeline/stages/levt.hh"
 
 namespace eole {
 
-CommitStage::CommitStage(const SimConfig &cfg, LevtStage *levt_)
-    : commitWidth(cfg.commitWidth),
-      retireDelay(1 + cfg.preCommitCycles()), levt(levt_)
+CommitStage::CommitStage(const SimConfig &cfg)
+    : commitWidth(cfg.commitWidth), retireDelay(1 + cfg.preCommitCycles())
 {
+    if (cfg.vpEnabled() || cfg.lateExec)
+        levt.emplace(cfg);
 }
 
 bool
@@ -125,7 +125,7 @@ CommitStage::tick(PipelineState &st)
 }
 
 void
-CommitStage::squash(PipelineState &st, SeqNum keep_seq, Cycle)
+CommitStage::squash(PipelineState &st, SeqNum keep_seq)
 {
     // Youngest first out of the ROB; the LSQ tails mirror it.
     while (!st.rob.empty() && st.rob.back()->seq > keep_seq) {
@@ -143,6 +143,8 @@ void
 CommitStage::resetStats()
 {
     s = Stats{};
+    if (levt)
+        levt->resetStats();
 }
 
 void
@@ -155,6 +157,8 @@ CommitStage::addStats(CoreStats &out) const
     out.earlyExecuted += s.earlyExecuted;
     out.loads += s.loads;
     out.stores += s.stores;
+    if (levt)
+        levt->addStats(out);
 }
 
 } // namespace eole

@@ -2,9 +2,9 @@
  * @file
  * Commit stage: in-order retirement.
  *
- * Retires up to commitWidth µ-ops per cycle from the ROB head. When an
- * LE/VT stage is present (value prediction or Late Execution enabled),
- * commit drives its pre-commit work per retiring µ-op: port
+ * Retires up to commitWidth µ-ops per cycle from the ROB head. When
+ * value prediction or Late Execution is enabled, commit owns the LE/VT
+ * stage and drives its pre-commit work per retiring µ-op: port
  * reservation, Late Execution, validation of used predictions (a
  * mismatch squashes the pipeline after retiring the mispredicted µ-op)
  * and predictor training. Every committed µ-op is checked against the
@@ -15,29 +15,31 @@
 #ifndef EOLE_PIPELINE_STAGES_COMMIT_HH
 #define EOLE_PIPELINE_STAGES_COMMIT_HH
 
+#include <optional>
+
 #include "pipeline/dyn_inst.hh"
-#include "pipeline/stages/stage.hh"
+#include "pipeline/stages/levt.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class LevtStage;
+struct CoreStats;
+struct PipelineState;
 
-class CommitStage : public Stage
+class CommitStage
 {
   public:
-    /** @param levt the pre-commit LE/VT stage, or nullptr when neither
-     *  value prediction nor Late Execution is configured */
-    CommitStage(const SimConfig &cfg, LevtStage *levt);
+    explicit CommitStage(const SimConfig &cfg);
 
-    const char *name() const override { return "commit"; }
-    void tick(PipelineState &st) override;
-    void squash(PipelineState &st, SeqNum keep_seq,
-                Cycle resume_fetch_at) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void tick(PipelineState &st);
+    /** Walk the ROB and the LSQ back to @p keep_seq, youngest first. */
+    void squash(PipelineState &st, SeqNum keep_seq);
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
-    void setLevt(LevtStage *levt_) { levt = levt_; }
+    /** Does this core have the LE/VT stage (value prediction or Late
+     *  Execution configured)? */
+    bool hasLevt() const { return levt.has_value(); }
 
   private:
     struct Stats
@@ -57,7 +59,10 @@ class CommitStage : public Stage
     /** Writeback->commit delay plus the LE/VT cycle when VP is on
      *  (§4.1). */
     Cycle retireDelay;
-    LevtStage *levt;
+    /** The pre-commit LE/VT stage, built only when it has work: used
+     *  predictions to validate and train, or µ-ops routed to Late
+     *  Execution. */
+    std::optional<LevtStage> levt;
 
     Stats s;
 };

@@ -11,15 +11,19 @@
 #ifndef EOLE_PIPELINE_STAGES_COMPLETION_HH
 #define EOLE_PIPELINE_STAGES_COMPLETION_HH
 
-#include "pipeline/stages/stage.hh"
-
 namespace eole {
 
-class CompletionStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class CompletionStage
 {
   public:
-    const char *name() const override { return "completion"; }
-    void tick(PipelineState &st) override;
+    void tick(PipelineState &st);
+
+    /** Completion owns no statistics. */
+    void resetStats() {}
+    void addStats(CoreStats &) const {}
 };
 
 } // namespace eole

@@ -11,20 +11,21 @@
 #ifndef EOLE_PIPELINE_STAGES_DISPATCH_HH
 #define EOLE_PIPELINE_STAGES_DISPATCH_HH
 
-#include "pipeline/stages/stage.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class DispatchStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class DispatchStage
 {
   public:
     explicit DispatchStage(const SimConfig &cfg);
 
-    const char *name() const override { return "dispatch"; }
-    void tick(PipelineState &st) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void tick(PipelineState &st);
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
   private:
     struct Stats

@@ -14,22 +14,25 @@
 #ifndef EOLE_PIPELINE_STAGES_FETCH_HH
 #define EOLE_PIPELINE_STAGES_FETCH_HH
 
-#include "pipeline/stages/stage.hh"
+#include "common/types.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class FetchStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class FetchStage
 {
   public:
     explicit FetchStage(const SimConfig &cfg);
 
-    const char *name() const override { return "fetch"; }
-    void tick(PipelineState &st) override;
-    void squash(PipelineState &st, SeqNum keep_seq,
-                Cycle resume_fetch_at) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void tick(PipelineState &st);
+    /** Drop front-end µ-ops younger than @p keep_seq; fetch resumes no
+     *  earlier than @p resume_fetch_at. */
+    void squash(PipelineState &st, SeqNum keep_seq, Cycle resume_fetch_at);
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
   private:
     struct Stats

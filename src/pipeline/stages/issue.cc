@@ -313,7 +313,7 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
 }
 
 void
-IssueStage::squash(PipelineState &st, SeqNum, Cycle)
+IssueStage::squash(PipelineState &st)
 {
     // The ROB walk (commit's squash) has already marked the dead µ-ops.
     // When the squash was triggered from inside tick()'s own scan (a

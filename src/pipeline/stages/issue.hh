@@ -13,22 +13,23 @@
 #define EOLE_PIPELINE_STAGES_ISSUE_HH
 
 #include "pipeline/dyn_inst.hh"
-#include "pipeline/stages/stage.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class IssueStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class IssueStage
 {
   public:
     explicit IssueStage(const SimConfig &cfg);
 
-    const char *name() const override { return "issue"; }
-    void tick(PipelineState &st) override;
-    void squash(PipelineState &st, SeqNum keep_seq,
-                Cycle resume_fetch_at) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void tick(PipelineState &st);
+    /** Drop the IQ entries the ROB walk marked squashed. */
+    void squash(PipelineState &st);
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
   private:
     struct Stats

@@ -12,13 +12,6 @@ LevtStage::LevtStage(const SimConfig &cfg) : vpEnabled(cfg.vpEnabled())
 {
 }
 
-void
-LevtStage::tick(PipelineState &)
-{
-    // Work happens at the ROB head, driven by CommitStage (see the
-    // file comment); nothing to do on the free-running tick.
-}
-
 int
 LevtStage::readNeeds(const PipelineState &st, const DynInst &di,
                      int *banks_out) const

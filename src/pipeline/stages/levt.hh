@@ -6,9 +6,9 @@
  * Only instantiated when it has work to do (value prediction enabled
  * or Late Execution configured); a pipeline without it pays no LE/VT
  * port accounting and no extra pre-commit cycle. The stage's per-cycle
- * work happens at the ROB head and is therefore driven synchronously
- * by the commit stage (the simulator folds the LE/VT stage's timing
- * into the preCommitCycles() retirement delay); its own tick is empty.
+ * work happens at the ROB head, so the commit stage owns it and drives
+ * it synchronously for each retiring µ-op (the simulator folds the
+ * LE/VT stage's timing into the preCommitCycles() retirement delay).
  *
  * Responsibilities, per retiring µ-op:
  *  - reserve the constrained LE/VT read ports (Fig 11): operand reads
@@ -23,20 +23,20 @@
 #define EOLE_PIPELINE_STAGES_LEVT_HH
 
 #include "pipeline/dyn_inst.hh"
-#include "pipeline/stages/stage.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class LevtStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class LevtStage
 {
   public:
     explicit LevtStage(const SimConfig &cfg);
 
-    const char *name() const override { return "levt"; }
-    void tick(PipelineState &st) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
     /**
      * Reserve this µ-op's LE/VT read ports (all or nothing).

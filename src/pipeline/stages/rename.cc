@@ -153,23 +153,17 @@ RenameStage::tryEarlyExecute(DynInst &di)
 }
 
 void
-RenameStage::squash(PipelineState &st, SeqNum keep_seq, Cycle)
+RenameStage::squash(PipelineState &st, SeqNum keep_seq)
 {
     // Youngest first: the rename-out buffer holds µ-ops younger than
     // anything in the ROB, so its map restores must run before the ROB
-    // walk (PipelineState::squashAfter orders this stage first).
+    // walk (PipelineStages::squash orders this stage first).
     while (!st.renameOut.empty() && st.renameOut.back()->seq > keep_seq) {
         DynInstPtr di = st.renameOut.back();
         st.renameOut.pop_back();
         st.undoRename(di);
         st.markSquashed(di);
     }
-    ee.reset();
-}
-
-void
-RenameStage::onFetchRedirect(PipelineState &)
-{
     ee.reset();
 }
 

@@ -18,32 +18,33 @@
 
 #include "pipeline/dyn_inst.hh"
 #include "pipeline/stages/early_exec.hh"
-#include "pipeline/stages/stage.hh"
 #include "sim/config.hh"
 
 namespace eole {
 
-class RenameStage : public Stage
+struct CoreStats;
+struct PipelineState;
+
+class RenameStage
 {
   public:
     explicit RenameStage(const SimConfig &cfg);
 
-    const char *name() const override { return "rename"; }
-    void tick(PipelineState &st) override;
-    void squash(PipelineState &st, SeqNum keep_seq,
-                Cycle resume_fetch_at) override;
-    void onFetchRedirect(PipelineState &st) override;
-    void resetStats() override;
-    void addStats(CoreStats &out) const override;
+    void tick(PipelineState &st);
+    /** Walk back the renamed µ-ops younger than @p keep_seq and drop
+     *  the EE bypass. */
+    void squash(PipelineState &st, SeqNum keep_seq);
+    /** Fetch was redirected by a resolved branch without a squash:
+     *  drop the EE bypass. */
+    void onFetchRedirect() { ee.reset(); }
+    void resetStats();
+    void addStats(CoreStats &out) const;
 
-    EarlyExecBlock &earlyExecBlock() { return ee; }
-
-  protected:
+  private:
     /** Try to execute @p di on the EE block (operands from immediates,
      *  predictions and the local bypass only -- never the PRF). */
     bool tryEarlyExecute(DynInst &di);
 
-  private:
     struct Stats
     {
         std::uint64_t renameBankStalls = 0;

@@ -41,6 +41,7 @@
 #include <chrono>
 #include <climits>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -275,7 +276,6 @@ usage(FILE *to, int exit_code)
         "      models (per-cell breakdown tables + a profile section\n"
         "      in the JSON); profiled timings carry the timer overhead,\n"
         "      so compare them only against other profiled runs.\n"
-        "      EOLE_PROF=1 enables the same timers in any command.\n"
         "\n"
         "  eole bench --compare <a.json> <b.json> [--fail-below X]\n"
         "      Per-cell speedup report of b over a from two bench\n"
@@ -1662,6 +1662,11 @@ const struct
 int
 main(int argc, char **argv)
 {
+    // A write past the file-size limit (ulimit -f) then fails with
+    // EFBIG like a full disk: writeWholeFile removes its temporary
+    // file and the command exits 2, where the default action of
+    // SIGXFSZ would kill it mid-write and leave that file behind.
+    std::signal(SIGXFSZ, SIG_IGN);
     if (argc < 2)
         return usage(stderr, 2);
     const std::string one = argv[1];

@@ -25,8 +25,9 @@
 #    length outside its bound exits 2;
 #  - an output file that cannot be written (/dev/full) exits 2, and a
 #    trace written there leaves the device node in place;
-#  - a run killed while writing its artifact (ulimit -f) leaves the
-#    previous artifact at that path byte for byte;
+#  - a run whose artifact outgrows the file-size limit (ulimit -f)
+#    exits 2 naming the file, and leaves the previous artifact at that
+#    path byte for byte and no temporary file beside it;
 #  - a telemetry stream that cannot be opened or written exits 2;
 #  - a plan file with --set gives the compiled plan's artifact;
 #  - observers do not perturb artifacts: --pipetrace (a Kanata trace
@@ -318,16 +319,21 @@ if [[ -w /dev/full ]]; then
     expect_exit2 "run --telemetry /dev/full" \
         "$EOLE" run smoke "${LEN[@]}" --no-tables --telemetry /dev/full
 fi
-# --- a run killed while writing leaves the previous artifact whole
+# --- a run that hits the file-size limit leaves the previous artifact
+# whole and cleans up after itself
 "$EOLE" run smoke "${LEN[@]}" --no-tables --out kept.json \
     || fail "run --out kept.json exited $?"
 cp kept.json kept_first.json
-{ (ulimit -f 8; exec "$EOLE" run smoke "${LEN[@]}" --no-tables \
-      --out kept.json); } 2> /dev/null
+err="$( (ulimit -f 8; exec "$EOLE" run smoke "${LEN[@]}" --no-tables \
+      --out kept.json) 2>&1 > /dev/null)"
 rc=$?
-[[ $rc != 0 ]] || fail "run under ulimit -f 8: exit 0 (want it killed)"
+[[ $rc == 2 ]] || fail "run under ulimit -f 8: exit $rc (want 2)"
+grep -q '^eole: write failure on kept\.json$' <<< "$err" \
+    || fail "run under ulimit -f 8: no 'write failure on kept.json'"
 cmp -s kept.json kept_first.json \
-    || fail "a run killed while writing cut the previous artifact"
+    || fail "a run stopped while writing cut the previous artifact"
+compgen -G '.kept.json.tmp*' > /dev/null \
+    && fail "a run stopped while writing left its temporary file"
 
 expect_exit2 "run --telemetry in a missing directory" \
     "$EOLE" run smoke "${LEN[@]}" --no-tables \

@@ -12,8 +12,9 @@
  *    once (retired or flushed).
  *  - The profiler records nothing when disabled, and when enabled its
  *    top-level sections sum to at most the measured wall time.
- *  - Telemetry JSONL round-trips, terminates with run_finish or
- *    run_aborted, and never perturbs artifacts.
+ *  - Telemetry JSONL round-trips and terminates with run_finish or
+ *    run_aborted. Neither it, the pipe tracer nor the profiler
+ *    perturbs an artifact.
  */
 
 #include <gtest/gtest.h>
@@ -137,20 +138,18 @@ TEST(Profiler, StageSectionsSumToAtMostWallTime)
             std::chrono::steady_clock::now() - t0).count();
     prof::setEnabled(false);
 
-    // Every pipeline stage ticked, and the VP config exercised the
-    // predictor model sections.
+    // Every one of the six pipeline stages ticked, and the VP config
+    // exercised the predictor model sections.
     const prof::Section stages[] = {
         prof::StageFetch, prof::StageRename, prof::StageDispatch,
-        prof::StageIssue, prof::StageCompletion, prof::StageLevt,
-        prof::StageCommit,
+        prof::StageIssue, prof::StageCompletion, prof::StageCommit,
     };
     std::uint64_t topNs = 0;
     for (const prof::Section s : stages) {
         EXPECT_GT(prof::sectionCount(s), 0u) << prof::sectionName(s);
         topNs += prof::sectionNanos(s);
     }
-    topNs += prof::sectionNanos(prof::StageOther)
-        + prof::sectionNanos(prof::WarmFunctional)
+    topNs += prof::sectionNanos(prof::WarmFunctional)
         + prof::sectionNanos(prof::WarmRestore);
     EXPECT_GT(prof::sectionCount(prof::ModelVpred), 0u);
 
@@ -264,23 +263,39 @@ TEST(PipeTrace, KanataOpensAndClosesEveryRecord)
 
 TEST(PipeTrace, ObserversNeverPerturbArtifacts)
 {
-    const ExperimentPlan p =
-        oneCellPlan("Baseline_4_48", "164.gzip", 500, 2000);
-    const PlanResult plain = runPlan(p);
+    // The pipe tracer, telemetry and the stage profiler (whose timed
+    // tick loop is a second path through the stages) all at once, on a
+    // config without value prediction and on one with it. At 20k µ-ops
+    // the VP config uses predictions and early- and late-executes.
+    for (const char *config : {"Baseline_4_48", "EOLE_4_64"}) {
+        const ExperimentPlan p =
+            oneCellPlan(config, "164.gzip", 500, 20000);
+        const PlanResult plain = runPlan(p);
+        if (std::string(config) == "EOLE_4_64") {
+            EXPECT_GT(plain.cells[0].stats.get("vp_used"), 0);
+            EXPECT_GT(plain.cells[0].stats.get("early_executed"), 0);
+            EXPECT_GT(plain.cells[0].stats.get("late_executed_alu"), 0);
+        }
 
-    const std::string telem_path = scratchFile("telem_artifact");
-    std::ostringstream trace_os;
-    PipeTracer tracer(trace_os, PipeTracer::Format::Kanata);
-    {
-        TelemetrySink sink(telem_path);
-        SweepOptions opt;
-        opt.tracer = &tracer;
-        opt.telemetry = &sink;
-        const PlanResult observed = runPlan(p, opt);
-        EXPECT_EQ(jsonArtifactString(observed), jsonArtifactString(plain));
+        const std::string telem_path = scratchFile("telem_artifact");
+        std::ostringstream trace_os;
+        PipeTracer tracer(trace_os, PipeTracer::Format::Kanata);
+        prof::setEnabled(true);
+        prof::reset();
+        {
+            TelemetrySink sink(telem_path);
+            SweepOptions opt;
+            opt.tracer = &tracer;
+            opt.telemetry = &sink;
+            const PlanResult observed = runPlan(p, opt);
+            EXPECT_EQ(jsonArtifactString(observed),
+                      jsonArtifactString(plain)) << config;
+        }
+        prof::setEnabled(false);
+        EXPECT_GT(prof::sectionCount(prof::StageCommit), 0u) << config;
+        EXPECT_FALSE(trace_os.str().empty()) << config;
+        std::filesystem::remove(telem_path);
     }
-    EXPECT_FALSE(trace_os.str().empty());
-    std::filesystem::remove(telem_path);
 }
 
 // --- Telemetry -------------------------------------------------------------
