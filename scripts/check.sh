@@ -46,7 +46,10 @@
 #                  test_vpred), the pipeline suites (test_core,
 #                  test_eole and test_obs: branch, value and
 #                  memory-order squashes, the LE/VT stage and the
-#                  profiled tick loop) and two example programs,
+#                  profiled tick loop), test_regression (the golden
+#                  StatRecords and squash-recovery runs, whose
+#                  counters every stage writes through PipelineState)
+#                  and two example programs,
 #                  trace_replay (maps and binds a trace file) and
 #                  ckpt_sweep (round-trips checkpoint text);
 #                  (4) the suites the `ubsan` test preset selects,
@@ -56,9 +59,10 @@
 #                  (test_ckpt_state, test_sample, test_experiment),
 #                  test_mem, test_common, test_trace, test_isa,
 #                  test_workloads, test_vpred, the pipeline suites
-#                  test_core, test_eole and test_obs, trace_replay,
-#                  ckpt_sweep and cli_contracts (the `eole` binary,
-#                  including loads whose addresses cross 2^63).
+#                  test_core, test_eole and test_obs, test_regression,
+#                  trace_replay, ckpt_sweep and cli_contracts (the
+#                  `eole` binary, including loads whose addresses
+#                  cross 2^63).
 #                  The presets are the one list of each lane's suites.
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.

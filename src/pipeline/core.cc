@@ -23,7 +23,7 @@ Core::tick()
 {
     state->beginCycle();
     if (!prof::enabled()) {
-        PipelineStages::forEach(stages, [&](auto &stage, prof::Section) {
+        stages.forEach([&](auto &stage, prof::Section) {
             stage.tick(*state);
         });
     } else {
@@ -35,15 +35,14 @@ Core::tick()
         // which at sub-µs stage ticks is a double-digit share of the
         // profiled run.
         auto t = std::chrono::steady_clock::now();
-        PipelineStages::forEach(
-            stages, [&](auto &stage, prof::Section section) {
-                stage.tick(*state);
-                const auto t2 = std::chrono::steady_clock::now();
-                prof::add(section, static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        t2 - t).count()));
-                t = t2;
-            });
+        stages.forEach([&](auto &stage, prof::Section section) {
+            stage.tick(*state);
+            const auto t2 = std::chrono::steady_clock::now();
+            prof::add(section, static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t2 - t).count()));
+            t = t2;
+        });
     }
     state->endCycle();
 }
@@ -67,9 +66,7 @@ Core::run(std::uint64_t target_commits, std::uint64_t max_cycles)
 void
 Core::resetStats()
 {
-    state->resetStats();
-    PipelineStages::forEach(
-        stages, [](auto &stage, prof::Section) { stage.resetStats(); });
+    static_cast<CoreStats &>(*state) = CoreStats{};
 }
 
 void
@@ -179,17 +176,6 @@ Core::restoreWarmState(const Checkpoint &ckpt)
     // Detailed simulation resumes after the restored warming
     // pseudo-cycles, exactly as after a live functionalWarm pass.
     state->now = std::max(state->now, state->mem->warmClockNow());
-}
-
-const CoreStats &
-Core::stats() const
-{
-    aggregated = CoreStats{};
-    state->addStats(aggregated);
-    PipelineStages::forEach(stages, [&](const auto &stage, prof::Section) {
-        stage.addStats(aggregated);
-    });
-    return aggregated;
 }
 
 StatRecord

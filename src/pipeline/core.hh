@@ -22,7 +22,8 @@
  * Each stage is a separate object (src/pipeline/stages/) operating on
  * the shared PipelineState substrate; Core owns them by value in one
  * fixed PipelineStages and ticks them in reverse pipeline order each
- * cycle (see DESIGN.md §2).
+ * cycle (see DESIGN.md §2). The stages count into one CoreStats record,
+ * the base of PipelineState, which stats() returns as it stands.
  *
  * Recovery is always full pipeline squash + front-end re-fetch: branch
  * mispredictions at execute (or at LE/VT for high-confidence
@@ -133,8 +134,8 @@ class Core
      */
     void restoreWarmState(const Checkpoint &ckpt);
 
-    /** Aggregate of every stage's counters (rebuilt on each call). */
-    const CoreStats &stats() const;
+    /** The live counter record every stage increments. */
+    const CoreStats &stats() const { return *state; }
 
     /** Full statistics dump including memory-hierarchy counters. */
     StatRecord record() const;
@@ -167,8 +168,6 @@ class Core
 
     std::unique_ptr<PipelineState> state;
     PipelineStages stages;
-
-    mutable CoreStats aggregated;
 };
 
 } // namespace eole

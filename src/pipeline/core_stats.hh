@@ -1,11 +1,12 @@
 /**
  * @file
- * Aggregate per-run core statistics.
+ * The core's one counter record.
  *
- * Counters are owned by the individual pipeline stages (and by the
- * shared PipelineState for cross-stage events); Core::stats() folds
- * them into this flat struct so experiment code, benches and tests see
- * one record with unchanged field and stat names.
+ * PipelineState derives from CoreStats, so every stage counts into this
+ * record at the point where it sees the event (`++st.loads`).
+ * Core::stats() returns the live record and Core::resetStats() zeroes
+ * it in one assignment; a new counter is one field here plus its
+ * record() key.
  */
 
 #ifndef EOLE_PIPELINE_CORE_STATS_HH
@@ -17,7 +18,7 @@
 
 namespace eole {
 
-/** Aggregate per-run statistics. */
+/** Per-run core counters. */
 struct CoreStats
 {
     std::uint64_t cycles = 0;

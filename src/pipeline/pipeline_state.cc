@@ -168,22 +168,4 @@ PipelineState::resolveMispredictedBranch(const DynInstPtr &di)
         ++highConfMispredicts;
 }
 
-void
-PipelineState::addStats(CoreStats &out) const
-{
-    out.cycles += cycles;
-    out.committedUops += committedUops;
-    out.branchMispredicts += branchMispredicts;
-    out.highConfMispredicts += highConfMispredicts;
-}
-
-void
-PipelineState::resetStats()
-{
-    cycles = 0;
-    committedUops = 0;
-    branchMispredicts = 0;
-    highConfMispredicts = 0;
-}
-
 } // namespace eole

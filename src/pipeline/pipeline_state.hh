@@ -11,9 +11,10 @@
  * (PipelineStages::squash), and a resolved-branch redirect drops the
  * front end's speculative state (the Early Execution bypass).
  *
- * Stats that no single stage owns (cycles, committed µ-ops, branch
- * mispredictions resolved through the shared recovery path) live here;
- * everything else is stage-owned and aggregated by Core::stats().
+ * PipelineState is also the core's one counter record: it derives from
+ * CoreStats, and each stage increments the field for an event where it
+ * sees it. Stages keep only configuration scalars and their own scan
+ * state.
  */
 
 #ifndef EOLE_PIPELINE_PIPELINE_STATE_HH
@@ -43,7 +44,7 @@ namespace eole {
 class PipeTracer;
 struct PipelineStages;
 
-struct PipelineState
+struct PipelineState : CoreStats
 {
     PipelineState(const SimConfig &config, const Workload &workload);
     ~PipelineState();
@@ -105,12 +106,6 @@ struct PipelineState
      *  Core that owns both; non-owning. */
     PipelineStages *stages = nullptr;
 
-    // --- Cross-stage statistics ---
-    Cycle cycles = 0;
-    std::uint64_t committedUops = 0;
-    std::uint64_t branchMispredicts = 0;
-    std::uint64_t highConfMispredicts = 0;
-
     /** Start-of-cycle housekeeping (per-cycle port budgets). */
     void beginCycle();
 
@@ -156,12 +151,6 @@ struct PipelineState
 
     /** A mispredicted branch resolved: repair + un-stall fetch. */
     void resolveMispredictedBranch(const DynInstPtr &di);
-
-    /** Fold the cross-stage counters into the aggregate record. */
-    void addStats(CoreStats &out) const;
-
-    /** Zero the cross-stage counters. */
-    void resetStats();
 };
 
 } // namespace eole

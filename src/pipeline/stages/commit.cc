@@ -85,20 +85,20 @@ CommitStage::tick(PipelineState &st)
         // --- Statistics ---
         ++st.committedUops;
         if (di->uop().isCondBr()) {
-            ++s.condBranches;
+            ++st.condBranches;
             if (di->bp.highConf)
-                ++s.highConfBranches;
+                ++st.highConfBranches;
         }
         if (di->uop().vpEligible())
-            ++s.vpEligible;
+            ++st.vpEligible;
         if (di->predictionUsed)
-            ++s.vpPredictionsUsed;
+            ++st.vpPredictionsUsed;
         if (di->earlyExecuted)
-            ++s.earlyExecuted;
+            ++st.earlyExecuted;
         if (di->isLoad())
-            ++s.loads;
+            ++st.loads;
         if (di->isStore())
-            ++s.stores;
+            ++st.stores;
 
         if (st.tracer && st.tracer->wants(di->seq)) {
             const char *annot = !di->predictionUsed ? ""
@@ -137,28 +137,6 @@ CommitStage::squash(PipelineState &st, SeqNum keep_seq)
         st.lq.popBack();
     while (!st.sq.empty() && st.sq.back()->seq > keep_seq)
         st.sq.popBack();
-}
-
-void
-CommitStage::resetStats()
-{
-    s = Stats{};
-    if (levt)
-        levt->resetStats();
-}
-
-void
-CommitStage::addStats(CoreStats &out) const
-{
-    out.condBranches += s.condBranches;
-    out.highConfBranches += s.highConfBranches;
-    out.vpEligible += s.vpEligible;
-    out.vpPredictionsUsed += s.vpPredictionsUsed;
-    out.earlyExecuted += s.earlyExecuted;
-    out.loads += s.loads;
-    out.stores += s.stores;
-    if (levt)
-        levt->addStats(out);
 }
 
 } // namespace eole

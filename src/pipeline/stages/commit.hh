@@ -23,7 +23,6 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class CommitStage
@@ -34,25 +33,12 @@ class CommitStage
     void tick(PipelineState &st);
     /** Walk the ROB and the LSQ back to @p keep_seq, youngest first. */
     void squash(PipelineState &st, SeqNum keep_seq);
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
     /** Does this core have the LE/VT stage (value prediction or Late
      *  Execution configured)? */
     bool hasLevt() const { return levt.has_value(); }
 
   private:
-    struct Stats
-    {
-        std::uint64_t condBranches = 0;
-        std::uint64_t highConfBranches = 0;
-        std::uint64_t vpEligible = 0;
-        std::uint64_t vpPredictionsUsed = 0;
-        std::uint64_t earlyExecuted = 0;
-        std::uint64_t loads = 0;
-        std::uint64_t stores = 0;
-    };
-
     bool readyToRetire(const PipelineState &st, const DynInst &di) const;
 
     int commitWidth;
@@ -63,8 +49,6 @@ class CommitStage
      *  predictions to validate and train, or µ-ops routed to Late
      *  Execution. */
     std::optional<LevtStage> levt;
-
-    Stats s;
 };
 
 } // namespace eole

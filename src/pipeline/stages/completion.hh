@@ -13,17 +13,12 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class CompletionStage
 {
   public:
     void tick(PipelineState &st);
-
-    /** Completion owns no statistics. */
-    void resetStats() {}
-    void addStats(CoreStats &) const {}
 };
 
 } // namespace eole

@@ -21,7 +21,7 @@ DispatchStage::tick(PipelineState &st)
         DynInstPtr &head = st.renameOut.front();
 
         if (st.rob.full()) {
-            ++s.robFullStalls;
+            ++st.robFullStalls;
             break;
         }
         if (head->isLoad() && st.lq.full())
@@ -32,7 +32,7 @@ DispatchStage::tick(PipelineState &st)
         const bool needs_iq = !head->bypassesOoO()
             && head->uop().opClass() != OpClass::NoOp;
         if (needs_iq && static_cast<int>(st.iq.size()) >= iqEntries) {
-            ++s.iqFullStalls;
+            ++st.iqFullStalls;
             break;
         }
 
@@ -43,7 +43,7 @@ DispatchStage::tick(PipelineState &st)
             const int bank =
                 st.bankOfReg(head->uop().dstClass(), head->physDst);
             if (!st.ports.tryEeWrite(bank)) {
-                ++s.dispatchPortStalls;
+                ++st.dispatchPortStalls;
                 break;
             }
             const RegVal v = head->earlyExecuted ? head->computedValue
@@ -74,25 +74,10 @@ DispatchStage::tick(PipelineState &st)
         } else {
             st.iq.push_back(std::move(di));
             ++st.iqWakeEpoch;
-            ++s.dispatchedToIQ;
+            ++st.dispatchedToIQ;
         }
         ++dispatched;
     }
-}
-
-void
-DispatchStage::resetStats()
-{
-    s = Stats{};
-}
-
-void
-DispatchStage::addStats(CoreStats &out) const
-{
-    out.dispatchPortStalls += s.dispatchPortStalls;
-    out.robFullStalls += s.robFullStalls;
-    out.iqFullStalls += s.iqFullStalls;
-    out.dispatchedToIQ += s.dispatchedToIQ;
 }
 
 } // namespace eole

@@ -15,7 +15,6 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class DispatchStage
@@ -24,22 +23,10 @@ class DispatchStage
     explicit DispatchStage(const SimConfig &cfg);
 
     void tick(PipelineState &st);
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
   private:
-    struct Stats
-    {
-        std::uint64_t dispatchPortStalls = 0;
-        std::uint64_t robFullStalls = 0;
-        std::uint64_t iqFullStalls = 0;
-        std::uint64_t dispatchedToIQ = 0;
-    };
-
     int dispatchWidth;
     int iqEntries;
-
-    Stats s;
 };
 
 } // namespace eole

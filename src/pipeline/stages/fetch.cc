@@ -70,7 +70,7 @@ FetchStage::tick(PipelineState &st)
             } else if (di->bp.btbMiss && di->bp.predTaken) {
                 // Taken without a BTB target: decode-redirect bubble.
                 st.fetchStallUntil = st.now + btbMissBubble;
-                ++s.btbMissBubbles;
+                ++st.btbMissBubbles;
                 stop_after = true;
             } else if (di->bp.predTaken
                        && ++taken_branches >= maxTakenBranchesPerFetch) {
@@ -107,18 +107,6 @@ FetchStage::squash(PipelineState &st, SeqNum keep_seq, Cycle resume_fetch_at)
     if (st.fetchBlockedOnBranch && st.fetchBlockedOnBranch->seq > keep_seq)
         st.fetchBlockedOnBranch.reset();
     st.fetchStallUntil = std::max(st.fetchStallUntil, resume_fetch_at);
-}
-
-void
-FetchStage::resetStats()
-{
-    s = Stats{};
-}
-
-void
-FetchStage::addStats(CoreStats &out) const
-{
-    out.btbMissBubbles += s.btbMissBubbles;
 }
 
 } // namespace eole

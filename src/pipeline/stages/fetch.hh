@@ -19,7 +19,6 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class FetchStage
@@ -31,21 +30,12 @@ class FetchStage
     /** Drop front-end µ-ops younger than @p keep_seq; fetch resumes no
      *  earlier than @p resume_fetch_at. */
     void squash(PipelineState &st, SeqNum keep_seq, Cycle resume_fetch_at);
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
   private:
-    struct Stats
-    {
-        std::uint64_t btbMissBubbles = 0;
-    };
-
     int fetchWidth;
     int maxTakenBranchesPerFetch;
     int btbMissBubble;
     Cycle l1iHitLatency;
-
-    Stats s;
 };
 
 } // namespace eole

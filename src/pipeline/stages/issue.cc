@@ -54,7 +54,7 @@ IssueStage::tick(PipelineState &st)
     // selected or moved anything; only the occupancy stat accrues.
     if (asleep) {
         if (st.now < wakeAt && st.iqWakeEpoch == wakeEpoch) {
-            s.iqOccupancySum += st.iq.size();
+            st.iqOccupancySum += st.iq.size();
             return;
         }
         asleep = false;
@@ -144,7 +144,7 @@ IssueStage::tick(PipelineState &st)
         wakeAt = minReady;
         wakeEpoch = st.iqWakeEpoch;
     }
-    s.iqOccupancySum += st.iq.size();
+    st.iqOccupancySum += st.iq.size();
 }
 
 bool
@@ -204,7 +204,7 @@ IssueStage::checkStoreViolation(PipelineState &st, const DynInstPtr &store)
     if (!victim)
         return;
 
-    ++s.memOrderViolations;
+    ++st.memOrderViolations;
     st.ssets.violation(victim->uop().pc(), store->uop().pc());
     // Squash from the violating load (it re-executes after the store).
     st.squashAfter(victim->seq - 1, victim->postSnap, st.now + 1);
@@ -277,7 +277,7 @@ IssueStage::executeInst(PipelineState &st, const DynInstPtr &di)
         if (match) {
             val = sliceValue(match->storeData, di->uop().memSize());
             ready = st.now + 2;  // forwarding at L1-hit-like latency
-            ++s.storeToLoadForwards;
+            ++st.storeToLoadForwards;
         } else {
             // Architecturally correct value when the address is right;
             // deterministic garbage when executing with mispredicted
@@ -327,20 +327,6 @@ IssueStage::squash(PipelineState &st)
     }
     std::erase_if(st.iq, [](const DynInstPtr &di) { return di->squashed; });
     ++st.iqWakeEpoch;  // surviving entries must be rescanned
-}
-
-void
-IssueStage::resetStats()
-{
-    s = Stats{};
-}
-
-void
-IssueStage::addStats(CoreStats &out) const
-{
-    out.storeToLoadForwards += s.storeToLoadForwards;
-    out.memOrderViolations += s.memOrderViolations;
-    out.iqOccupancySum += s.iqOccupancySum;
 }
 
 } // namespace eole

@@ -17,7 +17,6 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class IssueStage
@@ -28,17 +27,8 @@ class IssueStage
     void tick(PipelineState &st);
     /** Drop the IQ entries the ROB walk marked squashed. */
     void squash(PipelineState &st);
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
   private:
-    struct Stats
-    {
-        std::uint64_t storeToLoadForwards = 0;
-        std::uint64_t memOrderViolations = 0;
-        std::uint64_t iqOccupancySum = 0;
-    };
-
     /** @return false when execution is blocked and must retry (e.g. a
      *  partial store overlap). */
     bool executeInst(PipelineState &st, const DynInstPtr &di);
@@ -65,8 +55,6 @@ class IssueStage
     bool asleep = false;
     Cycle wakeAt = 0;
     std::uint64_t wakeEpoch = 0;
-
-    Stats s;
 };
 
 } // namespace eole

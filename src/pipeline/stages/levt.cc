@@ -38,7 +38,7 @@ LevtStage::reservePorts(PipelineState &st, const DynInst &di)
     int banks[4];
     const int nreads = readNeeds(st, di, banks);
     if (nreads > 0 && !st.ports.tryLevtReads(banks, nreads)) {
-        ++s.commitPortStalls;
+        ++st.commitPortStalls;
         return false;
     }
     return true;
@@ -53,12 +53,12 @@ LevtStage::lateExecute(PipelineState &st, const DynInstPtr &di)
         di->computedValue = execAlu(di->uop().opc(), a, b, di->uop().imm());
         di->hasComputedValue = true;
         di->completed = true;
-        ++s.lateExecutedAlu;
+        ++st.lateExecutedAlu;
         if (st.tracer && st.tracer->wants(di->seq))
             st.tracer->event(st.now, di->seq, PipeEvent::Exec, "le=alu");
     } else if (di->lateExecBranch) {
         di->completed = true;
-        ++s.lateExecutedBranches;
+        ++st.lateExecutedBranches;
         if (st.tracer && st.tracer->wants(di->seq))
             st.tracer->event(st.now, di->seq, PipeEvent::Exec, "le=br");
         if (di->bp.mispredict)
@@ -76,9 +76,9 @@ LevtStage::validate(PipelineState &st, const DynInstPtr &di)
              (unsigned long long)di->seq);
     const bool mispredict = di->computedValue != di->predictedValue;
     if (!mispredict) {
-        ++s.vpCorrectUsed;
+        ++st.vpCorrectUsed;
     } else {
-        ++s.vpMispredictSquashes;
+        ++st.vpMispredictSquashes;
         // Fix the PRF if the prediction was still live there.
         st.prfOf(di->uop().dstClass()).overwriteValue(di->physDst,
                                                   di->computedValue);
@@ -93,22 +93,6 @@ LevtStage::train(PipelineState &st, const DynInstPtr &di)
         prof::ScopedTimer vp_timer(prof::ModelVpred);
         st.vp->commit(di->uop().pc(), di->uop().result(), di->vp);
     }
-}
-
-void
-LevtStage::resetStats()
-{
-    s = Stats{};
-}
-
-void
-LevtStage::addStats(CoreStats &out) const
-{
-    out.lateExecutedAlu += s.lateExecutedAlu;
-    out.lateExecutedBranches += s.lateExecutedBranches;
-    out.vpCorrectUsed += s.vpCorrectUsed;
-    out.vpMispredictSquashes += s.vpMispredictSquashes;
-    out.commitPortStalls += s.commitPortStalls;
 }
 
 } // namespace eole

@@ -27,16 +27,12 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class LevtStage
 {
   public:
     explicit LevtStage(const SimConfig &cfg);
-
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
     /**
      * Reserve this µ-op's LE/VT read ports (all or nothing).
@@ -58,22 +54,11 @@ class LevtStage
     void train(PipelineState &st, const DynInstPtr &di);
 
   private:
-    struct Stats
-    {
-        std::uint64_t lateExecutedAlu = 0;
-        std::uint64_t lateExecutedBranches = 0;
-        std::uint64_t vpCorrectUsed = 0;
-        std::uint64_t vpMispredictSquashes = 0;
-        std::uint64_t commitPortStalls = 0;
-    };
-
     /** LE/VT read-port demand of @p di (§6.3). */
     int readNeeds(const PipelineState &st, const DynInst &di,
                   int *banks_out) const;
 
     bool vpEnabled;
-
-    Stats s;
 };
 
 } // namespace eole

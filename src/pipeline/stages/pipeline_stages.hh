@@ -41,21 +41,21 @@ struct PipelineStages
     FetchStage fetch;
 
     /**
-     * Call @p visit(stage, section) on each stage of @p self (a
-     * PipelineStages, const or not) in tick order, with the profiler
-     * section that times the stage's tick. Back of the pipeline first,
-     * so a µ-op spends at least one cycle in every structure.
+     * Call @p visit(stage, section) on each stage in tick order, with
+     * the profiler section that times the stage's tick. Back of the
+     * pipeline first, so a µ-op spends at least one cycle in every
+     * structure.
      */
-    template <typename Self, typename Visit>
-    static void
-    forEach(Self &self, Visit &&visit)
+    template <typename Visit>
+    void
+    forEach(Visit &&visit)
     {
-        visit(self.completion, prof::StageCompletion);
-        visit(self.commit, prof::StageCommit);
-        visit(self.issue, prof::StageIssue);
-        visit(self.dispatch, prof::StageDispatch);
-        visit(self.rename, prof::StageRename);
-        visit(self.fetch, prof::StageFetch);
+        visit(completion, prof::StageCompletion);
+        visit(commit, prof::StageCommit);
+        visit(issue, prof::StageIssue);
+        visit(dispatch, prof::StageDispatch);
+        visit(rename, prof::StageRename);
+        visit(fetch, prof::StageFetch);
     }
 
     /**

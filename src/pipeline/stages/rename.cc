@@ -32,7 +32,7 @@ RenameStage::tick(PipelineState &st)
         if (has_dst) {
             bank = st.bankCursor % prfBanks;
             if (!st.prfOf(peek->uop().dstClass()).bankHasFree(bank)) {
-                ++s.renameBankStalls;
+                ++st.renameBankStalls;
                 break;
             }
         }
@@ -165,18 +165,6 @@ RenameStage::squash(PipelineState &st, SeqNum keep_seq)
         st.markSquashed(di);
     }
     ee.reset();
-}
-
-void
-RenameStage::resetStats()
-{
-    s = Stats{};
-}
-
-void
-RenameStage::addStats(CoreStats &out) const
-{
-    out.renameBankStalls += s.renameBankStalls;
 }
 
 } // namespace eole

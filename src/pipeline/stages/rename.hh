@@ -22,7 +22,6 @@
 
 namespace eole {
 
-struct CoreStats;
 struct PipelineState;
 
 class RenameStage
@@ -37,18 +36,11 @@ class RenameStage
     /** Fetch was redirected by a resolved branch without a squash:
      *  drop the EE bypass. */
     void onFetchRedirect() { ee.reset(); }
-    void resetStats();
-    void addStats(CoreStats &out) const;
 
   private:
     /** Try to execute @p di on the EE block (operands from immediates,
      *  predictions and the local bypass only -- never the PRF). */
     bool tryEarlyExecute(DynInst &di);
-
-    struct Stats
-    {
-        std::uint64_t renameBankStalls = 0;
-    };
 
     int renameWidth;
     int dispatchWidth;
@@ -60,8 +52,6 @@ class RenameStage
     EarlyExecBlock ee;
     std::vector<DynInst *> renameGroup;   //!< scratch: this cycle's group
                                           //!< (borrowed; renameOut owns)
-
-    Stats s;
 };
 
 } // namespace eole

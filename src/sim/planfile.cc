@@ -193,13 +193,10 @@ parsePlanText(const std::string &text, const std::string &origin,
                     // shard and store key matches a live-generated
                     // run of the same workload byte-for-byte.
                     if (name.rfind("file:", 0) == 0) {
-                        const std::string path = name.substr(5);
                         std::string canonical, err;
-                        if (!workloads::bindTraceFile(path, &canonical,
-                                                      &err)) {
-                            return fail(lineno, "cannot load trace file \""
-                                        + path + "\": " + err);
-                        }
+                        if (!workloads::resolveWorkloadSpec(
+                                name, &canonical, &err))
+                            return fail(lineno, err);
                         workload_list.push_back(canonical);
                         continue;
                     }

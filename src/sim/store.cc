@@ -29,10 +29,6 @@ storeKeyText(const StoreKey &key)
     os << "params = " << key.params.size() << "\n";
     for (const auto &[k, v] : key.params)
         os << "p " << k << " = " << v << "\n";
-    // Appended (pre-`end`) only when present: keys written before the
-    // field existed keep their hashes.
-    if (!key.content.empty())
-        os << "content = " << key.content << "\n";
     os << "end\n";
     return os.str();
 }

@@ -48,7 +48,7 @@ namespace eole {
 /** Everything a stored object's identity derives from. */
 struct StoreKey
 {
-    std::string kind;      //!< "cell" (reduced stats), "ckpt", "trace"
+    std::string kind;      //!< "cell" (reduced stats) or "ckpt"
     std::string config;    //!< config name (axis-derived names legal)
     /** Complete canonical config map (configKeyValues) — the config's
      *  identity is its parameters, not its name. */
@@ -59,11 +59,6 @@ struct StoreKey
     std::uint64_t measure = 0;  //!< resolved measured µ-ops (per config)
     SampleSpec sample;          //!< disabled for full runs
     std::uint64_t index = 0;    //!< ckpt µ-op index (0 for cells)
-    /** Content address for payload-identified objects ("trace": the
-     *  SHA-256 of the file bytes). Empty for cell/ckpt keys, and only
-     *  emitted into the key document when set, so every pre-existing
-     *  store hash is unchanged. */
-    std::string content;
 };
 
 /** The canonical key document (byte-stable; this text is hashed). */

@@ -51,7 +51,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -59,7 +58,6 @@
 #include "common/build_info.hh"
 #include "common/env.hh"
 #include "common/fuzzy.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
 #include "common/whole_file.hh"
@@ -231,7 +229,7 @@ usage(FILE *to, int exit_code)
         "      schema, provenance, µ-op index and section sizes.\n"
         "\n"
         "  eole trace record <workload> --out <file.trace>\n"
-        "            [--uops N] [--store DIR] [--quiet]\n"
+        "            [--uops N] [--quiet]\n"
         "      Record a workload's functional µ-op trace into an\n"
         "      eole-trace-v2 file (mmap-ready packed records +\n"
         "      SHA-256 footer). A trace that ends before its program\n"
@@ -242,8 +240,6 @@ usage(FILE *to, int exit_code)
         "      stops with an error. --uops N records N µ-ops and adds\n"
         "      nothing; the default is EOLE_WARMUP + EOLE_INSTS +\n"
         "      65,536, which covers any stock config.\n"
-        "      --store also inserts the file into a content-addressed\n"
-        "      store as a kind=trace object keyed by its own bytes.\n"
         "\n"
         "  eole trace info <file.trace>...\n"
         "      Validate trace files (header, layout hash, checksum;\n"
@@ -516,9 +512,6 @@ writeOutput(const std::string &path,
                   : "cannot write " + path + ": " + err;
 }
 
-bool resolveWorkloadSpec(const std::string &spec, std::string *resolved,
-                         std::string *err);
-
 int
 cmdListWorkloads(const std::vector<std::string> &specs)
 {
@@ -531,7 +524,7 @@ cmdListWorkloads(const std::vector<std::string> &specs)
     } else {
         for (const std::string &spec : specs) {
             std::string resolved, err;
-            if (!resolveWorkloadSpec(spec, &resolved, &err))
+            if (!workloads::resolveWorkloadSpec(spec, &resolved, &err))
                 return fail(err);
             names.push_back(resolved);
         }
@@ -691,52 +684,6 @@ cmdDescribe(int argc, char **argv)
     return 0;
 }
 
-/**
- * Resolve one CLI workload spec: plain names pass through untouched
- * (the registries validate them), "file:<path>" binds the trace file
- * (workloads::bindTraceFile) and resolves to the canonical name
- * embedded in it. A file that cannot be loaded produces a diagnostic
- * naming the resolved absolute path plus a did-you-mean over the
- * sibling .trace files — the usual typo is the filename, not the
- * directory.
- */
-bool
-resolveWorkloadSpec(const std::string &spec, std::string *resolved,
-                    std::string *err)
-{
-    if (spec.rfind("file:", 0) != 0) {
-        *resolved = spec;
-        return true;
-    }
-    const std::string path = spec.substr(5);
-    std::string name, lerr;
-    if (workloads::bindTraceFile(path, &name, &lerr)) {
-        *resolved = name;
-        return true;
-    }
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::path abs = fs::absolute(path, ec);
-    if (ec)
-        abs = path;
-    std::vector<std::string> siblings;
-    if (fs::is_directory(abs.parent_path(), ec)) {
-        for (const auto &e : fs::directory_iterator(abs.parent_path(),
-                                                    ec)) {
-            // A file that exists but does not load (an eole-trace-v1
-            // file, say) is no suggestion for itself.
-            if (e.path().extension() == ".trace"
-                && e.path().filename() != abs.filename())
-                siblings.push_back(e.path().filename().string());
-        }
-        std::sort(siblings.begin(), siblings.end());
-    }
-    *err = csprintf("cannot load trace file %s: %s",
-                    abs.string().c_str(), lerr.c_str())
-        + didYouMean(closestMatches(abs.filename().string(), siblings));
-    return false;
-}
-
 
 /**
  * The front door `run`, `shard` and `ckpt save` share: the plan (a
@@ -875,7 +822,7 @@ RunRequest::open(int argc, char **argv)
         std::vector<std::string> resolved_names;
         for (const std::string &spec : splitCommaList(workloads)) {
             std::string resolved;
-            if (!resolveWorkloadSpec(spec, &resolved, &err))
+            if (!workloads::resolveWorkloadSpec(spec, &resolved, &err))
                 return bail(err);
             resolved_names.push_back(std::move(resolved));
         }
@@ -1410,7 +1357,7 @@ cmdBench(int argc, char **argv)
     // canonical name, timing replay-from-mmap instead of a generator.
     for (std::string &spec : opt.workloads) {
         std::string resolved;
-        if (!resolveWorkloadSpec(spec, &resolved, &err))
+        if (!workloads::resolveWorkloadSpec(spec, &resolved, &err))
             return fail(err);
         spec = std::move(resolved);
     }
@@ -1435,18 +1382,18 @@ cmdBench(int argc, char **argv)
     return 0;
 }
 
-/** `eole trace record <workload> --out F [--uops N] [--store DIR]`. */
+/** `eole trace record <workload> --out F [--uops N]`. */
 int
 cmdTraceRecord(int argc, char **argv)
 {
-    std::string out_path, store_dir;
+    std::string out_path;
     std::uint64_t uops = 0;
     bool quiet = false;
     std::vector<std::string> args;
     std::string err = parseFlags(
         {text("--out", &out_path),
          count("--uops", &uops, 0, maxRunLengthUops),
-         text("--store", &store_dir), on("--quiet", &quiet)},
+         on("--quiet", &quiet)},
         argc, argv, &args);
     if (err.empty() && (args.size() != 1 || out_path.empty()))
         err = "trace record needs one workload and --out <file>";
@@ -1461,7 +1408,7 @@ cmdTraceRecord(int argc, char **argv)
         uops = warmupUops() + measureUops() + 65536;
     }
     std::string resolved;
-    if (!resolveWorkloadSpec(args[0], &resolved, &err))
+    if (!workloads::resolveWorkloadSpec(args[0], &resolved, &err))
         return fail(err);
     const Workload w = workloads::build(resolved);
     if (w.name.size() >= traceFileNameBytes) {
@@ -1482,27 +1429,6 @@ cmdTraceRecord(int argc, char **argv)
                 trace->uops.size(),
                 trace->complete ? "complete" : "prefix",
                 (unsigned long long)file_bytes);
-    if (!store_dir.empty()) {
-        // A trace is a content-addressed store object: the key is
-        // its own bytes' hash, so identical recordings dedupe and
-        // a changed recording is a new object, never a mutation.
-        std::ifstream is(out_path, std::ios::binary);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        const std::string payload = buf.str();
-        fatal_if(!is || payload.size() != file_bytes,
-                 "cannot re-read %s for --store", out_path.c_str());
-        StoreKey key;
-        key.kind = "trace";
-        key.workload = trace->name;
-        key.content = sha256Hex(payload);
-        Store store(store_dir);
-        store.put(key, payload);
-        store.flush();
-        std::printf("stored as %s (kind=trace) in %s\n",
-                    storeKeyHash(key).substr(0, 12).c_str(),
-                    store_dir.c_str());
-    }
     return 0;
 }
 

@@ -118,6 +118,19 @@ Workload build(const std::string &name);
 bool bindTraceFile(const std::string &path, std::string *name_out,
                    std::string *err);
 
+/**
+ * Resolve one workload spec, the one way every front end takes it (a
+ * plan file's `workloads =` list, `--workloads`, `list --workloads`,
+ * `trace record`): plain names pass through untouched (the caller
+ * validates them), "file:<path>" binds the trace file (bindTraceFile)
+ * and resolves to the canonical name embedded in it. A file that
+ * cannot be loaded produces a diagnostic naming the resolved absolute
+ * path plus a did-you-mean over the sibling .trace files — the usual
+ * typo is the filename, not the directory.
+ */
+bool resolveWorkloadSpec(const std::string &spec, std::string *resolved,
+                         std::string *err);
+
 /** Drop every bindTraceFile() registration (test isolation). */
 void clearBoundTraces();
 

@@ -5,10 +5,13 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <mutex>
 
+#include "common/fuzzy.hh"
 #include "common/logging.hh"
 #include "trace/trace_file.hh"
 #include "workloads/torture_gen.hh"
@@ -138,6 +141,43 @@ bindTraceFile(const std::string &path, std::string *name_out,
     // resolution of the same file); last binding wins.
     boundTraces[frozen->name] = std::move(frozen);
     return true;
+}
+
+bool
+resolveWorkloadSpec(const std::string &spec, std::string *resolved,
+                    std::string *err)
+{
+    if (spec.rfind("file:", 0) != 0) {
+        *resolved = spec;
+        return true;
+    }
+    const std::string path = spec.substr(5);
+    std::string name, lerr;
+    if (bindTraceFile(path, &name, &lerr)) {
+        *resolved = name;
+        return true;
+    }
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::path abs = fs::absolute(path, ec);
+    if (ec)
+        abs = path;
+    std::vector<std::string> siblings;
+    if (fs::is_directory(abs.parent_path(), ec)) {
+        for (const auto &e : fs::directory_iterator(abs.parent_path(),
+                                                    ec)) {
+            // A file that exists but does not load (an eole-trace-v1
+            // file, say) is no suggestion for itself.
+            if (e.path().extension() == ".trace"
+                && e.path().filename() != abs.filename())
+                siblings.push_back(e.path().filename().string());
+        }
+        std::sort(siblings.begin(), siblings.end());
+    }
+    *err = csprintf("cannot load trace file %s: %s",
+                    abs.string().c_str(), lerr.c_str())
+        + didYouMean(closestMatches(abs.filename().string(), siblings));
+    return false;
 }
 
 void

@@ -37,7 +37,7 @@
 #  - `trace record` writes a file `trace info` accepts, `file:` replay
 #    equals the live generator, ingested RV64I logs sweep (one with
 #    loads whose addresses cross 2^63), and a missing `file:` exits 2
-#    with a suggestion;
+#    with a suggestion, from --workloads and from a plan file alike;
 #  - `list`, `describe`, `version`, `help`, `store gc`, `diff` (equal
 #    and differing artifacts), `bench --compare`, `bench --profile` and
 #    `run --plan examples/bank_width.plan` with its table each print
@@ -214,6 +214,13 @@ rc=$?
 [[ $rc == 2 ]] || fail "missing file: workload: exit $rc (want 2)"
 grep -q 'did you mean' missing.err \
     || fail "missing file: workload: no did-you-mean suggestion"
+printf 'plan = missing\nconfigs = Baseline_6_64\nworkloads = file:t8.trace\n' \
+    > missing.plan
+"$EOLE" run --plan missing.plan "${LEN[@]}" --no-tables 2> missing_plan.err
+rc=$?
+[[ $rc == 2 ]] || fail "plan-file missing file: workload: exit $rc (want 2)"
+grep -q 'did you mean: t7.trace' missing_plan.err \
+    || fail "plan-file missing file: workload: no did-you-mean suggestion"
 
 # --- every exit-2 path ends the telemetry stream with run_aborted
 for verb in run shard ckpt; do

@@ -212,6 +212,48 @@ TEST(CoreBaseline, ResetStatsPreservesArchState)
     EXPECT_GT(core.stats().ipc(), 0.9);
 }
 
+// resetStats zeroes every key of the core's record, and stats() is the
+// live record: a reference taken before the reset reads the next run's
+// count. On the EOLE config early_executed, late_executed_alu and
+// vp_used are nonzero before the reset, so the zero check is not
+// vacuous for the EOLE counters.
+TEST(CoreRecord, ResetStatsZeroesEveryKeyAndStatsStaysLive)
+{
+    const struct
+    {
+        const char *config;
+        bool offloads;
+    } cases[] = {{"EOLE_4_64_4ports_4banks", true},
+                 {"Baseline_6_64", false}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.config);
+        SimConfig cfg;
+        ASSERT_TRUE(configs::findNamed(c.config, &cfg));
+        Workload w = workloads::build("164.gzip");
+        w.frozen = w.freeze(50000 + 20000 + maxInflightUops(cfg));
+        Core core(cfg, w);
+        core.run(50000, 10000000);
+        const CoreStats &s = core.stats();
+        const StatRecord before = s.record();
+        if (c.offloads) {
+            EXPECT_GT(before.get("early_executed"), 0.0);
+            EXPECT_GT(before.get("late_executed_alu"), 0.0);
+            EXPECT_GT(before.get("vp_used"), 0.0);
+        }
+
+        core.resetStats();
+        const StatRecord after = core.stats().record();
+        for (const auto &[key, value] : after.all())
+            EXPECT_EQ(value, 0.0) << key;
+
+        const std::uint64_t committed = core.run(20000, 4000000);
+        EXPECT_GE(committed, 20000u);  // the last group may overshoot
+        EXPECT_EQ(s.committedUops, committed);
+        EXPECT_EQ(core.stats().record().get("committed_uops"),
+                  double(committed));
+    }
+}
+
 TEST(CoreVp, ValuePredictionBreaksDependencyChain)
 {
     const CoreStats base = runWorkload(configs::baseline(6, 64),

@@ -29,7 +29,6 @@
 #include "sim/artifact.hh"
 #include "sim/plans.hh"
 #include "sim/sample/sample.hh"
-#include "sim/store.hh"
 #include "sim/sweep.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace_cache.hh"
@@ -780,33 +779,6 @@ TEST(TraceStream, DecodedStreamsArePinned)
         ASSERT_NE(trace, nullptr) << err;
         EXPECT_EQ(streamDigest(*trace), digest) << log;
     }
-}
-
-// ------------------------- store objects ---------------------------------
-
-TEST(TraceFile, StoreRoundTripsTraceObjects)
-{
-    TempDir tmp("store");
-    const std::string path = tmp.path("t7.trace");
-    writeTortureTrace("torture:7", 50000, path);
-    const std::string bytes = slurp(path);
-
-    StoreKey key;
-    key.kind = "trace";
-    key.workload = "torture:7";
-    key.content = sha256Hex(bytes);
-
-    // The content field participates in the address: different bytes,
-    // different object.
-    StoreKey other = key;
-    other.content = sha256Hex(bytes + "x");
-    EXPECT_NE(storeKeyHash(key), storeKeyHash(other));
-
-    Store store(tmp.path("store"));
-    store.put(key, bytes);
-    std::string back;
-    ASSERT_TRUE(store.get(storeKeyHash(key), &back));
-    EXPECT_EQ(back, bytes);  // binary payloads survive exactly
 }
 
 // ------------------------- RV64I ingestion -------------------------------
